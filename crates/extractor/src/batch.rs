@@ -6,8 +6,8 @@
 //! over scoped worker threads. Each worker owns one
 //! [`metaform_parser::ParseSession`] (recycling its chart and scratch
 //! across the pages it claims) while all workers share the extractor's
-//! one `Arc<CompiledGrammar>`. Pages are claimed from an atomic
-//! cursor, so workers self-balance; results are written back by input
+//! one `Arc<CompiledGrammar>`. Pages are claimed in input order from a
+//! shared queue, so workers self-balance; results are written back by input
 //! index, so the output order is the input order and is identical to a
 //! sequential run — parallelism changes wall-clock time, nothing else.
 //!
@@ -25,7 +25,10 @@
 //! configured budgets, then up to [`AdaptiveOptions::max_retries`]
 //! retry rounds re-running *only* the budget-limited pages
 //! (`Truncated`/`Timeout`) with both budgets multiplied by
-//! [`AdaptiveOptions::budget_growth`] each round. `Panicked` and
+//! [`AdaptiveOptions::budget_growth`] each round. A retried page
+//! keeps the tokens of its first attempt — escalation changes parser
+//! budgets only — so the HTML → layout → token front end runs once
+//! per page, however many rungs the page descends. `Panicked` and
 //! `EmptyForm` pages are never retried (a bigger budget reproduces the
 //! same verdict) and neither are `Cancelled` ones (retrying would
 //! fight the caller). Pages still failing after the last round settle
@@ -49,9 +52,23 @@ use crate::pipeline::{token_coverage, Attempt, Extraction, FormExtractor, Proven
 use crate::telemetry::{
     duration_to_ms, AttemptRecord, CacheOutcome, ErrorKind, FailureOutcome, FailureRecord,
 };
+use metaform_core::Token;
 use metaform_parser::CancelToken;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// One page of a batch round: its index in the input, its HTML, and
+/// its tokens when an earlier attempt already ran the front end.
+type PageJob<'a> = (usize, &'a str, Option<Vec<Token>>);
+
+/// The first-round jobs of a batch: every page, no tokens yet.
+fn fresh_jobs<'a>(pages: &[&'a str]) -> Vec<PageJob<'a>> {
+    pages
+        .iter()
+        .enumerate()
+        .map(|(i, &html)| (i, html, None))
+        .collect()
+}
 
 /// Rollup of one [`FormExtractor::extract_batch_stats`] or
 /// [`FormExtractor::extract_batch_adaptive`] run.
@@ -237,29 +254,36 @@ impl FormExtractor {
     /// instead of degraded reports (e.g. to retry with a larger
     /// budget).
     pub fn extract_batch_results(&self, pages: &[&str]) -> Vec<Result<Extraction, ExtractError>> {
-        let jobs: Vec<(usize, &str)> = pages.iter().copied().enumerate().collect();
-        self.run_jobs(&jobs)
+        self.run_jobs(fresh_jobs(pages))
             .into_iter()
             .map(|attempt| attempt.result)
             .collect()
     }
 
     /// The batch core every driver runs on: extracts each `(page_index,
-    /// html)` job in parallel, returning one [`Attempt`] per job —
-    /// verdict, per-attempt parse stats, and the salvage candidate on
-    /// budget failures — aligned with `jobs`. The page index travels
-    /// *inside* the job, not as the slot position — retry rounds pass
-    /// sparse subsets of the original batch, and every error and stat
-    /// they produce must name the page's index in the original input,
-    /// never its position in the subset.
-    pub(crate) fn run_jobs(&self, jobs: &[(usize, &str)]) -> Vec<Attempt> {
+    /// html, tokens)` job in parallel, returning one [`Attempt`] per
+    /// job — verdict, per-attempt parse stats, the salvage candidate on
+    /// budget failures, and the page's tokens — aligned with `jobs`.
+    /// The page index travels *inside* the job, not as the slot
+    /// position — retry rounds pass sparse subsets of the original
+    /// batch, and every error and stat they produce must name the
+    /// page's index in the original input, never its position in the
+    /// subset. Retry rounds also hand each page the tokens its last
+    /// attempt computed, which the job moves into
+    /// [`FormExtractor::attempt_in`] so the front end is not run again.
+    pub(crate) fn run_jobs(&self, jobs: Vec<PageJob<'_>>) -> Vec<Attempt> {
         if jobs.is_empty() {
             return Vec::new();
         }
         let workers = self.batch_workers(jobs.len());
-        let next = AtomicUsize::new(0);
+        let indices: Vec<usize> = jobs.iter().map(|&(page_index, _, _)| page_index).collect();
         let mut slots: Vec<Option<Attempt>> = Vec::new();
         slots.resize_with(jobs.len(), || None);
+        // Workers claim jobs in input order from a shared queue; a job
+        // is moved out whole, tokens included. The lock guards one
+        // `next()` call, which cannot leave the queue half-updated, so
+        // a poisoned lock is still safe to use.
+        let queue = Mutex::new(jobs.into_iter().enumerate());
 
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -268,12 +292,13 @@ impl FormExtractor {
                         let mut session = self.session();
                         let mut out = Vec::new();
                         loop {
-                            let slot = next.fetch_add(1, Ordering::Relaxed);
-                            if slot >= jobs.len() {
+                            let claimed =
+                                queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                            let Some((slot, (page_index, html, tokens))) = claimed else {
                                 break;
-                            }
-                            let (page_index, html) = jobs[slot];
-                            out.push((slot, self.attempt_in(&mut session, page_index, html)));
+                            };
+                            let attempt = self.attempt_in(&mut session, page_index, html, tokens);
+                            out.push((slot, attempt));
                         }
                         out
                     })
@@ -295,13 +320,16 @@ impl FormExtractor {
 
         slots
             .into_iter()
-            .zip(jobs)
-            .map(|(slot, &(page_index, _))| {
+            .zip(indices)
+            .map(|(slot, page_index)| {
                 slot.unwrap_or_else(|| {
-                    Attempt::failed(ExtractError::Panicked {
-                        page_index,
-                        message: "batch worker died outside the page boundary".to_string(),
-                    })
+                    Attempt::failed(
+                        ExtractError::Panicked {
+                            page_index,
+                            message: "batch worker died outside the page boundary".to_string(),
+                        },
+                        None,
+                    )
                 })
             })
             .collect()
@@ -317,8 +345,7 @@ impl FormExtractor {
             return (Vec::new(), BatchStats::default());
         }
         let workers = self.batch_workers(pages.len());
-        let jobs: Vec<(usize, &str)> = pages.iter().copied().enumerate().collect();
-        let attempts = self.run_jobs(&jobs);
+        let attempts = self.run_jobs(fresh_jobs(pages));
 
         let mut stats = BatchStats {
             pages: pages.len(),
@@ -330,7 +357,9 @@ impl FormExtractor {
             .zip(pages)
             .map(|(attempt, page)| match attempt.result {
                 Ok(extraction) => extraction,
-                Err(err) => self.settle_failed(page, &err, attempt.partial, &mut stats),
+                Err(err) => {
+                    self.settle_failed(page, &err, attempt.partial, attempt.tokens, &mut stats)
+                }
             })
             .collect();
         self.roll_up(&extractions, &mut stats);
@@ -361,8 +390,7 @@ impl FormExtractor {
         };
 
         // First pass: the whole batch at the configured budgets.
-        let jobs: Vec<(usize, &str)> = pages.iter().copied().enumerate().collect();
-        let first = self.run_jobs(&jobs);
+        let first = self.run_jobs(fresh_jobs(pages));
         let mut states: Vec<PageState> = first
             .into_iter()
             .map(|attempt| {
@@ -404,9 +432,17 @@ impl FormExtractor {
                 break;
             }
             round_extractor = round_extractor.escalated(opts.budget_growth);
-            let retry_jobs: Vec<(usize, &str)> = pending.iter().map(|&i| (i, pages[i])).collect();
-            let retried = round_extractor.run_jobs(&retry_jobs);
+            // A budget failure always carries its partial, and the
+            // partial holds the page's tokens: the retry reuses them.
+            let retry_jobs: Vec<PageJob<'_>> = pending
+                .iter()
+                .map(|&i| {
+                    let partial = states[i].attempt.partial.as_mut();
+                    (i, pages[i], partial.map(|p| std::mem::take(&mut p.tokens)))
+                })
+                .collect();
             stats.retried += retry_jobs.len();
+            let retried = round_extractor.run_jobs(retry_jobs);
             for (&i, attempt) in pending.iter().zip(retried) {
                 let state = &mut states[i];
                 state.attempt = attempt;
@@ -431,7 +467,13 @@ impl FormExtractor {
                     extractions.push(extraction);
                 }
                 Err(err) => {
-                    let settled = self.settle_failed(pages[i], &err, attempt.partial, &mut stats);
+                    let settled = self.settle_failed(
+                        pages[i],
+                        &err,
+                        attempt.partial,
+                        attempt.tokens,
+                        &mut stats,
+                    );
                     let outcome = if settled.via == Provenance::PartialSalvage {
                         FailureOutcome::Salvaged
                     } else if matches!(err, ExtractError::Cancelled { .. }) {
@@ -475,13 +517,15 @@ impl FormExtractor {
     /// pages: counts the failure cause in `stats`, then serves the
     /// page via [`FormExtractor::salvage_or_degrade`] — the salvaged
     /// partial grammar-path report when it dominates the proximity
-    /// baseline, the baseline otherwise. The salvaged/degraded split
-    /// itself is counted in `roll_up` from the provenance marks.
+    /// baseline, the baseline otherwise — over the tokens the failed
+    /// attempt already holds. The salvaged/degraded split itself is
+    /// counted in `roll_up` from the provenance marks.
     fn settle_failed(
         &self,
         page: &str,
         err: &ExtractError,
         partial: Option<Extraction>,
+        tokens: Option<Vec<Token>>,
         stats: &mut BatchStats,
     ) -> Extraction {
         match err {
@@ -491,7 +535,7 @@ impl FormExtractor {
             ExtractError::EmptyForm { .. } => stats.empty += 1,
             ExtractError::Cancelled { .. } => stats.cancelled += 1,
         }
-        self.salvage_or_degrade(page, partial)
+        self.salvage_or_degrade(page, partial, tokens)
     }
 
     /// Sums per-page counters into the batch rollup (shared by the
@@ -779,6 +823,40 @@ mod tests {
             Some(CacheOutcome::Miss),
             "the recovering attempt parsed cold under a cache"
         );
+    }
+
+    /// Retry rounds hand pages the tokens of their earlier attempt,
+    /// skipping the front end — but the cancel marker is still checked
+    /// on such an attempt, fires the token, and the page keeps the
+    /// tokens it was handed.
+    #[test]
+    fn retry_job_with_known_tokens_still_fires_the_cancel_marker() {
+        let page = "<form>STOP <input type=text name=s><input type=submit value=Go></form>";
+        let tokens = FormExtractor::new().extract(page).tokens;
+        assert!(!tokens.is_empty());
+        let cancel = CancelToken::new();
+        let extractor = FormExtractor::new()
+            .worker_threads(1)
+            .cancel_token(cancel.clone())
+            .inject_cancel_marker("STOP");
+        let attempts = extractor.run_jobs(vec![(7, page, Some(tokens.clone()))]);
+        assert!(cancel.is_cancelled(), "the retried marker page fired");
+        let attempt = &attempts[0];
+        assert!(matches!(
+            attempt.result,
+            Err(ExtractError::Cancelled { page_index: 7 })
+        ));
+        let partial = attempt.partial.as_ref().expect("cancelled mid-parse");
+        assert_eq!(partial.tokens, tokens);
+
+        // A page met after the cancellation is skipped whole and
+        // still keeps its tokens for the baseline.
+        let skipped = extractor.run_jobs(vec![(8, page, Some(tokens.clone()))]);
+        assert!(matches!(
+            skipped[0].result,
+            Err(ExtractError::Cancelled { page_index: 8 })
+        ));
+        assert_eq!(skipped[0].tokens.as_ref(), Some(&tokens));
     }
 
     #[test]

@@ -263,18 +263,28 @@ pub struct FormExtractor {
 /// and — when the parse was budget-limited or cancelled mid-flight —
 /// the partial grammar-path extraction it still built, carried as the
 /// salvage candidate instead of being thrown away with the error.
+///
+/// Once the front end has run, the page's tokens ride along so no
+/// later rung tokenizes the page again: inside the extraction on
+/// success, inside the partial on a budget failure, and in
+/// [`Attempt::tokens`] when neither exists (an empty form, a parse
+/// that panicked, a retry skipped by cancellation).
 pub(crate) struct Attempt {
     pub(crate) result: Result<Extraction, ExtractError>,
     pub(crate) stats: Option<ParseStats>,
     pub(crate) partial: Option<Extraction>,
+    pub(crate) tokens: Option<Vec<Token>>,
 }
 
 impl Attempt {
-    pub(crate) fn failed(result: ExtractError) -> Self {
+    /// A failed attempt that built no extraction, keeping the page's
+    /// tokens if the front end had produced them.
+    pub(crate) fn failed(result: ExtractError, tokens: Option<Vec<Token>>) -> Self {
         Attempt {
             result: Err(result),
             stats: None,
             partial: None,
+            tokens,
         }
     }
 
@@ -518,14 +528,14 @@ impl FormExtractor {
         let mut session = self.session();
         metaform_tokenizer::tokenize_all_forms(&doc, &lay)
             .into_iter()
-            .map(|t| self.extract_tokens_in(&mut session, &t.tokens))
+            .map(|t| self.extract_tokens_in(&mut session, t.tokens))
             .collect()
     }
 
     /// Runs parsing + merging on pre-tokenized input (useful for tests
     /// and for the paper's walk-through figures).
     pub fn extract_tokens(&self, tokens: &[Token]) -> Extraction {
-        self.extract_tokens_in(&mut self.session(), tokens)
+        self.extract_tokens_in(&mut self.session(), tokens.to_vec())
     }
 
     /// [`FormExtractor::extract`] through a caller-owned session —
@@ -537,10 +547,10 @@ impl FormExtractor {
         page_index: usize,
         html: &str,
     ) -> Extraction {
-        let attempt = self.attempt_in(session, page_index, html);
+        let attempt = self.attempt_in(session, page_index, html, None);
         match attempt.result {
             Ok(extraction) => extraction,
-            Err(_) => self.salvage_or_degrade(html, attempt.partial),
+            Err(_) => self.salvage_or_degrade(html, attempt.partial, attempt.tokens),
         }
     }
 
@@ -552,13 +562,17 @@ impl FormExtractor {
         page_index: usize,
         html: &str,
     ) -> Result<Extraction, ExtractError> {
-        self.attempt_in(session, page_index, html).result
+        self.attempt_in(session, page_index, html, None).result
     }
 
     /// One extraction attempt: tokenizes and parses one page with
     /// every pipeline stage behind a panic boundary, and maps budget
-    /// blow-outs and cancellation to typed errors. The second return
-    /// slot carries the parse stats even when the attempt *failed* a
+    /// blow-outs and cancellation to typed errors. `known` is the
+    /// page's tokens from an earlier attempt (a retry round hands them
+    /// over); the front end runs only when it is `None`. The batch
+    /// cancel check, the fault plan and the injected markers are
+    /// evaluated on every attempt either way. The second return slot
+    /// carries the parse stats even when the attempt *failed* a
     /// budget (the parse ran, just not to completion) — the adaptive
     /// telemetry records them per attempt; it is `None` when no parse
     /// ran (panic, empty form, pre-parse cancellation). A panic
@@ -571,17 +585,20 @@ impl FormExtractor {
         session: &mut ParseSession,
         page_index: usize,
         html: &str,
+        mut known: Option<Vec<Token>>,
     ) -> Attempt {
         // A batch already cancelled skips the whole pipeline — pages
         // not yet started cost nothing.
         if self.cancel().is_some_and(CancelToken::is_cancelled) {
-            return Attempt::failed(ExtractError::Cancelled { page_index });
+            return Attempt::failed(ExtractError::Cancelled { page_index }, known);
         }
         let fault = self
             .fault_plan
             .as_ref()
             .and_then(|plan| plan.fault_for(page_index));
-        let tokens = catch_unwind(AssertUnwindSafe(|| {
+        // The closure takes `known` only after the injected faults had
+        // their chance to fire, so a faulted retry keeps its tokens.
+        let front_end = catch_unwind(AssertUnwindSafe(|| {
             if fault == Some(Fault::Panic) {
                 panic!("injected fault: plan panics page {page_index}");
             }
@@ -591,21 +608,22 @@ impl FormExtractor {
                     "injected fault: page contains {marker:?}"
                 );
             }
-            let doc = parse_html(html);
-            let lay = layout_with(&doc, &self.layout);
-            tokenize(&doc, &lay).tokens
+            known.take().unwrap_or_else(|| self.front_end(html))
         }));
-        let tokens = match tokens {
+        let tokens = match front_end {
             Ok(tokens) => tokens,
             Err(payload) => {
-                return Attempt::failed(ExtractError::Panicked {
-                    page_index,
-                    message: panic_message(payload),
-                })
+                return Attempt::failed(
+                    ExtractError::Panicked {
+                        page_index,
+                        message: panic_message(payload),
+                    },
+                    known,
+                )
             }
         };
         if tokens.is_empty() {
-            return Attempt::failed(ExtractError::EmptyForm { page_index });
+            return Attempt::failed(ExtractError::EmptyForm { page_index }, Some(tokens));
         }
         // Deterministic cancellation points for tests: the marker page
         // (or planned Cancel page) fires the token right before its own
@@ -619,7 +637,7 @@ impl FormExtractor {
                 token.cancel();
             }
         }
-        let extraction = catch_unwind(AssertUnwindSafe(|| {
+        let parsed = catch_unwind(AssertUnwindSafe(|| {
             if fault == Some(Fault::Stall) {
                 // The stalled page's parse runs under a zeroed deadline
                 // and ends at its first budget poll — the deterministic
@@ -627,26 +645,31 @@ impl FormExtractor {
                 let mut opts = self.parser.clone();
                 opts.deadline = Some(Duration::ZERO);
                 let mut stalled = ParseSession::with_options(self.grammar.clone(), opts);
-                self.extract_tokens_in(&mut stalled, &tokens)
+                self.parse_tokens_in(&mut stalled, &tokens)
             } else {
-                self.extract_tokens_in(session, &tokens)
+                self.parse_tokens_in(session, &tokens)
             }
         }));
-        let extraction = match extraction {
+        let mut extraction = match parsed {
             Ok(extraction) => extraction,
             Err(payload) => {
-                return Attempt::failed(ExtractError::Panicked {
-                    page_index,
-                    message: panic_message(payload),
-                })
+                return Attempt::failed(
+                    ExtractError::Panicked {
+                        page_index,
+                        message: panic_message(payload),
+                    },
+                    Some(tokens),
+                )
             }
         };
+        extraction.tokens = tokens;
         let stats = extraction.stats.clone();
         match extraction.stats.budget {
             BudgetOutcome::Completed => Attempt {
                 result: Ok(extraction),
                 stats: Some(stats),
                 partial: None,
+                tokens: None,
             },
             exhausted => {
                 // The budget-limited parse still maximized whatever it
@@ -661,6 +684,7 @@ impl FormExtractor {
                     result: Err(error),
                     stats: Some(stats),
                     partial: Some(extraction),
+                    tokens: None,
                 }
             }
         }
@@ -677,12 +701,21 @@ impl FormExtractor {
     /// choice is identical across worker counts and batch orders. This
     /// is the one place [`Provenance::PartialSalvage`] is constructed,
     /// as [`FormExtractor::degrade`] is for
-    /// [`Provenance::BaselineFallback`].
-    pub(crate) fn salvage_or_degrade(&self, html: &str, partial: Option<Extraction>) -> Extraction {
-        let baseline = self.degrade(html);
+    /// [`Provenance::BaselineFallback`]. The baseline reads the
+    /// tokens the failed attempt already holds — the partial's, or
+    /// `tokens` when there is no partial — and both candidates share
+    /// that one token list, so it moves to whichever is served.
+    pub(crate) fn salvage_or_degrade(
+        &self,
+        html: &str,
+        partial: Option<Extraction>,
+        tokens: Option<Vec<Token>>,
+    ) -> Extraction {
         let Some(mut partial) = partial else {
-            return baseline;
+            return self.degrade(html, tokens);
         };
+        let mut baseline = self.degrade(html, Some(std::mem::take(&mut partial.tokens)));
+        let total = baseline.tokens.len();
         let partial_claims = condition_coverage(&partial.report);
         let baseline_claims = condition_coverage(&baseline.report);
         // Eligibility gate: structural trees cover tokens without
@@ -693,12 +726,12 @@ impl FormExtractor {
             return baseline;
         }
         let partial_key = (
-            token_coverage(&partial.report, partial.tokens.len()),
+            token_coverage(&partial.report, total),
             partial_claims,
             partial.stats.trees,
         );
         let baseline_key = (
-            token_coverage(&baseline.report, baseline.tokens.len()),
+            token_coverage(&baseline.report, total),
             baseline_claims,
             baseline.stats.trees,
         );
@@ -708,6 +741,7 @@ impl FormExtractor {
             std::cmp::Ordering::Equal => partial.report.to_string() < baseline.report.to_string(),
         };
         if dominates {
+            partial.tokens = std::mem::take(&mut baseline.tokens);
             partial.via = Provenance::PartialSalvage;
             partial
         } else {
@@ -715,19 +749,18 @@ impl FormExtractor {
         }
     }
 
-    /// The degradation path: re-tokenizes the page (behind its own
-    /// panic boundary) and runs the proximity baseline over whatever
-    /// tokens that yields, marking the provenance. The parse counters
-    /// are zeroed — the page-level reason lives in the
-    /// [`ExtractError`] the fallible APIs return and in the
-    /// [`crate::BatchStats`] failure counters.
-    pub(crate) fn degrade(&self, html: &str) -> Extraction {
-        let tokens = catch_unwind(AssertUnwindSafe(|| {
-            let doc = parse_html(html);
-            let lay = layout_with(&doc, &self.layout);
-            tokenize(&doc, &lay).tokens
-        }))
-        .unwrap_or_default();
+    /// The degradation path: runs the proximity baseline over the
+    /// page's tokens, marking the provenance. The tokens are the ones
+    /// the failed attempt already computed; only when there are none —
+    /// the page's front end panicked, or a cancelled batch never
+    /// started the page — does the front end run here, behind its own
+    /// panic boundary. The parse counters are zeroed — the page-level
+    /// reason lives in the [`ExtractError`] the fallible APIs return
+    /// and in the [`crate::BatchStats`] failure counters.
+    pub(crate) fn degrade(&self, html: &str, tokens: Option<Vec<Token>>) -> Extraction {
+        let tokens = tokens.unwrap_or_else(|| {
+            catch_unwind(AssertUnwindSafe(|| self.front_end(html))).unwrap_or_default()
+        });
         let report = crate::baseline::extract_baseline(&tokens);
         Extraction {
             report,
@@ -742,7 +775,27 @@ impl FormExtractor {
         }
     }
 
-    fn extract_tokens_in(&self, session: &mut ParseSession, tokens: &[Token]) -> Extraction {
+    /// The front end: HTML → DOM → layout → the form's 2-D tokens. A
+    /// pure function of the HTML and the layout options, so each page
+    /// runs it once and every rung of the ladder shares the result.
+    fn front_end(&self, html: &str) -> Vec<Token> {
+        let doc = parse_html(html);
+        let lay = layout_with(&doc, &self.layout);
+        tokenize(&doc, &lay).tokens
+    }
+
+    /// Parsing + merging over `tokens`, which the caller moves into
+    /// [`Extraction::tokens`].
+    fn extract_tokens_in(&self, session: &mut ParseSession, tokens: Vec<Token>) -> Extraction {
+        let mut extraction = self.parse_tokens_in(session, &tokens);
+        extraction.tokens = tokens;
+        extraction
+    }
+
+    /// The parse + merge core. The returned extraction's `tokens` are
+    /// left empty: the caller owns the page's tokens and moves them in,
+    /// so they are never copied per attempt.
+    fn parse_tokens_in(&self, session: &mut ParseSession, tokens: &[Token]) -> Extraction {
         // One fingerprint serves the exact-hit lookup and the store.
         let fingerprint = self.cache.as_ref().map(|_| TokenFingerprint::of(tokens));
         if let Some(hit) = self.replay_cached(tokens, fingerprint.as_ref()) {
@@ -780,7 +833,7 @@ impl FormExtractor {
         Extraction {
             report,
             stats,
-            tokens: tokens.to_vec(),
+            tokens: Vec::new(),
             via: if seed.is_some() {
                 Provenance::DeltaReparse
             } else {
@@ -808,7 +861,7 @@ impl FormExtractor {
                 tokens: tokens.len(),
                 ..Default::default()
             },
-            tokens: tokens.to_vec(),
+            tokens: Vec::new(),
             via: Provenance::CacheHit,
             pattern_spans: visit.pattern_spans.clone(),
             partial_roots: visit.partial_roots.clone(),

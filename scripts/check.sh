@@ -45,6 +45,14 @@ echo "==> provenance construction gate (salvage/fallback each built in exactly o
 test "$(grep -c 'via = Provenance::PartialSalvage' crates/extractor/src/pipeline.rs)" = 1
 test "$(grep -c 'via: Provenance::BaselineFallback' crates/extractor/src/pipeline.rs)" = 1
 
+echo "==> perfbench self-tests and a short starved_ladder run (ladder parity vs single-page extraction)"
+# The benchmark checks every page of every job against single-page
+# extraction under the same escalation and exits nonzero on any
+# difference: the end-to-end guard on retry + salvage parity.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload starved_ladder --seed 1 --seconds 3 --trace 0 > /dev/null
+
 echo "==> cargo test -q --test cache_parity (revisit tiers vs cold parse)"
 cargo test -q --test cache_parity
 

@@ -239,6 +239,69 @@ fn planned_faults_steer_the_batch_deterministically() {
     }
 }
 
+/// Faults are evaluated on every attempt, retries included. Retry
+/// rounds reuse the tokens of the page's first attempt instead of
+/// re-running the front end, and a planned stall must still fire on
+/// each of them: the stalled page times out in all three rounds and
+/// settles at the baseline, while every other page is untouched.
+#[test]
+fn planned_stall_fires_on_every_retried_attempt() {
+    const STALLED: usize = 4;
+    let ds = basic();
+    let pages: Vec<String> = ds.sources.iter().take(8).map(|s| s.html.clone()).collect();
+    let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
+    let plan = FaultPlan::new().with(STALLED, Fault::Stall);
+
+    let run = || {
+        FormExtractor::new()
+            .worker_threads(1)
+            .fault_plan(plan.clone())
+            .extract_batch_adaptive(
+                &refs,
+                &AdaptiveOptions {
+                    max_retries: 2,
+                    budget_growth: 2,
+                },
+            )
+    };
+    let batch = run();
+
+    assert_eq!(batch.stats.retried, 2, "{}", batch.stats.summary());
+    assert_eq!(batch.stats.timed_out, 1, "{}", batch.stats.summary());
+    assert_eq!(batch.stats.failed(), 1, "{}", batch.stats.summary());
+    assert_eq!(batch.failures.len(), 1);
+    let record = &batch.failures[0];
+    assert_eq!(record.page_index, STALLED);
+    assert_eq!(record.attempts, 3);
+    let kinds: Vec<Option<ErrorKind>> = record.attempt_log.iter().map(|a| a.error).collect();
+    assert_eq!(kinds, vec![Some(ErrorKind::Timeout); 3]);
+    assert_eq!(batch.extractions[STALLED].via, Provenance::BaselineFallback);
+
+    // The baseline read the same tokens a clean run tokenizes.
+    let clean = FormExtractor::new();
+    assert_eq!(
+        batch.extractions[STALLED].tokens,
+        clean.extract(&pages[STALLED]).tokens
+    );
+    // Untouched pages are byte-identical to single-page extraction.
+    for (i, e) in batch.extractions.iter().enumerate() {
+        if i == STALLED {
+            continue;
+        }
+        let want = clean.extract(&pages[i]);
+        assert_eq!(e.via, want.via, "page {i}");
+        assert_eq!(e.report.to_string(), want.report.to_string(), "page {i}");
+        assert_eq!(e.tokens, want.tokens, "page {i}");
+    }
+
+    // Deterministic: the same plan tells the same story twice.
+    let again = run();
+    assert_eq!(batch.failures.len(), again.failures.len());
+    for (a, b) in batch.failures.iter().zip(&again.failures) {
+        assert_eq!(a.normalized(), b.normalized());
+    }
+}
+
 // --------------------------------------------------- service behavior
 
 #[test]

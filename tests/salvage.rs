@@ -4,12 +4,14 @@
 //! dominance rule's determinism, and the guarantee that salvage never
 //! alters what a clean parse of the same page produces.
 
-use metaform_datasets::basic;
+use metaform_datasets::dataset::generate_source;
+use metaform_datasets::{basic, domains, survey_corpus, GenParams};
 use metaform_extractor::{
-    condition_coverage, extract_baseline, token_coverage, AdaptiveOptions, FailureOutcome,
-    FormExtractor, Provenance,
+    condition_coverage, extract_baseline, token_coverage, AdaptiveOptions, BatchStats,
+    FailureOutcome, FormExtractor, Provenance,
 };
 use metaform_parser::{FixpointMode, ParserOptions};
+use std::time::Duration;
 
 /// The E17 truncation corpus and its starved first-pass cap.
 fn corpus() -> (Vec<String>, usize) {
@@ -204,4 +206,94 @@ fn a_salvaged_page_rerun_unbounded_matches_the_clean_parse() {
         }
     }
     assert!(salvaged_checked > 0, "the corpus salvaged nothing");
+}
+
+/// The whole ladder with retries on, at corpus scale: the survey
+/// corpus plus generated pages from every core and NewDomain schema,
+/// at instance cap 40 with one doubling retry. Each page equals
+/// single-page extraction — at cap 40 when its first attempt
+/// completed, at cap 80 (the retry's budget, settled down the ladder
+/// if it fails again) otherwise — and the reports, provenance and
+/// normalized failure records are identical across worker counts and
+/// fix-point modes.
+#[test]
+fn retried_ladder_matches_single_page_extraction_at_corpus_scale() {
+    const CAP: usize = 40;
+    let mut pages: Vec<String> = survey_corpus().into_iter().map(|(_, html)| html).collect();
+    let schemas = [
+        domains::books(),
+        domains::automobiles(),
+        domains::airfares(),
+    ]
+    .into_iter()
+    .map(|s| (s, GenParams::basic()))
+    .chain(
+        domains::new_domains()
+            .into_iter()
+            .map(|s| (s, GenParams::new_domain())),
+    );
+    for (schema, params) in schemas {
+        pages.extend((0..3).map(|index| generate_source(&schema, index, 7, &params).html));
+    }
+    let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
+    let opts = AdaptiveOptions {
+        max_retries: 1,
+        budget_growth: 2,
+    };
+
+    let first = FormExtractor::new().max_instances(CAP);
+    let retry = FormExtractor::new().max_instances(CAP * 2);
+    let want: Vec<(Provenance, String)> = pages
+        .iter()
+        .map(|page| {
+            let e = first
+                .try_extract(page)
+                .unwrap_or_else(|_| retry.extract(page));
+            (e.via, e.report.to_string())
+        })
+        .collect();
+
+    let mut reference = None;
+    for fixpoint in [FixpointMode::SemiNaive, FixpointMode::Naive] {
+        for workers in [1, 2, 3] {
+            let batch = FormExtractor::new()
+                .parser_options(ParserOptions {
+                    fixpoint,
+                    ..ParserOptions::default()
+                })
+                .max_instances(CAP)
+                .worker_threads(workers)
+                .extract_batch_adaptive(&refs, &opts);
+            let shape: Vec<(Provenance, String)> = batch
+                .extractions
+                .iter()
+                .map(|e| (e.via, e.report.to_string()))
+                .collect();
+            for (i, (got, want)) in shape.iter().zip(&want).enumerate() {
+                assert_eq!(got, want, "page {i} at {workers} workers, {fixpoint:?}");
+            }
+            let records: Vec<_> = batch.failures.iter().map(|r| r.normalized()).collect();
+            // Worker count and wall time are the only counters allowed
+            // to differ between runs.
+            let stats = BatchStats {
+                workers: 0,
+                elapsed: Duration::ZERO,
+                ..batch.stats
+            };
+            match &reference {
+                None => {
+                    // The corpus exercises every rung of the ladder.
+                    assert!(
+                        stats.recovered > 0 && stats.salvaged > 0 && stats.degraded > 0,
+                        "{}",
+                        stats.summary()
+                    );
+                    reference = Some((stats, records));
+                }
+                Some(want) => {
+                    assert_eq!(want, &(stats, records), "{workers} workers, {fixpoint:?}")
+                }
+            }
+        }
+    }
 }
