@@ -1,30 +1,26 @@
-//! Revisit-path benchmark: cold parses vs the parse cache's two
-//! tiers — exact-hit replay and delta re-parse — over the survey
-//! corpus and its deterministic revisit scenarios. Run as:
+//! Revisit-path benchmark: cold parses vs the parse cache's exact-hit
+//! replay over the survey corpus. Run as:
 //!
 //! ```text
 //! cargo run --release -p metaform-bench --bin bench_revisit [-- <out.json>]
 //! ```
 //!
 //! Writes `BENCH_revisit.json` (or `<out.json>`) with the median
-//! wall-clock time of four legs over pre-tokenized pages:
+//! wall-clock time of two legs over pre-tokenized pages:
 //!
 //! - `cold`: every corpus page, no cache;
 //! - `exact_hit`: every corpus page re-extracted against a primed
-//!   cache (all replays);
-//! - `cold_mutated`: every revisit scenario's mutated page, no cache;
-//! - `delta`: the same mutated pages against a cache primed with the
-//!   originals (mostly delta re-parses).
+//!   cache (all replays).
 //!
-//! Every cached-path report is asserted byte-identical to its cold
+//! Every replayed report is asserted byte-identical to its cold
 //! counterpart — the bench refuses to publish numbers for a cache
 //! that changes answers. Timing claims live in the JSON, not in
-//! asserts: the two headline ratios are `exact_hit_speedup`
-//! (cold / exact_hit) and `delta_speedup` (cold_mutated / delta).
+//! asserts: the headline ratio is `exact_hit_speedup`
+//! (cold / exact_hit).
 
 use metaform_bench::tokens_of;
 use metaform_core::Token;
-use metaform_datasets::{revisit_scenarios, survey_corpus};
+use metaform_datasets::survey_corpus;
 use metaform_extractor::{Extraction, FormExtractor, LruParseCache, Provenance};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,7 +28,7 @@ use std::time::{Duration, Instant};
 /// Timing iterations per leg (median taken; one extra warm-up).
 const ITERATIONS: usize = 7;
 
-/// Cache big enough that no leg evicts (33 originals + 99 mutations).
+/// Cache big enough that the exact-hit leg never evicts.
 const CACHE_CAPACITY: usize = 256;
 
 fn median(mut times: Vec<Duration>) -> Duration {
@@ -81,25 +77,14 @@ fn main() {
         .map(|(name, html)| (name.clone(), tokens_of(html)))
         .collect();
     let corpus_tokens: Vec<Vec<Token>> = corpus.iter().map(|(_, t)| t.clone()).collect();
-    let scenarios = revisit_scenarios();
-    let mutated: Vec<(String, Vec<Token>)> = scenarios
-        .iter()
-        .map(|s| (s.name.clone(), tokens_of(&s.mutated)))
-        .collect();
-    let mutated_tokens: Vec<Vec<Token>> = mutated.iter().map(|(_, t)| t.clone()).collect();
     eprintln!(
-        "bench_revisit: {} corpus pages, {} revisit scenarios, {} timing iterations per leg",
+        "bench_revisit: {} corpus pages, {} timing iterations per leg",
         corpus.len(),
-        scenarios.len(),
         ITERATIONS
     );
 
     let cold = FormExtractor::new();
     let cold_reports: Vec<Extraction> = corpus_tokens
-        .iter()
-        .map(|t| cold.extract_tokens(t))
-        .collect();
-    let cold_mutated_reports: Vec<Extraction> = mutated_tokens
         .iter()
         .map(|t| cold.extract_tokens(t))
         .collect();
@@ -118,34 +103,6 @@ fn main() {
         assert_parity(&cold_reports[i], &hit, &corpus[i].0);
     }
 
-    // Delta leg: a fresh primed cache per pass (the pass itself stores
-    // the mutated visits, which would turn a second pass into replays).
-    // Count the tier each scenario landed on once, up front.
-    let mut tier_counts = [0usize; 3]; // [hit, delta, miss]
-    let mut tier_miss_scenarios: Vec<String> = Vec::new();
-    {
-        let warm = primed(&corpus_tokens);
-        for (i, tokens) in mutated_tokens.iter().enumerate() {
-            let e = warm.extract_tokens(tokens);
-            match e.via {
-                Provenance::CacheHit => tier_counts[0] += 1,
-                Provenance::DeltaReparse => tier_counts[1] += 1,
-                Provenance::Grammar => {
-                    tier_counts[2] += 1;
-                    tier_miss_scenarios.push(mutated[i].0.clone());
-                }
-                Provenance::BaselineFallback | Provenance::PartialSalvage => {
-                    panic!("{}: revisit fell off the grammar path", mutated[i].0)
-                }
-            }
-            assert_parity(&cold_mutated_reports[i], &e, &mutated[i].0);
-        }
-    }
-    assert!(
-        tier_counts[1] * 2 >= scenarios.len(),
-        "expected most single-edit revisits on the delta tier, got {tier_counts:?}"
-    );
-
     pass(&cold, &corpus_tokens); // warm-up: fault in buffers
     let cold_median = median(
         (0..ITERATIONS)
@@ -157,19 +114,8 @@ fn main() {
             .map(|_| pass(&warm, &corpus_tokens))
             .collect(),
     );
-    let cold_mutated_median = median(
-        (0..ITERATIONS)
-            .map(|_| pass(&cold, &mutated_tokens))
-            .collect(),
-    );
-    let delta_median = median(
-        (0..ITERATIONS)
-            .map(|_| pass(&primed(&corpus_tokens), &mutated_tokens))
-            .collect(),
-    );
 
     let exact_hit_speedup = cold_median.as_secs_f64() / hit_median.as_secs_f64().max(1e-9);
-    let delta_speedup = cold_mutated_median.as_secs_f64() / delta_median.as_secs_f64().max(1e-9);
     eprintln!(
         "  cold         median {:>9.3} ms  ({} pages)",
         ms(cold_median),
@@ -179,67 +125,29 @@ fn main() {
         "  exact_hit    median {:>9.3} ms  speedup {exact_hit_speedup:.1}x",
         ms(hit_median)
     );
-    eprintln!(
-        "  cold_mutated median {:>9.3} ms  ({} pages)",
-        ms(cold_mutated_median),
-        scenarios.len()
-    );
-    eprintln!(
-        "  delta        median {:>9.3} ms  speedup {delta_speedup:.2}x  tiers hit/delta/miss {}/{}/{}",
-        ms(delta_median),
-        tier_counts[0],
-        tier_counts[1],
-        tier_counts[2]
-    );
-    if !tier_miss_scenarios.is_empty() {
-        eprintln!(
-            "  tier_miss (below the shared*2 >= len seeding threshold): {}",
-            tier_miss_scenarios.join(", ")
-        );
-    }
 
     let json = format!(
         concat!(
             "{{\n",
             "  \"workload\": \"survey_revisit\",\n",
             "  \"interfaces\": {},\n",
-            "  \"scenarios\": {},\n",
             "  \"iterations\": {},\n",
             "{},\n",
             "  \"legs\": {{\n",
             "    \"cold\": {{ \"pages\": {}, \"median_ms\": {:.3} }},\n",
-            "    \"exact_hit\": {{ \"pages\": {}, \"median_ms\": {:.3} }},\n",
-            "    \"cold_mutated\": {{ \"pages\": {}, \"median_ms\": {:.3} }},\n",
-            "    \"delta\": {{ \"pages\": {}, \"median_ms\": {:.3}, ",
-            "\"tier_hit\": {}, \"tier_delta\": {}, \"tier_miss\": {},\n",
-            "               \"tier_miss_scenarios\": [{}] }}\n",
+            "    \"exact_hit\": {{ \"pages\": {}, \"median_ms\": {:.3} }}\n",
             "  }},\n",
-            "  \"exact_hit_speedup\": {:.3},\n",
-            "  \"delta_speedup\": {:.3}\n",
+            "  \"exact_hit_speedup\": {:.3}\n",
             "}}\n"
         ),
         corpus.len(),
-        scenarios.len(),
         ITERATIONS,
         metaform_bench::metadata_json("  "),
         corpus.len(),
         ms(cold_median),
         corpus.len(),
         ms(hit_median),
-        scenarios.len(),
-        ms(cold_mutated_median),
-        scenarios.len(),
-        ms(delta_median),
-        tier_counts[0],
-        tier_counts[1],
-        tier_counts[2],
-        tier_miss_scenarios
-            .iter()
-            .map(|name| format!("\"{name}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
         exact_hit_speedup,
-        delta_speedup,
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");

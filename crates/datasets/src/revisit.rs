@@ -2,8 +2,9 @@
 //! survey corpus, modelling a crawler re-fetching a page that changed
 //! slightly since the last visit.
 //!
-//! Three mutation families cover the edit shapes the parse cache's
-//! delta tier must survive:
+//! Three mutation families cover the common edit shapes. An edited
+//! page misses the parse cache's exact-hit tier and must parse exactly
+//! as it would cold:
 //!
 //! - **label edit** — one attribute label reworded (token text
 //!   changes, structure unchanged);
@@ -14,9 +15,10 @@
 //!
 //! Every mutator is pure string surgery on the page HTML — no
 //! randomness — so a scenario list is reproducible across runs. The
-//! `cache_parity` suite re-extracts each mutated page cold and via the
-//! cache and requires byte-identical reports; `bench_revisit` times
-//! the same scenarios.
+//! `cache_parity` suite re-extracts each mutated page cold and via a
+//! cache primed with the original and requires byte-identical reports
+//! (on the survey corpus and on generated pages); `bench_revisit`
+//! times the same scenarios.
 
 /// Which family a scenario's edit belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

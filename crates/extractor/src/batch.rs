@@ -123,8 +123,8 @@ pub struct BatchStats {
     /// parsing ([`Provenance::CacheHit`]). Always 0 without an
     /// attached [`crate::ParseCache`].
     pub cache_hits: usize,
-    /// Pages parsed seeded from a similar cached visit
-    /// ([`Provenance::DeltaReparse`]). Always 0 without a cache.
+    /// Always 0. Held for perfbench's mirror; goes with the ROADMAP
+    /// "One clock" item.
     pub cache_delta: usize,
     /// Pages that consulted the cache but parsed cold (grammar path
     /// with a cache attached). Always 0 without a cache.
@@ -143,7 +143,7 @@ impl BatchStats {
     /// One-line summary for experiment tables.
     pub fn summary(&self) -> String {
         format!(
-            "pages={} workers={} tokens={} instances={} invalidated={} trees={} schedules_built={} panicked={} truncated={} timed_out={} empty={} cancelled={} degraded={} salvaged={} retried={} recovered={} cache_hits={} cache_delta={} cache_misses={} time={:?}",
+            "pages={} workers={} tokens={} instances={} invalidated={} trees={} schedules_built={} panicked={} truncated={} timed_out={} empty={} cancelled={} degraded={} salvaged={} retried={} recovered={} cache_hits={} cache_misses={} time={:?}",
             self.pages,
             self.workers,
             self.tokens,
@@ -161,7 +161,6 @@ impl BatchStats {
             self.retried,
             self.recovered,
             self.cache_hits,
-            self.cache_delta,
             self.cache_misses,
             self.elapsed
         )
@@ -549,7 +548,6 @@ impl FormExtractor {
                 Provenance::BaselineFallback => stats.degraded += 1,
                 Provenance::PartialSalvage => stats.salvaged += 1,
                 Provenance::CacheHit => stats.cache_hits += 1,
-                Provenance::DeltaReparse => stats.cache_delta += 1,
                 Provenance::Grammar if cached => stats.cache_misses += 1,
                 Provenance::Grammar => {}
             }
@@ -572,7 +570,6 @@ impl FormExtractor {
         match result {
             Ok(ex) => match ex.via {
                 Provenance::CacheHit => Some(CacheOutcome::Hit),
-                Provenance::DeltaReparse => Some(CacheOutcome::Delta),
                 Provenance::Grammar => Some(CacheOutcome::Miss),
                 Provenance::BaselineFallback | Provenance::PartialSalvage => None,
             },

@@ -1,20 +1,12 @@
 //! Content-addressed parse cache for crawler-scale revisit traffic.
 //!
-//! A crawler revisiting a query interface usually finds it unchanged
-//! (tier A) or nearly so (tier B). The cache serves both tiers:
-//!
-//! * **Exact hit** — [`ParseCache::lookup`] keys on the page's
-//!   [`TokenFingerprint`]; an unchanged page returns its cached
-//!   [`ExtractionReport`] in O(hash), marked
-//!   [`crate::Provenance::CacheHit`].
-//! * **Delta re-parse** — on an exact miss, [`ParseCache::nearest`]
-//!   finds the prior visit sharing the longest content-equal
-//!   prefix+suffix with the new token stream; its retained
-//!   [`ChartSnapshot`] seeds
-//!   [`metaform_parser::ParseSession::parse_seeded`], which re-derives
-//!   only what the edit could have changed and is marked
-//!   [`crate::Provenance::DeltaReparse`]. The cache-parity suite
-//!   enforces that both tiers are byte-identical to a cold parse.
+//! A crawler revisiting a query interface usually finds it unchanged.
+//! [`ParseCache::lookup`] keys on the page's [`TokenFingerprint`]; an
+//! unchanged page replays its cached [`ExtractionReport`] in O(hash),
+//! marked [`crate::Provenance::CacheHit`]. Any other page parses cold.
+//! The parser is a function of the tokens, so a cache changes how fast
+//! a report is served, never what it says: the cache-parity suite
+//! checks replays against cold parses byte for byte.
 //!
 //! The cache sits behind a trait ([`ParseCache`]) with `&self`
 //! methods, so one instance — typically the bounded-LRU
@@ -32,8 +24,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One finished grammar-path visit retained for future revisits: the
-/// exact tokens, the merged report to replay on an exact hit, and the
-/// chart snapshot to seed a delta re-parse from.
+/// exact tokens and the merged report to replay on an exact hit.
 #[derive(Clone, Debug)]
 pub struct CachedVisit {
     /// The visit's token stream, ids included (exact hits must match
@@ -41,7 +32,7 @@ pub struct CachedVisit {
     pub tokens: Vec<Token>,
     /// The merged report the visit produced.
     pub report: ExtractionReport,
-    /// The finished chart, for seeding a delta re-parse.
+    /// Witness that the visit's parse completed.
     pub snapshot: ChartSnapshot,
     /// The compiled grammar the visit parsed under. Consumers must
     /// ignore visits from a different artifact (`Arc::ptr_eq`).
@@ -63,13 +54,11 @@ pub trait ParseCache: Send + Sync + std::fmt::Debug {
     /// treat a lookup as a use for eviction purposes.
     fn lookup(&self, key: &TokenFingerprint) -> Option<Arc<CachedVisit>>;
 
-    /// The stored visit sharing the longest content-equal
-    /// prefix+suffix with `tokens` (ties: most recently used),
-    /// together with that shared length — or `None` when nothing
-    /// overlaps at all. The candidate pool for a delta re-parse;
-    /// callers apply their own similarity threshold to the returned
-    /// length.
-    fn nearest(&self, tokens: &[Token]) -> Option<(Arc<CachedVisit>, usize)>;
+    /// Always `None`. Held for perfbench's mirror; goes with the
+    /// ROADMAP "One clock" item.
+    fn nearest(&self, _tokens: &[Token]) -> Option<(Arc<CachedVisit>, usize)> {
+        None
+    }
 
     /// Stores a finished visit under its fingerprint, evicting as
     /// needed.
@@ -82,85 +71,6 @@ pub trait ParseCache: Send + Sync + std::fmt::Debug {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Content equality of two tokens, ids aside — the comparison the
-/// revisit tiers are defined over (same fields the
-/// [`TokenFingerprint`] hashes).
-pub fn token_content_eq(a: &Token, b: &Token) -> bool {
-    token_content_eq_translated(a, b, 0, 0)
-}
-
-/// [`token_content_eq`] with `a`'s position translated by `(dx, dy)`
-/// before comparing — how the parser's revisit diff matches a suffix
-/// that an earlier edit shifted wholesale.
-fn token_content_eq_translated(a: &Token, b: &Token, dx: i32, dy: i32) -> bool {
-    a.kind == b.kind
-        && b.pos == a.pos.translated(dx, dy)
-        && a.checked == b.checked
-        && a.sval == b.sval
-        && a.name == b.name
-        && a.options == b.options
-}
-
-/// Length of the longest content-equal prefix plus suffix between two
-/// token streams (ids ignored; the two never overlap) — the shared
-/// region a delta re-parse would carry.
-///
-/// Mirrors the parser's diff: the prefix must match geometry-exactly,
-/// while the suffix may match modulo the uniform translation implied
-/// by the final token pair. Without the translated probe, any edit
-/// that changes rendered length (a reworded label, an inserted row)
-/// shifts every later token and collapses the scored suffix to zero —
-/// so `nearest` would pass over exactly the visits the delta re-parse
-/// handles best.
-///
-/// The translated probe requires at least one exactly-anchored
-/// prefix token. With no anchor, "this page shifted wholesale" is
-/// indistinguishable from "a *different* page that happens to be a
-/// translated subsequence of a cached one" — the survey corpus
-/// contains such pairs, and matching them would make a page's
-/// provenance depend on which of its siblings a concurrent batch
-/// worker stored first. Anchored matches can only be the same page
-/// edited below the anchor, so scoring stays deterministic.
-///
-/// Deliberately NOT covered: edits that realign one layout column
-/// (e.g. rewording a label widens its column, shifting only the
-/// widgets aligned under it while interleaved labels stay put). The
-/// shifted and unshifted tokens alternate, so no contiguous affix —
-/// translated or not — can span them; and absolute distances between
-/// the two classes genuinely change, so proximity predicates must be
-/// re-evaluated. Those visits correctly score below the seeding
-/// threshold and re-parse cold.
-pub fn shared_affix(old: &[Token], new: &[Token]) -> usize {
-    let limit = old.len().min(new.len());
-    let mut prefix = 0;
-    while prefix < limit && token_content_eq(&old[prefix], &new[prefix]) {
-        prefix += 1;
-    }
-    let suffix_at = |dx: i32, dy: i32| -> usize {
-        let mut suffix = 0;
-        while suffix < limit - prefix
-            && token_content_eq_translated(
-                &old[old.len() - 1 - suffix],
-                &new[new.len() - 1 - suffix],
-                dx,
-                dy,
-            )
-        {
-            suffix += 1;
-        }
-        suffix
-    };
-    let mut suffix = suffix_at(0, 0);
-    if prefix > 0 && prefix < limit {
-        let (op, np) = (old[old.len() - 1].pos, new[new.len() - 1].pos);
-        let (dx, dy) = (np.left - op.left, np.top - op.top);
-        if (dx, dy) != (0, 0) {
-            suffix = suffix.max(suffix_at(dx, dy));
-        }
-    }
-    prefix + suffix
 }
 
 /// Bounded LRU [`ParseCache`]: a fingerprint-keyed map with a
@@ -218,31 +128,6 @@ impl ParseCache for LruParseCache {
             entry.0 = tick;
             entry.1.clone()
         })
-    }
-
-    fn nearest(&self, tokens: &[Token]) -> Option<(Arc<CachedVisit>, usize)> {
-        let mut inner = self.locked();
-        inner.tick += 1;
-        let tick = inner.tick;
-        // Deterministic despite HashMap iteration: the max is taken
-        // over (shared, tick), and ticks are unique. An entry whose
-        // shorter stream cannot beat the best shared length so far is
-        // skipped without comparing a single token.
-        let mut best: Option<(usize, u64, TokenFingerprint)> = None;
-        for (k, (tick, visit)) in inner.map.iter() {
-            let ceiling = visit.tokens.len().min(tokens.len());
-            if ceiling < best.map_or(1, |(shared, _, _)| shared) {
-                continue;
-            }
-            let candidate = (shared_affix(&visit.tokens, tokens), *tick, *k);
-            if candidate.0 > 0 && best.is_none_or(|b| candidate > b) {
-                best = Some(candidate);
-            }
-        }
-        let (shared, _, key) = best?;
-        let entry = inner.map.get_mut(&key).expect("key just found");
-        entry.0 = tick;
-        Some((entry.1.clone(), shared))
     }
 
     fn store(&self, key: TokenFingerprint, visit: Arc<CachedVisit>) {
@@ -328,80 +213,5 @@ mod tests {
         assert!(cache.lookup(&keys[0]).is_some(), "recently used survives");
         assert!(cache.lookup(&keys[1]).is_none(), "LRU evicted");
         assert!(cache.lookup(&keys[2]).is_some());
-    }
-
-    #[test]
-    fn nearest_prefers_the_longest_shared_affix() {
-        let cache = LruParseCache::new(4);
-        let far = visit(vec![tok(0, "x"), tok(1, "y")]);
-        let near = visit(vec![tok(0, "a"), tok(1, "b"), tok(2, "c")]);
-        cache.store(TokenFingerprint::of(&far.tokens), far);
-        cache.store(TokenFingerprint::of(&near.tokens), near.clone());
-        // Edit the middle of the near stream: prefix 1 + suffix 1.
-        let probe = vec![tok(0, "a"), tok(1, "B"), tok(2, "c")];
-        let (found, shared) = cache.nearest(&probe).expect("overlap exists");
-        assert_eq!(found.tokens, near.tokens);
-        assert_eq!(shared, 2, "prefix 1 + suffix 1");
-        // A stream sharing nothing finds nothing.
-        let alien = vec![tok(5, "zzz")];
-        assert!(cache.nearest(&alien).is_none());
-    }
-
-    #[test]
-    fn shared_affix_counts_a_uniformly_translated_suffix() {
-        // A middle edit that grows by one row shifts every later token
-        // down by 20px. Geometry-exact matching would score suffix 0;
-        // the translated probe recovers the tail, mirroring what the
-        // parser's delta re-parse actually carries.
-        let old = vec![tok(0, "a"), tok(1, "edited"), tok(2, "c"), tok(3, "d")];
-        let mut new = old.clone();
-        new[1].sval = "now two lines".into();
-        for t in &mut new[2..] {
-            t.pos = t.pos.translated(0, 20);
-        }
-        assert_eq!(
-            shared_affix(&old, &new),
-            3,
-            "prefix 1 + translated suffix 2"
-        );
-        // A tail that shifted non-uniformly stays unmatched.
-        let mut skewed = new.clone();
-        skewed[2].pos = skewed[2].pos.translated(0, 5);
-        assert_eq!(shared_affix(&old, &skewed), 2, "prefix 1 + suffix 1");
-    }
-
-    #[test]
-    fn translated_suffix_requires_an_anchored_prefix() {
-        // A page that is exactly another page's tail, translated
-        // wholesale (the survey corpus contains such sibling pairs).
-        // With no exactly-matching prefix token there is no anchor
-        // tying the two streams to the same page, so the translated
-        // probe must not fire — otherwise a cold visit's provenance
-        // would depend on which sibling a concurrent worker cached
-        // first.
-        let old = vec![tok(0, "from"), tok(1, "to"), tok(2, "go")];
-        let subsequence: Vec<Token> = old[1..]
-            .iter()
-            .map(|t| {
-                let mut t = t.clone();
-                t.pos = t.pos.translated(0, -20);
-                t
-            })
-            .collect();
-        assert_eq!(shared_affix(&old, &subsequence), 0, "no anchor, no match");
-    }
-
-    #[test]
-    fn shared_affix_ignores_ids_and_never_overlaps() {
-        let old = vec![tok(0, "a"), tok(1, "b")];
-        let mut renumbered = old.clone();
-        renumbered[0].id = metaform_core::TokenId(7);
-        renumbered[1].id = metaform_core::TokenId(8);
-        assert_eq!(shared_affix(&old, &renumbered), 2, "ids excluded");
-        // Repeated identical tokens: prefix + suffix stays bounded by
-        // the shorter stream.
-        let rep = vec![tok(0, "a"), tok(0, "a")];
-        let longer = vec![tok(0, "a"), tok(0, "a"), tok(0, "a")];
-        assert!(shared_affix(&rep, &longer) <= 2);
     }
 }

@@ -59,18 +59,15 @@
 //! [`telemetry`] — so corpus runs leave a machine-readable failure
 //! trail instead of log lines.
 //!
-//! ## Revisit path: parse cache + incremental re-parse
+//! ## Revisit path: parse cache
 //!
-//! Crawler-scale deployments re-extract pages that are identical or
-//! nearly identical to a prior visit. An extractor built with
-//! [`FormExtractor::parse_cache`] serves those revisits in two tiers:
-//! an unchanged page replays its cached report in O(hash)
-//! ([`Provenance::CacheHit`]); a near-identical page seeds its parse
-//! from the cached chart snapshot and re-derives only the changed
-//! region ([`Provenance::DeltaReparse`]). Both tiers are
-//! byte-identical to a cold parse — the cache-parity invariant the
-//! `cache_parity` suite enforces — and [`BatchStats`] counts
-//! hits/deltas/misses per batch (see [`cache`]).
+//! Crawler-scale deployments re-extract pages that are identical to a
+//! prior visit. An extractor built with [`FormExtractor::parse_cache`]
+//! replays an unchanged page's cached report in O(hash)
+//! ([`Provenance::CacheHit`]) and parses every other page cold. A
+//! replay is byte-identical to a cold parse — the cache-parity
+//! invariant the `cache_parity` suite enforces — and [`BatchStats`]
+//! counts hits/misses per batch (see [`cache`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -37,12 +37,6 @@ pub enum Provenance {
     /// The report was replayed from an attached [`ParseCache`] — the
     /// page's tokens matched a prior visit exactly, so no parse ran.
     CacheHit,
-    /// The full pipeline ran, but the parse was seeded from a similar
-    /// cached visit's chart snapshot
-    /// ([`metaform_parser::ParseSession::parse_seeded`]) instead of
-    /// starting cold. Byte-identical to [`Provenance::Grammar`] output
-    /// by the cache-parity invariant.
-    DeltaReparse,
     /// The parse hit a budget (or was cancelled mid-flight), but the
     /// maximized partial trees it had already built interpret the form
     /// better than the proximity baseline would, so the partial
@@ -435,14 +429,12 @@ impl FormExtractor {
         self
     }
 
-    /// Attaches a parse cache (builder style) — the two-tier revisit
-    /// path for crawler-scale traffic. A page whose tokens match a
-    /// cached visit exactly replays the cached report in O(hash)
-    /// ([`Provenance::CacheHit`]); a near-match seeds the parse from
-    /// the cached chart snapshot ([`Provenance::DeltaReparse`]);
-    /// anything else parses cold and, when it completes on the grammar
-    /// path, is stored for the next visit. Both cached tiers are
-    /// byte-identical to a cold parse (the cache-parity invariant).
+    /// Attaches a parse cache (builder style) — the revisit path for
+    /// crawler-scale traffic. A page whose tokens match a cached visit
+    /// exactly replays the cached report in O(hash)
+    /// ([`Provenance::CacheHit`]), byte-identical to a cold parse (the
+    /// cache-parity invariant); anything else parses cold and, when it
+    /// completes on the grammar path, is stored for the next visit.
     /// The cache is shared: clones of this extractor, batch workers,
     /// and other extractors holding the same `Arc` all feed and serve
     /// from it. Entries from a different compiled grammar are ignored,
@@ -801,11 +793,7 @@ impl FormExtractor {
         if let Some(hit) = self.replay_cached(tokens, fingerprint.as_ref()) {
             return hit;
         }
-        let seed = self.seed_visit(tokens);
-        let result = match &seed {
-            Some(visit) => session.parse_seeded(tokens, &visit.snapshot),
-            None => session.parse(tokens),
-        };
+        let result = session.parse(tokens);
         // A budget-limited chart gets the salvage merge — the regular
         // union over maximal trees plus the sweep that recovers
         // conditions stranded below the truncation point. Completed
@@ -814,37 +802,25 @@ impl FormExtractor {
             BudgetOutcome::Completed => merge(&result.chart, &result.trees),
             _ => salvage_merge(&result.chart, &result.trees),
         };
-        let stats = result.stats.clone();
-        // Mining evidence must come off the chart before the store
-        // consumes the result into a snapshot.
         let grammar = self.grammar.grammar();
         let pattern_spans = metaform_parser::pattern_spans(&result.chart, &result.trees, grammar);
         let partial_roots = metaform_parser::tree_symbols(&result.chart, &result.trees, grammar);
-        if let Some(spare) = self.store_visit(
-            tokens,
-            fingerprint,
-            &report,
-            &pattern_spans,
-            &partial_roots,
-            result,
-        ) {
-            session.recycle(spare);
-        }
-        Extraction {
+        let extraction = Extraction {
             report,
-            stats,
+            stats: result.stats.clone(),
             tokens: Vec::new(),
-            via: if seed.is_some() {
-                Provenance::DeltaReparse
-            } else {
-                Provenance::Grammar
-            },
+            via: Provenance::Grammar,
             pattern_spans,
             partial_roots,
+        };
+        if let Some(fingerprint) = fingerprint {
+            self.store_visit(tokens, fingerprint, &extraction, &result);
         }
+        session.recycle(result);
+        extraction
     }
 
-    /// Tier A: replays the cached report when the page's tokens match
+    /// Replays the cached report when the page's tokens match
     /// a prior visit exactly. The fingerprint addresses the entry; the
     /// full token comparison rules out collisions. The synthesized
     /// stats carry only the token count — no parse ran.
@@ -868,50 +844,31 @@ impl FormExtractor {
         })
     }
 
-    /// Tier B candidate: the cached visit to seed a delta re-parse
-    /// from, if one parsed under this grammar and shares at least half
-    /// of `tokens` as a content-equal prefix+suffix. Below that the
-    /// carried region is too small for seeding to beat a cold parse.
-    fn seed_visit(&self, tokens: &[Token]) -> Option<Arc<CachedVisit>> {
-        let (visit, shared) = self.cache.as_ref()?.nearest(tokens)?;
-        (Arc::ptr_eq(&visit.grammar, &self.grammar) && shared * 2 >= tokens.len()).then_some(visit)
-    }
-
-    /// Retains a finished grammar-path parse for future revisits,
-    /// moving the result's chart into the cached snapshot (no deep
-    /// copy). Only completed parses are stored —
-    /// [`ChartSnapshot::take`] refuses truncated/timed-out/cancelled
-    /// charts, whose unexplored combinations would break the
-    /// seeded-watermark soundness argument — and a refused (or
-    /// uncached) result is handed back for the session to recycle.
+    /// Retains a finished grammar-path parse for future revisits.
+    /// Only completed parses are stored: [`ChartSnapshot::of`] refuses
+    /// truncated, timed-out and cancelled ones, whose reports a cold
+    /// parse at full budget would not reproduce.
     fn store_visit(
         &self,
         tokens: &[Token],
-        fingerprint: Option<TokenFingerprint>,
-        report: &ExtractionReport,
-        pattern_spans: &[PatternSpan],
-        partial_roots: &[String],
-        result: metaform_parser::ParseResult,
-    ) -> Option<metaform_parser::ParseResult> {
-        let Some(cache) = &self.cache else {
-            return Some(result);
-        };
-        let snapshot = match ChartSnapshot::take(result) {
-            Ok(snapshot) => snapshot,
-            Err(result) => return Some(result),
+        fingerprint: TokenFingerprint,
+        extraction: &Extraction,
+        result: &metaform_parser::ParseResult,
+    ) {
+        let (Some(cache), Some(snapshot)) = (&self.cache, ChartSnapshot::of(result)) else {
+            return;
         };
         cache.store(
-            fingerprint.expect("fingerprint exists whenever a cache is attached"),
+            fingerprint,
             Arc::new(CachedVisit {
                 tokens: tokens.to_vec(),
-                report: report.clone(),
+                report: extraction.report.clone(),
                 snapshot,
                 grammar: self.grammar.clone(),
-                pattern_spans: pattern_spans.to_vec(),
-                partial_roots: partial_roots.to_vec(),
+                pattern_spans: extraction.pattern_spans.clone(),
+                partial_roots: extraction.partial_roots.clone(),
             }),
         );
-        None
     }
 }
 
@@ -1094,7 +1051,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn parse_cache_serves_exact_and_delta_revisits() {
+    fn parse_cache_serves_exact_revisits_and_parses_edits_cold() {
         use crate::cache::LruParseCache;
         let cache = LruParseCache::shared();
         let extractor = FormExtractor::new().parse_cache(cache.clone());
@@ -1107,13 +1064,13 @@ pub(crate) mod tests {
         assert_eq!(hit.report.to_string(), cold.report.to_string());
         assert_eq!(hit.tokens, cold.tokens);
         assert_eq!(hit.stats.created, 0, "no parse ran");
-        // Edited revisit: seeded from the cached chart, byte-identical
-        // to a cold parse of the edited page.
+        // Edited revisit: parsed cold, byte-identical to a cold parse
+        // of the edited page.
         let edited = QAM.replace("<b>Subject</b>", "<b>Keywords</b>");
-        let delta = extractor.extract(&edited);
-        assert_eq!(delta.via, Provenance::DeltaReparse);
+        let revisit = extractor.extract(&edited);
+        assert_eq!(revisit.via, Provenance::Grammar);
         let cold_edited = FormExtractor::new().extract(&edited);
-        assert_eq!(delta.report.to_string(), cold_edited.report.to_string());
+        assert_eq!(revisit.report.to_string(), cold_edited.report.to_string());
         // The edited visit was stored too: revisiting it hits.
         assert_eq!(extractor.extract(&edited).via, Provenance::CacheHit);
     }

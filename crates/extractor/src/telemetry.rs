@@ -110,9 +110,6 @@ pub enum CacheOutcome {
     /// Exact fingerprint hit: the cached report was replayed, no parse
     /// ran ([`crate::Provenance::CacheHit`]).
     Hit,
-    /// A similar cached visit seeded a delta re-parse
-    /// ([`crate::Provenance::DeltaReparse`]).
-    Delta,
     /// The cache was consulted but the page parsed cold
     /// ([`crate::Provenance::Grammar`] with a cache attached).
     Miss,
@@ -123,7 +120,6 @@ impl CacheOutcome {
     pub fn as_str(self) -> &'static str {
         match self {
             CacheOutcome::Hit => "hit",
-            CacheOutcome::Delta => "delta",
             CacheOutcome::Miss => "miss",
         }
     }
@@ -132,7 +128,6 @@ impl CacheOutcome {
     pub fn parse(s: &str) -> Result<Self, String> {
         Ok(match s {
             "hit" => CacheOutcome::Hit,
-            "delta" => CacheOutcome::Delta,
             "miss" => CacheOutcome::Miss,
             other => return Err(format!("unknown cache outcome {other:?}")),
         })
@@ -805,7 +800,7 @@ mod tests {
                         max_instances: 4000,
                         deadline_ms: None,
                         error: None,
-                        cache: Some(CacheOutcome::Delta),
+                        cache: Some(CacheOutcome::Miss),
                         tokens: 22,
                         created: 3107,
                         covered: Some(22),
@@ -948,6 +943,12 @@ mod tests {
             assert_eq!(FailureOutcome::parse(outcome.as_str()).unwrap(), outcome);
         }
         assert!(FailureOutcome::parse("nope").is_err());
+        for outcome in [CacheOutcome::Hit, CacheOutcome::Miss] {
+            assert_eq!(CacheOutcome::parse(outcome.as_str()).unwrap(), outcome);
+        }
+        for name in ["nope", "delta"] {
+            assert!(CacheOutcome::parse(name).is_err(), "{name}");
+        }
     }
 
     #[test]

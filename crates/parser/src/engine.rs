@@ -12,7 +12,7 @@
 //! ```
 
 use crate::cancel::CancelToken;
-use crate::instance::{Chart, InstId, SeedInfo};
+use crate::instance::{Chart, InstId};
 use crate::maximize::maximize;
 use crate::stats::{BudgetOutcome, ParseStats};
 use metaform_core::{BBox, Token};
@@ -177,7 +177,7 @@ pub fn parse_with(grammar: &Grammar, tokens: &[Token], opts: &ParserOptions) -> 
     let prefs = preference_index(grammar);
     let mut scratch = Scratch::default();
     let chart = Chart::new(tokens.to_vec(), grammar.symbols.len());
-    let mut result = run_parse(grammar, &schedule, &prefs, chart, opts, &mut scratch, None);
+    let mut result = run_parse(grammar, &schedule, &prefs, chart, opts, &mut scratch);
     result.stats.schedules_built = 1;
     result
 }
@@ -198,14 +198,6 @@ fn empty_result(grammar: &Grammar, tokens: &[Token]) -> ParseResult {
 /// and [`crate::ParseSession`]. The caller provides the already-built
 /// schedule and per-symbol preference index plus a chart targeted at
 /// the tokens; `scratch` buffers are recycled across calls.
-///
-/// `seed` carries the bookkeeping of a chart pre-populated by
-/// [`Chart::carry_from`] (the incremental re-parse path): terminal
-/// seeding skips mapped tokens, production watermarks start at each
-/// candidate list's carried-valid boundary, preference watermarks
-/// start at the per-symbol carried-valid counts, and rollback is
-/// forced on for every preference (a revived loser may have carried
-/// parents a cold parse would never build — they must be erased).
 pub(crate) fn run_parse(
     grammar: &Grammar,
     schedule: &Schedule,
@@ -213,31 +205,10 @@ pub(crate) fn run_parse(
     chart: Chart,
     opts: &ParserOptions,
     scratch: &mut Scratch,
-    seed: Option<&SeedInfo>,
 ) -> ParseResult {
     let started = Instant::now();
     let token_count = chart.tokens().len();
     scratch.reset_for(grammar);
-    if let Some(seed) = seed {
-        debug_assert!(
-            seed.prod_boundary <= seed.boundary,
-            "production floor may only stop short of the carried-valid group"
-        );
-        if opts.fixpoint == FixpointMode::SemiNaive {
-            // Pairs of carried old-valid instances both survived the
-            // old (completed) parse, so their verdicts are permanent:
-            // the sweep can start above them. Naive mode keeps every
-            // watermark at zero and re-derives everything — the parity
-            // reference.
-            for (i, mark) in scratch.pref_marks.iter_mut().enumerate() {
-                let pref = grammar.preference(PrefId(i as u32));
-                *mark = (
-                    seed.valid_counts[pref.winner.index()],
-                    seed.valid_counts[pref.loser.index()],
-                );
-            }
-        }
-    }
     let mut p = Parser {
         grammar,
         schedule,
@@ -251,7 +222,6 @@ pub(crate) fn run_parse(
         deadline: opts.deadline.map(|d| started + d),
         deadline_tick: 0,
         scratch,
-        seed,
     };
     let profile = opts.profile;
     let t = profile.then(Instant::now);
@@ -488,9 +458,6 @@ struct Parser<'a> {
     /// off the inner-loop hot path.
     deadline_tick: u32,
     scratch: &'a mut Scratch,
-    /// Carry bookkeeping of a seeded (incremental re-parse) run, if
-    /// any — see [`run_parse`].
-    seed: Option<&'a SeedInfo>,
 }
 
 /// Enumeration steps between deadline polls, minus one (used as a
@@ -498,14 +465,9 @@ struct Parser<'a> {
 const DEADLINE_POLL_MASK: u32 = 0x3F;
 
 impl Parser<'_> {
-    /// Creates terminal instances for every token — except, in a
-    /// seeded parse, tokens the diff mapped: their terminals were
-    /// carried from the snapshot already.
+    /// Creates terminal instances for every token.
     fn seed_terminals(&mut self) {
         for i in 0..self.chart.tokens().len() {
-            if self.seed.is_some_and(|s| s.mapped[i]) {
-                continue;
-            }
             let kind = self.chart.tokens()[i].kind;
             let sym = self.grammar.symbols.terminal(kind);
             self.chart.add_terminal_index(sym, i);
@@ -733,25 +695,7 @@ impl Parser<'_> {
         // already enumerated — created, deduped, or constraint-failed,
         // all of which are permanent verdicts over immutable spans).
         let marks = &mut scratch.prod_marks[pid.index()];
-        let first_application = marks.is_empty();
         marks.resize(arity, 0);
-        if first_application && delta {
-            if let Some(seed) = self.seed {
-                // Seeded floor: candidates below the carried-valid
-                // production boundary all survived the old completed
-                // parse, where every combination over them was already
-                // enumerated with a permanent verdict (under a
-                // translated suffix the boundary stops at the
-                // prefix-region group — cross-region geometry changed,
-                // see [`SeedInfo::prod_boundary`]). Candidate lists are
-                // in ascending id order, so the boundary is a partition
-                // point. Revived and fresh instances sit above it and
-                // count as new.
-                for (m, c) in marks.iter_mut().zip(candidates) {
-                    *m = c.partition_point(|&id| id.0 < seed.prod_boundary) as u32;
-                }
-            }
-        }
         scratch.suffix_new.clear();
         scratch.suffix_new.resize(arity + 1, false);
         scratch.suffix_prod.clear();
@@ -784,15 +728,12 @@ impl Parser<'_> {
                 boxes: [BBox::new(0, 0, 0, 0); MAX_ARITY],
                 pending_children: &mut scratch.pending_children,
                 pending_payloads: &mut scratch.pending_payloads,
-                // In a delta pass of an unseeded parse every
-                // enumerated combination contains at least one
-                // instance created after the previous application
-                // (the all-old ones are skipped wholesale), so the
-                // dedup probe cannot hit and is elided. Seeded parses
-                // keep it: carried instances sit in the dedup table,
-                // and revived candidates above the production floor
-                // re-enumerate combinations that already exist.
-                probe_dedup: !delta || self.seed.is_some(),
+                // In a delta pass every enumerated combination
+                // contains at least one instance created after the
+                // previous application (the all-old ones are skipped
+                // wholesale), so the dedup probe cannot hit and is
+                // elided.
+                probe_dedup: !delta,
                 stats: &mut self.stats,
                 max_instances: self.opts.max_instances,
                 deadline: self.deadline,
@@ -876,17 +817,6 @@ impl Parser<'_> {
         let (w_mark, l_mark) = self.scratch.pref_marks[pref_id.index()];
         let (w_mark, l_mark) = (w_mark as usize, l_mark as usize);
         self.stats.pairs_skipped_delta += w_mark as u64 * l_mark as u64;
-        // Seeded parses use the schedule's rollback verdicts unchanged.
-        // The tempting "force rollback when seeded" rule is wrong: for
-        // a rollback-free preference, invalidating a revived loser must
-        // NOT cascade to its carried ancestors — a cold parse keeps
-        // them (under JIT order they are built only from survivors).
-        // The revived ancestors a cold parse never builds don't need
-        // rollback either: an instance ends old-invalid only through
-        // some enforcement whose loser also ended old-invalid, so that
-        // pair has a revived (above-watermark) member and is
-        // re-enforced here, replaying the same invalidation — cascade
-        // included for preferences that do carry rollback.
         let needs_rollback = self.opts.rollback && self.schedule.needs_rollback[pref_id.index()];
         if w_len > w_mark || l_len > l_mark {
             for wi in 0..w_len {
@@ -999,8 +929,8 @@ struct EnumPass<'a> {
     pending_children: &'a mut Vec<InstId>,
     pending_payloads: &'a mut Vec<Payload>,
     /// Whether completed combinations must be probed against the
-    /// dedup table. False only for delta passes of unseeded parses,
-    /// where every enumerated combination contains a fresh instance.
+    /// dedup table. False only for delta passes, where every
+    /// enumerated combination contains a fresh instance.
     probe_dedup: bool,
     stats: &'a mut ParseStats,
     max_instances: usize,

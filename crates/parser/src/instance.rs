@@ -22,8 +22,6 @@
 //! capacity.
 
 use crate::dedup::ComboSet;
-use crate::intern::{intern_locked, lock_pool};
-use crate::revisit::TokenDiff;
 use crate::tokenset::TokenSet;
 use metaform_core::{BBox, Token, TokenId};
 use metaform_grammar::{Payload, ProdId, SymbolId, View};
@@ -50,34 +48,11 @@ impl fmt::Debug for InstId {
 /// packed columns.
 const NONE: u32 = u32::MAX;
 
-/// Interned text fields of one token: ids into the process-global
-/// pool for `sval` and `name`, plus a slice of option ids in the
-/// chart's flat `opt_ids` arena. Two tokens (possibly from different
-/// charts) have equal texts iff their keys and option slices are
-/// equal — the id-based compare the revisit diff runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct TextKey {
-    sval: u32,
-    name: u32,
-    opts_start: u32,
-    opts_len: u32,
-}
-
-impl TextKey {
-    fn opts_range(self) -> std::ops::Range<usize> {
-        self.opts_start as usize..(self.opts_start + self.opts_len) as usize
-    }
-}
-
 /// The parse chart: struct-of-arrays instance columns plus indexes
 /// (see the module docs for the layout rationale).
 #[derive(Clone, Debug)]
 pub struct Chart {
     tokens: Vec<Token>,
-    /// Interned text ids, parallel to `tokens`.
-    text_keys: Vec<TextKey>,
-    /// Flat arena of interned option-label ids (see [`TextKey`]).
-    opt_ids: Vec<u32>,
     // --- instance columns, all indexed by `InstId` ---
     symbols: Vec<SymbolId>,
     /// Producing rule per instance (`NONE` for terminals).
@@ -122,10 +97,8 @@ impl Chart {
     /// Creates a chart over the given tokens with `symbol_count`
     /// symbols in the grammar.
     pub fn new(tokens: Vec<Token>, symbol_count: usize) -> Self {
-        let mut chart = Chart {
+        Chart {
             tokens,
-            text_keys: Vec::new(),
-            opt_ids: Vec::new(),
             symbols: Vec::new(),
             prods: Vec::new(),
             token_of: Vec::new(),
@@ -141,9 +114,7 @@ impl Chart {
             by_symbol: vec![Vec::new(); symbol_count],
             sym_invals: vec![0; symbol_count],
             dedup: ComboSet::default(),
-        };
-        chart.index_texts();
-        chart
+        }
     }
 
     /// Clears the chart and re-targets it at a new token slice,
@@ -165,7 +136,6 @@ impl Chart {
             dst.checked = src.checked;
         }
         self.tokens.extend_from_slice(&tokens[shared..]);
-        self.index_texts();
         self.symbols.clear();
         self.prods.clear();
         self.token_of.clear();
@@ -187,56 +157,6 @@ impl Chart {
         self.sym_invals.clear();
         self.sym_invals.resize(symbol_count, 0);
         self.dedup.clear();
-    }
-
-    /// (Re)interns every token's texts into `text_keys`/`opt_ids`,
-    /// taking the global pool lock once for the whole chart.
-    fn index_texts(&mut self) {
-        self.text_keys.clear();
-        self.opt_ids.clear();
-        if self.tokens.is_empty() {
-            return;
-        }
-        let mut pool = lock_pool();
-        for t in &self.tokens {
-            let opts_start = self.opt_ids.len() as u32;
-            for opt in &t.options {
-                self.opt_ids.push(intern_locked(&mut pool, opt));
-            }
-            self.text_keys.push(TextKey {
-                sval: intern_locked(&mut pool, &t.sval),
-                name: intern_locked(&mut pool, &t.name),
-                opts_start,
-                opts_len: t.options.len() as u32,
-            });
-        }
-    }
-
-    /// Do token `i` of `self` and token `j` of `other` carry the same
-    /// content (everything but the id)? Texts compare by interned id.
-    pub(crate) fn token_matches(&self, i: usize, other: &Chart, j: usize) -> bool {
-        self.token_matches_translated(i, other, j, 0, 0)
-    }
-
-    /// [`Chart::token_matches`] modulo a uniform translation: token `j`
-    /// of `other` must sit exactly `(dx, dy)` away from token `i` of
-    /// `self`, with identical content otherwise.
-    pub(crate) fn token_matches_translated(
-        &self,
-        i: usize,
-        other: &Chart,
-        j: usize,
-        dx: i32,
-        dy: i32,
-    ) -> bool {
-        let (ta, tb) = (&self.tokens[i], &other.tokens[j]);
-        let (ka, kb) = (self.text_keys[i], other.text_keys[j]);
-        ta.kind == tb.kind
-            && ta.pos.translated(dx, dy) == tb.pos
-            && ta.checked == tb.checked
-            && ka.sval == kb.sval
-            && ka.name == kb.name
-            && self.opt_ids[ka.opts_range()] == other.opt_ids[kb.opts_range()]
     }
 
     /// The interface's tokens.
@@ -575,198 +495,6 @@ impl Chart {
         out
     }
 
-    /// Carries every instance of `old` whose span survives the token
-    /// diff into this (freshly reset) chart, returning the seed
-    /// bookkeeping the engine's watermarks start from.
-    ///
-    /// An old instance is *carriable* when every token of its span is
-    /// mapped by the diff (children's spans are subsets, so a
-    /// carriable instance's whole derivation is carriable) — and, when
-    /// the diff's suffix is matched modulo a non-zero translation, its
-    /// span must additionally sit entirely within the prefix or
-    /// entirely within the suffix: an instance straddling both regions
-    /// has geometry-dependent internal structure that the translation
-    /// changed. Carried instances are renumbered densely in groups:
-    ///
-    /// 1. ids `0..boundary`: instances valid at the end of the old
-    ///    parse, in old creation order — prefix-region ones first, then
-    ///    (when the suffix is translated) suffix-region ones. Validity
-    ///    is monotone, so these were valid *throughout* the old parse —
-    ///    every combination and preference pair among them was already
-    ///    enumerated there with a permanent verdict, which is what lets
-    ///    the seeded watermarks start above zero.
-    /// 2. ids `boundary..`: instances the old parse invalidated,
-    ///    *revived* (validity reset to true), in old creation order.
-    ///    Their invalidator may not have been carried, so their
-    ///    verdicts must be re-derived; sitting above the boundary
-    ///    makes the engine treat them as new on both the production
-    ///    and the preference side.
-    ///
-    /// Under a translated suffix the production watermarks must not
-    /// skip combinations mixing prefix- and suffix-region instances
-    /// (production *constraints* relate component geometry across the
-    /// two regions, and the translation moved one side), so
-    /// [`SeedInfo::prod_boundary`] stops at the valid prefix-region
-    /// group. Preference verdicts survive: cross-region pairs have
-    /// disjoint spans (never in conflict, before or after), and
-    /// within-region pairs compare spans, counts, and spreads — all
-    /// translation-invariant — so the preference floor
-    /// ([`SeedInfo::valid_counts`]) covers the whole valid group.
-    ///
-    /// Children, spans, dedup entries, parent links, and payload token
-    /// lists are all remapped to new token ids; bounding boxes carry
-    /// unchanged for prefix-region instances and translated by the
-    /// diff's `(dx, dy)` for suffix-region ones.
-    pub(crate) fn carry_from(&mut self, old: &Chart, diff: &TokenDiff) -> SeedInfo {
-        let old_n = old.tokens.len();
-        let new_n = self.tokens.len();
-        debug_assert!(self.is_empty(), "carry into a reset chart");
-
-        // Old-token → new-token map: identity on the common prefix,
-        // tail-aligned on the common suffix.
-        let shift = new_n as i64 - old_n as i64;
-        let map_old = |i: usize| -> Option<TokenId> {
-            if i < diff.prefix {
-                Some(TokenId(i as u32))
-            } else if i >= old_n - diff.suffix {
-                Some(TokenId((i as i64 + shift) as u32))
-            } else {
-                None
-            }
-        };
-        let mut mapped_new = vec![false; new_n];
-        for (j, m) in mapped_new.iter_mut().enumerate() {
-            *m = j < diff.prefix || j >= new_n - diff.suffix;
-        }
-
-        // `split` mode: the suffix matched modulo a non-zero
-        // translation *and* both regions are non-empty, so carried
-        // instances must be region-pure and cross-region production
-        // combinations must be re-derived. With a zero translation, or
-        // a diff that is all prefix / all suffix, both regions behave
-        // as one. Independent of the mode, any carried suffix-region
-        // instance has its bbox translated by `(dx, dy)`.
-        let has_translation = diff.dx != 0 || diff.dy != 0;
-        let split = has_translation && diff.prefix > 0 && diff.suffix > 0;
-        let suffix_start = old_n - diff.suffix;
-        // Ordering region of a carriable instance (0 = prefix, 1 =
-        // suffix, None = not carriable). Spans are bitsets, so the
-        // min/max extent classifies region purity cheaply.
-        let carriable = |i: usize| -> Option<u8> {
-            let span = old.span(InstId(i as u32));
-            let (lo, hi) = (span.min_id()?, span.max_id()?);
-            let in_prefix = hi.index() < diff.prefix;
-            let in_suffix = lo.index() >= suffix_start;
-            if in_prefix || in_suffix {
-                return Some(u8::from(in_suffix));
-            }
-            // Straddles the edit region or both sides: under a split
-            // diff the instance is dropped outright (its internal
-            // geometry changed); otherwise it carries if every span
-            // token is still mapped.
-            if split {
-                return None;
-            }
-            let mapped = span
-                .iter()
-                .all(|t| t.index() < diff.prefix || t.index() >= suffix_start);
-            mapped.then_some(0)
-        };
-
-        // Assign new ids: the valid group first (prefix-region before
-        // suffix-region when split — creation order within each), then
-        // the revived.
-        let mut new_ids: Vec<Option<InstId>> = vec![None; old.len()];
-        let mut order: Vec<usize> = Vec::new();
-        let mut regions: Vec<u8> = Vec::new();
-        let mut prod_boundary = 0u32;
-        let mut boundary = 0u32;
-        for (pass_valid, pass_region) in [(true, 0u8), (true, 1), (false, 0), (false, 1)] {
-            if pass_region == 1 && !split {
-                continue; // single-region mode: pass 0 takes everything
-            }
-            for (i, slot) in new_ids.iter_mut().enumerate() {
-                if old.valid[i] != pass_valid || slot.is_some() {
-                    continue;
-                }
-                let Some(region) = carriable(i) else { continue };
-                if split && region != pass_region {
-                    continue;
-                }
-                *slot = Some(InstId(order.len() as u32));
-                order.push(i);
-                regions.push(region);
-            }
-            if pass_valid && pass_region == 0 {
-                prod_boundary = order.len() as u32;
-            }
-            if pass_valid {
-                boundary = order.len() as u32;
-            }
-        }
-        if !split {
-            prod_boundary = boundary;
-        }
-
-        let mut valid_counts = vec![0u32; self.by_symbol.len()];
-        for (k, &oi) in order.iter().enumerate() {
-            let src = InstId(oi as u32);
-            let mut span = TokenSet::new(new_n);
-            for t in old.span(src).iter() {
-                span.insert(map_old(t.index()).expect("carriable span token"));
-            }
-            let mut payload = old.payload(src).clone();
-            remap_payload_tokens(&mut payload, &map_old);
-            let child_base = self.children.len();
-            for &c in old.children(src) {
-                let mapped = new_ids[c.index()].expect("carriable child");
-                self.children.push(mapped);
-            }
-            if let Some(prod) = old.prod(src) {
-                self.dedup.insert(prod, &self.children[child_base..]);
-            }
-            if (k as u32) < boundary {
-                valid_counts[old.symbol(src).index()] += 1;
-            }
-            let bbox = if regions[k] == 1 {
-                old.bbox(src).translated(diff.dx, diff.dy)
-            } else {
-                old.bbox(src)
-            };
-            let id = InstId(self.symbols.len() as u32);
-            self.symbols.push(old.symbol(src));
-            self.prods.push(old.prods[src.index()]);
-            self.token_of.push(match old.token(src) {
-                Some(t) => map_old(t.index()).expect("mapped token").0,
-                None => NONE,
-            });
-            self.spans.push(span);
-            self.bboxes.push(bbox);
-            let slot = self.payloads.len() as u32;
-            self.payloads.push(payload);
-            self.payload_of.push(slot);
-            self.valid.push(true);
-            self.child_off.push(self.children.len() as u32);
-            self.parent_head.push(NONE);
-            self.by_symbol[old.symbol(src).index()].push(id);
-        }
-        // Parent links, rebuilt in new creation order.
-        for k in 0..self.len() {
-            let id = InstId(k as u32);
-            let (lo, hi) = (self.child_off[k] as usize, self.child_off[k + 1] as usize);
-            for ci in lo..hi {
-                let c = self.children[ci];
-                self.push_parent(c, id);
-            }
-        }
-        SeedInfo {
-            boundary,
-            prod_boundary,
-            valid_counts,
-            mapped: mapped_new,
-        }
-    }
-
     /// Tokens covered by no instance in `roots`.
     pub fn uncovered_tokens(&self, roots: &[InstId]) -> Vec<TokenId> {
         let mut covered = TokenSet::new(self.tokens.len());
@@ -797,43 +525,6 @@ impl Iterator for ParentIter<'_> {
         let (parent, next) = self.links[self.at as usize];
         self.at = next;
         Some(parent)
-    }
-}
-
-/// Seed bookkeeping produced by [`Chart::carry_from`] and consumed by
-/// the engine: where the carried-valid region ends, how many carried
-/// old-valid instances each symbol has (the preference watermark
-/// floor), and which new tokens already carry their terminal.
-pub(crate) struct SeedInfo {
-    /// Number of carried old-valid instances (ids `0..boundary`).
-    pub boundary: u32,
-    /// Production-watermark boundary: ids below it may be skipped as
-    /// all-old *production components*. Equal to `boundary` except
-    /// under a translated suffix, where it stops at the valid
-    /// prefix-region group (cross-region component geometry changed,
-    /// so those combinations must be re-constrained).
-    pub prod_boundary: u32,
-    /// Per-symbol count of carried old-valid instances, in the order
-    /// of the grammar's symbol table.
-    pub valid_counts: Vec<u32>,
-    /// Per new-token flag: true when the diff mapped the token, i.e.
-    /// its terminal instance was carried and seeding must skip it.
-    pub mapped: Vec<bool>,
-}
-
-/// Rewrites the token ids embedded in condition payloads to the new
-/// token numbering (carried spans stay within mapped tokens, so every
-/// referenced id has an image).
-fn remap_payload_tokens(payload: &mut Payload, map: &impl Fn(usize) -> Option<TokenId>) {
-    let remap = |c: &mut metaform_core::Condition| {
-        for t in &mut c.tokens {
-            *t = map(t.index()).expect("carriable condition token");
-        }
-    };
-    match payload {
-        Payload::Cond(c) => remap(c),
-        Payload::Conds(cs) => cs.iter_mut().for_each(remap),
-        _ => {}
     }
 }
 

@@ -33,11 +33,9 @@ mod dedup;
 pub mod display;
 pub mod engine;
 pub mod instance;
-mod intern;
 pub mod maximize;
 pub mod merger;
 pub mod partial;
-pub mod revisit;
 pub mod session;
 pub mod stats;
 pub mod tokenset;
@@ -50,7 +48,6 @@ pub use instance::{Chart, InstId, ParentIter};
 pub use maximize::{maximize, maximize_naive};
 pub use merger::{merge, salvage_merge};
 pub use partial::{pattern_spans, tree_symbols};
-pub use revisit::ChartSnapshot;
-pub use session::ParseSession;
+pub use session::{ChartSnapshot, ParseSession};
 pub use stats::{BudgetOutcome, ParseStats, PhaseBreakdown};
 pub use tokenset::{TokenSet, INLINE_TOKENS};

@@ -14,13 +14,10 @@ use std::collections::{HashMap, HashSet};
 /// Merges maximal partial trees into an [`ExtractionReport`].
 ///
 /// Trees are visited largest-span first, ties broken by span content
-/// and then by the conditions themselves — never by instance id.
-/// [`maximize()`](crate::maximize()) orders equal-span ties by id, and
-/// ids depend on chart history: a seeded re-parse
-/// ([`crate::ParseSession::parse_seeded`]) numbers carried instances
-/// differently from a cold parse of the same tokens. Re-sorting here by
-/// content keeps the report byte-identical across the two, which the
-/// cache-parity suite enforces. Conditions are unioned with
+/// and then by the conditions themselves — never by instance id
+/// ([`maximize()`](crate::maximize()) orders equal-span ties by id),
+/// so the report does not depend on how the chart numbered its
+/// instances. Conditions are unioned with
 /// equivalence-level deduplication. When two *different* conditions
 /// claim the same token, both stay in the model (the parser cannot
 /// arbitrate — that is client-side work, §7), and a [`Conflict`]

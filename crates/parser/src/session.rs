@@ -34,7 +34,7 @@
 
 use crate::engine::{run_parse, ParseResult, ParserOptions, Scratch};
 use crate::instance::Chart;
-use crate::revisit::{diff_tokens, ChartSnapshot};
+use crate::stats::BudgetOutcome;
 use metaform_core::Token;
 use metaform_grammar::CompiledGrammar;
 use std::sync::Arc;
@@ -98,53 +98,15 @@ impl ParseSession {
             chart,
             &self.opts,
             &mut self.scratch,
-            None,
         );
         result.stats.phase.alloc_ns += setup_ns;
         result
     }
 
-    /// Parses one token sequence *seeded* from a retained snapshot of
-    /// an earlier parse — the incremental re-parse path for revisited
-    /// interfaces.
-    ///
-    /// The tokens are diffed against the snapshot's (longest common
-    /// prefix/suffix, content compared by interned text id); every
-    /// snapshot instance whose span survives the diff is carried into
-    /// the new chart, and the fix-point's watermarks start above zero
-    /// so only combinations touching the changed region are
-    /// re-derived. The result is equivalent to [`ParseSession::parse`]
-    /// on the same tokens — byte-identical reports, the invariant the
-    /// cache-parity suite pins — just cheaper when the edit is small.
-    /// When the streams share nothing the diff is empty and this
-    /// degrades gracefully to a cold parse.
-    ///
-    /// Soundness requires the snapshot to come from a *completed*
-    /// parse (which [`ChartSnapshot::of`] guarantees) under the same
-    /// grammar and preference-enforcement options as this session;
-    /// seeding under different pruning switches re-derives against the
-    /// wrong baseline.
-    pub fn parse_seeded(&mut self, tokens: &[Token], snapshot: &ChartSnapshot) -> ParseResult {
-        let t = self.opts.profile.then(Instant::now);
-        let mut chart = self
-            .spare
-            .take()
-            .unwrap_or_else(|| Chart::new(Vec::new(), 0));
-        chart.reset_for(tokens, self.grammar.grammar().symbols.len());
-        let diff = diff_tokens(snapshot.chart(), &chart);
-        let seed = chart.carry_from(snapshot.chart(), &diff);
-        let setup_ns = t.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let mut result = run_parse(
-            self.grammar.grammar(),
-            self.grammar.schedule(),
-            self.grammar.preference_index(),
-            chart,
-            &self.opts,
-            &mut self.scratch,
-            Some(&seed),
-        );
-        result.stats.phase.alloc_ns += setup_ns;
-        result
+    /// [`ParseSession::parse`]; the snapshot is ignored. Held for
+    /// perfbench's mirror; goes with the ROADMAP "One clock" item.
+    pub fn parse_seeded(&mut self, tokens: &[Token], _: &ChartSnapshot) -> ParseResult {
+        self.parse(tokens)
     }
 
     /// Returns a finished parse's chart to the session's allocation
@@ -152,6 +114,27 @@ impl ParseSession {
     /// slower for the next parse.
     pub fn recycle(&mut self, result: ParseResult) {
         self.spare = Some(result.chart);
+    }
+}
+
+/// A zero-sized witness that a parse ran to completion: the parse
+/// cache stores a report only alongside one, so it never replays a
+/// budget-truncated, timed-out or cancelled report.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChartSnapshot(());
+
+impl ChartSnapshot {
+    /// The witness for `result`, or `None` unless the parse completed.
+    pub fn of(result: &ParseResult) -> Option<Self> {
+        (result.stats.budget == BudgetOutcome::Completed).then_some(ChartSnapshot(()))
+    }
+
+    /// [`ChartSnapshot::of`], consuming the result and handing it back
+    /// when the parse did not complete. Held for perfbench's mirror;
+    /// goes with the ROADMAP "One clock" item.
+    #[allow(clippy::result_large_err)]
+    pub fn take(result: ParseResult) -> Result<Self, ParseResult> {
+        Self::of(&result).ok_or(result)
     }
 }
 
@@ -223,128 +206,6 @@ mod tests {
         let mut unbounded = ParseSession::new(compiled);
         let result = unbounded.parse(&tokens);
         assert_eq!(result.stats.budget, BudgetOutcome::Completed);
-    }
-
-    /// Renders what callers actually consume — the merged report —
-    /// as the parity yardstick between cold and seeded parses.
-    fn report_of(result: &crate::engine::ParseResult) -> String {
-        crate::merger::merge(&result.chart, &result.trees).to_string()
-    }
-
-    fn two_rows() -> Vec<Token> {
-        let mut t = author_row();
-        t.push(Token::text(2, "Title", BBox::new(10, 48, 52, 64)));
-        t.push(Token::widget(
-            3,
-            TokenKind::Textbox,
-            "t",
-            BBox::new(60, 44, 200, 64),
-        ));
-        t
-    }
-
-    fn renumber(mut tokens: Vec<Token>) -> Vec<Token> {
-        for (i, t) in tokens.iter_mut().enumerate() {
-            t.id = metaform_core::TokenId(i as u32);
-        }
-        tokens
-    }
-
-    #[test]
-    fn seeded_parse_matches_cold_on_exact_revisit() {
-        use crate::engine::FixpointMode;
-        let compiled = Arc::new(paper_example_grammar().compile().unwrap());
-        for fixpoint in [FixpointMode::SemiNaive, FixpointMode::Naive] {
-            let opts = ParserOptions {
-                fixpoint,
-                ..Default::default()
-            };
-            let mut session = ParseSession::with_options(compiled.clone(), opts);
-            let tokens = two_rows();
-            let first = session.parse(&tokens);
-            let snapshot = ChartSnapshot::of(&first).expect("completed parse");
-            let cold_report = report_of(&first);
-            session.recycle(first);
-            let seeded = session.parse_seeded(&tokens, &snapshot);
-            assert_eq!(report_of(&seeded), cold_report, "{fixpoint:?}");
-            assert_eq!(seeded.stats.budget, crate::BudgetOutcome::Completed);
-        }
-    }
-
-    #[test]
-    fn exact_revisit_skips_the_carried_work() {
-        let compiled = Arc::new(paper_example_grammar().compile().unwrap());
-        let mut session = ParseSession::new(compiled);
-        let tokens = two_rows();
-        let cold = session.parse(&tokens);
-        let snapshot = ChartSnapshot::of(&cold).expect("completed parse");
-        let cold_combos = cold.stats.combos_enumerated;
-        session.recycle(cold);
-        let seeded = session.parse_seeded(&tokens, &snapshot);
-        assert!(
-            seeded.stats.combos_enumerated < cold_combos,
-            "seeded {} !< cold {}",
-            seeded.stats.combos_enumerated,
-            cold_combos
-        );
-    }
-
-    #[test]
-    fn seeded_parse_matches_cold_on_edits() {
-        use crate::engine::FixpointMode;
-        let compiled = Arc::new(paper_example_grammar().compile().unwrap());
-        let base = two_rows();
-        // Label edit mid-stream, a row appended, a row removed, and a
-        // completely different stream (empty diff — cold-path degrade).
-        let mut relabeled = base.clone();
-        relabeled[0].sval = "Editor".to_string();
-        let mut grown = base.clone();
-        grown.push(Token::text(4, "Year", BBox::new(10, 92, 52, 108)));
-        grown.push(Token::widget(
-            5,
-            TokenKind::Textbox,
-            "y",
-            BBox::new(60, 88, 200, 108),
-        ));
-        let shrunk = renumber(base[..2].to_vec());
-        let moved: Vec<Token> = base
-            .iter()
-            .cloned()
-            .map(|mut t| {
-                t.pos = BBox::new(
-                    t.pos.left + 500,
-                    t.pos.top + 500,
-                    t.pos.right + 500,
-                    t.pos.bottom + 500,
-                );
-                t
-            })
-            .collect();
-        for fixpoint in [FixpointMode::SemiNaive, FixpointMode::Naive] {
-            let opts = ParserOptions {
-                fixpoint,
-                ..Default::default()
-            };
-            let mut session = ParseSession::with_options(compiled.clone(), opts);
-            let first = session.parse(&base);
-            let snapshot = ChartSnapshot::of(&first).expect("completed parse");
-            session.recycle(first);
-            for (name, revisit) in [
-                ("relabel", &relabeled),
-                ("grown", &grown),
-                ("shrunk", &shrunk),
-                ("moved", &moved),
-            ] {
-                let cold = session.parse(revisit);
-                let cold_report = report_of(&cold);
-                let cold_trees = cold.trees.len();
-                session.recycle(cold);
-                let seeded = session.parse_seeded(revisit, &snapshot);
-                assert_eq!(report_of(&seeded), cold_report, "{name} ({fixpoint:?})");
-                assert_eq!(seeded.trees.len(), cold_trees, "{name} ({fixpoint:?})");
-                session.recycle(seeded);
-            }
-        }
     }
 
     #[test]

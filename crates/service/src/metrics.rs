@@ -138,13 +138,10 @@ pub struct Metrics {
     /// Pages whose report was replayed from the parse cache (exact
     /// fingerprint hit, no parse).
     pub pages_cache_hit: Counter,
-    /// Pages re-parsed incrementally, seeded from a similar cached
-    /// visit.
-    pub pages_cache_delta: Counter,
     /// Pages that consulted the parse cache but parsed cold.
     pub pages_cache_miss: Counter,
     /// Pages the client flagged `"revisit": true` at submission
-    /// (advisory — compare against the cache hit/delta counters).
+    /// (advisory — compare against the cache hit counter).
     pub revisit_hints: Counter,
     /// Grammar-induction refits run by the `--induce-every` hook
     /// (counted whether or not any candidate was accepted).
@@ -173,7 +170,7 @@ impl Metrics {
             C(&'a Counter),
             G(&'a Gauge),
         }
-        let rows: [(&str, &str, Any); 22] = [
+        let rows: [(&str, &str, Any); 21] = [
             (
                 "metaformd_requests_total",
                 "counter",
@@ -253,11 +250,6 @@ impl Metrics {
                 "metaformd_pages_cache_hit_total",
                 "counter",
                 Any::C(&self.pages_cache_hit),
-            ),
-            (
-                "metaformd_pages_cache_delta_total",
-                "counter",
-                Any::C(&self.pages_cache_delta),
             ),
             (
                 "metaformd_pages_cache_miss_total",
@@ -353,15 +345,14 @@ mod tests {
     fn render_order_is_deterministic_and_lists_cache_counters() {
         let m = Metrics::default();
         m.pages_cache_hit.add(4);
-        m.pages_cache_delta.bump();
         m.pages_cache_miss.add(2);
         m.revisit_hints.bump();
         let text = m.render();
         assert_eq!(text, m.render(), "row order is fixed, not map order");
         let hit = text.find("metaformd_pages_cache_hit_total 4\n").unwrap();
-        let delta = text.find("metaformd_pages_cache_delta_total 1\n").unwrap();
         let miss = text.find("metaformd_pages_cache_miss_total 2\n").unwrap();
         let hints = text.find("metaformd_revisit_hints_total 1\n").unwrap();
-        assert!(hit < delta && delta < miss && miss < hints);
+        assert!(hit < miss && miss < hints);
+        assert!(!text.contains("cache_delta"));
     }
 }

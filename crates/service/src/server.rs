@@ -322,8 +322,8 @@ impl ServiceState {
     /// Builds the shared state: one extractor configured per `config`
     /// (grammar compiled once, here), an empty store, an empty queue.
     /// The extractor carries a process-wide parse cache, so a page
-    /// resubmitted in a later job replays or delta-reparses against
-    /// the earlier visit (the per-job extractor clones share it).
+    /// resubmitted unchanged in a later job replays the earlier visit
+    /// (the per-job extractor clones share it).
     pub fn new(config: ServiceConfig) -> Self {
         let mut extractor = FormExtractor::new().parse_cache(LruParseCache::shared());
         if let Some(workers) = config.batch_workers {
@@ -481,9 +481,6 @@ impl ServiceState {
         self.metrics
             .pages_cache_hit
             .add(batch.stats.cache_hits as u64);
-        self.metrics
-            .pages_cache_delta
-            .add(batch.stats.cache_delta as u64);
         self.metrics
             .pages_cache_miss
             .add(batch.stats.cache_misses as u64);
@@ -763,7 +760,6 @@ fn job_results(state: &ServiceState, id: u64) -> Response {
                 Provenance::PartialSalvage => "salvage",
                 Provenance::BaselineFallback => "baseline",
                 Provenance::CacheHit => "cache_hit",
-                Provenance::DeltaReparse => "delta_reparse",
             };
             let http_status = status_by_page
                 .get(&index)
@@ -1158,10 +1154,7 @@ mod tests {
             metrics.contains("metaformd_pages_cache_miss_total 1\n"),
             "{metrics}"
         );
-        assert!(
-            metrics.contains("metaformd_pages_cache_delta_total 0\n"),
-            "{metrics}"
-        );
+        assert!(!metrics.contains("cache_delta"), "{metrics}");
         assert!(
             metrics.contains("metaformd_revisit_hints_total 1\n"),
             "{metrics}"

@@ -59,7 +59,6 @@ fn cache_outcome() -> impl Strategy<Value = Option<CacheOutcome>> {
     prop_oneof![
         Just(None),
         Just(Some(CacheOutcome::Hit)),
-        Just(Some(CacheOutcome::Delta)),
         Just(Some(CacheOutcome::Miss)),
     ]
 }

@@ -2,8 +2,8 @@
 # Machine-readable benchmarks, written at the repo root:
 #  - BENCH_parse.json: the batch-120 workload under both fix-point
 #    schedules (median batch time, combos enumerated, instances created);
-#  - BENCH_revisit.json: cold parses vs the parse cache's exact-hit and
-#    delta re-parse tiers over the survey revisit scenarios;
+#  - BENCH_revisit.json: cold parses vs the parse cache's exact-hit
+#    replay over the survey corpus;
 #  - BENCH_service.json: the metaformd load generator — close vs
 #    keep-alive request legs (p50/p99 latency, throughput) and a
 #    submit→drain job leg over a real loopback server.

@@ -45,15 +45,19 @@ echo "==> provenance construction gate (salvage/fallback each built in exactly o
 test "$(grep -c 'via = Provenance::PartialSalvage' crates/extractor/src/pipeline.rs)" = 1
 test "$(grep -c 'via: Provenance::BaselineFallback' crates/extractor/src/pipeline.rs)" = 1
 
-echo "==> perfbench self-tests and a short starved_ladder run (ladder parity vs single-page extraction)"
+echo "==> perfbench self-tests and short starved_ladder, revisit_zipf and service_dispatch runs"
 # The benchmark checks every page of every job against single-page
 # extraction under the same escalation and exits nonzero on any
-# difference: the end-to-end guard on retry + salvage parity.
+# difference: the end-to-end guard on retry + salvage parity
+# (starved_ladder) and on cache parity (revisit_zipf, and
+# service_dispatch through the service's shared cache).
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload starved_ladder --seed 1 --seconds 3 --trace 0 > /dev/null
+for workload in starved_ladder revisit_zipf service_dispatch; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 0 > /dev/null
+done
 
-echo "==> cargo test -q --test cache_parity (revisit tiers vs cold parse)"
+echo "==> cargo test -q --test cache_parity (exact-hit tier vs cold parse)"
 cargo test -q --test cache_parity
 
 echo "==> cargo test -q --test induction (grammar induction: trajectory, determinism, safety)"
@@ -73,10 +77,9 @@ test "$(grep -rl 'CompiledGrammar::build' crates src | grep -v 'crates/grammar/s
 test "$(grep -rn '\.compile()' crates/service/src | wc -l)" = 0
 grep -q 'RejectReason::CompileError' crates/eval/src/induction.rs
 
-echo "==> bench_revisit smoke (cache tiers engage; parity asserted inside)"
+echo "==> bench_revisit smoke (exact-hit tier engages; parity asserted inside)"
 cargo run --release -q -p metaform-bench --bin bench_revisit -- "$tmp/BENCH_revisit.json" > /dev/null
 grep -q '"exact_hit_speedup"' "$tmp/BENCH_revisit.json"
-grep -q '"tier_delta"' "$tmp/BENCH_revisit.json"
 
 echo "==> bench_parse perf smoke (fails on >1.5x median regression vs committed BENCH_parse.json)"
 cargo run --release -q -p metaform-bench --bin bench_parse -- --smoke "$tmp/BENCH_parse.json" > /dev/null

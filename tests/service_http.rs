@@ -141,7 +141,6 @@ fn assert_differential(results_body: &str, expected: &AdaptiveBatch) {
             Provenance::PartialSalvage => "salvage",
             Provenance::BaselineFallback => "baseline",
             Provenance::CacheHit => "cache_hit",
-            Provenance::DeltaReparse => "delta_reparse",
         };
         assert_eq!(
             report.field("via").and_then(|v| v.as_str()),
