@@ -6,13 +6,10 @@
 //!   rebuilds the schedule and preference index for every interface;
 //! * `warm_shared_compiled` — one process-wide `CompiledGrammar`, one
 //!   recycled `ParseSession` for the whole batch;
-//! * `parallel_extract_batch` — `FormExtractor::extract_batch` over the
-//!   raw HTML pages, scoped worker threads sharing the compiled
-//!   grammar;
-//! * `parallel_extract_batch_adaptive` — the same batch through
-//!   `extract_batch_adaptive`: on a clean corpus the escalation loop
-//!   runs zero retries, so any gap to `parallel_extract_batch` is pure
-//!   driver bookkeeping.
+//! * `parallel_extract_batch` — `FormExtractor::extract_batch_adaptive`
+//!   over the raw HTML pages, scoped worker threads sharing the
+//!   compiled grammar; on a clean corpus the escalation loop runs zero
+//!   retries.
 //!
 //! The warm and parallel variants run under the compile-once contract,
 //! asserted here via the process-wide `schedule_build_count` /
@@ -97,19 +94,12 @@ fn bench_batch(c: &mut Criterion) {
         })
     });
 
-    // Parallel: extract_batch over the raw pages, end to end.
+    // Parallel: the batch driver over the raw pages, end to end. On a
+    // clean batch the escalation loop and telemetry bookkeeping cost
+    // ~nothing: no page fails, so no retry runs.
+    let opts = AdaptiveOptions::default();
     group.bench_function("parallel_extract_batch", |b| {
         let extractor = FormExtractor::new();
-        b.iter(|| extractor.extract_batch(&pages).len())
-    });
-
-    // Adaptive driver on the same clean batch: the escalation loop and
-    // telemetry bookkeeping must cost ~nothing when no page fails —
-    // the only difference from `parallel_extract_batch` should be the
-    // retry-eligibility scan over the first-pass results.
-    group.bench_function("parallel_extract_batch_adaptive", |b| {
-        let extractor = FormExtractor::new();
-        let opts = AdaptiveOptions::default();
         b.iter(|| {
             let batch = extractor.extract_batch_adaptive(&pages, &opts);
             assert_eq!(batch.stats.retried, 0, "clean batch must not retry");
@@ -117,7 +107,9 @@ fn bench_batch(c: &mut Criterion) {
             batch.extractions.len()
         })
     });
-    let (_, stats) = FormExtractor::new().extract_batch_stats(&pages);
+    let stats = FormExtractor::new()
+        .extract_batch_adaptive(&pages, &opts)
+        .stats;
     assert_eq!(
         stats.schedules_built, 0,
         "batch path must reuse the compiled grammar"

@@ -15,8 +15,8 @@
 //! - `keep_alive`: the same request count on one persistent
 //!   connection per client;
 //! - `submit_drain`: keep-alive clients submitting real batch jobs
-//!   and polling them to completion (pages/sec through the sharded
-//!   queue and worker pool).
+//!   and polling them to completion (pages/sec through the job queue
+//!   and worker pool).
 //!
 //! Each wire leg reports p50/p99 request latency and throughput; the
 //! headline ratio is `keep_alive_speedup` (close rps ÷ keep-alive

@@ -210,7 +210,11 @@ fn timing_experiment() {
         .take(120)
         .map(|s| s.html.as_str())
         .collect();
-    let (_, stats) = ex.extract_batch_stats(&pages);
+    let one_pass = AdaptiveOptions {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let stats = ex.extract_batch_adaptive(&pages, &one_pass).stats;
     assert_eq!(stats.schedules_built, 0, "compile-once violated");
     assert_eq!(stats.failed(), 0, "curated pages must not fail");
     println!("parallel end-to-end batch: {}", stats.summary());
@@ -226,7 +230,9 @@ fn timing_experiment() {
     // backtrace.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let (_, fault_stats) = poisoned.extract_batch_stats(&poisoned_pages);
+    let fault_stats = poisoned
+        .extract_batch_adaptive(&poisoned_pages, &one_pass)
+        .stats;
     std::panic::set_hook(hook);
     assert_eq!(fault_stats.panicked, 1);
     assert_eq!(fault_stats.degraded, 1);

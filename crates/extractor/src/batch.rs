@@ -2,50 +2,50 @@
 //! compile-once split exists for, with per-page fault isolation and an
 //! adaptive retry driver.
 //!
-//! [`FormExtractor::extract_batch`] fans a slice of HTML pages out
-//! over scoped worker threads. Each worker owns one
-//! [`metaform_parser::ParseSession`] (recycling its chart and scratch
-//! across the pages it claims) while all workers share the extractor's
-//! one `Arc<CompiledGrammar>`. Pages are claimed in input order from a
-//! shared queue, so workers self-balance; results are written back by input
-//! index, so the output order is the input order and is identical to a
-//! sequential run — parallelism changes wall-clock time, nothing else.
+//! [`FormExtractor::extract_batch_adaptive`] is the one batch entry
+//! point. It fans a slice of HTML pages out over scoped worker
+//! threads. Each worker owns one [`metaform_parser::ParseSession`]
+//! (recycling its chart and scratch across the pages it claims) while
+//! all workers share the extractor's one `Arc<CompiledGrammar>`. Pages
+//! are claimed in input order from a shared queue, so workers
+//! self-balance; results are written back by input index, so the
+//! output order is the input order and is identical to a sequential
+//! run — parallelism changes wall-clock time, nothing else. With
+//! [`AdaptiveOptions::max_retries`] 0 it is the plain one-pass batch.
 //!
 //! **Fault isolation.** Each page runs behind its own panic boundary
 //! and budget checks ([`crate::ExtractError`]): a poison page — one
 //! that panics the pipeline, exhausts its instance cap, or blows its
-//! wall-clock deadline — yields an error slot (or a degraded
-//! baseline report, on the infallible APIs) while the other N−1 pages
-//! complete normally. No page can abort the batch.
+//! wall-clock deadline — is settled down the degradation ladder and
+//! narrated by a [`FailureRecord`], while the other N−1 pages complete
+//! normally. No page can abort the batch.
 //!
 //! **Adaptive escalation.** A budget failure is a verdict on the
 //! *budget*, not the page: the same page parses fine under a larger
-//! instance cap or deadline. [`FormExtractor::extract_batch_adaptive`]
-//! therefore runs a bounded escalation loop — first pass under the
-//! configured budgets, then up to [`AdaptiveOptions::max_retries`]
-//! retry rounds re-running *only* the budget-limited pages
-//! (`Truncated`/`Timeout`) with both budgets multiplied by
-//! [`AdaptiveOptions::budget_growth`] each round. A retried page
-//! keeps the tokens of its first attempt — escalation changes parser
-//! budgets only — so the HTML → layout → token front end runs once
-//! per page, however many rungs the page descends. `Panicked` and
-//! `EmptyForm` pages are never retried (a bigger budget reproduces the
-//! same verdict) and neither are `Cancelled` ones (retrying would
-//! fight the caller). Pages still failing after the last round settle
-//! down the degradation ladder exactly like
-//! [`FormExtractor::extract_batch`]: the maximized partial
-//! grammar-path report when it dominates the proximity baseline
-//! ([`Provenance::PartialSalvage`]), the baseline otherwise. Because
-//! the parser is deterministic, a retried page's output is
+//! instance cap or deadline. The driver therefore runs a bounded
+//! escalation loop — first pass under the configured budgets, then up
+//! to [`AdaptiveOptions::max_retries`] retry rounds re-running *only*
+//! the budget-limited pages (`Truncated`/`Timeout`) with both budgets
+//! multiplied by [`AdaptiveOptions::budget_growth`] each round. A
+//! retried page keeps the tokens of its first attempt — escalation
+//! changes parser budgets only — so the HTML → layout → token front end
+//! runs once per page, however many rungs the page descends.
+//! `Panicked` and `EmptyForm` pages are never retried (a bigger budget
+//! reproduces the same verdict) and neither are `Cancelled` ones
+//! (retrying would fight the caller). Pages still failing after the
+//! last round settle down the degradation ladder: the maximized
+//! partial grammar-path report when it dominates the proximity
+//! baseline ([`Provenance::PartialSalvage`]), the baseline otherwise.
+//! Because the parser is deterministic, a retried page's output is
 //! byte-identical to a one-shot run at the retry's budget.
 //!
 //! **Cancellation.** An extractor built with
 //! [`FormExtractor::cancel_token`] threads the token into every parse;
 //! firing it aborts in-flight parses at the next sampled budget poll
-//! and makes the batch drivers skip pages not yet started. Completed
-//! pages keep their results; the rest come back as
-//! [`crate::ExtractError::Cancelled`] (degraded to baseline on the
-//! infallible APIs).
+//! and makes the batch driver skip pages not yet started. Completed
+//! pages keep their results; the rest settle down the ladder with a
+//! [`FailureOutcome::Cancelled`] record (or `Salvaged`, when their
+//! partial dominated the baseline).
 
 use crate::error::ExtractError;
 use crate::pipeline::{token_coverage, Attempt, Extraction, FormExtractor, Provenance};
@@ -61,17 +61,7 @@ use std::time::{Duration, Instant};
 /// its tokens when an earlier attempt already ran the front end.
 type PageJob<'a> = (usize, &'a str, Option<Vec<Token>>);
 
-/// The first-round jobs of a batch: every page, no tokens yet.
-fn fresh_jobs<'a>(pages: &[&'a str]) -> Vec<PageJob<'a>> {
-    pages
-        .iter()
-        .enumerate()
-        .map(|(i, &html)| (i, html, None))
-        .collect()
-}
-
-/// Rollup of one [`FormExtractor::extract_batch_stats`] or
-/// [`FormExtractor::extract_batch_adaptive`] run.
+/// Rollup of one [`FormExtractor::extract_batch_adaptive`] run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Pages extracted.
@@ -103,8 +93,7 @@ pub struct BatchStats {
     pub cancelled: usize,
     /// Pages served by the proximity-baseline fallback instead of the
     /// grammar pipeline (every page that still failed after retries
-    /// *and* whose salvaged partial did not dominate the baseline, on
-    /// the infallible APIs).
+    /// *and* whose salvaged partial did not dominate the baseline).
     pub degraded: usize,
     /// Pages whose final attempt was budget-limited or cancelled
     /// mid-parse but whose maximized partial grammar-path report
@@ -112,12 +101,12 @@ pub struct BatchStats {
     /// ([`Provenance::PartialSalvage`]).
     pub salvaged: usize,
     /// Retry attempts run by the adaptive driver (page-attempts, not
-    /// pages: one page retried twice counts 2). Always 0 on the
-    /// non-adaptive APIs.
+    /// pages: one page retried twice counts 2). Always 0 at
+    /// `max_retries` 0.
     pub retried: usize,
     /// Pages that failed their first attempt but completed on the
-    /// grammar path under an escalated budget. Always 0 on the
-    /// non-adaptive APIs.
+    /// grammar path under an escalated budget. Always 0 at
+    /// `max_retries` 0.
     pub recovered: usize,
     /// Pages whose report was replayed from the parse cache without
     /// parsing ([`Provenance::CacheHit`]). Always 0 without an
@@ -171,9 +160,9 @@ impl BatchStats {
 /// [`FormExtractor::extract_batch_adaptive`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveOptions {
-    /// Retry rounds after the first pass (0 = first pass only; the
-    /// adaptive API then equals [`FormExtractor::extract_batch_stats`]
-    /// plus telemetry).
+    /// Retry rounds after the first pass (0 = first pass only: the
+    /// plain batch, every failed page settled down the ladder and
+    /// narrated by a [`FailureRecord`]).
     pub max_retries: usize,
     /// Multiplier applied to both per-page budgets (`max_instances`
     /// and `deadline`) each retry round, saturating. 0 is treated
@@ -232,33 +221,6 @@ struct PageStory {
 }
 
 impl FormExtractor {
-    /// Extracts every page, in parallel, returning results in input
-    /// order. Infallible by graceful degradation: a page that panics,
-    /// blows a budget, or has no form comes back as a
-    /// proximity-baseline report marked
-    /// [`Provenance::BaselineFallback`] — one poison page never kills
-    /// the batch. See the module docs for the execution model; see
-    /// [`FormExtractor::extract_batch_results`] for the fallible
-    /// per-page form, [`FormExtractor::extract_batch_stats`] for the
-    /// rollup-reporting form, and
-    /// [`FormExtractor::extract_batch_adaptive`] for the
-    /// retry-escalating form.
-    pub fn extract_batch(&self, pages: &[&str]) -> Vec<Extraction> {
-        self.extract_batch_stats(pages).0
-    }
-
-    /// Extracts every page, in parallel, returning one
-    /// `Result<Extraction, ExtractError>` per page in input order —
-    /// the fault-isolated API for callers that want to see failures
-    /// instead of degraded reports (e.g. to retry with a larger
-    /// budget).
-    pub fn extract_batch_results(&self, pages: &[&str]) -> Vec<Result<Extraction, ExtractError>> {
-        self.run_jobs(fresh_jobs(pages))
-            .into_iter()
-            .map(|attempt| attempt.result)
-            .collect()
-    }
-
     /// The batch core every driver runs on: extracts each `(page_index,
     /// html, tokens)` job in parallel, returning one [`Attempt`] per
     /// job — verdict, per-attempt parse stats, the salvage candidate on
@@ -334,38 +296,6 @@ impl FormExtractor {
             .collect()
     }
 
-    /// [`FormExtractor::extract_batch`] plus a [`BatchStats`] rollup
-    /// with per-cause failure accounting.
-    pub fn extract_batch_stats(&self, pages: &[&str]) -> (Vec<Extraction>, BatchStats) {
-        let started = Instant::now();
-        if pages.is_empty() {
-            // No pages, no workers: the empty batch short-circuits
-            // instead of spinning up a thread with nothing to claim.
-            return (Vec::new(), BatchStats::default());
-        }
-        let workers = self.batch_workers(pages.len());
-        let attempts = self.run_jobs(fresh_jobs(pages));
-
-        let mut stats = BatchStats {
-            pages: pages.len(),
-            workers,
-            ..Default::default()
-        };
-        let extractions: Vec<Extraction> = attempts
-            .into_iter()
-            .zip(pages)
-            .map(|(attempt, page)| match attempt.result {
-                Ok(extraction) => extraction,
-                Err(err) => {
-                    self.settle_failed(page, &err, attempt.partial, attempt.tokens, &mut stats)
-                }
-            })
-            .collect();
-        self.roll_up(&extractions, &mut stats);
-        stats.elapsed = started.elapsed();
-        (extractions, stats)
-    }
-
     /// Extracts every page under the bounded escalation loop described
     /// in the module docs: first pass at the configured budgets, then
     /// up to [`AdaptiveOptions::max_retries`] rounds re-running only
@@ -389,7 +319,8 @@ impl FormExtractor {
         };
 
         // First pass: the whole batch at the configured budgets.
-        let first = self.run_jobs(fresh_jobs(pages));
+        let fresh = pages.iter().enumerate().map(|(i, &html)| (i, html, None));
+        let first = self.run_jobs(fresh.collect());
         let mut states: Vec<PageState> = first
             .into_iter()
             .map(|attempt| {
@@ -677,13 +608,27 @@ mod tests {
             .collect()
     }
 
+    /// The plain batch: one pass, no retries.
+    fn one_pass(extractor: &FormExtractor, pages: &[&str]) -> AdaptiveBatch {
+        let opts = AdaptiveOptions {
+            max_retries: 0,
+            ..Default::default()
+        };
+        extractor.extract_batch_adaptive(pages, &opts)
+    }
+
     #[test]
     fn batch_matches_sequential_in_input_order() {
         let pages = pages();
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         let extractor = FormExtractor::new().worker_threads(4);
         let sequential: Vec<Extraction> = refs.iter().map(|p| extractor.extract(p)).collect();
-        let (batch, stats) = extractor.extract_batch_stats(&refs);
+        let AdaptiveBatch {
+            extractions: batch,
+            stats,
+            failures,
+        } = one_pass(&extractor, &refs);
+        assert!(failures.is_empty());
         assert_eq!(batch.len(), sequential.len());
         assert_eq!(stats.pages, refs.len());
         assert_eq!(stats.workers, 4);
@@ -701,15 +646,12 @@ mod tests {
     #[test]
     fn single_worker_and_empty_batch_are_fine() {
         let extractor = FormExtractor::new().worker_threads(1);
-        let (none, stats) = extractor.extract_batch_stats(&[]);
-        assert!(none.is_empty());
-        assert_eq!(stats.pages, 0);
-        assert_eq!(stats.workers, 0, "empty batch spawns no worker");
-        assert!(extractor.extract_batch_results(&[]).is_empty());
-        let adaptive = extractor.extract_batch_adaptive(&[], &AdaptiveOptions::default());
-        assert!(adaptive.extractions.is_empty());
-        assert!(adaptive.failures.is_empty());
-        let one = extractor.extract_batch(&["<form>A <input type=text name=a></form>"]);
+        let none = one_pass(&extractor, &[]);
+        assert!(none.extractions.is_empty());
+        assert!(none.failures.is_empty());
+        assert_eq!(none.stats.pages, 0);
+        assert_eq!(none.stats.workers, 0, "empty batch spawns no worker");
+        let one = one_pass(&extractor, &["<form>A <input type=text name=a></form>"]).extractions;
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].report.conditions[0].attribute, "A");
     }
@@ -717,9 +659,8 @@ mod tests {
     #[test]
     fn worker_count_is_capped_by_page_count() {
         let extractor = FormExtractor::new().worker_threads(64);
-        let (_, stats) =
-            extractor.extract_batch_stats(&["<form>A <input type=text name=a></form>"]);
-        assert_eq!(stats.workers, 1);
+        let batch = one_pass(&extractor, &["<form>A <input type=text name=a></form>"]);
+        assert_eq!(batch.stats.workers, 1);
     }
 
     #[test]
@@ -733,14 +674,14 @@ mod tests {
         let extractor = FormExtractor::new()
             .worker_threads(4)
             .inject_panic_marker("POISON");
-        let results = extractor.extract_batch_results(&refs);
-        assert!(matches!(
-            &results[5],
-            Err(ExtractError::Panicked { page_index: 5, .. })
-        ));
-        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 1);
-
-        let (batch, stats) = extractor.extract_batch_stats(&refs);
+        let AdaptiveBatch {
+            extractions: batch,
+            stats,
+            failures,
+        } = one_pass(&extractor, &refs);
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].page_index, 5);
+        assert_eq!(failures[0].error, ErrorKind::Panicked);
         assert_eq!(batch.len(), refs.len());
         assert_eq!(stats.panicked, 1);
         assert_eq!(stats.degraded, 1);
@@ -760,7 +701,7 @@ mod tests {
         let pages = pages();
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         let extractor = FormExtractor::new().worker_threads(2);
-        let (plain, _) = extractor.extract_batch_stats(&refs);
+        let plain = one_pass(&extractor, &refs).extractions;
         let adaptive = extractor.extract_batch_adaptive(&refs, &AdaptiveOptions::default());
         assert_eq!(adaptive.stats.retried, 0, "no failure, no retry");
         assert_eq!(adaptive.stats.recovered, 0);
@@ -780,7 +721,7 @@ mod tests {
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         // Without a cache, the counters stay zero.
         let plain = FormExtractor::new().worker_threads(2);
-        let (_, stats) = plain.extract_batch_stats(&refs);
+        let stats = one_pass(&plain, &refs).stats;
         assert_eq!(
             (stats.cache_hits, stats.cache_delta, stats.cache_misses),
             (0, 0, 0)
@@ -790,10 +731,18 @@ mod tests {
         let extractor = FormExtractor::new()
             .worker_threads(2)
             .parse_cache(LruParseCache::shared());
-        let (first, s1) = extractor.extract_batch_stats(&refs);
+        let AdaptiveBatch {
+            extractions: first,
+            stats: s1,
+            ..
+        } = one_pass(&extractor, &refs);
         assert_eq!(s1.cache_misses, refs.len());
         assert_eq!((s1.cache_hits, s1.cache_delta), (0, 0));
-        let (second, s2) = extractor.extract_batch_stats(&refs);
+        let AdaptiveBatch {
+            extractions: second,
+            stats: s2,
+            ..
+        } = one_pass(&extractor, &refs);
         assert_eq!(s2.cache_hits, refs.len());
         assert_eq!((s2.cache_delta, s2.cache_misses), (0, 0));
         assert!(s2.summary().contains("cache_hits="));

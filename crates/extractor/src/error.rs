@@ -6,7 +6,7 @@
 //! grammar still yields a maximal interpretation. This module extends
 //! that stance to the serving path. Every failure mode of the pipeline
 //! is named, carries the index of the page it happened on, and maps to
-//! a defined degradation (see `FormExtractor::extract_batch`): the
+//! a defined degradation (see `FormExtractor::extract_batch_adaptive`): the
 //! caller always learns *which* page failed, *how*, and still receives
 //! a capability description for every other page.
 
@@ -14,10 +14,10 @@ use std::fmt;
 
 /// Why one page failed (or was budget-limited) during extraction.
 ///
-/// Returned per page by `FormExtractor::try_extract` and
-/// `FormExtractor::extract_batch_results`. The infallible APIs degrade
-/// each of these to the proximity-baseline extractor instead and count
-/// them in `BatchStats`.
+/// Returned by `FormExtractor::try_extract`. The infallible APIs settle
+/// each of these down the degradation ladder instead; the batch driver
+/// counts them in `BatchStats` and records their kind in each
+/// `FailureRecord`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExtractError {
     /// The pipeline panicked on this page. The panic was caught at the

@@ -24,21 +24,19 @@
 //! A `FormExtractor` compiles its grammar exactly once (the global
 //! grammar is compiled once *per process*) and shares the artifact
 //! behind an `Arc`. Single pages go through [`FormExtractor::extract`];
-//! whole corpora go through [`FormExtractor::extract_batch`], which
-//! fans pages out over worker threads — one parse session per worker,
-//! deterministic input-order results (see [`batch`]).
+//! whole corpora go through [`FormExtractor::extract_batch_adaptive`],
+//! which fans pages out over worker threads — one parse session per
+//! worker, deterministic input-order results (see [`batch`]).
 //!
 //! ## Fault isolation and graceful degradation
 //!
 //! Extraction is best-effort end to end: every page runs behind its
 //! own panic boundary and per-page budgets (instance cap and
-//! wall-clock deadline). The fallible APIs
-//! ([`FormExtractor::try_extract`],
-//! [`FormExtractor::extract_batch_results`]) surface failures as a
-//! typed [`ExtractError`]; the infallible APIs settle failed pages
-//! down a degradation ladder and mark the provenance: the maximized
-//! partial grammar-path report when it dominates the proximity
-//! baseline ([`Provenance::PartialSalvage`], scored by
+//! wall-clock deadline). [`FormExtractor::try_extract`] surfaces a
+//! failure as a typed [`ExtractError`]; the infallible APIs settle
+//! failed pages down a degradation ladder and mark the provenance: the
+//! maximized partial grammar-path report when it dominates the
+//! proximity baseline ([`Provenance::PartialSalvage`], scored by
 //! [`condition_coverage`]), the [`baseline`] extractor otherwise
 //! ([`Provenance::BaselineFallback`]). One poison page never kills a
 //! batch and callers always get *some* capability description. A
@@ -56,8 +54,9 @@
 //! [`FormExtractor::cancel_token`] aborts a whole batch mid-flight
 //! while keeping completed pages. Every page that failed at least once
 //! is narrated as a [`FailureRecord`] — JSON/CSV-serializable via
-//! [`telemetry`] — so corpus runs leave a machine-readable failure
-//! trail instead of log lines.
+//! [`telemetry`], over the workspace's one JSON codec ([`json`]) — so
+//! corpus runs leave a machine-readable failure trail instead of log
+//! lines.
 //!
 //! ## Revisit path: parse cache
 //!
@@ -76,6 +75,7 @@ pub mod baseline;
 pub mod batch;
 pub mod cache;
 pub mod error;
+pub mod json;
 pub mod pipeline;
 pub mod resolve;
 pub mod telemetry;

@@ -203,8 +203,7 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64 — the same mixer the job store shards with; enough
-/// avalanche for reproducible fault sampling.
+/// SplitMix64 — enough avalanche for reproducible fault sampling.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -238,7 +237,7 @@ pub struct Extraction {
 ///
 /// The extractor holds its grammar in compiled form behind an `Arc`,
 /// so it is `Send + Sync` and cheap to clone: every extraction reuses
-/// the one validated schedule, and [`FormExtractor::extract_batch`]
+/// the one validated schedule, and [`FormExtractor::extract_batch_adaptive`]
 /// fans pages out across worker threads sharing the same artifact.
 #[derive(Clone, Debug)]
 pub struct FormExtractor {

@@ -8,8 +8,10 @@
 //! ([`failures_to_csv`]) next to the experiment `--csv` output, and
 //! parse back with [`failures_from_json`] so triage tooling (and the
 //! round-trip test in `scripts/check.sh`) can consume them without a
-//! JSON dependency — the workspace is offline, so both directions are
-//! implemented here.
+//! JSON dependency. The writers here are hand-rolled for a stable,
+//! pretty field layout; parsing goes through the workspace's one
+//! codec, [`crate::json::JsonValue`], whose nesting cap keeps hostile
+//! input from overflowing the stack.
 //!
 //! JSON schema (one array of records):
 //!
@@ -47,6 +49,7 @@
 
 use crate::batch::BatchStats;
 use crate::error::ExtractError;
+use crate::json::{push_json_str, JsonValue};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -266,24 +269,6 @@ pub(crate) fn duration_to_ms(d: Option<Duration>) -> Option<u64> {
 
 // ---------------------------------------------------------------- JSON
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_str_array(out: &mut String, items: &[String]) {
     out.push('[');
     for (i, s) in items.iter().enumerate() {
@@ -458,17 +443,9 @@ pub fn stats_to_json(stats: &BatchStats) -> String {
 /// for every counter; `elapsed` comes back at whole-microsecond
 /// precision.
 pub fn stats_from_json(src: &str) -> Result<BatchStats, String> {
-    let mut p = JsonParser {
-        bytes: src.as_bytes(),
-        at: 0,
-    };
-    let root = p.value()?;
-    p.skip_ws();
-    if p.at != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.at));
-    }
+    let root = JsonValue::parse(src.as_bytes())?;
     let usize_field =
-        |name: &str| -> Result<usize, String> { Ok(root.field(name)?.num()? as usize) };
+        |name: &str| -> Result<usize, String> { Ok(root.field(name)?.as_num()? as usize) };
     Ok(BatchStats {
         pages: usize_field("pages")?,
         workers: usize_field("workers")?,
@@ -489,276 +466,80 @@ pub fn stats_from_json(src: &str) -> Result<BatchStats, String> {
         cache_hits: usize_field("cache_hits")?,
         cache_delta: usize_field("cache_delta")?,
         cache_misses: usize_field("cache_misses")?,
-        elapsed: Duration::from_micros(root.field("elapsed_us")?.num()?),
+        elapsed: Duration::from_micros(root.field("elapsed_us")?.as_num()?),
     })
 }
 
-/// A minimal JSON value, just enough for the failure-record schema.
-enum Json {
-    Null,
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.at) {
-            if b == b' ' || b == b'\n' || b == b'\r' || b == b'\t' {
-                self.at += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.at) == Some(&b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.at))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.at) {
-            Some(b'n') => {
-                if self.bytes[self.at..].starts_with(b"null") {
-                    self.at += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(format!("bad literal at byte {}", self.at))
-                }
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => {
-                self.at += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.at) == Some(&b']') {
-                    self.at += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.bytes.get(self.at) {
-                        Some(b',') => self.at += 1,
-                        Some(b']') => {
-                            self.at += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("bad array at byte {}", self.at)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.at += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.at) == Some(&b'}') {
-                    self.at += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    fields.push((key, self.value()?));
-                    self.skip_ws();
-                    match self.bytes.get(self.at) {
-                        Some(b',') => self.at += 1,
-                        Some(b'}') => {
-                            self.at += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("bad object at byte {}", self.at)),
-                    }
-                }
-            }
-            Some(b) if b.is_ascii_digit() => {
-                let start = self.at;
-                while self.bytes.get(self.at).is_some_and(u8::is_ascii_digit) {
-                    self.at += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.at])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .map(Json::Num)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            _ => Err(format!("unexpected byte at {}", self.at)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.at) {
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.bytes.get(self.at) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.at))?;
-                            out.push(
-                                char::from_u32(hex)
-                                    .ok_or_else(|| format!("bad codepoint at byte {}", self.at))?,
-                            );
-                            self.at += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.at)),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through verbatim.
-                    let start = self.at;
-                    while self
-                        .bytes
-                        .get(self.at)
-                        .is_some_and(|&b| b != b'"' && b != b'\\')
-                    {
-                        self.at += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.at])
-                            .map_err(|_| format!("invalid UTF-8 at byte {start}"))?,
-                    );
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
+/// A number or `null`.
+fn opt_num(v: &JsonValue) -> Result<Option<u64>, String> {
+    match v {
+        JsonValue::Null => Ok(None),
+        JsonValue::Num(n) => Ok(Some(*n)),
+        _ => Err("expected a number or null".to_string()),
     }
 }
 
-impl Json {
-    fn field<'j>(&'j self, name: &str) -> Result<&'j Json, String> {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {name:?}")),
-            _ => Err(format!("not an object (looking for {name:?})")),
-        }
+/// A string or `null`.
+fn opt_str(v: &JsonValue) -> Result<Option<&str>, String> {
+    match v {
+        JsonValue::Null => Ok(None),
+        v => v.as_str().map(Some),
     }
+}
 
-    fn num(&self) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err("expected a number".to_string()),
-        }
-    }
-
-    fn str(&self) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err("expected a string".to_string()),
-        }
-    }
-
-    fn opt_num(&self) -> Result<Option<u64>, String> {
-        match self {
-            Json::Null => Ok(None),
-            Json::Num(n) => Ok(Some(*n)),
-            _ => Err("expected a number or null".to_string()),
-        }
-    }
-
-    fn str_array(&self) -> Result<Vec<String>, String> {
-        match self {
-            Json::Arr(items) => items.iter().map(|v| v.str().map(str::to_string)).collect(),
-            _ => Err("expected an array of strings".to_string()),
-        }
-    }
+fn str_array(v: &JsonValue) -> Result<Vec<String>, String> {
+    v.as_arr()
+        .map_err(|_| "expected an array of strings".to_string())?
+        .iter()
+        .map(|item| item.as_str().map(str::to_string))
+        .collect()
 }
 
 /// Parses the output of [`failures_to_json`] back into records — the
 /// round trip the check-script gate exercises.
 pub fn failures_from_json(src: &str) -> Result<Vec<FailureRecord>, String> {
-    let mut p = JsonParser {
-        bytes: src.as_bytes(),
-        at: 0,
-    };
-    let root = p.value()?;
-    p.skip_ws();
-    if p.at != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.at));
-    }
-    let Json::Arr(items) = root else {
-        return Err("top level must be an array".to_string());
-    };
+    let root = JsonValue::parse(src.as_bytes())?;
+    let items = root
+        .as_arr()
+        .map_err(|_| "top level must be an array".to_string())?;
     items
         .iter()
         .map(|item| {
-            let attempt_log = match item.field("attempt_log")? {
-                Json::Arr(entries) => entries
-                    .iter()
-                    .map(|a| {
-                        Ok(AttemptRecord {
-                            attempt: a.field("attempt")?.num()? as usize,
-                            max_instances: a.field("max_instances")?.num()? as usize,
-                            deadline_ms: a.field("deadline_ms")?.opt_num()?,
-                            error: match a.field("error")? {
-                                Json::Null => None,
-                                v => Some(ErrorKind::parse(v.str()?)?),
-                            },
-                            cache: match a.field("cache")? {
-                                Json::Null => None,
-                                v => Some(CacheOutcome::parse(v.str()?)?),
-                            },
-                            tokens: a.field("tokens")?.num()? as usize,
-                            created: a.field("created")?.num()? as usize,
-                            covered: a.field("covered")?.opt_num()?.map(|v| v as usize),
-                            elapsed_us: a.field("elapsed_us")?.num()?,
-                        })
+            let attempt_log = item
+                .field("attempt_log")?
+                .as_arr()
+                .map_err(|_| "attempt_log must be an array".to_string())?
+                .iter()
+                .map(|a| {
+                    Ok(AttemptRecord {
+                        attempt: a.field("attempt")?.as_num()? as usize,
+                        max_instances: a.field("max_instances")?.as_num()? as usize,
+                        deadline_ms: opt_num(a.field("deadline_ms")?)?,
+                        error: opt_str(a.field("error")?)?
+                            .map(ErrorKind::parse)
+                            .transpose()?,
+                        cache: opt_str(a.field("cache")?)?
+                            .map(CacheOutcome::parse)
+                            .transpose()?,
+                        tokens: a.field("tokens")?.as_num()? as usize,
+                        created: a.field("created")?.as_num()? as usize,
+                        covered: opt_num(a.field("covered")?)?.map(|v| v as usize),
+                        elapsed_us: a.field("elapsed_us")?.as_num()?,
                     })
-                    .collect::<Result<Vec<_>, String>>()?,
-                _ => return Err("attempt_log must be an array".to_string()),
-            };
+                })
+                .collect::<Result<Vec<_>, String>>()?;
             Ok(FailureRecord {
-                page_index: item.field("page_index")?.num()? as usize,
-                error: ErrorKind::parse(item.field("error")?.str()?)?,
-                message: match item.field("message")? {
-                    Json::Null => None,
-                    v => Some(v.str()?.to_string()),
-                },
-                attempts: item.field("attempts")?.num()? as usize,
-                outcome: FailureOutcome::parse(item.field("outcome")?.str()?)?,
-                final_max_instances: item.field("final_max_instances")?.num()? as usize,
-                final_deadline_ms: item.field("final_deadline_ms")?.opt_num()?,
-                salvage_covered: item
-                    .field("salvage_covered")?
-                    .opt_num()?
-                    .map(|v| v as usize),
-                salvage_tokens: item.field("salvage_tokens")?.opt_num()?.map(|v| v as usize),
-                partial_roots: item.field("partial_roots")?.str_array()?,
-                arrangements: item.field("arrangements")?.str_array()?,
+                page_index: item.field("page_index")?.as_num()? as usize,
+                error: ErrorKind::parse(item.field("error")?.as_str()?)?,
+                message: opt_str(item.field("message")?)?.map(str::to_string),
+                attempts: item.field("attempts")?.as_num()? as usize,
+                outcome: FailureOutcome::parse(item.field("outcome")?.as_str()?)?,
+                final_max_instances: item.field("final_max_instances")?.as_num()? as usize,
+                final_deadline_ms: opt_num(item.field("final_deadline_ms")?)?,
+                salvage_covered: opt_num(item.field("salvage_covered")?)?.map(|v| v as usize),
+                salvage_tokens: opt_num(item.field("salvage_tokens")?)?.map(|v| v as usize),
+                partial_roots: str_array(item.field("partial_roots")?)?,
+                arrangements: str_array(item.field("arrangements")?)?,
                 attempt_log,
             })
         })
@@ -896,6 +677,9 @@ mod tests {
         assert!(failures_from_json("[{\"page_index\": 1}]").is_err());
         assert!(failures_from_json("[] trailing").is_err());
         assert!(failures_from_json("[{\"page_index\": \"x\"}]").is_err());
+        // Hostile nesting is rejected by the codec's depth cap, not
+        // recursed into until the stack overflows.
+        assert!(failures_from_json(&"[".repeat(200_000)).is_err());
     }
 
     #[test]
@@ -988,6 +772,7 @@ mod tests {
         assert!(stats_from_json("[]").is_err(), "must be an object");
         assert!(stats_from_json("{\"pages\": 1}").is_err(), "missing fields");
         assert!(stats_from_json(&format!("{json} trailing")).is_err());
+        assert!(stats_from_json(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

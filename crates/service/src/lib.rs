@@ -27,15 +27,17 @@
 //!
 //! Connections are persistent: HTTP/1.1 requests on one connection
 //! are served sequentially with keep-alive, each connection on its own
-//! handler thread, and the job store/queue behind the handlers are
-//! sharded by job-id hash — see `DESIGN.md` §5.9. A Unix-socket
+//! handler thread, and the job store/queue behind the handlers are one
+//! lock each, with a push waking a parked worker directly — see
+//! `DESIGN.md` §5.9. A Unix-socket
 //! line-delimited-JSON daemon mode ([`daemon`]) serves co-located
 //! callers over the same routing table.
 //!
 //! Module map: [`http`] (hand-rolled wire parsing with hard limits and
-//! keep-alive), [`json`] (request-body parsing and escaping), [`jobs`]
-//! (the `Queued → Running → Done | Cancelled` state machine and the
-//! sharded bounded queue), [`server`] (routing, worker pool, accept
+//! keep-alive), [`json`] (request-body shapes over the workspace's one
+//! JSON codec, `metaform_extractor::json`), [`jobs`] (the
+//! `Queued → Running → Done | Cancelled` state machine and the bounded
+//! queue), [`server`] (routing, worker pool, accept
 //! loop), [`daemon`] (the Unix-socket listener), [`error`] (the
 //! per-page `ExtractError → HTTP status` mapping), [`metrics`] (the
 //! striped counter block).

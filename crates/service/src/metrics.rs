@@ -4,12 +4,11 @@
 //! Counters are **striped**: each one is a small bank of
 //! cache-line-padded atomics, and every thread increments its own
 //! stripe (threads are assigned stripes round-robin on first touch).
-//! With per-connection handler threads and a sharded worker pool all
+//! With per-connection handler threads and the worker pool all
 //! bumping the same counters, striping keeps the hot increment path
 //! free of cross-core cache-line ping-pong; `/metrics` reads aggregate
-//! across stripes, the same read-side summation the sharded job store
-//! does for `/v1/jobs`. Relaxed ordering is deliberate: the counters
-//! feed dashboards, not control flow.
+//! across stripes. Relaxed ordering is deliberate: the counters feed
+//! dashboards, not control flow.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 

@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! accept loop ──▶ connection thread (×conn) ──▶ route (per request)
-//!                   POST /v1/batches ──▶ JobStore::create ─▶ JobQueue
-//!                                          (sharded)      (sharded)  │
-//!                 pool worker (×N) ◀── JobQueue::pop ◀───────────────┘
+//!                   POST /v1/batches ──▶ JobStore::create ─▶ JobQueue::push
+//!                                                                │ (wakes one parked worker)
+//!                 pool worker (×N) ◀── JobQueue::pop ◀───────────┘
 //!                   └─▶ extractor.cancel_token(job).extract_batch_adaptive
 //!                         └─▶ JobStore::finish (Done | Cancelled)
 //! ```
@@ -62,9 +62,6 @@ pub struct ServiceConfig {
     pub batch_workers: Option<usize>,
     /// Jobs the queue holds before submissions answer 503.
     pub queue_capacity: usize,
-    /// Shards for the job store and queue (default
-    /// [`crate::jobs::DEFAULT_SHARDS`]).
-    pub shards: usize,
     /// Default adaptive retry rounds (a submission's `max_retries`
     /// field overrides per job).
     pub max_retries: usize,
@@ -116,7 +113,6 @@ impl Default for ServiceConfig {
             pool_workers: 2,
             batch_workers: None,
             queue_capacity: 64,
-            shards: crate::jobs::DEFAULT_SHARDS,
             max_retries: 2,
             budget_growth: 2,
             max_instances: None,
@@ -296,9 +292,9 @@ pub struct ServiceState {
     /// The compile-once engine; cloned per job to attach that job's
     /// cancel token (clones share the one compiled grammar).
     pub extractor: FormExtractor,
-    /// All jobs, by id, sharded by id hash.
+    /// All jobs, by id.
     pub store: JobStore,
-    /// The bounded sharded queue between handlers and pool workers.
+    /// The bounded queue between handlers and pool workers.
     pub queue: JobQueue,
     /// The `/metrics` counter block.
     pub metrics: Metrics,
@@ -347,8 +343,8 @@ impl ServiceState {
         let budgets = Mutex::new(BudgetControl::from_config(&config));
         ServiceState {
             extractor,
-            store: JobStore::with_shards(config.shards),
-            queue: JobQueue::with_shards(config.queue_capacity, config.shards),
+            store: JobStore::default(),
+            queue: JobQueue::new(config.queue_capacity),
             metrics: Metrics::default(),
             config,
             budgets,
@@ -370,10 +366,9 @@ impl ServiceState {
     }
 
     /// One pool worker: claim, extract, settle — until the queue shuts
-    /// down and drains. `worker` is the worker's index, used as its
-    /// home queue shard.
-    pub fn work_loop(&self, worker: usize) {
-        while let Some(id) = self.queue.pop(worker) {
+    /// down and drains.
+    pub fn work_loop(&self) {
+        while let Some(id) = self.queue.pop(0) {
             self.metrics.queue_depth.dec();
             self.run_job(id);
         }
@@ -835,9 +830,9 @@ impl Server {
     /// sockets.
     pub fn run(self) {
         let workers: Vec<JoinHandle<()>> = (0..self.state.config.pool_workers.max(1))
-            .map(|index| {
+            .map(|_| {
                 let state = Arc::clone(&self.state);
-                std::thread::spawn(move || state.work_loop(index))
+                std::thread::spawn(move || state.work_loop())
             })
             .collect();
         let daemon =

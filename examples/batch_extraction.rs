@@ -1,6 +1,6 @@
 //! Large-scale extraction: run the form extractor over the Random
 //! dataset (30 heterogeneous sources, as in paper §6) — in parallel,
-//! via [`FormExtractor::extract_batch`] — and print the per-source and
+//! via [`FormExtractor::extract_batch_adaptive`] — and print the per-source and
 //! overall precision/recall. The grammar is compiled once; every
 //! worker thread shares the artifact and recycles one parse session.
 //!
@@ -8,7 +8,7 @@
 //! cargo run --release --example batch_extraction
 //! ```
 
-use metaform::FormExtractor;
+use metaform::{AdaptiveOptions, FormExtractor};
 use metaform_datasets::random;
 use metaform_eval::{metrics, TextTable};
 
@@ -20,7 +20,12 @@ fn main() {
     // the results come back in input order (identical to a sequential
     // run — parallelism only changes wall-clock time).
     let pages: Vec<&str> = dataset.sources.iter().map(|s| s.html.as_str()).collect();
-    let (extractions, stats) = extractor.extract_batch_stats(&pages);
+    let one_pass = AdaptiveOptions {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let batch = extractor.extract_batch_adaptive(&pages, &one_pass);
+    let (extractions, stats) = (batch.extractions, batch.stats);
     println!("{}\n", stats.summary());
     assert_eq!(stats.schedules_built, 0, "compile-once violated");
 

@@ -77,6 +77,13 @@ test "$(grep -rl 'CompiledGrammar::build' crates src | grep -v 'crates/grammar/s
 test "$(grep -rn '\.compile()' crates/service/src | wc -l)" = 0
 grep -q 'RejectReason::CompileError' crates/eval/src/induction.rs
 
+echo "==> JSON codec gate (one depth-capped JSON value parser)"
+# Telemetry and the service wire both parse through
+# metaform_extractor::json; a second hand-rolled parser (an object arm
+# or a nesting cap anywhere else) is a second codec to keep in step.
+test "$(grep -rlE "MAX_DEPTH|Some\(b'\{'\)" crates/extractor/src crates/service/src)" = \
+    "crates/extractor/src/json.rs"
+
 echo "==> bench_revisit smoke (exact-hit tier engages; parity asserted inside)"
 cargo run --release -q -p metaform-bench --bin bench_revisit -- "$tmp/BENCH_revisit.json" > /dev/null
 grep -q '"exact_hit_speedup"' "$tmp/BENCH_revisit.json"

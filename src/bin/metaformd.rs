@@ -10,7 +10,6 @@
 //! metaformd --max-instances <n>      parser instance cap per page
 //! metaformd --page-deadline-ms <n>   wall-clock parse budget per page
 //! metaformd --max-body-bytes <n>     request body cap (default 16 MiB)
-//! metaformd --shards <n>             job store/queue shards (default 8)
 //! metaformd --read-timeout-ms <n>    socket read timeout (default 10000)
 //! metaformd --uds <path>             also serve line-JSON on a Unix socket
 //! metaformd --refit-every <n>        auto-refit budgets every n jobs
@@ -32,9 +31,9 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: metaformd [--addr <host:port>] [--pool-workers <n>] [--batch-workers <n>]\n\
          \x20                [--queue-capacity <n>] [--max-retries <n>] [--max-instances <n>]\n\
-         \x20                [--page-deadline-ms <n>] [--max-body-bytes <n>] [--shards <n>]\n\
-         \x20                [--read-timeout-ms <n>] [--uds <path>] [--refit-every <n>]\n\
-         \x20                [--induce-every <n>] [--fault-plan <kind@page,...>]"
+         \x20                [--page-deadline-ms <n>] [--max-body-bytes <n>] [--read-timeout-ms <n>]\n\
+         \x20                [--uds <path>] [--refit-every <n>] [--induce-every <n>]\n\
+         \x20                [--fault-plan <kind@page,...>]"
     );
     ExitCode::from(2)
 }
@@ -99,13 +98,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 config.max_body_bytes = n;
-            }
-            "--shards" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--shards needs a number");
-                    return usage();
-                };
-                config.shards = n.max(1);
             }
             "--read-timeout-ms" => {
                 let Some(ms) = args.next().and_then(|v| v.parse::<u64>().ok()) else {

@@ -40,18 +40,17 @@
 //! reusable [`ParseSession`]s that recycle their chart and scratch
 //! buffers. [`FormExtractor`] rides on this split: it is `Send + Sync`,
 //! clones share the compiled grammar, and
-//! [`FormExtractor::extract_batch`] extracts a whole corpus across
-//! worker threads with deterministic, input-ordered results.
+//! [`FormExtractor::extract_batch_adaptive`] extracts a whole corpus
+//! across worker threads with deterministic, input-ordered results.
 //!
 //! ## Fault isolation
 //!
 //! Every page runs behind its own panic boundary and per-page budgets
 //! (instance cap, wall-clock deadline). Failures surface as a typed
-//! [`ExtractError`] on the fallible APIs
-//! ([`FormExtractor::try_extract`],
-//! `FormExtractor::extract_batch_results`) or degrade to the proximity
-//! baseline (marked [`Provenance::BaselineFallback`]) on the
-//! infallible ones — one poison page never kills a batch.
+//! [`ExtractError`] on the fallible [`FormExtractor::try_extract`]
+//! or degrade to the proximity baseline (marked
+//! [`Provenance::BaselineFallback`]) on the infallible APIs — one
+//! poison page never kills a batch.
 //!
 //! Corpus runs go further: `FormExtractor::extract_batch_adaptive`
 //! retries budget-limited pages under escalating budgets

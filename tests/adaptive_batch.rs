@@ -6,9 +6,7 @@
 //! The failure telemetry narrating all of this must round-trip through
 //! its JSON serialization.
 
-use metaform::{
-    AdaptiveOptions, BudgetPreset, CancelToken, ExtractError, FormExtractor, Provenance,
-};
+use metaform::{AdaptiveOptions, BudgetPreset, CancelToken, FormExtractor, Provenance};
 use metaform_datasets::basic;
 use metaform_extractor::{failures_from_json, failures_to_json, ErrorKind, FailureOutcome};
 
@@ -234,23 +232,36 @@ fn cancellation_mid_batch_keeps_completed_pages() {
         assert_eq!(batch.extractions[i].via, Provenance::BaselineFallback);
     }
 
-    // The fallible API tells the same story.
+    // A one-pass run tells the same story.
     let token2 = CancelToken::new();
     let extractor2 = FormExtractor::new()
         .worker_threads(1)
         .cancel_token(token2)
         .inject_cancel_marker("CANCEL_NOW");
-    let results = extractor2.extract_batch_results(&refs);
-    for (i, result) in results.iter().enumerate() {
-        if i < marker_at {
-            assert!(result.is_ok(), "page {i} completed before the token fired");
-        } else {
-            assert!(
-                matches!(result, Err(ExtractError::Cancelled { page_index }) if *page_index == i),
-                "page {i}: expected Cancelled, got {result:?}"
-            );
-        }
+    let one_pass = AdaptiveOptions {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let run = extractor2.extract_batch_adaptive(&refs, &one_pass);
+    for i in 0..marker_at {
+        assert_eq!(
+            run.extractions[i].via,
+            Provenance::Grammar,
+            "page {i} completed before the token fired"
+        );
     }
+    let failed: Vec<(usize, ErrorKind)> = run
+        .failures
+        .iter()
+        .map(|r| (r.page_index, r.error))
+        .collect();
+    let expected: Vec<(usize, ErrorKind)> = (marker_at..refs.len())
+        .map(|i| (i, ErrorKind::Cancelled))
+        .collect();
+    assert_eq!(
+        failed, expected,
+        "every page from the marker on is Cancelled"
+    );
 }
 
 #[test]
@@ -316,9 +327,14 @@ fn budget_presets_calibrated_from_a_run_keep_the_rerun_clean() {
     // Observe a clean run, derive a preset, and rerun under it: the
     // derived budgets carry enough headroom that the first pass
     // completes without a single retry.
-    let (_, observed) = FormExtractor::new()
+    let one_pass = AdaptiveOptions {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let observed = FormExtractor::new()
         .worker_threads(2)
-        .extract_batch_stats(&refs);
+        .extract_batch_adaptive(&refs, &one_pass)
+        .stats;
     let preset = BudgetPreset::from_stats(&observed);
     assert!(preset.max_instances >= 1_000);
 

@@ -1,10 +1,20 @@
-//! Cross-thread determinism of `FormExtractor::extract_batch`: over
+//! Cross-thread determinism of `FormExtractor::extract_batch_adaptive`
+//! (one pass, no retries): over
 //! the Basic dataset, a parallel run with several workers must produce
 //! byte-identical reports and tokens, in input order, to a sequential
 //! run — parallelism may only change wall-clock time.
 
-use metaform::FormExtractor;
+use metaform::{AdaptiveBatch, AdaptiveOptions, FormExtractor};
 use metaform_datasets::basic;
+
+/// The plain batch: one pass, no retries.
+fn one_pass(extractor: &FormExtractor, pages: &[&str]) -> AdaptiveBatch {
+    let opts = AdaptiveOptions {
+        max_retries: 0,
+        ..Default::default()
+    };
+    extractor.extract_batch_adaptive(pages, &opts)
+}
 
 #[test]
 fn parallel_batch_is_byte_identical_to_sequential_over_basic() {
@@ -13,7 +23,12 @@ fn parallel_batch_is_byte_identical_to_sequential_over_basic() {
 
     let extractor = FormExtractor::new().worker_threads(4);
     let sequential: Vec<_> = pages.iter().map(|p| extractor.extract(p)).collect();
-    let (parallel, stats) = extractor.extract_batch_stats(&pages);
+    let AdaptiveBatch {
+        extractions: parallel,
+        stats,
+        failures,
+    } = one_pass(&extractor, &pages);
+    assert!(failures.is_empty());
 
     assert!(
         stats.workers >= 2,
@@ -42,7 +57,7 @@ fn parallel_batch_is_byte_identical_to_sequential_over_basic() {
     }
 
     // The rollup is itself deterministic (timing aside).
-    let (_, again) = extractor.extract_batch_stats(&pages);
+    let again = one_pass(&extractor, &pages).stats;
     assert_eq!(
         (stats.tokens, stats.created, stats.invalidated, stats.trees),
         (again.tokens, again.created, again.invalidated, again.trees)
@@ -58,9 +73,9 @@ fn worker_count_does_not_change_results() {
         .take(24)
         .map(|s| s.html.as_str())
         .collect();
-    let one = FormExtractor::new().worker_threads(1).extract_batch(&pages);
-    let many = FormExtractor::new().worker_threads(8).extract_batch(&pages);
-    for (a, b) in one.iter().zip(&many) {
+    let one = one_pass(&FormExtractor::new().worker_threads(1), &pages);
+    let many = one_pass(&FormExtractor::new().worker_threads(8), &pages);
+    for (a, b) in one.extractions.iter().zip(&many.extractions) {
         assert_eq!(format!("{}", a.report), format!("{}", b.report));
     }
 }

@@ -3,7 +3,7 @@
 //! counters must show exactly one grammar compilation and one schedule
 //! build for the whole process, no matter how much parsing happens.
 
-use metaform::{global_compiled, FormExtractor};
+use metaform::{global_compiled, AdaptiveOptions, FormExtractor};
 use metaform_grammar::{compile_count, schedule_build_count};
 
 #[test]
@@ -28,10 +28,14 @@ fn the_global_grammar_compiles_exactly_once() {
     let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
 
     let extractor = FormExtractor::new().worker_threads(4);
-    let (extractions, stats) = extractor.extract_batch_stats(&refs);
-    assert_eq!(extractions.len(), refs.len());
+    let one_pass = AdaptiveOptions {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let batch = extractor.extract_batch_adaptive(&refs, &one_pass);
+    assert_eq!(batch.extractions.len(), refs.len());
     assert_eq!(
-        stats.schedules_built, 0,
+        batch.stats.schedules_built, 0,
         "batch parses must not rebuild schedules"
     );
 

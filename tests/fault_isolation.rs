@@ -1,12 +1,22 @@
 //! Fault isolation in batch extraction: one poison page — panicking,
 //! over-budget, or empty — must not kill the batch. The other N−1
 //! pages must come back byte-identical to a sequential run, and the
-//! failure must be visible in the typed per-page results and in the
+//! failure must be visible in the per-page failure records and in the
 //! `BatchStats` failure accounting.
 
-use metaform::{BatchStats, ExtractError, FormExtractor, Provenance};
+use metaform::{AdaptiveBatch, AdaptiveOptions, BatchStats, FormExtractor, Provenance};
 use metaform_datasets::basic;
+use metaform_extractor::{ErrorKind, FailureRecord};
 use std::time::Duration;
+
+/// The plain batch: one pass, no retries.
+fn one_pass(extractor: &FormExtractor, pages: &[&str]) -> AdaptiveBatch {
+    let opts = AdaptiveOptions {
+        max_retries: 0,
+        ..Default::default()
+    };
+    extractor.extract_batch_adaptive(pages, &opts)
+}
 
 /// A batch of real pages from the Basic dataset with one poison page
 /// spliced into the middle.
@@ -30,28 +40,27 @@ fn panicking_page_yields_error_slot_and_leaves_others_byte_identical() {
         .worker_threads(4)
         .inject_panic_marker("PANIC_MARKER");
 
-    let results = poisoned.extract_batch_results(&refs);
-    assert_eq!(results.len(), refs.len());
-    match &results[POISON_AT] {
-        Err(ExtractError::Panicked {
+    let run = one_pass(&poisoned, &refs);
+    assert_eq!(run.extractions.len(), refs.len());
+    match run.failures.as_slice() {
+        [FailureRecord {
             page_index,
-            message,
-        }) => {
+            error: ErrorKind::Panicked,
+            message: Some(message),
+            ..
+        }] => {
             assert_eq!(*page_index, POISON_AT);
             assert!(message.contains("injected fault"), "{message}");
         }
-        other => panic!("poison page must be Err(Panicked), got {other:?}"),
+        other => panic!("only the poison page may fail, with Panicked; got {other:?}"),
     }
 
-    // Every other page: Ok, and byte-identical to a sequential run on
-    // a clean extractor.
-    for (i, (result, page)) in results.iter().zip(&refs).enumerate() {
+    // Every other page: a grammar-path result byte-identical to a
+    // sequential run on a clean extractor.
+    for (i, (batch, page)) in run.extractions.iter().zip(&refs).enumerate() {
         if i == POISON_AT {
             continue;
         }
-        let batch = result
-            .as_ref()
-            .unwrap_or_else(|e| panic!("page {i} must succeed, got {e}"));
         let sequential = clean.extract(page);
         assert_eq!(
             format!("{}", batch.report),
@@ -73,7 +82,9 @@ fn infallible_batch_degrades_the_poison_page_and_counts_it() {
     let poisoned = FormExtractor::new()
         .worker_threads(4)
         .inject_panic_marker("PANIC_MARKER");
-    let (extractions, stats) = poisoned.extract_batch_stats(&refs);
+    let AdaptiveBatch {
+        extractions, stats, ..
+    } = one_pass(&poisoned, &refs);
 
     assert_eq!(extractions.len(), refs.len(), "no page is dropped");
     assert_eq!(stats.panicked, 1, "exactly one panicked page");
@@ -112,15 +123,18 @@ fn deadline_blown_page_degrades_to_nonempty_report() {
     let rushed = FormExtractor::new()
         .worker_threads(2)
         .page_deadline(Duration::ZERO);
-    let results = rushed.extract_batch_results(&pages);
-    for (i, r) in results.iter().enumerate() {
+    let AdaptiveBatch {
+        extractions,
+        stats,
+        failures,
+    } = one_pass(&rushed, &pages);
+    assert_eq!(failures.len(), pages.len());
+    for (i, r) in failures.iter().enumerate() {
         assert!(
-            matches!(r, Err(ExtractError::Timeout { page_index }) if *page_index == i),
+            matches!(r, FailureRecord { page_index, error: ErrorKind::Timeout, .. } if *page_index == i),
             "page {i}: expected Timeout, got {r:?}"
         );
     }
-
-    let (extractions, stats) = rushed.extract_batch_stats(&pages);
     assert_eq!(stats.timed_out, pages.len());
     assert_eq!(stats.degraded, pages.len());
     for (i, ex) in extractions.iter().enumerate() {
@@ -136,11 +150,11 @@ fn deadline_blown_page_degrades_to_nonempty_report() {
         .worker_threads(2)
         .page_deadline(Duration::from_secs(600));
     let unbounded = FormExtractor::new().worker_threads(2);
-    let (a, a_stats) = relaxed.extract_batch_stats(&pages);
-    let (b, b_stats) = unbounded.extract_batch_stats(&pages);
-    assert_eq!(a_stats.failed(), 0);
-    assert_eq!(b_stats.failed(), 0);
-    for (x, y) in a.iter().zip(&b) {
+    let a = one_pass(&relaxed, &pages);
+    let b = one_pass(&unbounded, &pages);
+    assert_eq!(a.stats.failed(), 0);
+    assert_eq!(b.stats.failed(), 0);
+    for (x, y) in a.extractions.iter().zip(&b.extractions) {
         assert_eq!(format!("{}", x.report), format!("{}", y.report));
     }
 }
@@ -150,7 +164,9 @@ fn truncated_page_is_counted_not_fatal() {
     let ds = basic();
     let pages: Vec<&str> = ds.sources.iter().take(4).map(|s| s.html.as_str()).collect();
     let capped = FormExtractor::new().worker_threads(2).max_instances(5);
-    let (extractions, stats) = capped.extract_batch_stats(&pages);
+    let AdaptiveBatch {
+        extractions, stats, ..
+    } = one_pass(&capped, &pages);
     assert_eq!(stats.truncated, pages.len());
     assert_eq!(stats.degraded, pages.len());
     assert_eq!(extractions.len(), pages.len());
@@ -163,8 +179,13 @@ fn truncated_page_is_counted_not_fatal() {
 fn empty_and_default_batch_stats_are_coherent() {
     let stats = BatchStats::default();
     assert_eq!(stats.failed(), 0);
-    let (none, empty) = FormExtractor::new().extract_batch_stats(&[]);
+    let AdaptiveBatch {
+        extractions: none,
+        stats: empty,
+        failures,
+    } = one_pass(&FormExtractor::new(), &[]);
     assert!(none.is_empty());
+    assert!(failures.is_empty());
     assert_eq!(empty.workers, 0, "empty batch spawns no workers");
     assert_eq!(empty.failed(), 0);
 }

@@ -14,7 +14,7 @@
 //! other code change.
 
 use metaform_datasets::survey_corpus;
-use metaform_extractor::{FormExtractor, Provenance};
+use metaform_extractor::{AdaptiveOptions, FormExtractor, Provenance};
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
@@ -48,7 +48,13 @@ fn render_starved_corpus() -> String {
 fn render_with(extractor: FormExtractor) -> String {
     let corpus = survey_corpus();
     let pages: Vec<&str> = corpus.iter().map(|(_, html)| html.as_str()).collect();
-    let extractions = extractor.extract_batch(&pages);
+    let one_pass = AdaptiveOptions {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let extractions = extractor
+        .extract_batch_adaptive(&pages, &one_pass)
+        .extractions;
     let mut out = String::new();
     for ((name, _), extraction) in corpus.iter().zip(&extractions) {
         out.push_str("== ");

@@ -20,7 +20,7 @@ use metaform_eval::{
     frozen_corpus, run_induction, score_dataset, InductionConfig, InductionGate, InductionOutcome,
     RejectReason,
 };
-use metaform_extractor::FormExtractor;
+use metaform_extractor::{AdaptiveOptions, FormExtractor};
 use metaform_grammar::{
     global_compiled, synthesize, Cluster, CompiledGrammar, Constraint, Constructor, Pred,
     Production, SymbolId,
@@ -164,7 +164,13 @@ fn induction_leaves_the_global_grammar_untouched() {
     let golden = std::fs::read_to_string(&golden).expect("blessed survey golden exists");
     let corpus = survey_corpus();
     let pages: Vec<&str> = corpus.iter().map(|(_, html)| html.as_str()).collect();
-    let extractions = FormExtractor::new().extract_batch(&pages);
+    let one_pass = AdaptiveOptions {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let extractions = FormExtractor::new()
+        .extract_batch_adaptive(&pages, &one_pass)
+        .extractions;
     let mut rendered = String::new();
     for ((name, _), extraction) in corpus.iter().zip(&extractions) {
         rendered.push_str("== ");
