@@ -42,7 +42,11 @@ pub fn layout(doc: &Document) -> Layout {
 
 /// Lays out a document with explicit options.
 pub fn layout_with(doc: &Document, opts: &LayoutOptions) -> Layout {
-    let mut flow = Flow { doc, line_ctr: 0 };
+    let mut flow = Flow {
+        doc,
+        line_ctr: 0,
+        measuring: false,
+    };
     let mut buf = Layout::sized(doc.len());
     let x = opts.margin;
     let width = (opts.viewport - 2 * opts.margin).max(40);
@@ -55,6 +59,10 @@ pub fn layout_with(doc: &Document, opts: &LayoutOptions) -> Layout {
 pub(crate) struct Flow<'a> {
     pub(crate) doc: &'a Document,
     line_ctr: u32,
+    /// Set while measuring a preferred width: a block then records no
+    /// box of its own, so it contributes only its content's right edge
+    /// (its box would span the whole probe width).
+    measuring: bool,
 }
 
 /// One atomic participant in inline flow.
@@ -239,7 +247,9 @@ impl<'a> Flow<'a> {
         }
         if tag == "hr" {
             let m = block_margin("hr");
-            buf.set_bbox(node, BBox::at(x, y + m, width, 2));
+            if !self.measuring {
+                buf.set_bbox(node, BBox::at(x, y + m, width, 2));
+            }
             return y + 2 * m + 2;
         }
         let m = block_margin(&tag);
@@ -251,15 +261,20 @@ impl<'a> Flow<'a> {
         let y0 = y + m;
         let children: Vec<NodeId> = self.doc.children(node).to_vec();
         let end = self.layout_children(buf, &children, cx, y0, cw);
-        buf.set_bbox(node, BBox::new(x, y0, x + width, end.max(y0)));
+        if !self.measuring {
+            buf.set_bbox(node, BBox::new(x, y0, x + width, end.max(y0)));
+        }
         end.max(y0) + m
     }
 
     /// Preferred (no-wrap) content width of a subtree, via a scratch
-    /// layout at an effectively infinite viewport.
+    /// layout at an effectively infinite viewport. Blocks take their
+    /// content's width, not the probe's.
     pub(crate) fn measure_pref_width(&mut self, children: &[NodeId]) -> i32 {
         let mut scratch = Layout::sized(self.doc.len());
+        let outer = std::mem::replace(&mut self.measuring, true);
         self.layout_children(&mut scratch, children, 0, 0, 1_000_000);
+        self.measuring = outer;
         let mut right = 0;
         for &c in children {
             right = right.max(scratch.subtree_right(self.doc, c));

@@ -323,6 +323,42 @@ mod tests {
     }
 
     #[test]
+    fn hr_in_spanning_cell_does_not_widen_columns() {
+        // A rule across the form: its box takes whatever width the cell
+        // gets, so it must not ask for any width of its own.
+        let rows = "<tr><td>Author</td><td><input type=text name=a></td></tr>\
+                    <tr><td>Title</td><td><input type=text name=t></td></tr>";
+        let plain = format!("<table>{rows}</table>");
+        let ruled = format!("<table>{rows}<tr><td colspan=2><hr></td></tr></table>");
+        let widths = |html: &str| {
+            let (doc, lay) = cell_boxes(html);
+            let tds = doc.elements_by_tag(doc.root(), "td");
+            let w: Vec<i32> = tds[..4]
+                .iter()
+                .map(|&t| lay.bbox(t).unwrap().width())
+                .collect();
+            (doc, lay, w)
+        };
+        let (_, _, plain_w) = widths(&plain);
+        let (doc, lay, ruled_w) = widths(&ruled);
+        assert_eq!(ruled_w, plain_w, "column widths unchanged by the rule");
+        let label = doc.children(doc.elements_by_tag(doc.root(), "td")[0])[0];
+        let label = lay.fragments(label)[0].bbox;
+        let input = lay
+            .bbox(doc.elements_by_tag(doc.root(), "input")[0])
+            .unwrap();
+        assert!(
+            input.left - label.right < 40,
+            "widget stays beside its label: {label:?} {input:?}"
+        );
+        let hr = lay.bbox(doc.elements_by_tag(doc.root(), "hr")[0]).unwrap();
+        let table = lay
+            .bbox(doc.elements_by_tag(doc.root(), "table")[0])
+            .unwrap();
+        assert!(table.contains(&hr), "the rule spans the table, not beyond");
+    }
+
+    #[test]
     fn rowspan_occupies_grid_slot() {
         let (doc, lay) = cell_boxes(
             "<table><tr><td rowspan=2>Price</td><td>min</td></tr>\
