@@ -4,6 +4,7 @@
 //! which keeps the tree cheap to build and traverse and trivially
 //! borrow-checker-friendly for the layout engine's multiple passes.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Index of a node within its [`Document`] arena.
@@ -59,13 +60,19 @@ pub struct Document {
 impl Document {
     /// Creates a document containing only the root node.
     pub fn new() -> Self {
-        Document {
-            nodes: vec![Node {
-                data: NodeData::Document,
-                parent: None,
-                children: Vec::new(),
-            }],
-        }
+        Self::with_capacity(1)
+    }
+
+    /// [`Document::new`], with room for `nodes` nodes before the arena
+    /// grows.
+    pub fn with_capacity(nodes: usize) -> Self {
+        let mut arena = Vec::with_capacity(nodes.max(1));
+        arena.push(Node {
+            data: NodeData::Document,
+            parent: None,
+            children: Vec::new(),
+        });
+        Document { nodes: arena }
     }
 
     /// The root node id.
@@ -158,10 +165,12 @@ impl Document {
     }
 
     /// Pre-order traversal of the subtree rooted at `id` (inclusive).
+    /// Walks parent and sibling links, so it allocates nothing.
     pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
         Descendants {
             doc: self,
-            stack: vec![id],
+            root: id,
+            next: Some(id),
         }
     }
 
@@ -183,6 +192,24 @@ impl Document {
         out
     }
 
+    /// [`Document::text_content`] with surrounding whitespace trimmed,
+    /// borrowed from the tree when a single text node holds all of it
+    /// (an `<option>` label, a button caption) — the common case
+    /// copies nothing.
+    pub fn trimmed_text(&self, id: NodeId) -> Cow<'_, str> {
+        let mut texts = self.descendants(id).filter_map(|n| self.text(n));
+        let Some(first) = texts.next() else {
+            return Cow::Borrowed("");
+        };
+        let Some(second) = texts.next() else {
+            return Cow::Borrowed(first.trim());
+        };
+        let mut all = String::from(first);
+        all.push_str(second);
+        texts.for_each(|t| all.push_str(t));
+        Cow::Owned(all.trim().to_string())
+    }
+
     /// Nearest ancestor (excluding `id` itself) with the given tag.
     pub fn ancestor_with_tag(&self, id: NodeId, tag: &str) -> Option<NodeId> {
         let mut cur = self.parent(id);
@@ -202,22 +229,50 @@ impl Default for Document {
     }
 }
 
-/// Iterator over a subtree in pre-order.
+/// Iterator over a subtree in pre-order (see [`Document::descendants`]).
 pub struct Descendants<'a> {
     doc: &'a Document,
-    stack: Vec<NodeId>,
+    root: NodeId,
+    next: Option<NodeId>,
+}
+
+impl Document {
+    /// The sibling after `id` under its parent. Children are appended
+    /// in creation order, so every child list is sorted by id and the
+    /// lookup is a binary search.
+    fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
+        let siblings = self.children(self.parent(id)?);
+        let at = siblings.binary_search(&id).ok()?;
+        siblings.get(at + 1).copied()
+    }
 }
 
 impl Iterator for Descendants<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let next = self.stack.pop()?;
-        // Push children reversed so the leftmost is visited first.
-        for &c in self.doc.children(next).iter().rev() {
-            self.stack.push(c);
-        }
-        Some(next)
+        let cur = self.next?;
+        // First child, else the next sibling of the nearest node on
+        // the way back up to the root that has one.
+        self.next = match self.doc.children(cur).first() {
+            Some(&child) => Some(child),
+            None => {
+                let mut up = cur;
+                loop {
+                    if up == self.root {
+                        break None;
+                    }
+                    if let Some(sib) = self.doc.next_sibling(up) {
+                        break Some(sib);
+                    }
+                    match self.doc.parent(up) {
+                        Some(p) => up = p,
+                        None => break None,
+                    }
+                }
+            }
+        };
+        Some(cur)
     }
 }
 
@@ -263,6 +318,39 @@ mod tests {
     fn text_content_concatenates() {
         let (doc, form, ..) = sample();
         assert_eq!(doc.text_content(form), "Author");
+    }
+
+    #[test]
+    fn descendants_stop_at_the_subtree() {
+        let mut doc = Document::new();
+        let a = doc.create_element(doc.root(), "a", vec![]);
+        let b = doc.create_element(a, "b", vec![]);
+        let c = doc.create_element(doc.root(), "c", vec![]);
+        // A child appended to an earlier node after a later sibling.
+        let d = doc.create_element(a, "d", vec![]);
+        let e = doc.create_element(b, "e", vec![]);
+        assert_eq!(doc.descendants(a).collect::<Vec<_>>(), vec![a, b, e, d]);
+        assert_eq!(doc.descendants(b).collect::<Vec<_>>(), vec![b, e]);
+        assert_eq!(doc.descendants(c).collect::<Vec<_>>(), vec![c]);
+        assert_eq!(
+            doc.descendants(doc.root()).collect::<Vec<_>>(),
+            vec![doc.root(), a, b, e, d, c]
+        );
+    }
+
+    #[test]
+    fn trimmed_text_borrows_a_single_text_node() {
+        let mut doc = Document::new();
+        let one = doc.create_element(doc.root(), "option", vec![]);
+        doc.create_text(one, "  Coach \n");
+        assert!(matches!(doc.trimmed_text(one), Cow::Borrowed("Coach")));
+        let two = doc.create_element(doc.root(), "button", vec![]);
+        doc.create_text(two, " Find ");
+        let b = doc.create_element(two, "b", vec![]);
+        doc.create_text(b, "now ");
+        assert_eq!(doc.trimmed_text(two), doc.text_content(two).trim());
+        let empty = doc.create_element(doc.root(), "option", vec![]);
+        assert_eq!(doc.trimmed_text(empty), "");
     }
 
     #[test]

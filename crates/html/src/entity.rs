@@ -5,6 +5,8 @@
 //! the common named set and all numeric forms; unknown entities are left
 //! verbatim, which is what browsers of the time did.
 
+use std::borrow::Cow;
+
 /// Named entities we resolve, sorted by name for binary search.
 static NAMED: &[(&str, char)] = &[
     ("AMP", '&'),
@@ -56,9 +58,10 @@ fn lookup_named(name: &str) -> Option<char> {
 ///
 /// Handles `&name;`, `&#123;`, and `&#x1F;` forms. A reference without a
 /// terminating `;`, or with an unknown name, is emitted verbatim.
-pub fn decode_entities(input: &str) -> String {
+/// Input without an `&` holds no reference and is returned borrowed.
+pub fn decode_entities(input: &str) -> Cow<'_, str> {
     if !input.contains('&') {
-        return input.to_string();
+        return Cow::Borrowed(input);
     }
     let mut out = String::with_capacity(input.len());
     let bytes = input.as_bytes();
@@ -90,7 +93,7 @@ pub fn decode_entities(input: &str) -> String {
             }
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 fn utf8_len(first_byte: u8) -> usize {
@@ -138,7 +141,10 @@ mod tests {
 
     #[test]
     fn plain_text_passes_through() {
-        assert_eq!(decode_entities("Author name"), "Author name");
+        assert!(matches!(
+            decode_entities("Author name"),
+            Cow::Borrowed("Author name")
+        ));
         assert_eq!(decode_entities(""), "");
     }
 

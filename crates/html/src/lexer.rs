@@ -7,6 +7,7 @@
 //! `title`) swallow their content up to the matching close tag.
 
 use crate::entity::decode_entities;
+use std::collections::VecDeque;
 
 /// One lexical HTML token.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -41,34 +42,52 @@ fn is_raw_text(tag: &str) -> bool {
 /// Lexes `input` into a token vector. Never fails: malformed markup
 /// degrades to text, as in lenient browser parsing.
 pub fn lex(input: &str) -> Vec<HtmlToken> {
-    Lexer {
-        input,
-        bytes: input.as_bytes(),
-        pos: 0,
-        out: Vec::new(),
-    }
-    .run()
+    Lexer::new(input).collect()
 }
 
-struct Lexer<'a> {
+/// The token stream of [`lex`], produced on demand: the tree builder
+/// consumes tokens as they are lexed instead of buffering the page.
+pub(crate) struct Lexer<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    out: Vec<HtmlToken>,
+    /// Tokens lexed but not yet handed out (one markup step can yield
+    /// up to three: a raw-text element's start tag, text and end tag).
+    out: VecDeque<HtmlToken>,
 }
 
 impl<'a> Lexer<'a> {
-    fn run(mut self) -> Vec<HtmlToken> {
-        while self.pos < self.bytes.len() {
+    pub(crate) fn new(input: &'a str) -> Self {
+        Lexer {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            out: VecDeque::new(),
+        }
+    }
+}
+
+impl Iterator for Lexer<'_> {
+    type Item = HtmlToken;
+
+    fn next(&mut self) -> Option<HtmlToken> {
+        loop {
+            if let Some(token) = self.out.pop_front() {
+                return Some(token);
+            }
+            if self.pos >= self.bytes.len() {
+                return None;
+            }
             if self.bytes[self.pos] == b'<' {
                 self.lex_markup();
             } else {
                 self.lex_text();
             }
         }
-        self.out
     }
+}
 
+impl<'a> Lexer<'a> {
     fn lex_text(&mut self) {
         let start = self.pos;
         while self.pos < self.bytes.len() && self.bytes[self.pos] != b'<' {
@@ -76,7 +95,8 @@ impl<'a> Lexer<'a> {
         }
         let raw = &self.input[start..self.pos];
         if !raw.is_empty() {
-            self.out.push(HtmlToken::Text(decode_entities(raw)));
+            self.out
+                .push_back(HtmlToken::Text(decode_entities(raw).into_owned()));
         }
     }
 
@@ -89,7 +109,7 @@ impl<'a> Lexer<'a> {
             Some(c) if c.is_ascii_alphabetic() => self.lex_start_tag(),
             _ => {
                 // Stray '<' — treat as text.
-                self.out.push(HtmlToken::Text("<".to_string()));
+                self.out.push_back(HtmlToken::Text("<".to_string()));
                 self.pos += 1;
             }
         }
@@ -100,7 +120,7 @@ impl<'a> Lexer<'a> {
             let body_start = self.pos + 4;
             match self.input[body_start..].find("-->") {
                 Some(rel) => {
-                    self.out.push(HtmlToken::Comment(
+                    self.out.push_back(HtmlToken::Comment(
                         self.input[body_start..body_start + rel].to_string(),
                     ));
                     self.pos = body_start + rel + 3;
@@ -108,7 +128,7 @@ impl<'a> Lexer<'a> {
                 None => {
                     // Unterminated comment swallows the rest.
                     self.out
-                        .push(HtmlToken::Comment(self.input[body_start..].to_string()));
+                        .push_back(HtmlToken::Comment(self.input[body_start..].to_string()));
                     self.pos = self.bytes.len();
                 }
             }
@@ -120,7 +140,7 @@ impl<'a> Lexer<'a> {
             .find('>')
             .map(|r| body_start + r)
             .unwrap_or(self.bytes.len());
-        self.out.push(HtmlToken::Doctype(
+        self.out.push_back(HtmlToken::Doctype(
             self.input[body_start..end].trim().to_string(),
         ));
         self.pos = (end + 1).min(self.bytes.len());
@@ -138,7 +158,7 @@ impl<'a> Lexer<'a> {
             .unwrap_or("")
             .to_lowercase();
         if !name.is_empty() {
-            self.out.push(HtmlToken::EndTag { name });
+            self.out.push_back(HtmlToken::EndTag { name });
         }
         self.pos = (i + 1).min(self.bytes.len());
     }
@@ -154,14 +174,14 @@ impl<'a> Lexer<'a> {
         let name = self.input[name_start..i].to_lowercase();
         self.pos = i;
         let (attrs, self_closing) = self.lex_attributes();
-        let raw = is_raw_text(&name) && !self_closing;
-        self.out.push(HtmlToken::StartTag {
-            name: name.clone(),
+        let raw = (is_raw_text(&name) && !self_closing).then(|| name.clone());
+        self.out.push_back(HtmlToken::StartTag {
+            name,
             attrs,
             self_closing,
         });
-        if raw {
-            self.lex_raw_text(&name);
+        if let Some(name) = raw {
+            self.lex_raw_text(name);
         }
     }
 
@@ -238,36 +258,38 @@ impl<'a> Lexer<'a> {
                 &self.input[vstart..self.pos]
             }
         };
-        Some((name, decode_entities(value)))
+        Some((name, decode_entities(value).into_owned()))
     }
 
-    /// After a raw-text start tag: swallow content until `</name`.
-    fn lex_raw_text(&mut self, name: &str) {
-        let lower = self.input[self.pos..].to_lowercase();
-        let close = format!("</{name}");
-        let rel = lower.find(&close).unwrap_or(lower.len());
+    /// After a raw-text start tag: swallow content until `</name`
+    /// (matched ASCII case-insensitively; raw-text tag names are ASCII).
+    fn lex_raw_text(&mut self, name: String) {
+        let rest = &self.bytes[self.pos..];
+        let rel = (0..rest.len())
+            .find(|&i| {
+                rest[i..].starts_with(b"</")
+                    && rest[i + 2..]
+                        .get(..name.len())
+                        .is_some_and(|n| n.eq_ignore_ascii_case(name.as_bytes()))
+            })
+            .unwrap_or(rest.len());
         let content = &self.input[self.pos..self.pos + rel];
         if !content.is_empty() {
             // textarea/title content is real text; script/style is not,
             // but the tree builder drops those nodes anyway.
-            self.out.push(HtmlToken::Text(decode_entities(content)));
+            self.out
+                .push_back(HtmlToken::Text(decode_entities(content).into_owned()));
         }
         self.pos += rel;
         if self.pos < self.bytes.len() {
-            self.lex_end_tag_at_current_pos(name);
+            // We are looking at "</name ... >".
+            let end = self.input[self.pos..]
+                .find('>')
+                .map(|r| self.pos + r)
+                .unwrap_or(self.bytes.len());
+            self.out.push_back(HtmlToken::EndTag { name });
+            self.pos = (end + 1).min(self.bytes.len());
         }
-    }
-
-    fn lex_end_tag_at_current_pos(&mut self, name: &str) {
-        // We are looking at "</name ... >".
-        let end = self.input[self.pos..]
-            .find('>')
-            .map(|r| self.pos + r)
-            .unwrap_or(self.bytes.len());
-        self.out.push(HtmlToken::EndTag {
-            name: name.to_string(),
-        });
-        self.pos = (end + 1).min(self.bytes.len());
     }
 
     fn skip_whitespace(&mut self) {

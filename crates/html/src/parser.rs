@@ -7,7 +7,7 @@
 //! visual tokens.
 
 use crate::dom::{Document, NodeId};
-use crate::lexer::{lex, HtmlToken};
+use crate::lexer::{HtmlToken, Lexer};
 
 /// Elements that never have content or an end tag.
 fn is_void(tag: &str) -> bool {
@@ -64,17 +64,19 @@ fn is_scope_barrier(tag: &str) -> bool {
 /// assert_eq!(doc.text_content(doc.root()), "OneTwo");
 /// ```
 pub fn parse(input: &str) -> Document {
-    let mut doc = Document::new();
-    // Stack of open elements as (node, tag).
-    let mut stack: Vec<(NodeId, String)> = vec![(doc.root(), String::new())];
+    // Query-form markup runs at about one node per ten bytes; the cap
+    // keeps a huge text-only input from reserving a huge arena.
+    let mut doc = Document::with_capacity((input.len() / 8).min(1024));
+    // Stack of open elements; their tags are read from the tree.
+    let mut stack: Vec<NodeId> = vec![doc.root()];
     let mut skip_depth = 0usize; // >0 while inside script/style
 
-    for token in lex(input) {
+    for token in Lexer::new(input) {
         match token {
             HtmlToken::Doctype(_) | HtmlToken::Comment(_) => {}
             HtmlToken::Text(text) => {
                 if skip_depth == 0 && !text.is_empty() {
-                    let parent = stack.last().expect("root never popped").0;
+                    let parent = *stack.last().expect("root never popped");
                     doc.create_text(parent, text);
                 }
             }
@@ -95,11 +97,12 @@ pub fn parse(input: &str) -> Document {
                     }
                     continue;
                 }
-                close_implied(&mut stack, &name);
-                let parent = stack.last().expect("root never popped").0;
-                let node = doc.create_element(parent, name.clone(), attrs);
-                if !is_void(&name) && !self_closing {
-                    stack.push((node, name));
+                close_implied(&doc, &mut stack, &name);
+                let parent = *stack.last().expect("root never popped");
+                let open = !is_void(&name) && !self_closing;
+                let node = doc.create_element(parent, name, attrs);
+                if open {
+                    stack.push(node);
                 }
             }
             HtmlToken::EndTag { name } => {
@@ -109,7 +112,7 @@ pub fn parse(input: &str) -> Document {
                     }
                     continue;
                 }
-                close_matching(&mut stack, &name);
+                close_matching(&doc, &mut stack, &name);
             }
         }
     }
@@ -117,13 +120,13 @@ pub fn parse(input: &str) -> Document {
 }
 
 /// Pops elements whose end tag is implied by the arrival of `tag`.
-fn close_implied(stack: &mut Vec<(NodeId, String)>, tag: &str) {
+fn close_implied(doc: &Document, stack: &mut Vec<NodeId>, tag: &str) {
     let closes = implied_closes(tag);
     if closes.is_empty() {
         return;
     }
     while stack.len() > 1 {
-        let top = stack.last().expect("len > 1").1.as_str();
+        let top = doc.tag(*stack.last().expect("len > 1")).unwrap_or("");
         if closes.contains(&top) {
             stack.pop();
         } else {
@@ -134,11 +137,12 @@ fn close_implied(stack: &mut Vec<(NodeId, String)>, tag: &str) {
 
 /// Handles an explicit end tag: pops to the matching open element if one
 /// is in scope; ignores the end tag otherwise (browser-style recovery).
-fn close_matching(stack: &mut Vec<(NodeId, String)>, tag: &str) {
+fn close_matching(doc: &Document, stack: &mut Vec<NodeId>, tag: &str) {
     // Find the matching element, not crossing scope barriers other than
     // the element itself.
     let mut match_at = None;
-    for (i, (_, open)) in stack.iter().enumerate().skip(1).rev() {
+    for (i, &node) in stack.iter().enumerate().skip(1).rev() {
+        let open = doc.tag(node).unwrap_or("");
         if open == tag {
             match_at = Some(i);
             break;

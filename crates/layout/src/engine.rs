@@ -45,7 +45,7 @@ pub fn layout_with(doc: &Document, opts: &LayoutOptions) -> Layout {
     let mut flow = Flow {
         doc,
         line_ctr: 0,
-        measuring: false,
+        items: Vec::new(),
     };
     let mut buf = Layout::sized(doc.len());
     let x = opts.margin;
@@ -55,30 +55,73 @@ pub fn layout_with(doc: &Document, opts: &LayoutOptions) -> Layout {
     buf
 }
 
-/// Shared flow state: the document plus a monotone line-box counter.
+/// Width a preferred-width walk wraps at: wide enough that no line of
+/// a real form ever does.
+pub(crate) const PROBE_W: i32 = 1_000_000;
+
+/// Shared flow state: the document, a monotone line-box counter, and
+/// the inline items gathered since the last block boundary.
 pub(crate) struct Flow<'a> {
     pub(crate) doc: &'a Document,
     line_ctr: u32,
-    /// Set while measuring a preferred width: a block then records no
-    /// box of its own, so it contributes only its content's right edge
-    /// (its box would span the whole probe width).
-    measuring: bool,
+    /// Inline items awaiting line placement. A block flushes them
+    /// before it lays out its own content, so one buffer serves every
+    /// nesting level and keeps its capacity across the page.
+    items: Vec<Item<'a>>,
 }
 
 /// One atomic participant in inline flow.
-enum Item {
-    Word { node: NodeId, text: String, w: i32 },
+enum Item<'a> {
+    Word { node: NodeId, text: &'a str, w: i32 },
     Widget { node: NodeId, w: i32, h: i32 },
     Break,
 }
 
-impl Item {
+impl Item<'_> {
     fn size(&self) -> (i32, i32) {
         match self {
             Item::Word { w, .. } => (*w, LINE_H),
             Item::Widget { w, h, .. } => (*w, *h),
             Item::Break => (0, 0),
         }
+    }
+}
+
+/// The open line of a preferred-width walk: where the next item goes
+/// and the widest right edge so far. Mirrors the placement rule of
+/// [`Flow::flush_lines`] without placing anything.
+struct PrefLine {
+    x: i32,
+    right_edge: i32,
+    cur_x: i32,
+    open: bool,
+    right: i32,
+}
+
+impl PrefLine {
+    fn new(x: i32, width: i32) -> Self {
+        PrefLine {
+            x,
+            right_edge: x + width,
+            cur_x: x,
+            open: false,
+            right: 0,
+        }
+    }
+
+    fn push(&mut self, w: i32) {
+        if self.open && self.cur_x + SPACE_W + w > self.right_edge {
+            self.end();
+        }
+        let lead = if self.open { SPACE_W } else { 0 };
+        self.cur_x += lead + w;
+        self.open = true;
+        self.right = self.right.max(self.cur_x);
+    }
+
+    fn end(&mut self) {
+        self.cur_x = self.x;
+        self.open = false;
     }
 }
 
@@ -95,16 +138,15 @@ impl<'a> Flow<'a> {
         width: i32,
     ) -> i32 {
         let mut cur_y = y;
-        let mut items: Vec<Item> = Vec::new();
         for &child in children {
             if self.is_inline_level(child) {
-                self.collect_inline(child, &mut items);
+                self.collect_inline(child);
             } else {
-                cur_y = self.flush_lines(buf, &mut items, x, cur_y, width);
+                cur_y = self.flush_lines(buf, x, cur_y, width);
                 cur_y = self.layout_block(buf, child, x, cur_y, width);
             }
         }
-        self.flush_lines(buf, &mut items, x, cur_y, width)
+        self.flush_lines(buf, x, cur_y, width)
     }
 
     fn is_inline_level(&self, node: NodeId) -> bool {
@@ -119,36 +161,36 @@ impl<'a> Flow<'a> {
     }
 
     /// Gathers inline items from an inline-level subtree.
-    fn collect_inline(&mut self, node: NodeId, items: &mut Vec<Item>) {
-        match &self.doc.node(node).data {
+    fn collect_inline(&mut self, node: NodeId) {
+        let doc = self.doc;
+        match &doc.node(node).data {
             NodeData::Text(text) => {
                 for word in words(text) {
-                    items.push(Item::Word {
+                    self.items.push(Item::Word {
                         node,
-                        text: word.to_string(),
+                        text: word,
                         w: text_width(word),
                     });
                 }
             }
             NodeData::Element { tag, .. } => {
                 if is_line_break(tag) {
-                    items.push(Item::Break);
+                    self.items.push(Item::Break);
                     return;
                 }
                 match display_of(tag) {
                     Display::Hidden => {}
                     Display::InlineWidget => {
-                        if let Some((w, h)) = intrinsic_size(self.doc, node) {
-                            items.push(Item::Widget { node, w, h });
+                        if let Some((w, h)) = intrinsic_size(doc, node) {
+                            self.items.push(Item::Widget { node, w, h });
                         }
                     }
                     _ => {
                         // Inline element (or a block illegally nested in
                         // inline context — flattened, see DESIGN.md):
                         // recurse; its own bbox is unioned in finalize().
-                        let children: Vec<NodeId> = self.doc.children(node).to_vec();
-                        for c in children {
-                            self.collect_inline(c, items);
+                        for &c in doc.children(node) {
+                            self.collect_inline(c);
                         }
                     }
                 }
@@ -157,76 +199,75 @@ impl<'a> Flow<'a> {
         }
     }
 
-    /// Places accumulated inline items into line boxes; returns the new
-    /// flow y. Items are separated by single spaces and bottom-aligned
-    /// within each line, wrapping at `x + width`.
-    fn flush_lines(
-        &mut self,
-        buf: &mut Layout,
-        items: &mut Vec<Item>,
-        x: i32,
-        y: i32,
-        width: i32,
-    ) -> i32 {
-        if items.is_empty() {
+    /// Places the accumulated inline items into line boxes; returns the
+    /// new flow y. Items are separated by single spaces and
+    /// bottom-aligned within each line, wrapping at `x + width`.
+    fn flush_lines(&mut self, buf: &mut Layout, x: i32, y: i32, width: i32) -> i32 {
+        if self.items.is_empty() {
             return y;
         }
+        let mut items = std::mem::take(&mut self.items);
         let right_edge = x + width;
         let mut cur_y = y;
-        let mut line: Vec<(usize, i32)> = Vec::new(); // (item idx, left x)
+        // The open line is `items[start..idx]`; `cur_x` is its right end.
+        let mut start = 0;
         let mut cur_x = x;
-        let drained: Vec<Item> = std::mem::take(items);
-
-        let mut place_line =
-            |line: &mut Vec<(usize, i32)>, cur_y: &mut i32, this: &mut Flow<'a>| {
-                let line_h = line
-                    .iter()
-                    .map(|&(i, _)| drained_size(&drained, i).1)
-                    .max()
-                    .unwrap_or(0)
-                    .max(LINE_H);
-                for &(idx, left) in line.iter() {
-                    let (w, h) = drained_size(&drained, idx);
-                    let top = *cur_y + line_h - h;
-                    let bbox = BBox::at(left, top, w, h);
-                    match &drained[idx] {
-                        Item::Word { node, text, .. } => {
-                            push_fragment(buf, *node, text, bbox, this.line_ctr);
-                        }
-                        Item::Widget { node, .. } => buf.set_bbox(*node, bbox),
-                        Item::Break => {}
-                    }
-                }
-                line.clear();
-                *cur_y += line_h;
-                this.line_ctr += 1;
-            };
-
-        for (idx, item) in drained.iter().enumerate() {
+        for (idx, item) in items.iter().enumerate() {
             if matches!(item, Item::Break) {
-                if line.is_empty() {
+                if start == idx {
                     cur_y += LINE_H; // blank line
                     self.line_ctr += 1;
                 } else {
-                    place_line(&mut line, &mut cur_y, self);
+                    cur_y = self.place_line(buf, &items[start..idx], x, cur_y);
                 }
+                start = idx + 1;
                 cur_x = x;
                 continue;
             }
             let (w, _) = item.size();
-            let lead = if line.is_empty() { 0 } else { SPACE_W };
-            if !line.is_empty() && cur_x + lead + w > right_edge {
-                place_line(&mut line, &mut cur_y, self);
+            if start < idx && cur_x + SPACE_W + w > right_edge {
+                cur_y = self.place_line(buf, &items[start..idx], x, cur_y);
+                start = idx;
                 cur_x = x;
             }
-            let lead = if line.is_empty() { 0 } else { SPACE_W };
-            line.push((idx, cur_x + lead));
+            let lead = if start < idx { SPACE_W } else { 0 };
             cur_x += lead + w;
         }
-        if !line.is_empty() {
-            place_line(&mut line, &mut cur_y, self);
+        if start < items.len() {
+            cur_y = self.place_line(buf, &items[start..], x, cur_y);
         }
+        items.clear();
+        self.items = items;
         cur_y
+    }
+
+    /// Places one line box of items from `x` at `y`; returns the y
+    /// below it.
+    fn place_line(&mut self, buf: &mut Layout, line: &[Item<'_>], x: i32, y: i32) -> i32 {
+        let line_h = line
+            .iter()
+            .map(|item| item.size().1)
+            .max()
+            .unwrap_or(0)
+            .max(LINE_H);
+        let mut left = x;
+        for (k, item) in line.iter().enumerate() {
+            if k > 0 {
+                left += SPACE_W;
+            }
+            let (w, h) = item.size();
+            let bbox = BBox::at(left, y + line_h - h, w, h);
+            match item {
+                Item::Word { node, text, .. } => {
+                    push_fragment(buf, self.doc, *node, text, bbox, self.line_ctr);
+                }
+                Item::Widget { node, .. } => buf.set_bbox(*node, bbox),
+                Item::Break => {}
+            }
+            left += w;
+        }
+        self.line_ctr += 1;
+        y + line_h
     }
 
     /// Lays out one block-level element; returns the flow y below it.
@@ -238,69 +279,111 @@ impl<'a> Flow<'a> {
         y: i32,
         width: i32,
     ) -> i32 {
-        let tag = match self.doc.tag(node) {
-            Some(t) => t.to_string(),
-            None => return y, // stray text handled by caller classification
+        let doc = self.doc;
+        let Some(tag) = doc.tag(node) else {
+            return y; // stray text handled by caller classification
         };
-        if display_of(&tag) == Display::Table {
+        if display_of(tag) == Display::Table {
             return table::layout_table(self, buf, node, x, y, width);
         }
         if tag == "hr" {
             let m = block_margin("hr");
-            if !self.measuring {
-                buf.set_bbox(node, BBox::at(x, y + m, width, 2));
-            }
+            buf.set_bbox(node, BBox::at(x, y + m, width, 2));
             return y + 2 * m + 2;
         }
-        let m = block_margin(&tag);
-        let (cx, cw) = if matches!(tag.as_str(), "ul" | "ol" | "dl") {
-            (x + LIST_INDENT, (width - LIST_INDENT).max(40))
-        } else {
-            (x, width)
-        };
+        let m = block_margin(tag);
+        let (cx, cw) = list_content(tag, x, width);
         let y0 = y + m;
-        let children: Vec<NodeId> = self.doc.children(node).to_vec();
-        let end = self.layout_children(buf, &children, cx, y0, cw);
-        if !self.measuring {
-            buf.set_bbox(node, BBox::new(x, y0, x + width, end.max(y0)));
-        }
+        let end = self.layout_children(buf, doc.children(node), cx, y0, cw);
+        buf.set_bbox(node, BBox::new(x, y0, x + width, end.max(y0)));
         end.max(y0) + m
     }
 
-    /// Preferred (no-wrap) content width of a subtree, via a scratch
-    /// layout at an effectively infinite viewport. Blocks take their
-    /// content's width, not the probe's.
-    pub(crate) fn measure_pref_width(&mut self, children: &[NodeId]) -> i32 {
-        let mut scratch = Layout::sized(self.doc.len());
-        let outer = std::mem::replace(&mut self.measuring, true);
-        self.layout_children(&mut scratch, children, 0, 0, 1_000_000);
-        self.measuring = outer;
+    /// Preferred (no-wrap) right edge of `children` laid out from `x`
+    /// within `width` — one walk over the subtree, placing nothing and
+    /// allocating nothing outside nested tables. Inline content counts
+    /// its items' right edges; a block counts its content's right edge,
+    /// never its own box, which would take whatever width it is given
+    /// (an `<hr>` has no content and asks for no width). A nested table
+    /// counts its own width.
+    pub(crate) fn pref_right(&self, children: &[NodeId], x: i32, width: i32) -> i32 {
+        let mut line = PrefLine::new(x, width);
         let mut right = 0;
-        for &c in children {
-            right = right.max(scratch.subtree_right(self.doc, c));
+        for &child in children {
+            if self.is_inline_level(child) {
+                self.pref_inline(child, &mut line);
+            } else {
+                line.end();
+                right = right.max(self.pref_block(child, x, width));
+            }
         }
-        right
+        right.max(line.right)
     }
 
-    /// Content height of a subtree when laid out at `width`.
-    pub(crate) fn measure_height(&mut self, children: &[NodeId], width: i32) -> i32 {
-        let mut scratch = Layout::sized(self.doc.len());
-        let end = self.layout_children(&mut scratch, children, 0, 0, width);
-        let mut bottom = end;
-        for &c in children {
-            bottom = bottom.max(scratch.subtree_bottom(self.doc, c));
+    /// [`Flow::collect_inline`], measuring instead of collecting.
+    fn pref_inline(&self, node: NodeId, line: &mut PrefLine) {
+        match &self.doc.node(node).data {
+            NodeData::Text(text) => words(text).for_each(|word| line.push(text_width(word))),
+            NodeData::Element { tag, .. } => {
+                if is_line_break(tag) {
+                    line.end();
+                    return;
+                }
+                match display_of(tag) {
+                    Display::Hidden => {}
+                    Display::InlineWidget => {
+                        if let Some((w, _)) = intrinsic_size(self.doc, node) {
+                            line.push(w);
+                        }
+                    }
+                    _ => {
+                        for &c in self.doc.children(node) {
+                            self.pref_inline(c, line);
+                        }
+                    }
+                }
+            }
+            NodeData::Document => {}
         }
-        bottom
+    }
+
+    /// [`Flow::layout_block`], measuring instead of placing.
+    fn pref_block(&self, node: NodeId, x: i32, width: i32) -> i32 {
+        let Some(tag) = self.doc.tag(node) else {
+            return 0;
+        };
+        if display_of(tag) == Display::Table {
+            return table::pref_table(self, node, x, width);
+        }
+        if tag == "hr" {
+            return 0;
+        }
+        let (cx, cw) = list_content(tag, x, width);
+        self.pref_right(self.doc.children(node), cx, cw)
     }
 }
 
-fn drained_size(items: &[Item], idx: usize) -> (i32, i32) {
-    items[idx].size()
+/// Content origin and width of a block: lists indent their items.
+fn list_content(tag: &str, x: i32, width: i32) -> (i32, i32) {
+    if matches!(tag, "ul" | "ol" | "dl") {
+        (x + LIST_INDENT, (width - LIST_INDENT).max(40))
+    } else {
+        (x, width)
+    }
 }
 
 /// Appends a word to a node's fragment list, merging with the previous
-/// fragment when contiguous on the same line.
-fn push_fragment(buf: &mut Layout, node: NodeId, text: &str, bbox: BBox, line: u32) {
+/// fragment when contiguous on the same line. A new fragment reserves
+/// the node's whole text, so merging the rest of the line never
+/// reallocates.
+fn push_fragment(
+    buf: &mut Layout,
+    doc: &Document,
+    node: NodeId,
+    text: &str,
+    bbox: BBox,
+    line: u32,
+) {
     let frags = &mut buf.fragments[node.index()];
     if let Some(last) = frags.last_mut() {
         if last.line == line && bbox.left == last.bbox.right + SPACE_W {
@@ -310,8 +393,10 @@ fn push_fragment(buf: &mut Layout, node: NodeId, text: &str, bbox: BBox, line: u
             return;
         }
     }
+    let mut owned = String::with_capacity(doc.text(node).map_or(0, str::len));
+    owned.push_str(text);
     frags.push(Fragment {
-        text: text.to_string(),
+        text: owned,
         bbox,
         line,
     });

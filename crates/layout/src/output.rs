@@ -89,21 +89,8 @@ impl Layout {
         }
     }
 
-    /// Widest right edge over the subtree — used for table measurement.
-    pub(crate) fn subtree_right(&self, doc: &Document, root: NodeId) -> i32 {
-        let mut right = 0;
-        for n in doc.descendants(root) {
-            if let Some(b) = self.boxes[n.index()] {
-                right = right.max(b.right);
-            }
-            for f in &self.fragments[n.index()] {
-                right = right.max(f.bbox.right);
-            }
-        }
-        right
-    }
-
-    /// Lowest bottom edge over the subtree — used for row heights.
+    /// Lowest bottom edge over the subtree (0 when nothing in it is
+    /// placed) — a table cell's content height.
     pub(crate) fn subtree_bottom(&self, doc: &Document, root: NodeId) -> i32 {
         let mut bottom = 0;
         for n in doc.descendants(root) {
@@ -123,10 +110,18 @@ mod tests {
     use super::*;
     use metaform_html::parse;
 
+    /// An empty layout for `doc`, filled by hand below.
+    fn blank(doc: &Document) -> Layout {
+        Layout {
+            boxes: vec![None; doc.len()],
+            fragments: vec![Vec::new(); doc.len()],
+        }
+    }
+
     #[test]
     fn translate_shifts_boxes_and_fragments() {
         let doc = parse("<b>x</b>");
-        let mut lay = Layout::sized(doc.len());
+        let mut lay = blank(&doc);
         let b = doc.elements_by_tag(doc.root(), "b")[0];
         let text = doc.children(b)[0];
         lay.set_bbox(b, BBox::at(0, 0, 10, 10));
@@ -143,7 +138,7 @@ mod tests {
     #[test]
     fn finalize_unions_upward() {
         let doc = parse("<div><b>x</b><i>y</i></div>");
-        let mut lay = Layout::sized(doc.len());
+        let mut lay = blank(&doc);
         let b = doc.elements_by_tag(doc.root(), "b")[0];
         let i = doc.elements_by_tag(doc.root(), "i")[0];
         lay.set_bbox(b, BBox::new(0, 0, 10, 10));
@@ -157,7 +152,7 @@ mod tests {
     #[test]
     fn finalize_leaves_unrendered_nodes_none() {
         let doc = parse("<div></div>");
-        let mut lay = Layout::sized(doc.len());
+        let mut lay = blank(&doc);
         lay.finalize(&doc);
         let div = doc.elements_by_tag(doc.root(), "div")[0];
         assert_eq!(lay.bbox(div), None);

@@ -2,7 +2,7 @@
 //! spacing, middle vertical alignment — the workhorse of 2004-era form
 //! design.
 
-use crate::engine::Flow;
+use crate::engine::{Flow, PROBE_W};
 use crate::output::Layout;
 use crate::style::{block_margin, CELL_PADDING, CELL_SPACING};
 use metaform_core::BBox;
@@ -18,6 +18,10 @@ struct Cell {
 }
 
 /// Lays out `<table>`; returns the flow y below it.
+///
+/// Each cell is laid out exactly once: at its final column width and
+/// from y = 0, which yields its content height; once every row height
+/// is known, the cell's content moves into its row.
 pub(crate) fn layout_table(
     flow: &mut Flow<'_>,
     buf: &mut Layout,
@@ -31,14 +35,10 @@ pub(crate) fn layout_table(
     let doc = flow.doc;
 
     // Captions render as blocks above the grid.
-    let captions: Vec<NodeId> = doc
-        .children(table)
-        .iter()
-        .copied()
-        .filter(|&c| doc.tag(c) == Some("caption"))
-        .collect();
-    for cap in captions {
-        cur_y = flow.layout_block(buf, cap, x, cur_y, width);
+    for &cap in doc.children(table) {
+        if doc.tag(cap) == Some("caption") {
+            cur_y = flow.layout_block(buf, cap, x, cur_y, width);
+        }
     }
 
     let rows = collect_rows(doc, table);
@@ -47,43 +47,20 @@ pub(crate) fn layout_table(
         buf.set_bbox(table, BBox::new(x, cur_y, x, cur_y));
         return cur_y + m;
     }
-    let ncols = cells.iter().map(|c| c.col + c.colspan).max().unwrap_or(1);
     let nrows = rows.len();
+    let col_w = column_widths(flow, &cells);
+    let col_x = prefix_origins(x, &col_w);
 
-    // Pass 1: preferred column widths.
-    let mut col_w = vec![0i32; ncols];
-    let mut pref = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let children: Vec<NodeId> = doc.children(cell.node).to_vec();
-        let p = flow.measure_pref_width(&children) + 2 * CELL_PADDING;
-        pref.push(p);
-        if cell.colspan == 1 {
-            col_w[cell.col] = col_w[cell.col].max(p);
-        }
-    }
-    // Spanning cells: distribute any deficit across covered columns.
-    for (cell, &p) in cells.iter().zip(&pref) {
-        if cell.colspan > 1 {
-            let covered = cell.col..(cell.col + cell.colspan).min(ncols);
-            let have: i32 = col_w[covered.clone()].iter().sum::<i32>()
-                + (cell.colspan as i32 - 1) * CELL_SPACING;
-            if p > have {
-                let deficit = p - have;
-                let n = covered.len() as i32;
-                for (k, c) in covered.enumerate() {
-                    col_w[c] += deficit / n + i32::from((k as i32) < deficit % n);
-                }
-            }
-        }
-    }
-
-    // Pass 2: row heights from content laid at final widths.
+    // Lay each cell out at its column width; its height sets its rows.
     let mut row_h = vec![0i32; nrows];
     let mut content_h = Vec::with_capacity(cells.len());
     for cell in &cells {
-        let w = span_width(&col_w, cell) - 2 * CELL_PADDING;
-        let children: Vec<NodeId> = doc.children(cell.node).to_vec();
-        let h = flow.measure_height(&children, w.max(1));
+        let inner_w = (span_width(&col_w, cell) - 2 * CELL_PADDING).max(1);
+        let children = doc.children(cell.node);
+        let end = flow.layout_children(buf, children, col_x[cell.col] + CELL_PADDING, 0, inner_w);
+        let h = children
+            .iter()
+            .fold(end, |h, &c| h.max(buf.subtree_bottom(doc, c)));
         content_h.push(h);
         if cell.rowspan == 1 {
             row_h[cell.row] = row_h[cell.row].max(h + 2 * CELL_PADDING);
@@ -102,52 +79,38 @@ pub(crate) fn layout_table(
             }
         }
     }
+    let row_y = prefix_origins(cur_y, &row_h);
 
-    // Prefix sums for cell origins.
-    let col_x: Vec<i32> = prefix_origins(x, &col_w);
-    let row_y: Vec<i32> = prefix_origins(cur_y, &row_h);
-
-    // Pass 3: place content.
-    for ((cell, &h), &p) in cells.iter().zip(&content_h).zip(&pref) {
-        let _ = p;
+    // Move each cell's content into its row.
+    for (cell, &h) in cells.iter().zip(&content_h) {
         let cx = col_x[cell.col];
         let cy = row_y[cell.row];
         let rect_w = span_width(&col_w, cell);
         let rect_h = span_height(&row_h, cell);
-        let inner_w = (rect_w - 2 * CELL_PADDING).max(1);
-        let children: Vec<NodeId> = doc.children(cell.node).to_vec();
-        flow.layout_children(
-            buf,
-            &children,
-            cx + CELL_PADDING,
-            cy + CELL_PADDING,
-            inner_w,
-        );
         // Vertical alignment: HTML defaults to middle; `valign` on the
         // cell (or its row) overrides, as era markup commonly did for
         // label columns.
         let free = rect_h - 2 * CELL_PADDING - h;
-        if free > 1 {
+        let dy = if free > 1 {
             let valign = doc
                 .attr(cell.node, "valign")
-                .or_else(|| doc.parent(cell.node).and_then(|r| doc.attr(r, "valign")))
-                .map(str::to_ascii_lowercase);
-            let dy = match valign.as_deref() {
-                Some("top") => 0,
-                Some("bottom") => free,
+                .or_else(|| doc.parent(cell.node).and_then(|r| doc.attr(r, "valign")));
+            match valign {
+                Some(v) if v.eq_ignore_ascii_case("top") => 0,
+                Some(v) if v.eq_ignore_ascii_case("bottom") => free,
                 _ => free / 2,
-            };
-            if dy != 0 {
-                for &c in &children {
-                    buf.translate_subtree(doc, c, 0, dy);
-                }
             }
+        } else {
+            0
+        };
+        for &c in doc.children(cell.node) {
+            buf.translate_subtree(doc, c, 0, cy + CELL_PADDING + dy);
         }
         buf.set_bbox(cell.node, BBox::new(cx, cy, cx + rect_w, cy + rect_h));
     }
 
     // Row, section, and table boxes.
-    let table_w: i32 = col_w.iter().sum::<i32>() + (ncols as i32 + 1) * CELL_SPACING;
+    let table_w = table_width(&col_w);
     for (r, &row) in rows.iter().enumerate() {
         buf.set_bbox(
             row,
@@ -157,6 +120,60 @@ pub(crate) fn layout_table(
     let bottom = row_y[nrows - 1] + row_h[nrows - 1] + CELL_SPACING;
     buf.set_bbox(table, BBox::new(x, cur_y, x + table_w, bottom));
     bottom + m
+}
+
+/// Preferred right edge of `<table>` placed at `x` within `width`: its
+/// own width (tables size to their columns, not to the space given),
+/// or a caption's content when that reaches further.
+pub(crate) fn pref_table(flow: &Flow<'_>, table: NodeId, x: i32, width: i32) -> i32 {
+    let doc = flow.doc;
+    let captions = doc
+        .children(table)
+        .iter()
+        .filter(|&&c| doc.tag(c) == Some("caption"))
+        .map(|&cap| flow.pref_right(doc.children(cap), x, width))
+        .max()
+        .unwrap_or(0);
+    let cells = build_grid(doc, &collect_rows(doc, table));
+    let table_w = if cells.is_empty() {
+        0
+    } else {
+        table_width(&column_widths(flow, &cells))
+    };
+    captions.max(x + table_w)
+}
+
+/// Auto column widths: each column takes its widest single-column
+/// cell's preferred width; a spanning cell spreads any deficit across
+/// the columns it covers.
+fn column_widths(flow: &Flow<'_>, cells: &[Cell]) -> Vec<i32> {
+    let doc = flow.doc;
+    let ncols = cells.iter().map(|c| c.col + c.colspan).max().unwrap_or(1);
+    let pref =
+        |cell: &Cell| flow.pref_right(doc.children(cell.node), 0, PROBE_W) + 2 * CELL_PADDING;
+    let mut col_w = vec![0i32; ncols];
+    for cell in cells.iter().filter(|c| c.colspan == 1) {
+        col_w[cell.col] = col_w[cell.col].max(pref(cell));
+    }
+    for cell in cells.iter().filter(|c| c.colspan > 1) {
+        let p = pref(cell);
+        let covered = cell.col..(cell.col + cell.colspan).min(ncols);
+        let have: i32 =
+            col_w[covered.clone()].iter().sum::<i32>() + (cell.colspan as i32 - 1) * CELL_SPACING;
+        if p > have {
+            let deficit = p - have;
+            let n = covered.len() as i32;
+            for (k, c) in covered.enumerate() {
+                col_w[c] += deficit / n + i32::from((k as i32) < deficit % n);
+            }
+        }
+    }
+    col_w
+}
+
+/// Full table width: the columns plus the spacing around them.
+fn table_width(col_w: &[i32]) -> i32 {
+    col_w.iter().sum::<i32>() + (col_w.len() as i32 + 1) * CELL_SPACING
 }
 
 /// Rows of a table in document order, looking through sections.
@@ -182,36 +199,25 @@ fn collect_rows(doc: &Document, table: NodeId) -> Vec<NodeId> {
 /// Assigns grid coordinates honoring colspan/rowspan occupancy.
 fn build_grid(doc: &Document, rows: &[NodeId]) -> Vec<Cell> {
     let mut cells = Vec::new();
-    let mut occupied: Vec<Vec<bool>> = Vec::new();
+    // `busy_until[c]`: first row not covered by a cell already placed
+    // in column `c`. Cells arrive row by row, so a slot is free exactly
+    // when every earlier cover of its column has ended.
+    let mut busy_until: Vec<usize> = Vec::new();
     for (r, &row) in rows.iter().enumerate() {
-        if occupied.len() <= r {
-            occupied.resize_with(r + 1, Vec::new);
-        }
         let mut c = 0usize;
         for &child in doc.children(row) {
             if !matches!(doc.tag(child), Some("td" | "th")) {
                 continue;
             }
-            while occupied
-                .get(r)
-                .is_some_and(|ro| *ro.get(c).unwrap_or(&false))
-            {
+            while busy_until.get(c).is_some_and(|&until| until > r) {
                 c += 1;
             }
             let colspan = attr_usize(doc, child, "colspan").clamp(1, 50);
             let rowspan = attr_usize(doc, child, "rowspan").clamp(1, rows.len() - r);
-            for rr in r..r + rowspan {
-                if occupied.len() <= rr {
-                    occupied.resize_with(rr + 1, Vec::new);
-                }
-                let rowv = &mut occupied[rr];
-                if rowv.len() < c + colspan {
-                    rowv.resize(c + colspan, false);
-                }
-                for slot in rowv.iter_mut().take(c + colspan).skip(c) {
-                    *slot = true;
-                }
+            if busy_until.len() < c + colspan {
+                busy_until.resize(c + colspan, 0);
             }
+            busy_until[c..c + colspan].fill(r + rowspan);
             cells.push(Cell {
                 node: child,
                 row: r,

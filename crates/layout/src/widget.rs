@@ -21,10 +21,7 @@ pub fn intrinsic_size(doc: &Document, node: NodeId) -> Option<(i32, i32)> {
         "input" => input_size(doc, node),
         "select" => Some(select_size(doc, node)),
         "textarea" => Some(textarea_size(doc, node)),
-        "button" => {
-            let label = doc.text_content(node);
-            Some(button_size(label.trim()))
-        }
+        "button" => Some(button_size(&doc.trimmed_text(node))),
         "img" => Some(image_size(doc, node)),
         _ => None,
     }
@@ -35,24 +32,26 @@ fn attr_i32(doc: &Document, node: NodeId, name: &str) -> Option<i32> {
 }
 
 fn input_size(doc: &Document, node: NodeId) -> Option<(i32, i32)> {
-    let ty = doc.attr(node, "type").unwrap_or("text").to_lowercase();
-    match ty.as_str() {
-        "hidden" => None,
-        "radio" | "checkbox" => Some((GLYPH, GLYPH)),
-        "submit" | "reset" | "button" => {
-            let label = doc
-                .attr(node, "value")
-                .filter(|v| !v.trim().is_empty())
-                .unwrap_or("Submit");
-            Some(button_size(label))
-        }
-        "image" => Some(image_size(doc, node)),
-        "file" => {
-            let (w, h) = text_field_size(doc, node);
-            Some((w + 80, h.max(22))) // text field plus Browse… button
-        }
+    let ty = doc.attr(node, "type").unwrap_or("text");
+    let is = |name: &str| ty.eq_ignore_ascii_case(name);
+    if is("hidden") {
+        None
+    } else if is("radio") || is("checkbox") {
+        Some((GLYPH, GLYPH))
+    } else if is("submit") || is("reset") || is("button") {
+        let label = doc
+            .attr(node, "value")
+            .filter(|v| !v.trim().is_empty())
+            .unwrap_or("Submit");
+        Some(button_size(label))
+    } else if is("image") {
+        Some(image_size(doc, node))
+    } else if is("file") {
+        let (w, h) = text_field_size(doc, node);
+        Some((w + 80, h.max(22))) // text field plus Browse… button
+    } else {
         // text, password, and anything unrecognized renders as a textbox.
-        _ => Some(text_field_size(doc, node)),
+        Some(text_field_size(doc, node))
     }
 }
 
@@ -72,10 +71,8 @@ fn image_size(doc: &Document, node: NodeId) -> (i32, i32) {
 }
 
 fn select_size(doc: &Document, node: NodeId) -> (i32, i32) {
-    let longest = doc
-        .elements_by_tag(node, "option")
-        .iter()
-        .map(|&o| text_width(doc.text_content(o).trim()))
+    let longest = options(doc, node)
+        .map(|o| text_width(&doc.trimmed_text(o)))
         .max()
         .unwrap_or(0);
     let rows = attr_i32(doc, node, "size").unwrap_or(1).max(1);
@@ -89,7 +86,13 @@ fn select_size(doc: &Document, node: NodeId) -> (i32, i32) {
 }
 
 fn option_count(doc: &Document, node: NodeId) -> i32 {
-    doc.elements_by_tag(node, "option").len() as i32
+    options(doc, node).count() as i32
+}
+
+/// The `<option>` elements under a `<select>`, in document order.
+fn options(doc: &Document, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    doc.descendants(node)
+        .filter(move |&n| doc.tag(n) == Some("option"))
 }
 
 fn textarea_size(doc: &Document, node: NodeId) -> (i32, i32) {

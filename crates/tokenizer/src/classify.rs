@@ -24,73 +24,89 @@ static MONTHS: &[&str] = &[
 ];
 
 fn is_month_name(s: &str) -> bool {
-    let s = s.trim().to_lowercase();
+    let s = s.trim();
     if s.len() < 3 {
         return false;
     }
+    // "Jan.", "Sept."
+    let stripped = s.trim_end_matches('.');
     MONTHS.iter().any(|m| {
-        *m == s || (s.len() == 3 && m.starts_with(&s)) || {
-            // "Jan.", "Sept."
-            let stripped = s.trim_end_matches('.');
-            m.starts_with(stripped) && stripped.len() >= 3
-        }
+        m.eq_ignore_ascii_case(s)
+            || (s.len() == 3 && starts_with_ignore_case(m, s))
+            || (stripped.len() >= 3 && starts_with_ignore_case(m, stripped))
     })
 }
 
 /// True for placeholder options that carry no domain information.
 fn is_placeholder(s: &str) -> bool {
-    let t = s.trim().to_lowercase();
+    let t = s.trim();
     t.is_empty()
         || t.chars().all(|c| c == '-' || c == '—')
-        || matches!(
-            t.as_str(),
-            "any" | "all" | "select" | "select one" | "choose" | "please select" | "n/a"
-        )
-        || t.starts_with("select ")
-        || t.starts_with("choose ")
+        || [
+            "any",
+            "all",
+            "select",
+            "select one",
+            "choose",
+            "please select",
+            "n/a",
+        ]
+        .iter()
+        .any(|p| t.eq_ignore_ascii_case(p))
+        || starts_with_ignore_case(t, "select ")
+        || starts_with_ignore_case(t, "choose ")
+}
+
+/// ASCII case-insensitive `starts_with`, without lowercasing a copy.
+fn starts_with_ignore_case(s: &str, prefix: &str) -> bool {
+    s.len() >= prefix.len() && s.as_bytes()[..prefix.len()].eq_ignore_ascii_case(prefix.as_bytes())
+}
+
+/// An option label read as a plain number: currency signs and
+/// thousands separators are ignored.
+fn as_number(s: &str) -> Option<i64> {
+    let s = s.trim_start_matches(['$', '£', '€']);
+    if s.contains(',') {
+        s.replace(',', "").trim().parse().ok()
+    } else {
+        s.trim().parse().ok()
+    }
 }
 
 /// Classifies a `<select>` by its visible option labels.
 pub fn classify_select(options: &[String]) -> TokenKind {
-    let informative: Vec<&str> = options
-        .iter()
-        .map(|s| s.trim())
-        .filter(|s| !is_placeholder(s))
-        .collect();
-    if informative.is_empty() {
+    let informative = || {
+        options
+            .iter()
+            .map(|s| s.trim())
+            .filter(|s| !is_placeholder(s))
+    };
+    let n = informative().count();
+    if n == 0 {
         return TokenKind::SelectionList;
     }
-    let n = informative.len();
 
-    let month_hits = informative.iter().filter(|s| is_month_name(s)).count();
+    let month_hits = informative().filter(|s| is_month_name(s)).count();
     if month_hits * 10 >= n * 8 && month_hits >= 3 {
         return TokenKind::MonthList;
     }
 
-    let numeric: Vec<i64> = informative
-        .iter()
-        .filter_map(|s| {
-            s.trim_start_matches(['$', '£', '€'])
-                .replace(',', "")
-                .trim()
-                .parse::<i64>()
-                .ok()
-        })
-        .collect();
+    let (mut count, mut min, mut max) = (0usize, i64::MAX, i64::MIN);
+    for v in informative().filter_map(as_number) {
+        count += 1;
+        min = min.min(v);
+        max = max.max(v);
+    }
     // At least 80% of informative options must be plain numbers for the
     // numeric classifications below.
-    if numeric.len() * 10 >= n * 8 && !numeric.is_empty() {
-        let (min, max) = (
-            *numeric.iter().min().expect("nonempty"),
-            *numeric.iter().max().expect("nonempty"),
-        );
+    if count * 10 >= n * 8 && count > 0 {
         if (1900..=2100).contains(&min) && (1900..=2100).contains(&max) {
             return TokenKind::YearList;
         }
-        if min >= 1 && max <= 12 && numeric.len() >= 10 {
+        if min >= 1 && max <= 12 && count >= 10 {
             return TokenKind::MonthList;
         }
-        if min >= 1 && max <= 31 && numeric.len() >= 25 {
+        if min >= 1 && max <= 31 && count >= 25 {
             return TokenKind::DayList;
         }
         return TokenKind::NumberList;

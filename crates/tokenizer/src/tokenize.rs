@@ -54,9 +54,8 @@ impl Tokenized {
 /// ```
 pub fn tokenize(doc: &Document, layout: &Layout) -> Tokenized {
     let scope = doc
-        .elements_by_tag(doc.root(), "form")
-        .first()
-        .copied()
+        .descendants(doc.root())
+        .find(|&n| doc.tag(n) == Some("form"))
         .unwrap_or_else(|| doc.root());
     tokenize_scope(doc, layout, scope)
 }
@@ -117,7 +116,7 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
                 }
                 "button" => {
                     if let Some(b) = layout.bbox(node) {
-                        let caption = doc.text_content(node).trim().to_string();
+                        let caption = doc.trimmed_text(node).into_owned();
                         widgets.push((
                             Token::widget(0, TokenKind::SubmitButton, attr(doc, node, "name"), b)
                                 .with_sval(caption),
@@ -212,25 +211,33 @@ fn attr(doc: &Document, node: NodeId, name: &str) -> String {
 fn select_token(doc: &Document, layout: &Layout, node: NodeId) -> Option<Token> {
     let bbox = layout.bbox(node)?;
     let options: Vec<String> = doc
-        .elements_by_tag(node, "option")
-        .iter()
-        .map(|&o| doc.text_content(o).trim().to_string())
+        .descendants(node)
+        .filter(|&o| doc.tag(o) == Some("option"))
+        .map(|o| doc.trimmed_text(o))
         .filter(|s| !s.is_empty())
+        .map(|s| s.into_owned())
         .collect();
     let kind = classify_select(&options);
     Some(Token::widget(0, kind, attr(doc, node, "name"), bbox).with_options(options))
 }
 
 fn input_token(doc: &Document, layout: &Layout, node: NodeId) -> Option<Token> {
-    let ty = doc.attr(node, "type").unwrap_or("text").to_lowercase();
-    if ty == "hidden" {
+    let ty = doc.attr(node, "type").unwrap_or("text");
+    if ty.eq_ignore_ascii_case("hidden") {
         return None;
     }
     let bbox = layout.bbox(node)?;
     let name = attr(doc, node, "name");
     let value = attr(doc, node, "value");
     let checked = doc.attr(node, "checked").is_some();
-    let token = match ty.as_str() {
+    let known = [
+        "radio", "checkbox", "submit", "reset", "button", "image", "file", "password",
+    ];
+    let ty = known
+        .into_iter()
+        .find(|k| ty.eq_ignore_ascii_case(k))
+        .unwrap_or("text");
+    let token = match ty {
         "radio" => Token::widget(0, TokenKind::Radiobutton, name, bbox)
             .with_sval(value)
             .with_checked(checked),
