@@ -12,6 +12,7 @@
 //! in an `Arc` and share it across however many parser sessions or
 //! worker threads the workload needs. Compile once, parse many.
 
+use crate::constraint::Hoisted;
 use crate::grammar::{Grammar, GrammarError};
 use crate::preference::PrefId;
 use crate::production::ProdId;
@@ -44,6 +45,9 @@ pub struct CompiledGrammar {
     /// Widest production right-hand side — sessions size their
     /// enumeration scratch from this.
     max_arity: usize,
+    /// Every production's constraint in enumeration form, indexed by
+    /// production id (see [`hoist_constraints`]).
+    hoisted: Vec<Hoisted>,
 }
 
 impl CompiledGrammar {
@@ -79,6 +83,7 @@ impl CompiledGrammar {
             .map(|p| p.arity())
             .max()
             .unwrap_or(0);
+        let hoisted = hoist_constraints(&grammar);
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         Ok(CompiledGrammar {
             grammar,
@@ -87,6 +92,7 @@ impl CompiledGrammar {
             head_prods,
             head_ranges,
             max_arity,
+            hoisted,
         })
     }
 
@@ -126,6 +132,11 @@ impl CompiledGrammar {
     pub fn max_arity(&self) -> usize {
         self.max_arity
     }
+
+    /// Every production's hoisted constraint, indexed by production id.
+    pub fn hoisted(&self) -> &[Hoisted] {
+        &self.hoisted
+    }
 }
 
 impl Grammar {
@@ -135,6 +146,19 @@ impl Grammar {
     pub fn compile(self) -> Result<CompiledGrammar, GrammarError> {
         CompiledGrammar::build(self)
     }
+}
+
+/// Splits every production's constraint into its enumeration form —
+/// per-slot unary predicates and depth-grouped residual terms (see
+/// [`crate::Constraint::hoist`]) — indexed by production id. It depends
+/// on the grammar alone, so a compiled grammar builds it once for every
+/// session and parse.
+pub fn hoist_constraints(grammar: &Grammar) -> Vec<Hoisted> {
+    grammar
+        .productions
+        .iter()
+        .map(|p| p.constraint.hoist(p.arity(), &grammar.proximity))
+        .collect()
 }
 
 /// Builds the per-symbol preference index for a grammar: for every
@@ -200,6 +224,16 @@ mod tests {
             if !prefs.is_empty() {
                 assert_eq!(g.symbols.kind(SymbolId(s as u32)), SymbolKind::NonTerminal);
             }
+        }
+    }
+
+    #[test]
+    fn constraints_are_hoisted_once_per_production() {
+        let g = paper_example_grammar();
+        let compiled = CompiledGrammar::new(&g).unwrap();
+        assert_eq!(compiled.hoisted().len(), g.productions.len());
+        for (h, p) in compiled.hoisted().iter().zip(&g.productions) {
+            assert_eq!(h.slot_preds.len(), p.arity());
         }
     }
 

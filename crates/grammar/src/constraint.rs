@@ -19,6 +19,9 @@ pub struct View<'a> {
     pub payload: &'a Payload,
     /// The underlying token for terminal instances.
     pub token: Option<&'a Token>,
+    /// The instance's id in its chart. Conditions collected from it
+    /// take their tokens from its span.
+    pub inst: u32,
 }
 
 /// Lexical predicates on a single component.
@@ -565,7 +568,7 @@ fn eval_pred(pred: Pred, view: &View<'_>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaform_core::DomainSpec;
+    use crate::payload::{Domain, TextList};
 
     fn view_at<'a>(payloads: &'a [Payload], boxes: &[BBox]) -> Vec<View<'a>> {
         payloads
@@ -575,6 +578,7 @@ mod tests {
                 bbox: *b,
                 payload: p,
                 token: None,
+                inst: 0,
             })
             .collect()
     }
@@ -662,14 +666,17 @@ mod tests {
     #[test]
     fn ops_like_predicate() {
         let p = Proximity::default();
-        let ops = [Payload::Ops(vec![
+        let ops = [Payload::Ops(TextList::from([
             "exact name".into(),
             "start of last name".into(),
-        ])];
+        ]))];
         let views = view_at(&ops, &[BBox::ZERO]);
         assert!(Constraint::Is(0, Pred::OpsLike).eval(&views, &p));
 
-        let not_ops = [Payload::Ops(vec!["Round trip".into(), "One way".into()])];
+        let not_ops = [Payload::Ops(TextList::from([
+            "Round trip".into(),
+            "One way".into(),
+        ]))];
         let views = view_at(&not_ops, &[BBox::ZERO]);
         assert!(!Constraint::Is(0, Pred::OpsLike).eval(&views, &p));
     }
@@ -700,11 +707,12 @@ mod tests {
         let p = Proximity::default();
         let tok = Token::widget(0, metaform_core::TokenKind::SelectionList, "op", BBox::ZERO)
             .with_options(vec!["contains".into(), "exact phrase".into()]);
-        let payload = Payload::Val(DomainSpec::text());
+        let payload = Payload::Val(Domain::of(metaform_core::DomainKind::Text));
         let views = [View {
             bbox: BBox::ZERO,
             payload: &payload,
             token: Some(&tok),
+            inst: 0,
         }];
         assert!(Constraint::Is(0, Pred::OptionsOpsLike).eval(&views, &p));
         assert!(

@@ -7,8 +7,11 @@
 //! components' boxes; the constructor decides the *semantic* payload.
 
 use crate::constraint::View;
-use crate::payload::Payload;
-use metaform_core::{normalize_label, Condition, DomainKind, DomainSpec};
+use crate::payload::{
+    empty_list, empty_text, texts, Cond, CondAt, Domain, Payload, Text, TextList,
+};
+use metaform_core::{normalize_label, DomainKind};
+use std::sync::Arc;
 
 /// Declarative constructor actions (indexes refer to components).
 #[derive(Clone, Debug)]
@@ -97,32 +100,26 @@ impl Constructor {
         }
     }
 
-    /// Builds the head payload from component views. Conditions are
-    /// created with empty token lists; the parser fills them from the
-    /// new instance's span.
+    /// Builds the head payload from component views. Every part of the
+    /// result is shared with the components' payloads — no caption,
+    /// list or condition is copied. Conditions carry no token lists;
+    /// the merger reads them off the chart.
     pub fn eval(&self, views: &[View<'_>]) -> Payload {
         match self {
             Constructor::Group => Payload::None,
             Constructor::Inherit(i) => views[*i].payload.clone(),
-            Constructor::MakeAttr(i) => {
-                Payload::Attr(views[*i].payload.text().unwrap_or("").trim().to_string())
-            }
-            Constructor::TextOf(i) => {
-                Payload::Text(views[*i].payload.text().unwrap_or("").trim().to_string())
-            }
-            Constructor::ListStart(i) => {
-                Payload::Ops(vec![views[*i].payload.text().unwrap_or("").to_string()])
-            }
+            Constructor::MakeAttr(i) => Payload::Attr(trimmed(&views[*i])),
+            Constructor::TextOf(i) => Payload::Text(trimmed(&views[*i])),
+            Constructor::ListStart(i) => Payload::Ops(TextList::from([text_of(&views[*i])])),
             Constructor::ListAppend { list, unit } => {
-                let mut ops = views[*list].payload.ops().unwrap_or(&[]).to_vec();
-                ops.push(views[*unit].payload.text().unwrap_or("").to_string());
-                Payload::Ops(ops)
+                let head = ops_of(&views[*list]);
+                let unit = text_of(&views[*unit]);
+                Payload::Ops(head.iter().cloned().chain([unit]).collect())
             }
             Constructor::OpsFromOptions(i) => Payload::Ops(
                 views[*i]
                     .token
-                    .map(|t| t.options.clone())
-                    .unwrap_or_default(),
+                    .map_or_else(empty_list, |t| texts(&t.options)),
             ),
             Constructor::MakeCond {
                 attr,
@@ -130,90 +127,130 @@ impl Constructor {
                 val,
                 kind,
             } => {
-                let attribute = attr
-                    .and_then(|i| views[i].payload.text())
-                    .unwrap_or("")
-                    .to_string();
-                let operators = ops
-                    .and_then(|i| views[i].payload.ops())
-                    .unwrap_or(&[])
-                    .to_vec();
                 let mut domain = views[*val]
                     .payload
                     .val()
                     .cloned()
-                    .unwrap_or_else(DomainSpec::text);
+                    .unwrap_or_else(|| Domain::of(DomainKind::Text));
                 if let Some(k) = kind {
                     domain.kind = *k;
                 }
-                Payload::Cond(Condition::new(attribute, operators, domain, vec![]))
+                cond(
+                    attr.map_or_else(empty_text, |i| text_of(&views[i])),
+                    ops.map_or_else(empty_list, |i| ops_of(&views[i])),
+                    domain,
+                )
             }
-            Constructor::MakeEnumCond { attr, list } => {
-                let attribute = attr
-                    .and_then(|i| views[i].payload.text())
-                    .unwrap_or("")
-                    .to_string();
-                let values = views[*list].payload.ops().unwrap_or(&[]).to_vec();
-                Payload::Cond(Condition::new(
-                    attribute,
-                    vec![],
-                    DomainSpec::enumerated(values),
-                    vec![],
-                ))
-            }
-            Constructor::MakeBoolCond(i) => {
-                let caption = views[*i].payload.text().unwrap_or("").to_string();
-                Payload::Cond(Condition::new(
-                    caption,
-                    vec![],
-                    DomainSpec::of(DomainKind::Boolean),
-                    vec![],
-                ))
-            }
+            Constructor::MakeEnumCond { attr, list } => cond(
+                attr.map_or_else(empty_text, |i| text_of(&views[i])),
+                empty_list(),
+                Domain {
+                    kind: DomainKind::Enumerated,
+                    values: ops_of(&views[*list]),
+                },
+            ),
+            Constructor::MakeBoolCond(i) => cond(
+                text_of(&views[*i]),
+                empty_list(),
+                Domain::of(DomainKind::Boolean),
+            ),
             Constructor::MakeRange { attr, lo, hi } => {
-                let attribute = views[*attr].payload.text().unwrap_or("").to_string();
-                let mut values = Vec::new();
-                for &i in &[*lo, *hi] {
-                    if let Some(v) = views[i].payload.val() {
-                        values.extend(v.values.iter().cloned());
-                    }
-                }
-                Payload::Cond(Condition::new(
-                    attribute,
-                    vec![],
-                    DomainSpec {
+                let [a, b] = [*lo, *hi].map(|i| {
+                    views[i]
+                        .payload
+                        .val()
+                        .map_or_else(empty_list, |d| d.values.clone())
+                });
+                let values = if a.is_empty() {
+                    b
+                } else if b.is_empty() {
+                    a
+                } else {
+                    a.iter().chain(b.iter()).cloned().collect()
+                };
+                cond(
+                    text_of(&views[*attr]),
+                    empty_list(),
+                    Domain {
                         kind: DomainKind::Range,
                         values,
                     },
-                    vec![],
-                ))
+                )
             }
-            Constructor::MakeDate(attr) => {
-                let attribute = views[*attr].payload.text().unwrap_or("").to_string();
-                Payload::Cond(Condition::new(
-                    attribute,
-                    vec![],
-                    DomainSpec::of(DomainKind::Date),
-                    vec![],
-                ))
-            }
+            Constructor::MakeDate(attr) => cond(
+                text_of(&views[*attr]),
+                empty_list(),
+                Domain::of(DomainKind::Date),
+            ),
             Constructor::MakeUnlabeledCond(i) => {
                 let view = &views[*i];
-                let domain = view.payload.val().cloned().unwrap_or_else(DomainSpec::text);
-                let attribute = view
-                    .token
-                    .map(|t| unlabeled_attribute(&t.name, &t.options))
-                    .unwrap_or_default();
-                Payload::Cond(Condition::new(attribute, vec![], domain, vec![]))
+                let domain = view
+                    .payload
+                    .val()
+                    .cloned()
+                    .unwrap_or_else(|| Domain::of(DomainKind::Text));
+                let attribute = view.token.map_or_else(empty_text, |t| {
+                    Text::from(unlabeled_attribute(&t.name, &t.options))
+                });
+                cond(attribute, empty_list(), domain)
             }
             Constructor::CollectConds => {
-                let mut conds = Vec::new();
-                for v in views {
-                    conds.extend_from_slice(v.payload.conditions());
+                // A lone component that already carries a list passes
+                // it up as is: the `HQI<-CP`, `QI<-HQI` wrappers.
+                let mut carriers = views.iter().filter(|v| v.payload.has_conditions());
+                if let (Some(only), None) = (carriers.next(), carriers.next()) {
+                    if let Payload::Conds(list) = only.payload {
+                        return Payload::Conds(list.clone());
+                    }
                 }
-                Payload::Conds(conds)
+                Payload::Conds(
+                    views
+                        .iter()
+                        .flat_map(|v| v.payload.conditions(v.inst))
+                        .map(|(cond, at)| CondAt {
+                            cond: cond.clone(),
+                            at,
+                        })
+                        .collect(),
+                )
             }
         }
+    }
+}
+
+/// A new condition payload.
+fn cond(attribute: Text, operators: TextList, domain: Domain) -> Payload {
+    Payload::Cond(Arc::new(Cond {
+        attribute,
+        operators,
+        domain,
+    }))
+}
+
+/// A component's caption, shared (empty when it has none).
+fn text_of(view: &View<'_>) -> Text {
+    view.payload
+        .shared_text()
+        .cloned()
+        .unwrap_or_else(empty_text)
+}
+
+/// A component's caption trimmed; shared when already trimmed.
+fn trimmed(view: &View<'_>) -> Text {
+    let text = text_of(view);
+    let t = text.trim();
+    if t.len() == text.len() {
+        text
+    } else {
+        Text::from(t)
+    }
+}
+
+/// A component's caption list, shared (empty when it has none).
+fn ops_of(view: &View<'_>) -> TextList {
+    match view.payload {
+        Payload::Ops(list) => list.clone(),
+        _ => empty_list(),
     }
 }
 
@@ -236,14 +273,38 @@ fn unlabeled_attribute(name: &str, options: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaform_core::{BBox, Token, TokenKind};
+    use metaform_core::{BBox, Condition, DomainSpec, Token, TokenKind};
 
     fn v(p: &Payload) -> View<'_> {
+        v_at(p, 0)
+    }
+
+    fn v_at(p: &Payload, inst: u32) -> View<'_> {
         View {
             bbox: BBox::ZERO,
             payload: p,
             token: None,
+            inst,
         }
+    }
+
+    fn list(items: &[&str]) -> TextList {
+        items.iter().map(|&s| Text::from(s)).collect()
+    }
+
+    fn enumerated(items: &[&str]) -> Payload {
+        Payload::Val(Domain {
+            kind: DomainKind::Enumerated,
+            values: list(items),
+        })
+    }
+
+    /// The single condition a payload carries, in report form.
+    fn only(p: &Payload) -> Condition {
+        let mut conds = p.conditions(0);
+        let (c, _) = conds.next().expect("one condition");
+        assert!(conds.next().is_none(), "exactly one condition");
+        c.to_condition(vec![])
     }
 
     #[test]
@@ -260,22 +321,35 @@ mod tests {
     }
 
     #[test]
+    fn trimmed_captions_are_shared_not_copied() {
+        let p = Payload::Text("Author".into());
+        let out = Constructor::MakeAttr(0).eval(&[v(&p)]);
+        let (Payload::Text(a), Payload::Attr(b)) = (&p, &out) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b));
+    }
+
+    #[test]
     fn list_building() {
         let first = Payload::Text("exact name".into());
         let started = Constructor::ListStart(0).eval(&[v(&first)]);
-        assert_eq!(started.ops().unwrap(), ["exact name"]);
+        assert_eq!(started.ops().unwrap(), &*list(&["exact name"]));
 
         let second = Payload::Text("start of name".into());
         let extended =
             Constructor::ListAppend { list: 0, unit: 1 }.eval(&[v(&started), v(&second)]);
-        assert_eq!(extended.ops().unwrap(), ["exact name", "start of name"]);
+        assert_eq!(
+            extended.ops().unwrap(),
+            &*list(&["exact name", "start of name"])
+        );
     }
 
     #[test]
     fn make_cond_assembles_tuple() {
         let attr = Payload::Attr("Author".into());
-        let ops = Payload::Ops(vec!["exact name".into()]);
-        let val = Payload::Val(DomainSpec::text());
+        let ops = Payload::Ops(list(&["exact name"]));
+        let val = Payload::Val(Domain::of(DomainKind::Text));
         let out = Constructor::MakeCond {
             attr: Some(0),
             ops: Some(1),
@@ -283,7 +357,7 @@ mod tests {
             kind: None,
         }
         .eval(&[v(&attr), v(&ops), v(&val)]);
-        let c = &out.conditions()[0];
+        let c = only(&out);
         assert_eq!(c.attribute, "Author");
         assert_eq!(c.operators, vec!["exact name"]);
         assert_eq!(c.domain.kind, DomainKind::Text);
@@ -291,7 +365,7 @@ mod tests {
 
     #[test]
     fn make_cond_kind_override_and_defaults() {
-        let val = Payload::Val(DomainSpec::enumerated(vec!["1".into(), "2".into()]));
+        let val = enumerated(&["1", "2"]);
         let out = Constructor::MakeCond {
             attr: None,
             ops: None,
@@ -299,7 +373,7 @@ mod tests {
             kind: Some(DomainKind::Numeric),
         }
         .eval(&[v(&val)]);
-        let c = &out.conditions()[0];
+        let c = only(&out);
         assert_eq!(c.attribute, "");
         assert_eq!(c.domain.kind, DomainKind::Numeric);
         assert_eq!(c.domain.values, vec!["1", "2"]);
@@ -308,34 +382,34 @@ mod tests {
     #[test]
     fn enum_and_bool_conditions() {
         let attr = Payload::Attr("Format".into());
-        let list = Payload::Ops(vec!["Hardcover".into(), "Paperback".into()]);
+        let captions = Payload::Ops(list(&["Hardcover", "Paperback"]));
         let out = Constructor::MakeEnumCond {
             attr: Some(0),
             list: 1,
         }
-        .eval(&[v(&attr), v(&list)]);
-        let c = &out.conditions()[0];
+        .eval(&[v(&attr), v(&captions)]);
+        let c = only(&out);
         assert_eq!(c.domain.kind, DomainKind::Enumerated);
         assert_eq!(c.domain.values, vec!["Hardcover", "Paperback"]);
 
         let caption = Payload::Text("Hardcover only".into());
-        let b = Constructor::MakeBoolCond(0).eval(&[v(&caption)]);
-        assert_eq!(b.conditions()[0].domain.kind, DomainKind::Boolean);
-        assert_eq!(b.conditions()[0].attribute, "Hardcover only");
+        let b = only(&Constructor::MakeBoolCond(0).eval(&[v(&caption)]));
+        assert_eq!(b.domain.kind, DomainKind::Boolean);
+        assert_eq!(b.attribute, "Hardcover only");
     }
 
     #[test]
     fn range_unions_endpoint_values() {
         let attr = Payload::Attr("Price".into());
-        let lo = Payload::Val(DomainSpec::enumerated(vec!["5".into()]));
-        let hi = Payload::Val(DomainSpec::enumerated(vec!["50".into()]));
+        let lo = enumerated(&["5"]);
+        let hi = enumerated(&["50"]);
         let out = Constructor::MakeRange {
             attr: 0,
             lo: 1,
             hi: 2,
         }
         .eval(&[v(&attr), v(&lo), v(&hi)]);
-        let c = &out.conditions()[0];
+        let c = only(&out);
         assert_eq!(c.domain.kind, DomainKind::Range);
         assert_eq!(c.domain.values, vec!["5", "50"]);
     }
@@ -344,46 +418,63 @@ mod tests {
     fn unlabeled_widget_attribute_sources() {
         let tok = Token::widget(0, TokenKind::SelectionList, "pub_year", BBox::ZERO)
             .with_options(vec!["Select a State".into(), "IL".into()]);
-        let p = Payload::Val(DomainSpec::enumerated(tok.options.clone()));
+        let p = Payload::for_token(&tok);
         let view = View {
             bbox: BBox::ZERO,
             payload: &p,
             token: Some(&tok),
+            inst: 0,
         };
         let out = Constructor::MakeUnlabeledCond(0).eval(&[view]);
-        assert_eq!(out.conditions()[0].attribute, "state", "placeholder wins");
+        assert_eq!(only(&out).attribute, "state", "placeholder wins");
 
         let tok2 = Token::widget(0, TokenKind::Textbox, "pub_year", BBox::ZERO);
-        let p2 = Payload::Val(DomainSpec::text());
+        let p2 = Payload::Val(Domain::of(DomainKind::Text));
         let view2 = View {
             bbox: BBox::ZERO,
             payload: &p2,
             token: Some(&tok2),
+            inst: 0,
         };
         let out2 = Constructor::MakeUnlabeledCond(0).eval(&[view2]);
-        assert_eq!(out2.conditions()[0].attribute, "pub year");
+        assert_eq!(only(&out2).attribute, "pub year");
+        assert_eq!(only(&out2).domain, DomainSpec::text());
+    }
+
+    fn cond_of(attr: &str) -> Payload {
+        Constructor::MakeDate(0).eval(&[v(&Payload::Attr(attr.into()))])
     }
 
     #[test]
-    fn collect_conditions_flattens() {
-        let c1 = Payload::Cond(Condition::new("a", vec![], DomainSpec::text(), vec![]));
-        let c2 = Payload::Conds(vec![
-            Condition::new("b", vec![], DomainSpec::text(), vec![]),
-            Condition::new("c", vec![], DomainSpec::text(), vec![]),
-        ]);
+    fn collect_conditions_flattens_and_records_origins() {
+        let c1 = cond_of("a");
+        let c2 = Constructor::CollectConds.eval(&[v_at(&cond_of("b"), 4), v_at(&cond_of("c"), 5)]);
         let none = Payload::None;
-        let out = Constructor::CollectConds.eval(&[v(&c1), v(&c2), v(&none)]);
-        let attrs: Vec<&str> = out
-            .conditions()
-            .iter()
-            .map(|c| c.attribute.as_str())
+        let out = Constructor::CollectConds.eval(&[v_at(&c1, 1), v_at(&c2, 6), v_at(&none, 7)]);
+        let got: Vec<(String, u32)> = out
+            .conditions(9)
+            .map(|(c, at)| (c.attribute.to_string(), at))
             .collect();
-        assert_eq!(attrs, vec!["a", "b", "c"]);
+        assert_eq!(
+            got,
+            vec![("a".into(), 1), ("b".into(), 4), ("c".into(), 5)],
+            "a lone condition takes its component's span; listed ones keep theirs"
+        );
+    }
+
+    #[test]
+    fn collecting_one_list_shares_it() {
+        let row = Constructor::CollectConds.eval(&[v_at(&cond_of("a"), 1), v_at(&cond_of("b"), 2)]);
+        let up = Constructor::CollectConds.eval(&[v(&Payload::None), v(&row)]);
+        let (Payload::Conds(a), Payload::Conds(b)) = (&row, &up) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b), "a wrapper passes the list up as is");
     }
 
     #[test]
     fn group_and_inherit() {
-        let p = Payload::Ops(vec!["x".into()]);
+        let p = Payload::Ops(list(&["x"]));
         assert_eq!(Constructor::Group.eval(&[v(&p)]), Payload::None);
         assert_eq!(Constructor::Inherit(0).eval(&[v(&p)]), p);
     }

@@ -113,11 +113,12 @@ fn descriptor(t: &Token) -> &'static str {
 /// production uses, so mined windows agree with what the grammar would
 /// accept as a label.
 fn attr_like(t: &Token) -> bool {
-    let payload = Payload::Text(t.sval.clone());
+    let payload = Payload::Text(t.sval.as_str().into());
     Pred::AttrLike.eval(&View {
         bbox: t.pos,
         payload: &payload,
         token: Some(t),
+        inst: 0,
     })
 }
 

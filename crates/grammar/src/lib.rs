@@ -33,7 +33,7 @@ pub mod production;
 pub mod schedule;
 pub mod symbol;
 
-pub use compiled::{compile_count, preference_index, CompiledGrammar};
+pub use compiled::{compile_count, hoist_constraints, preference_index, CompiledGrammar};
 pub use constraint::{Constraint, DepthTerms, Hoisted, LastSlotBand, Pred, View};
 pub use constructor::Constructor;
 pub use describe::{constraint_to_string, schedule_to_dot};
@@ -44,7 +44,7 @@ pub use induce::{
     mine_page, synthesize, synthesize_all, Arrangement, ArrangementBook, Candidate, Cluster,
     PatternSpan,
 };
-pub use payload::Payload;
+pub use payload::{empty_list, empty_text, texts, Cond, CondAt, Domain, Payload, Text, TextList};
 pub use preference::{ConflictCond, PrefId, Preference, WinCriteria};
 pub use production::{ProdId, Production};
 pub use schedule::{build_schedule, schedule_build_count, Schedule};

@@ -6,46 +6,152 @@
 //! conditions. This is how "tagging" (paper §1) falls out of parsing:
 //! the payload records the semantic role of the construct.
 
-use metaform_core::{Condition, DomainSpec, Token, TokenKind};
+use metaform_core::{Condition, DomainKind, DomainSpec, Token, TokenId, TokenKind};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-/// Semantic content of an instance.
+/// A shared caption, label or value text.
+pub type Text = Arc<str>;
+
+/// A shared list of texts: operator captions, domain values.
+pub type TextList = Arc<[Text]>;
+
+/// The shared empty text.
+pub fn empty_text() -> Text {
+    static EMPTY: OnceLock<Text> = OnceLock::new();
+    EMPTY.get_or_init(|| Text::from("")).clone()
+}
+
+/// The shared empty text list.
+pub fn empty_list() -> TextList {
+    static EMPTY: OnceLock<TextList> = OnceLock::new();
+    EMPTY.get_or_init(|| TextList::from([])).clone()
+}
+
+/// A value domain whose value list is shared.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Domain {
+    /// Domain shape.
+    pub kind: DomainKind,
+    /// Listed values (options, endpoint labels, group captions).
+    pub values: TextList,
+}
+
+impl Domain {
+    /// A domain of `kind` with no listed values.
+    pub fn of(kind: DomainKind) -> Self {
+        Domain {
+            kind,
+            values: empty_list(),
+        }
+    }
+
+    /// A domain of `kind` over a token's option labels.
+    fn of_options(kind: DomainKind, options: &[String]) -> Self {
+        Domain {
+            kind,
+            values: texts(options),
+        }
+    }
+
+    /// The report form of this domain.
+    pub fn to_spec(&self) -> DomainSpec {
+        DomainSpec {
+            kind: self.kind,
+            values: self.values.iter().map(|v| v.to_string()).collect(),
+        }
+    }
+}
+
+/// Shares a list of owned strings.
+pub fn texts(strings: &[String]) -> TextList {
+    if strings.is_empty() {
+        return empty_list();
+    }
+    strings.iter().map(|s| Text::from(s.as_str())).collect()
+}
+
+/// One assembled query condition `[attribute; operators; domain]`,
+/// every part shared with the payloads it was built from. It carries
+/// no token list: the tokens are the span of the instance it belongs
+/// to, read off the chart when the merger builds the report's
+/// [`Condition`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Cond {
+    /// Attribute label; empty for an unlabeled keyword box.
+    pub attribute: Text,
+    /// Operator captions.
+    pub operators: TextList,
+    /// Value domain.
+    pub domain: Domain,
+}
+
+impl Cond {
+    /// The report form of this condition over `tokens`.
+    pub fn to_condition(&self, tokens: Vec<TokenId>) -> Condition {
+        Condition::new(
+            self.attribute.to_string(),
+            self.operators.iter().map(|o| o.to_string()).collect(),
+            self.domain.to_spec(),
+            tokens,
+        )
+    }
+}
+
+impl fmt::Display for Cond {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.to_condition(Vec::new()).fmt(f)
+    }
+}
+
+/// A condition collected from a component, with the chart id of the
+/// instance it came from — the instance whose span is its token list.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct CondAt {
+    /// The condition.
+    pub cond: Arc<Cond>,
+    /// Chart id of the instance it was collected from.
+    pub at: u32,
+}
+
+/// Semantic content of an instance. Every variant's data is shared, so
+/// cloning a payload is O(1) and allocates nothing.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub enum Payload {
     /// No semantic content (buttons, structural groups).
     #[default]
     None,
     /// Raw caption text (text tokens, radio/checkbox units).
-    Text(String),
+    Text(Text),
     /// An attribute label.
-    Attr(String),
+    Attr(Text),
     /// An operator caption list (radio lists, operator selects).
-    Ops(Vec<String>),
+    Ops(TextList),
     /// A value domain.
-    Val(DomainSpec),
-    /// One assembled query condition.
-    Cond(Condition),
-    /// Several conditions (rows, whole interfaces).
-    Conds(Vec<Condition>),
+    Val(Domain),
+    /// One assembled query condition, over the holding instance's span.
+    Cond(Arc<Cond>),
+    /// Several conditions (rows, whole interfaces), each over the span
+    /// of the instance it was collected from.
+    Conds(Arc<[CondAt]>),
 }
 
 impl Payload {
     /// The initial payload of a terminal instance for `token`.
     pub fn for_token(token: &Token) -> Payload {
         match token.kind {
-            TokenKind::Text => Payload::Text(token.sval.trim().to_string()),
+            TokenKind::Text => Payload::Text(Text::from(token.sval.trim())),
             TokenKind::Textbox | TokenKind::Password | TokenKind::TextArea => {
-                Payload::Val(DomainSpec::text())
+                Payload::Val(Domain::of(DomainKind::Text))
             }
-            TokenKind::SelectionList => Payload::Val(DomainSpec::enumerated(token.options.clone())),
-            TokenKind::NumberList => Payload::Val(DomainSpec {
-                kind: metaform_core::DomainKind::Numeric,
-                values: token.options.clone(),
-            }),
+            TokenKind::SelectionList => {
+                Payload::Val(Domain::of_options(DomainKind::Enumerated, &token.options))
+            }
+            TokenKind::NumberList => {
+                Payload::Val(Domain::of_options(DomainKind::Numeric, &token.options))
+            }
             TokenKind::MonthList | TokenKind::DayList | TokenKind::YearList => {
-                Payload::Val(DomainSpec {
-                    kind: metaform_core::DomainKind::Date,
-                    values: token.options.clone(),
-                })
+                Payload::Val(Domain::of_options(DomainKind::Date, &token.options))
             }
             _ => Payload::None,
         }
@@ -53,6 +159,11 @@ impl Payload {
 
     /// Caption text carried by `Text`/`Attr` payloads.
     pub fn text(&self) -> Option<&str> {
+        self.shared_text().map(|t| &**t)
+    }
+
+    /// The shared caption of `Text`/`Attr` payloads.
+    pub fn shared_text(&self) -> Option<&Text> {
         match self {
             Payload::Text(s) | Payload::Attr(s) => Some(s),
             _ => None,
@@ -60,7 +171,7 @@ impl Payload {
     }
 
     /// Operator list carried by `Ops`.
-    pub fn ops(&self) -> Option<&[String]> {
+    pub fn ops(&self) -> Option<&[Text]> {
         match self {
             Payload::Ops(v) => Some(v),
             _ => None,
@@ -68,27 +179,35 @@ impl Payload {
     }
 
     /// Domain carried by `Val`.
-    pub fn val(&self) -> Option<&DomainSpec> {
+    pub fn val(&self) -> Option<&Domain> {
         match self {
             Payload::Val(d) => Some(d),
             _ => None,
         }
     }
 
-    /// All conditions carried (one for `Cond`, many for `Conds`).
-    pub fn conditions(&self) -> &[Condition] {
-        match self {
-            Payload::Cond(c) => std::slice::from_ref(c),
-            Payload::Conds(v) => v,
-            _ => &[],
-        }
+    /// Whether the payload carries conditions (`Cond` or `Conds`).
+    pub fn has_conditions(&self) -> bool {
+        matches!(self, Payload::Cond(_) | Payload::Conds(_))
+    }
+
+    /// All conditions carried, each with the chart id of the instance
+    /// whose span is its token list; `holder` is the id of the instance
+    /// holding this payload (a lone `Cond` covers its holder's span).
+    pub fn conditions(&self, holder: u32) -> impl Iterator<Item = (&Arc<Cond>, u32)> {
+        let (one, many): (_, &[CondAt]) = match self {
+            Payload::Cond(c) => (Some((c, holder)), &[]),
+            Payload::Conds(v) => (None, v),
+            _ => (None, &[]),
+        };
+        one.into_iter().chain(many.iter().map(|e| (&e.cond, e.at)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaform_core::{BBox, DomainKind};
+    use metaform_core::BBox;
 
     #[test]
     fn terminal_payloads() {
@@ -105,7 +224,7 @@ mod tests {
             .with_options(vec!["Coach".into(), "First".into()]);
         let val = Payload::for_token(&sel).val().unwrap().clone();
         assert_eq!(val.kind, DomainKind::Enumerated);
-        assert_eq!(val.values, vec!["Coach", "First"]);
+        assert_eq!(val.to_spec().values, vec!["Coach", "First"]);
 
         let num = Token::widget(3, TokenKind::NumberList, "n", BBox::ZERO)
             .with_options(vec!["1".into(), "2".into()]);
@@ -124,24 +243,54 @@ mod tests {
         assert_eq!(Payload::for_token(&radio), Payload::None);
     }
 
+    fn cond(attr: &str) -> Arc<Cond> {
+        Arc::new(Cond {
+            attribute: attr.into(),
+            operators: empty_list(),
+            domain: Domain::of(DomainKind::Text),
+        })
+    }
+
     #[test]
     fn accessors() {
         assert_eq!(Payload::Text("x".into()).text(), Some("x"));
         assert_eq!(Payload::Attr("y".into()).text(), Some("y"));
         assert_eq!(Payload::None.text(), None);
-        let ops = Payload::Ops(vec!["exact".into()]);
+        let ops = Payload::Ops(TextList::from([Text::from("exact")]));
         assert_eq!(ops.ops().unwrap().len(), 1);
-        assert!(Payload::None.conditions().is_empty());
-        let c = Condition::new("a", vec![], DomainSpec::text(), vec![]);
-        assert_eq!(
-            Payload::Cond(c.clone()).conditions(),
-            std::slice::from_ref(&c)
-        );
-        assert_eq!(
-            Payload::Conds(vec![c.clone(), c.clone()])
-                .conditions()
-                .len(),
-            2
-        );
+        assert_eq!(Payload::None.conditions(0).count(), 0);
+        let one = Payload::Cond(cond("a"));
+        let held: Vec<(&str, u32)> = one
+            .conditions(7)
+            .map(|(c, at)| (&*c.attribute, at))
+            .collect();
+        assert_eq!(held, vec![("a", 7)], "a lone condition covers its holder");
+        let many = Payload::Conds(Arc::from([
+            CondAt {
+                cond: cond("b"),
+                at: 3,
+            },
+            CondAt {
+                cond: cond("c"),
+                at: 4,
+            },
+        ]));
+        let held: Vec<u32> = many.conditions(9).map(|(_, at)| at).collect();
+        assert_eq!(held, vec![3, 4], "collected conditions keep their origin");
+    }
+
+    #[test]
+    fn clones_share_and_reports_materialize() {
+        let c = cond("Author");
+        let p = Payload::Cond(c.clone());
+        let q = p.clone();
+        let (Payload::Cond(a), Payload::Cond(b)) = (&p, &q) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b), "a payload clone shares its condition");
+        let report = c.to_condition(vec![TokenId(1), TokenId(0)]);
+        assert_eq!(report.attribute, "Author");
+        assert_eq!(report.tokens, vec![TokenId(0), TokenId(1)]);
+        assert_eq!(c.to_string(), "[Author; {contains}; text]");
     }
 }

@@ -17,8 +17,9 @@ use crate::maximize::maximize;
 use crate::stats::{BudgetOutcome, ParseStats};
 use metaform_core::{BBox, Token};
 use metaform_grammar::{
-    build_schedule, preference_index, ConflictCond, Constructor, DepthTerms, Grammar, Hoisted,
-    LastSlotBand, Payload, PrefId, ProdId, Production, Schedule, SymbolId, SymbolKind, WinCriteria,
+    build_schedule, hoist_constraints, preference_index, ConflictCond, DepthTerms, Grammar,
+    Hoisted, LastSlotBand, Payload, PrefId, ProdId, Production, Schedule, SymbolId, SymbolKind,
+    WinCriteria,
 };
 use std::time::{Duration, Instant};
 
@@ -175,9 +176,18 @@ pub fn parse_with(grammar: &Grammar, tokens: &[Token], opts: &ParserOptions) -> 
         return empty_result(grammar, tokens);
     };
     let prefs = preference_index(grammar);
+    let hoisted = hoist_constraints(grammar);
     let mut scratch = Scratch::default();
     let chart = Chart::new(tokens.to_vec(), grammar.symbols.len());
-    let mut result = run_parse(grammar, &schedule, &prefs, chart, opts, &mut scratch);
+    let mut result = run_parse(
+        grammar,
+        &schedule,
+        &prefs,
+        &hoisted,
+        chart,
+        opts,
+        &mut scratch,
+    );
     result.stats.schedules_built = 1;
     result
 }
@@ -196,23 +206,33 @@ fn empty_result(grammar: &Grammar, tokens: &[Token]) -> ParseResult {
 
 /// The parse core (paper Figure 11), shared by the one-shot wrappers
 /// and [`crate::ParseSession`]. The caller provides the already-built
-/// schedule and per-symbol preference index plus a chart targeted at
-/// the tokens; `scratch` buffers are recycled across calls.
+/// schedule, per-symbol preference index and hoisted constraints plus
+/// a chart targeted at the tokens; `scratch` buffers are recycled
+/// across calls.
 pub(crate) fn run_parse(
     grammar: &Grammar,
     schedule: &Schedule,
     prefs_by_symbol: &[Vec<PrefId>],
+    hoisted: &[Hoisted],
     chart: Chart,
     opts: &ParserOptions,
     scratch: &mut Scratch,
 ) -> ParseResult {
     let started = Instant::now();
     let token_count = chart.tokens().len();
+    for p in &grammar.productions {
+        assert!(
+            p.arity() <= MAX_ARITY,
+            "production arity {} exceeds the fixed enumeration buffers",
+            p.arity()
+        );
+    }
     scratch.reset_for(grammar);
     let mut p = Parser {
         grammar,
         schedule,
         prefs_by_symbol,
+        hoisted,
         chart,
         opts,
         stats: ParseStats {
@@ -340,13 +360,6 @@ pub(crate) struct Scratch {
     /// at (`u32::MAX` components = never built; a chart can't reach
     /// that many changes under any instance cap).
     slot_vers: Vec<Vec<(u32, u32)>>,
-    /// Per-production split of the constraint into per-slot unary
-    /// predicates (applied once per candidate, filtering the lists
-    /// before enumeration) and depth-grouped residual terms (checked
-    /// at the shallowest enumeration depth where they are decidable)
-    /// — see [`Constraint::hoist`]. Built once: a `Scratch` only ever
-    /// serves one grammar.
-    hoisted: Vec<Hoisted>,
     /// Per-production last-slot band index (productions with
     /// [`Hoisted::band`] only): the last slot's candidate positions
     /// sorted by bounding-box top edge, plus the tallest candidate
@@ -373,7 +386,7 @@ const BAND_MIN_CANDS: usize = 4;
 
 /// Upper bound on production arity, sized for fixed enumeration
 /// buffers (the widest global-grammar production has four components).
-/// Checked once per parse when the hoisted constraints are built.
+/// Checked at the start of every parse.
 const MAX_ARITY: usize = 8;
 
 /// Top-edge-sorted index over one production's last-slot candidate
@@ -426,20 +439,6 @@ impl Scratch {
         self.pref_marks.resize(grammar.preferences.len(), (0, 0));
         self.pending_children.clear();
         self.pending_payloads.clear();
-        if self.hoisted.len() != grammar.productions.len() {
-            self.hoisted = grammar
-                .productions
-                .iter()
-                .map(|p| {
-                    assert!(
-                        p.arity() <= MAX_ARITY,
-                        "production arity {} exceeds the fixed enumeration buffers",
-                        p.arity()
-                    );
-                    p.constraint.hoist(p.arity(), &grammar.proximity)
-                })
-                .collect();
-        }
     }
 }
 
@@ -447,6 +446,12 @@ struct Parser<'a> {
     grammar: &'a Grammar,
     schedule: &'a Schedule,
     prefs_by_symbol: &'a [Vec<PrefId>],
+    /// Per-production split of the constraint into per-slot unary
+    /// predicates (applied once per candidate, filtering the lists
+    /// before enumeration) and depth-grouped residual terms (checked
+    /// at the shallowest enumeration depth where they are decidable)
+    /// — see [`metaform_grammar::Constraint::hoist`].
+    hoisted: &'a [Hoisted],
     chart: Chart,
     opts: &'a ParserOptions,
     stats: ParseStats,
@@ -627,7 +632,7 @@ impl Parser<'_> {
         // previous application — keeps its list as-is, no copy and no
         // re-filter. Instances added mid-round are picked up by the
         // enclosing fix-point loop.
-        let hoisted = &scratch.hoisted[pid.index()];
+        let hoisted = &self.hoisted[pid.index()];
         let slot_preds = &hoisted.slot_preds;
         let cands = &mut scratch.prod_cands[pid.index()];
         let slot_vers = &mut scratch.slot_vers[pid.index()];
@@ -748,24 +753,15 @@ impl Parser<'_> {
 
         // Flush the deferred creations in enumeration order. The
         // children `Vec` is materialized only here — i.e. only for
-        // combinations that passed dedup and constraints. Unary
-        // `Inherit` productions share the child's payload slot instead
-        // of cloning the payload (see
-        // [`Chart::add_nonterminal_shared`]); their pending payloads
-        // are the `None` placeholders [`EnumPass::try_combo`] pushed.
+        // combinations that passed dedup and constraints.
         let added = !scratch.pending_payloads.is_empty();
-        let share = arity == 1 && matches!(prod.constructor, Constructor::Inherit(_));
         for (children, payload) in scratch
             .pending_children
             .chunks_exact(arity)
             .zip(scratch.pending_payloads.drain(..))
         {
-            if share {
-                self.chart.add_nonterminal_shared(prod.head, pid, children);
-            } else {
-                self.chart
-                    .add_nonterminal(prod.head, pid, children, payload);
-            }
+            self.chart
+                .add_nonterminal(prod.head, pid, children, payload);
         }
         scratch.pending_children.clear();
 
@@ -1116,19 +1112,12 @@ impl<'a> EnumPass<'a> {
             );
         }
         let arity = self.combo.len();
-        if arity == 1 && matches!(self.prod.constructor, Constructor::Inherit(_)) {
-            // Unary `Inherit`: the flush shares the child's payload
-            // slot, so no payload is built — push a placeholder to
-            // keep the pending columns aligned.
-            self.pending_payloads.push(Payload::default());
-        } else {
-            let mut views = [self.chart.view(self.combo[0]); MAX_ARITY];
-            for (k, &c) in self.combo[1..].iter().enumerate() {
-                views[k + 1] = self.chart.view(c);
-            }
-            self.pending_payloads
-                .push(self.prod.constructor.eval(&views[..arity]));
+        let mut views = [self.chart.view(self.combo[0]); MAX_ARITY];
+        for (k, &c) in self.combo[1..].iter().enumerate() {
+            views[k + 1] = self.chart.view(c);
         }
+        self.pending_payloads
+            .push(self.prod.constructor.eval(&views[..arity]));
         self.pending_children.extend_from_slice(self.combo);
     }
 }
@@ -1199,7 +1188,7 @@ mod tests {
         let root = res.trees[0];
         assert_eq!(g.symbols.name(res.chart.symbol(root)), "QI");
         assert_eq!(res.chart.span(root).count(), 8, "covers the whole row");
-        let conds = res.chart.payload(root).conditions();
+        let conds: Vec<_> = res.chart.conditions(root).collect();
         assert_eq!(conds.len(), 1);
         assert_eq!(conds[0].attribute, "Author");
         assert_eq!(conds[0].operators.len(), 3, "three radio operators");
@@ -1219,7 +1208,7 @@ mod tests {
         let tokens = renumber(tokens);
         let res = parse(&g, &tokens);
         assert_eq!(res.trees.len(), 1);
-        let conds = res.chart.payload(res.trees[0]).conditions();
+        let conds: Vec<_> = res.chart.conditions(res.trees[0]).collect();
         assert_eq!(conds.len(), 2);
         assert_eq!(conds[0].attribute, "Author");
         assert_eq!(conds[1].attribute, "Title");

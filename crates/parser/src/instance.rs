@@ -23,7 +23,7 @@
 
 use crate::dedup::ComboSet;
 use crate::tokenset::TokenSet;
-use metaform_core::{BBox, Token, TokenId};
+use metaform_core::{BBox, Condition, Token, TokenId};
 use metaform_grammar::{Payload, ProdId, SymbolId, View};
 use std::fmt;
 
@@ -62,13 +62,9 @@ pub struct Chart {
     token_of: Vec<u32>,
     spans: Vec<TokenSet>,
     bboxes: Vec<BBox>,
-    /// Payload pool. Not 1:1 with instances: a unary `Inherit`
-    /// instance shares its child's slot (see
-    /// [`Chart::add_nonterminal_shared`]) instead of deep-cloning
-    /// condition lists and domain vectors up every wrapper chain.
+    /// Semantic payloads. Their data is shared, so a wrapper's copy of
+    /// its child's payload costs a reference count, not a deep clone.
     payloads: Vec<Payload>,
-    /// Per-instance index into `payloads`.
-    payload_of: Vec<u32>,
     valid: Vec<bool>,
     /// Offsets into `children`: instance `i`'s children are
     /// `children[child_off[i]..child_off[i + 1]]`. Always one longer
@@ -105,7 +101,6 @@ impl Chart {
             spans: Vec::new(),
             bboxes: Vec::new(),
             payloads: Vec::new(),
-            payload_of: Vec::new(),
             valid: Vec::new(),
             child_off: vec![0],
             children: Vec::new(),
@@ -142,7 +137,6 @@ impl Chart {
         self.spans.clear();
         self.bboxes.clear();
         self.payloads.clear();
-        self.payload_of.clear();
         self.valid.clear();
         self.child_off.clear();
         self.child_off.push(0);
@@ -209,7 +203,16 @@ impl Chart {
     /// Semantic payload of an instance.
     #[inline]
     pub fn payload(&self, id: InstId) -> &Payload {
-        &self.payloads[self.payload_of[id.index()] as usize]
+        &self.payloads[id.index()]
+    }
+
+    /// The conditions an instance's payload carries, each in report
+    /// form with its tokens read off the span of the instance it was
+    /// built at.
+    pub fn conditions(&self, id: InstId) -> impl Iterator<Item = Condition> + '_ {
+        self.payload(id)
+            .conditions(id.0)
+            .map(|(cond, at)| cond.to_condition(self.span(InstId(at)).iter().collect()))
     }
 
     /// False once invalidated by a preference (or rollback).
@@ -275,17 +278,7 @@ impl Chart {
         self.parent_head[child.index()] = link;
     }
 
-    /// Appends an owned payload to the pool, returning its slot.
-    #[inline]
-    fn push_payload(&mut self, payload: Payload) -> u32 {
-        let slot = self.payloads.len() as u32;
-        self.payloads.push(payload);
-        slot
-    }
-
-    /// Pushes one row across all instance columns. `payload_slot`
-    /// indexes the payload pool — fresh for owned payloads, a child's
-    /// slot for shared ones.
+    /// Pushes one row across all instance columns.
     #[inline]
     fn push_row(
         &mut self,
@@ -294,7 +287,7 @@ impl Chart {
         token: u32,
         span: TokenSet,
         bbox: BBox,
-        payload_slot: u32,
+        payload: Payload,
     ) -> InstId {
         let id = InstId(self.symbols.len() as u32);
         self.symbols.push(symbol);
@@ -302,7 +295,7 @@ impl Chart {
         self.token_of.push(token);
         self.spans.push(span);
         self.bboxes.push(bbox);
-        self.payload_of.push(payload_slot);
+        self.payloads.push(payload);
         self.valid.push(true);
         self.child_off.push(self.children.len() as u32);
         self.parent_head.push(NONE);
@@ -313,8 +306,14 @@ impl Chart {
     /// Adds a terminal instance for token `t`.
     pub fn add_terminal(&mut self, symbol: SymbolId, token: &Token) -> InstId {
         let span = TokenSet::singleton(self.tokens.len(), token.id);
-        let slot = self.push_payload(Payload::for_token(token));
-        self.push_row(symbol, NONE, token.id.0, span, token.pos, slot)
+        self.push_row(
+            symbol,
+            NONE,
+            token.id.0,
+            span,
+            token.pos,
+            Payload::for_token(token),
+        )
     }
 
     /// Adds a terminal instance for the chart's own token at `idx` —
@@ -325,8 +324,7 @@ impl Chart {
             (t.id, t.pos, Payload::for_token(t))
         };
         let span = TokenSet::singleton(self.tokens.len(), tid);
-        let slot = self.push_payload(payload);
-        self.push_row(symbol, NONE, tid.0, span, pos, slot)
+        self.push_row(symbol, NONE, tid.0, span, pos, payload)
     }
 
     /// True when an instance for `(prod, children)` already exists.
@@ -337,15 +335,14 @@ impl Chart {
 
     /// Adds a nonterminal instance produced by `prod` over `children`.
     /// The caller must have verified dedup, disjointness, and
-    /// constraints. Conditions in the payload get their token lists
-    /// filled from the new instance's span. The children are copied
-    /// into the chart's flat arena — no per-instance `Vec`.
+    /// constraints. The children are copied into the chart's flat
+    /// arena — no per-instance `Vec`.
     pub fn add_nonterminal(
         &mut self,
         symbol: SymbolId,
         prod: ProdId,
         children: &[InstId],
-        mut payload: Payload,
+        payload: Payload,
     ) -> InstId {
         let mut span = TokenSet::new(self.tokens.len());
         let mut bbox: Option<BBox> = None;
@@ -354,41 +351,19 @@ impl Chart {
             let cb = self.bboxes[c.index()];
             bbox = Some(bbox.map_or(cb, |b| b.union(&cb)));
         }
-        if let Payload::Cond(c) = &mut payload {
-            c.tokens = span.iter().collect();
-        }
         self.dedup.insert(prod, children);
         self.children.extend_from_slice(children);
-        let slot = self.push_payload(payload);
-        let id = self.push_row(symbol, prod.0, NONE, span, bbox.unwrap_or(BBox::ZERO), slot);
+        let id = self.push_row(
+            symbol,
+            prod.0,
+            NONE,
+            span,
+            bbox.unwrap_or(BBox::ZERO),
+            payload,
+        );
         for &c in children {
             self.push_parent(c, id);
         }
-        id
-    }
-
-    /// Adds a unary nonterminal that *shares* its single child's
-    /// payload slot — the `Inherit` constructor of a unary production
-    /// is a pure copy, and since the new instance's span equals the
-    /// child's, even condition token lists come out identical to what
-    /// a deep clone plus refill would produce. This turns the wrapper
-    /// chains (`Val<-Textbox`, `CP<-Cond`, …) from deep payload clones
-    /// into a single index push.
-    pub fn add_nonterminal_shared(
-        &mut self,
-        symbol: SymbolId,
-        prod: ProdId,
-        children: &[InstId],
-    ) -> InstId {
-        debug_assert_eq!(children.len(), 1, "payload sharing is unary-only");
-        let c = children[0];
-        let span = self.spans[c.index()].clone();
-        let bbox = self.bboxes[c.index()];
-        self.dedup.insert(prod, children);
-        self.children.extend_from_slice(children);
-        let slot = self.payload_of[c.index()];
-        let id = self.push_row(symbol, prod.0, NONE, span, bbox, slot);
-        self.push_parent(c, id);
         id
     }
 
@@ -420,8 +395,9 @@ impl Chart {
     pub fn view(&self, id: InstId) -> View<'_> {
         View {
             bbox: self.bboxes[id.index()],
-            payload: &self.payloads[self.payload_of[id.index()] as usize],
+            payload: &self.payloads[id.index()],
             token: self.token(id).map(|t| &self.tokens[t.index()]),
+            inst: id.0,
         }
     }
 
@@ -570,17 +546,22 @@ mod tests {
         let t1 = chart.tokens()[1].clone();
         let a = chart.add_terminal(text_sym, &t0);
         let b = chart.add_terminal(tb_sym, &t1);
-        let cond = metaform_core::Condition::new(
-            "Author",
-            vec![],
-            metaform_core::DomainSpec::text(),
-            vec![],
-        );
-        let id = chart.add_nonterminal(nt, ProdId(0), &[a, b], Payload::Cond(cond));
+        let cond = metaform_grammar::Cond {
+            attribute: "Author".into(),
+            operators: metaform_grammar::empty_list(),
+            domain: metaform_grammar::Domain::of(metaform_core::DomainKind::Text),
+        };
+        let payload = Payload::Cond(std::sync::Arc::new(cond));
+        let id = chart.add_nonterminal(nt, ProdId(0), &[a, b], payload);
         assert_eq!(chart.span(id).count(), 2);
         assert_eq!(chart.bbox(id), BBox::new(0, 0, 190, 20));
-        let got = &chart.payload(id).conditions()[0];
-        assert_eq!(got.tokens, vec![TokenId(0), TokenId(1)]);
+        let got: Vec<Condition> = chart.conditions(id).collect();
+        assert_eq!(got[0].attribute, "Author");
+        assert_eq!(
+            got[0].tokens,
+            vec![TokenId(0), TokenId(1)],
+            "the span's tokens"
+        );
         assert_eq!(chart.parents_of(a).collect::<Vec<_>>(), vec![id]);
         assert!(chart.seen(ProdId(0), &[a, b]));
         assert!(!chart.seen(ProdId(0), &[b, a]));

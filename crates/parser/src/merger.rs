@@ -8,7 +8,8 @@
 //! is a token not covered by any parse tree."
 
 use crate::instance::{Chart, InstId};
-use metaform_core::{Condition, Conflict, ExtractionReport, TokenId};
+use metaform_core::{normalize_label, Condition, Conflict, DomainKind, ExtractionReport, TokenId};
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 /// Merges maximal partial trees into an [`ExtractionReport`].
@@ -23,29 +24,23 @@ use std::collections::{HashMap, HashSet};
 /// arbitrate — that is client-side work, §7), and a [`Conflict`]
 /// records the claim pair with the earlier (larger-context) condition
 /// as primary.
+///
+/// This is where conditions take their report form: each is built
+/// once per tree, its token list read off the chart span of the
+/// instance it was assembled at.
 pub fn merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
-    let mut visit: Vec<InstId> = trees.to_vec();
-    visit.sort_by_cached_key(|&t| {
-        let span: Vec<u32> = chart.span(t).iter().map(|tok| tok.0).collect();
-        let conds: Vec<(Vec<TokenId>, String)> = chart
-            .payload(t)
-            .conditions()
-            .iter()
-            .map(|c| (c.tokens.clone(), c.to_string()))
-            .collect();
-        (std::cmp::Reverse(span.len()), span, conds)
-    });
-
     let mut conditions: Vec<Condition> = Vec::new();
+    // Equivalence keys of `conditions`, parallel to it.
+    let mut kept: Vec<(String, DomainKind)> = Vec::new();
     let mut claimed: HashMap<TokenId, usize> = HashMap::new();
     let mut conflicts: Vec<Conflict> = Vec::new();
 
-    for &tree in &visit {
-        for cond in chart.payload(tree).conditions() {
-            if let Some(existing) = conditions.iter().position(|c| c.equivalent(cond)) {
+    for tree_conds in in_visit_order(chart, trees.iter().copied()) {
+        for cond in tree_conds {
+            let key = (normalize_label(&cond.attribute), cond.domain.kind);
+            if kept.contains(&key) {
                 // Same condition extracted from an overlapping tree —
                 // not a conflict, just overlap in coverage.
-                let _ = existing;
                 continue;
             }
             let idx = conditions.len();
@@ -65,7 +60,8 @@ pub fn merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
             for &t in &cond.tokens {
                 claimed.entry(t).or_insert(idx);
             }
-            conditions.push(cond.clone());
+            kept.push(key);
+            conditions.push(cond);
         }
     }
 
@@ -75,6 +71,31 @@ pub fn merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
         conflicts,
         missing,
     }
+}
+
+/// The report-form conditions of each instance, instances ordered by
+/// the merger's content key: span size (largest first), span, then the
+/// conditions' token lists and rendering — rendered only to break a
+/// tie between equal spans.
+fn in_visit_order(chart: &Chart, insts: impl Iterator<Item = InstId>) -> Vec<Vec<Condition>> {
+    let mut visits: Vec<(Reverse<usize>, Vec<u32>, Vec<Condition>)> = insts
+        .map(|t| {
+            let span: Vec<u32> = chart.span(t).iter().map(|tok| tok.0).collect();
+            (Reverse(span.len()), span, chart.conditions(t).collect())
+        })
+        .collect();
+    let shown = |conds: &[Condition]| -> Vec<(Vec<TokenId>, String)> {
+        conds
+            .iter()
+            .map(|c| (c.tokens.clone(), c.to_string()))
+            .collect()
+    };
+    visits.sort_by(|a, b| {
+        (a.0, &a.1)
+            .cmp(&(b.0, &b.1))
+            .then_with(|| shown(&a.2).cmp(&shown(&b.2)))
+    });
+    visits.into_iter().map(|(_, _, conds)| conds).collect()
 }
 
 /// Salvage-tier merge for budget-limited parses: the regular
@@ -96,32 +117,24 @@ pub fn salvage_merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
         .iter()
         .flat_map(|c| c.tokens.iter().copied())
         .collect();
-    let mut extras: Vec<InstId> = chart
-        .ids()
-        .filter(|&i| chart.is_valid(i) && chart.prod(i).is_some() && !chart.span(i).is_empty())
-        .collect();
-    extras.sort_by_cached_key(|&t| {
-        let span: Vec<u32> = chart.span(t).iter().map(|tok| tok.0).collect();
-        let conds: Vec<(Vec<TokenId>, String)> = chart
-            .payload(t)
-            .conditions()
-            .iter()
-            .map(|c| (c.tokens.clone(), c.to_string()))
-            .collect();
-        (std::cmp::Reverse(span.len()), span, conds)
+    // Instances without conditions have nothing to add; leaving them
+    // out keeps the others in the same relative order.
+    let extras = chart.ids().filter(|&i| {
+        chart.is_valid(i)
+            && chart.prod(i).is_some()
+            && !chart.span(i).is_empty()
+            && chart.payload(i).has_conditions()
     });
-    for inst in extras {
-        for cond in chart.payload(inst).conditions() {
-            if cond.tokens.is_empty() || cond.tokens.iter().any(|t| claimed.contains(t)) {
-                continue;
-            }
-            if report.conditions.iter().any(|c| c.equivalent(cond)) {
-                continue;
-            }
-            claimed.extend(cond.tokens.iter().copied());
-            report.missing.retain(|t| !cond.tokens.contains(t));
-            report.conditions.push(cond.clone());
+    for cond in in_visit_order(chart, extras).into_iter().flatten() {
+        if cond.tokens.is_empty() || cond.tokens.iter().any(|t| claimed.contains(t)) {
+            continue;
         }
+        if report.conditions.iter().any(|c| c.equivalent(&cond)) {
+            continue;
+        }
+        claimed.extend(cond.tokens.iter().copied());
+        report.missing.retain(|t| !cond.tokens.contains(t));
+        report.conditions.push(cond);
     }
     report
 }

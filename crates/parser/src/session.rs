@@ -95,6 +95,7 @@ impl ParseSession {
             self.grammar.grammar(),
             self.grammar.schedule(),
             self.grammar.preference_index(),
+            self.grammar.hoisted(),
             chart,
             &self.opts,
             &mut self.scratch,

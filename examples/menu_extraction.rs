@@ -96,7 +96,7 @@ fn main() {
     for &tree in &result.trees {
         if let Some(items) = result.chart.payload(tree).ops() {
             if items.len() >= 3 {
-                services = items.to_vec();
+                services = items.iter().map(|s| s.to_string()).collect();
                 println!(
                     "menu found ({} covering {} tokens):",
                     grammar.symbols.name(result.chart.symbol(tree)),
