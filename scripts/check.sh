@@ -10,6 +10,24 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> cargo test -q --test front_end_tokens (token-level golden: every page's token stream)"
+# A front-end change that moves a bounding box without moving any
+# condition passes the report goldens; this digest per token does not.
+cargo test -q --test front_end_tokens
+
+echo "==> cargo test -q --test alloc_budget (cold-path allocations per page)"
+# A counting global allocator over a fixed generated page set: the
+# figure is exact and host-independent, so copying creeping back into
+# the cold path fails here rather than as benchmark noise.
+cargo test -q --test alloc_budget -- --nocapture | grep 'allocations per page'
+
+echo "==> layout scratch gate (a whole-document Layout only in layout_with)"
+# Table measurement walks the cell's subtree; no measurement may
+# allocate a scratch layout of the whole document again.
+test "$(grep -rn 'Layout::sized(' crates src | wc -l)" = 1
+test "$(awk '/fn [a-z_]+[(<]/ { f = $0 } /Layout::sized\(/ { print f }' crates/layout/src/engine.rs)" = \
+    "pub fn layout_with(doc: &Document, opts: &LayoutOptions) -> Layout {"
+
 echo "==> cargo test -q --test fault_isolation (poison-page isolation)"
 cargo test -q --test fault_isolation
 
