@@ -64,7 +64,7 @@ impl Domain {
 }
 
 /// Shares a list of owned strings.
-pub fn texts(strings: &[String]) -> TextList {
+pub(crate) fn texts(strings: &[String]) -> TextList {
     if strings.is_empty() {
         return empty_list();
     }
@@ -163,7 +163,7 @@ impl Payload {
     }
 
     /// The shared caption of `Text`/`Attr` payloads.
-    pub fn shared_text(&self) -> Option<&Text> {
+    pub(crate) fn shared_text(&self) -> Option<&Text> {
         match self {
             Payload::Text(s) | Payload::Attr(s) => Some(s),
             _ => None,
