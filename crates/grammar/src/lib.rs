@@ -44,7 +44,7 @@ pub use induce::{
     mine_page, synthesize, synthesize_all, Arrangement, ArrangementBook, Candidate, Cluster,
     PatternSpan,
 };
-pub use payload::{empty_list, empty_text, Cond, CondAt, Domain, Payload, Text, TextList};
+pub use payload::{empty_list, Cond, CondAt, Domain, Payload, Text, TextList};
 pub use preference::{ConflictCond, PrefId, Preference, WinCriteria};
 pub use production::{ProdId, Production};
 pub use schedule::{build_schedule, schedule_build_count, Schedule};
