@@ -15,50 +15,14 @@
 //! METAFORM_BLESS=1 cargo test --test front_end_tokens
 //! ```
 
+mod support;
+
 use metaform_core::{Token, TokenFingerprint};
-use metaform_datasets::dataset::generate_source;
-use metaform_datasets::{domains, survey_corpus, GenParams};
-use metaform_layout::layout;
-use metaform_tokenizer::tokenize;
 use std::path::PathBuf;
+use support::{pinned_pages, tokens_of};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/front_end_tokens.txt")
-}
-
-/// `(name, html)` for every pinned page, in file order.
-fn pages() -> Vec<(String, String)> {
-    let mut pages = survey_corpus();
-    let schemas = [
-        domains::books(),
-        domains::automobiles(),
-        domains::airfares(),
-    ]
-    .into_iter()
-    .map(|s| (s, GenParams::basic()))
-    .chain(
-        domains::new_domains()
-            .into_iter()
-            .map(|s| (s, GenParams::new_domain())),
-    )
-    .chain(
-        domains::random_pools()
-            .into_iter()
-            .map(|s| (s, GenParams::random())),
-    );
-    for (schema, params) in schemas {
-        for page in 0..8 {
-            let html = generate_source(&schema, page, 1, &params).html;
-            pages.push((format!("{}/p{page}/s1", schema.name), html));
-        }
-    }
-    pages
-}
-
-fn tokens_of(html: &str) -> Vec<Token> {
-    let doc = metaform_html::parse(html);
-    let lay = layout(&doc);
-    tokenize(&doc, &lay).tokens
 }
 
 /// Short per-token digest: the low 32 bits of the one-token fingerprint.
@@ -128,7 +92,7 @@ fn divergence_report(golden: &str, pages: &[(String, Vec<Token>)]) -> String {
 
 #[test]
 fn front_end_tokens_match_the_golden_file() {
-    let pages: Vec<(String, Vec<Token>)> = pages()
+    let pages: Vec<(String, Vec<Token>)> = pinned_pages()
         .into_iter()
         .map(|(name, html)| {
             let tokens = tokens_of(&html);
