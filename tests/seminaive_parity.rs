@@ -7,13 +7,15 @@
 //! Checked instance-by-instance (symbol, production, children, token,
 //! span, bbox, payload, validity) across the generated corpus, under
 //! both preference orders, under brute force, and under truncation and
-//! zero-deadline budgets.
+//! zero-deadline budgets. Every chart's maximal trees are also checked
+//! against the all-pairs reference maximizer.
 
 use metaform::paper_example_grammar;
 use metaform_datasets::fixtures::figure5_fragment;
 use metaform_datasets::{all_datasets, basic};
 use metaform_parser::{
-    merge, parse_with, FixpointMode, ParseResult, ParseSession, ParserOptions, PreferenceOrder,
+    maximize_naive, merge, parse_with, FixpointMode, ParseResult, ParseSession, ParserOptions,
+    PreferenceOrder,
 };
 use std::sync::Arc;
 
@@ -42,6 +44,13 @@ fn assert_identical(semi: &ParseResult, naive: &ParseResult, label: &str) {
         assert_eq!(ca.is_valid(a), cb.is_valid(b), "{label}/{a:?}: validity");
     }
     assert_eq!(semi.trees, naive.trees, "{label}: maximal trees diverged");
+    // The sweep maximizer against its all-pairs reference, on every
+    // chart the suite builds.
+    assert_eq!(
+        semi.trees,
+        maximize_naive(&semi.chart),
+        "{label}: sweep and all-pairs maximizers diverged"
+    );
     assert_eq!(
         merge(&semi.chart, &semi.trees),
         merge(&naive.chart, &naive.trees),
