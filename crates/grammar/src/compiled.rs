@@ -157,7 +157,7 @@ pub fn hoist_constraints(grammar: &Grammar) -> Vec<Hoisted> {
     grammar
         .productions
         .iter()
-        .map(|p| p.constraint.hoist(p.arity(), &grammar.proximity))
+        .map(|p| p.constraint.hoist(p.arity()))
         .collect()
 }
 

@@ -99,10 +99,6 @@ pub struct Hoisted {
     /// they mention: `by_depth[d]` is decidable as soon as slots
     /// `0..=d` are chosen.
     pub by_depth: Vec<DepthTerms>,
-    /// A necessary vertical window for the last slot, when one of its
-    /// residual terms pins it against an earlier slot — lets the
-    /// enumeration band-query a sorted index instead of scanning.
-    pub band: Option<LastSlotBand>,
 }
 
 /// Residual terms decidable at one enumeration depth, split by what
@@ -116,169 +112,6 @@ pub struct DepthTerms {
     pub boxes_only: Vec<Constraint>,
     /// Terms that also read payloads, evaluated on full views.
     pub with_payload: Vec<Constraint>,
-}
-
-/// Which edge of the anchor box a [`YBound`] offsets from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Edge {
-    /// The anchor's top edge.
-    Top,
-    /// The anchor's bottom edge.
-    Bottom,
-}
-
-/// One end of a vertical window over candidate *top* edges, expressed
-/// relative to an already-chosen anchor box. `sub_max_h` widens a
-/// lower bound by the tallest candidate's height — used when the
-/// underlying relation constrains the candidate's *bottom* edge, which
-/// sits at most `max_h` below its top.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct YBound {
-    /// Anchor edge the offset applies to.
-    pub edge: Edge,
-    /// Pixel offset from that edge.
-    pub offset: i32,
-    /// Whether the tallest-candidate height is subtracted (lower
-    /// bounds only).
-    pub sub_max_h: bool,
-}
-
-impl YBound {
-    fn value(&self, anchor: &BBox, max_h: i32) -> i32 {
-        let base = match self.edge {
-            Edge::Top => anchor.top,
-            Edge::Bottom => anchor.bottom,
-        };
-        base + self.offset - if self.sub_max_h { max_h } else { 0 }
-    }
-}
-
-/// A *necessary* vertical window for the last component slot of a
-/// production, derived from one of its residual geometry terms: any
-/// candidate whose top edge falls outside the window is guaranteed to
-/// fail the full constraint, so an enumeration can restrict the last
-/// slot to a band query over a top-edge-sorted index instead of
-/// scanning the whole candidate list. Disjunctions contribute one
-/// `(lo, hi)` alternative each; the effective window is their hull.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LastSlotBand {
-    /// The earlier slot the window is anchored to.
-    pub anchor: usize,
-    /// Window alternatives, hulled at query time.
-    pub alts: Vec<(YBound, YBound)>,
-}
-
-impl LastSlotBand {
-    /// The inclusive `[lo, hi]` window on candidate top edges for a
-    /// concrete anchor box, given the tallest candidate height.
-    pub fn window(&self, anchor: &BBox, max_h: i32) -> (i32, i32) {
-        let mut lo = i32::MAX;
-        let mut hi = i32::MIN;
-        for (l, h) in &self.alts {
-            lo = lo.min(l.value(anchor, max_h));
-            hi = hi.max(h.value(anchor, max_h));
-        }
-        (lo, hi)
-    }
-}
-
-/// Derives a [`LastSlotBand`] from one residual term, if the term
-/// pins slot `d` vertically against a single earlier slot. Every
-/// window below is a relaxation of the relation it is derived from
-/// (checked against the definitions in `metaform_core::relations`):
-/// a candidate outside it cannot satisfy the term, while one inside
-/// still faces the full evaluation.
-fn band_of(term: &Constraint, d: usize, prox: &Proximity) -> Option<LastSlotBand> {
-    use Edge::{Bottom, Top};
-    let tol = prox.align_tol;
-    let bound = |edge, offset, sub_max_h| YBound {
-        edge,
-        offset,
-        sub_max_h,
-    };
-    // `anchor above candidate, gap in [-tol, max]` pins the candidate
-    // top directly; the mirrored form pins its bottom, so the lower
-    // bound widens by `max_h`.
-    let above_cand = |max: i32| (bound(Bottom, -tol, false), bound(Bottom, max, false));
-    let cand_above = |max: i32| (bound(Top, -max, true), bound(Top, tol, false));
-    // Sharing a row requires >= 1px of vertical overlap.
-    let same_row = || (bound(Top, 1, true), bound(Bottom, -1, false));
-    let pair = |i: usize, j: usize| -> Option<(usize, bool)> {
-        // Returns (anchor, candidate_is_second) when exactly the last
-        // slot and one earlier slot are involved.
-        if j == d && i < d {
-            Some((i, true))
-        } else if i == d && j < d {
-            Some((j, false))
-        } else {
-            None
-        }
-    };
-    let (anchor, alt) = match term {
-        Constraint::Above(i, j) => {
-            let (a, fwd) = pair(*i, *j)?;
-            (
-                a,
-                if fwd {
-                    above_cand(prox.max_v_gap)
-                } else {
-                    cand_above(prox.max_v_gap)
-                },
-            )
-        }
-        Constraint::AboveWithin(i, j, m) => {
-            let (a, fwd) = pair(*i, *j)?;
-            (a, if fwd { above_cand(*m) } else { cand_above(*m) })
-        }
-        Constraint::Below(i, j) => {
-            // `Below(i, j)` evaluates `above(j, i)`.
-            let (a, fwd) = pair(*i, *j)?;
-            (
-                a,
-                if fwd {
-                    cand_above(prox.max_v_gap)
-                } else {
-                    above_cand(prox.max_v_gap)
-                },
-            )
-        }
-        Constraint::Left(i, j) | Constraint::LeftWithin(i, j, _) | Constraint::SameRow(i, j) => {
-            (pair(*i, *j)?.0, same_row())
-        }
-        Constraint::AlignTop(i, j) => (
-            pair(*i, *j)?.0,
-            (bound(Top, -tol, false), bound(Top, tol, false)),
-        ),
-        Constraint::AlignBottom(i, j) => (
-            pair(*i, *j)?.0,
-            (bound(Bottom, -tol, true), bound(Bottom, tol, false)),
-        ),
-        Constraint::MaxDist(i, j, m) => (
-            pair(*i, *j)?.0,
-            (bound(Top, -m, true), bound(Bottom, *m, false)),
-        ),
-        Constraint::And(cs) => return cs.iter().find_map(|c| band_of(c, d, prox)),
-        Constraint::Or(cs) => {
-            // A disjunction is necessary only as the union of its
-            // branches; every branch must derive a window on the same
-            // anchor for the hull to stay a necessary condition.
-            let mut bands = cs.iter().map(|c| band_of(c, d, prox));
-            let mut merged = bands.next()??;
-            for b in bands {
-                let b = b?;
-                if b.anchor != merged.anchor {
-                    return None;
-                }
-                merged.alts.extend(b.alts);
-            }
-            return Some(merged);
-        }
-        _ => return None,
-    };
-    Some(LastSlotBand {
-        anchor,
-        alts: vec![alt],
-    })
 }
 
 impl Constraint {
@@ -308,7 +141,7 @@ impl Constraint {
     /// whole subtree of deeper slots: for a ternary production whose
     /// first two slots must share a row, the third slot's candidate
     /// list is never even scanned for off-row pairs.
-    pub fn hoist(&self, arity: usize, prox: &Proximity) -> Hoisted {
+    pub fn hoist(&self, arity: usize) -> Hoisted {
         fn walk(c: &Constraint, per_slot: &mut [Vec<Pred>], residual: &mut Vec<Constraint>) {
             match c {
                 Constraint::True => {}
@@ -333,18 +166,9 @@ impl Constraint {
                 by_depth[d].boxes_only.push(term);
             }
         }
-        let band = (arity >= 2)
-            .then(|| {
-                by_depth[arity - 1]
-                    .boxes_only
-                    .iter()
-                    .find_map(|t| band_of(t, arity - 1, prox))
-            })
-            .flatten();
         Hoisted {
             slot_preds,
             by_depth,
-            band,
         }
     }
 

@@ -34,7 +34,7 @@ pub mod schedule;
 pub mod symbol;
 
 pub use compiled::{compile_count, hoist_constraints, preference_index, CompiledGrammar};
-pub use constraint::{Constraint, DepthTerms, Hoisted, LastSlotBand, Pred, View};
+pub use constraint::{Constraint, DepthTerms, Hoisted, Pred, View};
 pub use constructor::Constructor;
 pub use describe::{constraint_to_string, schedule_to_dot};
 pub use dsl::{from_dsl, to_dsl, DslError};
