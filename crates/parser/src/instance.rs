@@ -2,8 +2,10 @@
 //!
 //! An *instance* is one application of a production (or a terminal
 //! token) — a node of some derivation tree. The chart is the arena all
-//! instances live in, with per-symbol indexes, parent links (for
-//! rollback), and a dedup set so the fix-point terminates.
+//! instances live in, with per-symbol indexes and parent links. The
+//! parent links serve rollback, and they also answer whether a
+//! `(production, children)` combination was already built
+//! ([`Chart::seen`]), so no separate dedup set is kept.
 //!
 //! ## Memory layout
 //!
@@ -21,7 +23,6 @@
 //! [`Chart::reset_for`] bulk-resets every column while keeping the
 //! capacity.
 
-use crate::dedup::ComboSet;
 use crate::tokenset::TokenSet;
 use metaform_core::{BBox, Condition, Token, TokenId};
 use metaform_grammar::{Payload, ProdId, SymbolId, View};
@@ -86,7 +87,6 @@ pub struct Chart {
     /// length is valid). The semi-naive engine keys its candidate
     /// caches on these.
     sym_invals: Vec<u32>,
-    dedup: ComboSet,
 }
 
 impl Chart {
@@ -108,12 +108,11 @@ impl Chart {
             parent_links: Vec::new(),
             by_symbol: vec![Vec::new(); symbol_count],
             sym_invals: vec![0; symbol_count],
-            dedup: ComboSet::default(),
         }
     }
 
     /// Clears the chart and re-targets it at a new token slice,
-    /// recycling every column, index, and dedup allocation. This is
+    /// recycling every column and index allocation. This is
     /// the parse-many path: a [`crate::ParseSession`] resets one chart
     /// per parse instead of allocating a fresh one.
     pub fn reset_for(&mut self, tokens: &[Token], symbol_count: usize) {
@@ -150,7 +149,6 @@ impl Chart {
         self.by_symbol.resize_with(symbol_count, Vec::new);
         self.sym_invals.clear();
         self.sym_invals.resize(symbol_count, 0);
-        self.dedup.clear();
     }
 
     /// The interface's tokens.
@@ -328,9 +326,15 @@ impl Chart {
     }
 
     /// True when an instance for `(prod, children)` already exists.
-    /// Allocation-free: the probe hashes the borrowed slice directly.
+    /// Exact and allocation-free: every child links to each of its
+    /// parents, so such an instance is one of the first child's
+    /// parents.
     pub fn seen(&self, prod: ProdId, children: &[InstId]) -> bool {
-        self.dedup.contains(prod, children)
+        let Some(&first) = children.first() else {
+            return false;
+        };
+        self.parents_of(first)
+            .any(|p| self.prods[p.index()] == prod.0 && self.children(p) == children)
     }
 
     /// Adds a nonterminal instance produced by `prod` over `children`.
@@ -351,7 +355,6 @@ impl Chart {
             let cb = self.bboxes[c.index()];
             bbox = Some(bbox.map_or(cb, |b| b.union(&cb)));
         }
-        self.dedup.insert(prod, children);
         self.children.extend_from_slice(children);
         let id = self.push_row(
             symbol,
@@ -632,5 +635,11 @@ mod tests {
         // Both parents reachable from each child, most recent first.
         assert_eq!(chart.parents_of(a).collect::<Vec<_>>(), vec![q, p]);
         assert_eq!(chart.parents_of(b).collect::<Vec<_>>(), vec![q, p]);
+        // `seen` matches on production and children together: a shared
+        // first child with another production or child order is not a
+        // hit.
+        assert!(chart.seen(ProdId(1), &[b, a]));
+        assert!(!chart.seen(ProdId(1), &[a, b]));
+        assert!(!chart.seen(ProdId(0), &[b, a]));
     }
 }

@@ -29,7 +29,6 @@
 
 pub mod cancel;
 pub mod consistency;
-mod dedup;
 pub mod display;
 pub mod engine;
 pub mod instance;
