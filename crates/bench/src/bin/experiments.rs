@@ -14,7 +14,7 @@ use metaform_eval::table::{bar, f3, pct, TextTable};
 use metaform_eval::{
     ablation, distribution, metrics, timing, vocabulary, DatasetScore, ParserMode, THRESHOLDS,
 };
-use metaform_extractor::{AdaptiveOptions, FormExtractor};
+use metaform_extractor::{AdaptiveOptions, Fault, FaultPlan, FormExtractor};
 use metaform_grammar::{global_compiled, paper_example_grammar};
 use metaform_parser::{merge, ParseSession, ParserOptions};
 use std::sync::Arc;
@@ -224,7 +224,8 @@ fn timing_experiment() {
     // accounted per cause.
     let mut poisoned_pages = pages.clone();
     poisoned_pages.push("<form>__POISON__ <input type=text name=p></form>");
-    let poisoned = FormExtractor::new().inject_panic_marker("__POISON__");
+    let poisoned =
+        FormExtractor::new().fault_plan(FaultPlan::new().with(pages.len(), Fault::Panic));
     // The injected panic is caught at the page boundary; silence the
     // default hook so the demo's output is the accounting line, not a
     // backtrace.

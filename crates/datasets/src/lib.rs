@@ -14,7 +14,7 @@
 //! - hand-written [`fixtures`] of the paper's Qam/Qaa figures;
 //! - [`revisit`] scenarios: deterministic label-edit / row-insert /
 //!   bbox-jitter mutations of the survey corpus, the workload for the
-//!   parse-cache parity suite and `bench_revisit`;
+//!   parse-cache parity suite;
 //! - the per-domain [`BudgetPreset`] table seeding the adaptive batch
 //!   driver's first-pass parse budgets, with
 //!   [`BudgetPreset::from_stats`] to recalibrate from a prior run.

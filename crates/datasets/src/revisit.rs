@@ -17,8 +17,7 @@
 //! randomness — so a scenario list is reproducible across runs. The
 //! `cache_parity` suite re-extracts each mutated page cold and via a
 //! cache primed with the original and requires byte-identical reports
-//! (on the survey corpus and on generated pages); `bench_revisit`
-//! times the same scenarios.
+//! (on the survey corpus and on generated pages).
 
 /// Which family a scenario's edit belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,8 +121,8 @@ pub fn bbox_jitter(html: &str) -> Option<String> {
 }
 
 /// Every applicable mutation of every [`crate::survey_corpus`] page,
-/// in corpus order — the revisit workload for the parity suite and
-/// `bench_revisit`. Deterministic: same list every call.
+/// in corpus order — the revisit workload for the parity suite.
+/// Deterministic: same list every call.
 pub fn revisit_scenarios() -> Vec<RevisitScenario> {
     let mut out = Vec::new();
     for (name, html) in crate::survey_corpus() {

@@ -1,51 +1,59 @@
 //! Parallel batch extraction — the parse-many workload the
 //! compile-once split exists for, with per-page fault isolation and an
-//! adaptive retry driver.
+//! adaptive retry ladder.
 //!
 //! [`FormExtractor::extract_batch_adaptive`] is the one batch entry
-//! point. It fans a slice of HTML pages out over scoped worker
-//! threads. Each worker owns one [`metaform_parser::ParseSession`]
-//! (recycling its chart and scratch across the pages it claims) while
+//! point. It makes one parallel pass over a slice of HTML pages: the
+//! batch enters one `thread::scope`, and each worker owns one
+//! [`metaform_parser::ParseSession`] for the whole batch (recycling its
+//! chart and scratch across every page and every retry it runs) while
 //! all workers share the extractor's one `Arc<CompiledGrammar>`. Pages
-//! are claimed in input order from a shared queue, so workers
-//! self-balance; results are written back by input index, so the
-//! output order is the input order and is identical to a sequential
-//! run — parallelism changes wall-clock time, nothing else. With
-//! [`AdaptiveOptions::max_retries`] 0 it is the plain one-pass batch.
+//! are claimed in input order from a shared counter, so workers
+//! self-balance; results are written back by input index, so the output
+//! order is the input order and is identical to a sequential run —
+//! parallelism changes wall-clock time, nothing else. With
+//! [`AdaptiveOptions::max_retries`] 0 it is the plain one-pass batch,
+//! and [`FormExtractor::extract`] is the same ladder for one page.
+//!
+//! **One ladder per page.** The worker that claims a page runs its
+//! whole ladder, start to finish:
+//!
+//! 1. the front end (HTML → layout → tokens), once, behind the page's
+//!    panic boundary — the tokens stay a local of the ladder;
+//! 2. one attempt at the configured budgets;
+//! 3. while the attempt is budget-limited (`Truncated`/`Timeout`),
+//!    retries remain and the batch's cancel token has not fired,
+//!    another attempt with both budgets multiplied by
+//!    [`AdaptiveOptions::budget_growth`], on the same session;
+//! 4. settlement: a completed attempt is served as is; a failed one
+//!    goes down the degradation ladder — the maximized partial
+//!    grammar-path report when it dominates the proximity baseline
+//!    ([`Provenance::PartialSalvage`]), the baseline otherwise.
+//!
+//! A budget failure is a verdict on the *budget*, not the page: the
+//! same page parses fine under a larger instance cap or deadline.
+//! `Panicked` and `EmptyForm` pages are never retried (a bigger budget
+//! reproduces the same verdict) and neither are `Cancelled` ones
+//! (retrying would fight the caller). Every page that failed at least
+//! once is narrated by a [`FailureRecord`]. Because the parser is
+//! deterministic and pages are independent, a page's output is
+//! byte-identical to a one-shot run at its last attempt's budget,
+//! whatever the worker count.
 //!
 //! **Fault isolation.** Each page runs behind its own panic boundary
 //! and budget checks ([`crate::ExtractError`]): a poison page — one
 //! that panics the pipeline, exhausts its instance cap, or blows its
-//! wall-clock deadline — is settled down the degradation ladder and
-//! narrated by a [`FailureRecord`], while the other N−1 pages complete
-//! normally. No page can abort the batch.
-//!
-//! **Adaptive escalation.** A budget failure is a verdict on the
-//! *budget*, not the page: the same page parses fine under a larger
-//! instance cap or deadline. The driver therefore runs a bounded
-//! escalation loop — first pass under the configured budgets, then up
-//! to [`AdaptiveOptions::max_retries`] retry rounds re-running *only*
-//! the budget-limited pages (`Truncated`/`Timeout`) with both budgets
-//! multiplied by [`AdaptiveOptions::budget_growth`] each round. A
-//! retried page keeps the tokens of its first attempt — escalation
-//! changes parser budgets only — so the HTML → layout → token front end
-//! runs once per page, however many rungs the page descends.
-//! `Panicked` and `EmptyForm` pages are never retried (a bigger budget
-//! reproduces the same verdict) and neither are `Cancelled` ones
-//! (retrying would fight the caller). Pages still failing after the
-//! last round settle down the degradation ladder: the maximized
-//! partial grammar-path report when it dominates the proximity
-//! baseline ([`Provenance::PartialSalvage`]), the baseline otherwise.
-//! Because the parser is deterministic, a retried page's output is
-//! byte-identical to a one-shot run at the retry's budget.
+//! wall-clock deadline — settles down the ladder while the other N−1
+//! pages complete normally. No page can abort the batch.
 //!
 //! **Cancellation.** An extractor built with
 //! [`FormExtractor::cancel_token`] threads the token into every parse;
-//! firing it aborts in-flight parses at the next sampled budget poll
-//! and makes the batch driver skip pages not yet started. Completed
-//! pages keep their results; the rest settle down the ladder with a
-//! [`FailureOutcome::Cancelled`] record (or `Salvaged`, when their
-//! partial dominated the baseline).
+//! firing it aborts in-flight parses at the next sampled budget poll,
+//! starts no further retry, and makes workers skip pages not yet
+//! started. A page whose budget failure came before the token fired
+//! has already retried. Completed pages keep their results; the rest
+//! settle down the ladder with a [`FailureOutcome::Cancelled`] record
+//! (or `Salvaged`, when their partial dominated the baseline).
 
 use crate::error::ExtractError;
 use crate::pipeline::{token_coverage, Attempt, Extraction, FormExtractor, Provenance};
@@ -53,13 +61,9 @@ use crate::telemetry::{
     duration_to_ms, AttemptRecord, CacheOutcome, ErrorKind, FailureOutcome, FailureRecord,
 };
 use metaform_core::Token;
-use metaform_parser::CancelToken;
-use std::sync::{Mutex, PoisonError};
+use metaform_parser::{CancelToken, ParseSession};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-/// One page of a batch round: its index in the input, its HTML, and
-/// its tokens when an earlier attempt already ran the front end.
-type PageJob<'a> = (usize, &'a str, Option<Vec<Token>>);
 
 /// Rollup of one [`FormExtractor::extract_batch_adaptive`] run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -100,7 +104,7 @@ pub struct BatchStats {
     /// dominated the proximity baseline and was served instead
     /// ([`Provenance::PartialSalvage`]).
     pub salvaged: usize,
-    /// Retry attempts run by the adaptive driver (page-attempts, not
+    /// Retry attempts run by the page ladders (page-attempts, not
     /// pages: one page retried twice counts 2). Always 0 at
     /// `max_retries` 0.
     pub retried: usize,
@@ -127,6 +131,42 @@ impl BatchStats {
     /// retries, on the adaptive API).
     pub fn failed(&self) -> usize {
         self.panicked + self.truncated + self.timed_out + self.empty + self.cancelled
+    }
+
+    /// Sums one served page's counters into the rollup. Cache misses
+    /// are counted only when a cache is attached — a plain grammar
+    /// extraction is not a "miss" on an extractor that never consulted
+    /// anything.
+    fn add(&mut self, ex: &Extraction, cached: bool) {
+        match ex.via {
+            Provenance::BaselineFallback => self.degraded += 1,
+            Provenance::PartialSalvage => self.salvaged += 1,
+            Provenance::CacheHit => self.cache_hits += 1,
+            Provenance::Grammar if cached => self.cache_misses += 1,
+            Provenance::Grammar => {}
+        }
+        self.tokens += ex.stats.tokens;
+        self.created += ex.stats.created;
+        self.invalidated += ex.stats.invalidated;
+        self.trees += ex.stats.trees;
+        self.schedules_built += ex.stats.schedules_built;
+    }
+
+    /// Counts one page's failure story: its retries, and its recovery
+    /// or the cause of its final failure.
+    fn count(&mut self, record: &FailureRecord) {
+        self.retried += record.attempts - 1;
+        if record.outcome == FailureOutcome::Recovered {
+            self.recovered += 1;
+            return;
+        }
+        match record.error {
+            ErrorKind::Panicked => self.panicked += 1,
+            ErrorKind::Truncated => self.truncated += 1,
+            ErrorKind::Timeout => self.timed_out += 1,
+            ErrorKind::EmptyForm => self.empty += 1,
+            ErrorKind::Cancelled => self.cancelled += 1,
+        }
     }
 
     /// One-line summary for experiment tables.
@@ -156,23 +196,23 @@ impl BatchStats {
     }
 }
 
-/// Knobs of the bounded escalation loop in
+/// Knobs of each page's bounded escalation ladder in
 /// [`FormExtractor::extract_batch_adaptive`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveOptions {
-    /// Retry rounds after the first pass (0 = first pass only: the
-    /// plain batch, every failed page settled down the ladder and
+    /// Retries after a page's first attempt (0 = first attempt only:
+    /// the plain batch, every failed page settled down the ladder and
     /// narrated by a [`FailureRecord`]).
     pub max_retries: usize,
     /// Multiplier applied to both per-page budgets (`max_instances`
-    /// and `deadline`) each retry round, saturating. 0 is treated
-    /// as 1 — budgets never shrink.
+    /// and `deadline`) at each retry, saturating. 0 is treated as 1 —
+    /// budgets never shrink.
     pub budget_growth: u32,
 }
 
 impl Default for AdaptiveOptions {
     /// Two retries at doubling budgets: a page must be 4× over its
-    /// first-pass budget to still fail the last round.
+    /// first budget to still fail its last attempt.
     fn default() -> Self {
         AdaptiveOptions {
             max_retries: 2,
@@ -200,51 +240,30 @@ pub struct AdaptiveBatch {
     pub failures: Vec<FailureRecord>,
 }
 
-/// One page's in-progress story while the adaptive driver runs:
-/// the latest attempt (verdict, stats, salvage candidate) plus the
-/// attempt trail behind it.
-struct PageState {
-    attempt: Attempt,
-    story: PageStory,
-}
-
-/// The telemetry half of a [`PageState`] — split out so the final
-/// result can be moved out while the story is still sealed into a
-/// [`FailureRecord`].
-struct PageStory {
-    attempts: Vec<AttemptRecord>,
-    /// Kind of the most recent *failed* attempt — kept separately
-    /// because a recovered page's final result is `Ok`.
-    last_error: Option<ErrorKind>,
-    message: Option<String>,
-    final_budgets: (usize, Option<Duration>),
-}
+/// What one page's ladder settles to: the served extraction, and the
+/// page's failure story when it failed at least once.
+type Settled = (Extraction, Option<FailureRecord>);
 
 impl FormExtractor {
-    /// The batch core every driver runs on: extracts each `(page_index,
-    /// html, tokens)` job in parallel, returning one [`Attempt`] per
-    /// job — verdict, per-attempt parse stats, the salvage candidate on
-    /// budget failures, and the page's tokens — aligned with `jobs`.
-    /// The page index travels *inside* the job, not as the slot
-    /// position — retry rounds pass sparse subsets of the original
-    /// batch, and every error and stat they produce must name the
-    /// page's index in the original input, never its position in the
-    /// subset. Retry rounds also hand each page the tokens its last
-    /// attempt computed, which the job moves into
-    /// [`FormExtractor::attempt_in`] so the front end is not run again.
-    pub(crate) fn run_jobs(&self, jobs: Vec<PageJob<'_>>) -> Vec<Attempt> {
-        if jobs.is_empty() {
-            return Vec::new();
+    /// Extracts every page in one parallel pass, each page through its
+    /// own ladder (see the module docs): first attempt at the
+    /// configured budgets, up to [`AdaptiveOptions::max_retries`]
+    /// retries of a budget-limited attempt with budgets multiplied by
+    /// [`AdaptiveOptions::budget_growth`] each time, then settlement.
+    /// Every page that failed at least once gets a [`FailureRecord`] in
+    /// [`AdaptiveBatch::failures`], and every error and record names
+    /// the page's index in the input slice.
+    pub fn extract_batch_adaptive(&self, pages: &[&str], opts: &AdaptiveOptions) -> AdaptiveBatch {
+        let started = Instant::now();
+        if pages.is_empty() {
+            return AdaptiveBatch::default();
         }
-        let workers = self.batch_workers(jobs.len());
-        let indices: Vec<usize> = jobs.iter().map(|&(page_index, _, _)| page_index).collect();
-        let mut slots: Vec<Option<Attempt>> = Vec::new();
-        slots.resize_with(jobs.len(), || None);
-        // Workers claim jobs in input order from a shared queue; a job
-        // is moved out whole, tokens included. The lock guards one
-        // `next()` call, which cannot leave the queue half-updated, so
-        // a poisoned lock is still safe to use.
-        let queue = Mutex::new(jobs.into_iter().enumerate());
+        let workers = self.batch_workers(pages.len());
+        let mut slots: Vec<Option<Settled>> = Vec::new();
+        slots.resize_with(pages.len(), || None);
+        // Workers claim pages in input order; the counter publishes
+        // nothing but the index, and results travel back through join.
+        let next = AtomicUsize::new(0);
 
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -253,188 +272,54 @@ impl FormExtractor {
                         let mut session = self.session();
                         let mut out = Vec::new();
                         loop {
-                            let claimed =
-                                queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                            let Some((slot, (page_index, html, tokens))) = claimed else {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&html) = pages.get(i) else {
                                 break;
                             };
-                            let attempt = self.attempt_in(&mut session, page_index, html, tokens);
-                            out.push((slot, attempt));
+                            out.push((i, self.ladder(&mut session, i, html, opts)));
                         }
                         out
                     })
                 })
                 .collect();
             for handle in handles {
-                // Per-page panics are caught inside attempt_in, so a
+                // Per-page panics are caught inside the ladder, so a
                 // worker-level panic should be impossible; if one
                 // happens anyway, its claimed-but-unfilled slots are
                 // reported as Panicked below rather than killing the
                 // batch here.
                 if let Ok(filled) = handle.join() {
-                    for (slot, result) in filled {
-                        slots[slot] = Some(result);
+                    for (i, settled) in filled {
+                        slots[i] = Some(settled);
                     }
                 }
             }
         });
 
-        slots
-            .into_iter()
-            .zip(indices)
-            .map(|(slot, page_index)| {
-                slot.unwrap_or_else(|| {
-                    Attempt::failed(
-                        ExtractError::Panicked {
-                            page_index,
-                            message: "batch worker died outside the page boundary".to_string(),
-                        },
-                        None,
-                    )
-                })
-            })
-            .collect()
-    }
-
-    /// Extracts every page under the bounded escalation loop described
-    /// in the module docs: first pass at the configured budgets, then
-    /// up to [`AdaptiveOptions::max_retries`] rounds re-running only
-    /// the budget-limited pages (`Truncated`/`Timeout`) with budgets
-    /// multiplied by [`AdaptiveOptions::budget_growth`] each round.
-    /// Pages still failing after the last round degrade to the
-    /// proximity baseline. Every page that failed at least once gets a
-    /// [`FailureRecord`] in [`AdaptiveBatch::failures`], and every
-    /// error and record names the page's index in the *input* slice,
-    /// however many retry subsets it passed through.
-    pub fn extract_batch_adaptive(&self, pages: &[&str], opts: &AdaptiveOptions) -> AdaptiveBatch {
-        let started = Instant::now();
-        if pages.is_empty() {
-            return AdaptiveBatch::default();
-        }
-        let workers = self.batch_workers(pages.len());
         let mut stats = BatchStats {
             pages: pages.len(),
             workers,
             ..Default::default()
         };
-
-        // First pass: the whole batch at the configured budgets.
-        let fresh = pages.iter().enumerate().map(|(i, &html)| (i, html, None));
-        let first = self.run_jobs(fresh.collect());
-        let mut states: Vec<PageState> = first
-            .into_iter()
-            .map(|attempt| {
-                let mut state = PageState {
-                    attempt,
-                    story: PageStory {
-                        attempts: Vec::new(),
-                        last_error: None,
-                        message: None,
-                        final_budgets: self.budgets(),
-                    },
-                };
-                let cache = self.attempt_cache_outcome(&state.attempt.result);
-                state.log_attempt(0, self.budgets(), cache);
-                state
-            })
-            .collect();
-
-        // Escalation rounds: only budget failures are worth a bigger
-        // budget. Cancellation ends the loop — pages not retried keep
-        // their first verdict.
-        let mut round_extractor = self.clone();
-        for round in 1..=opts.max_retries {
-            if self.cancel().is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
-            let pending: Vec<usize> = states
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| {
-                    s.attempt
-                        .result
-                        .as_ref()
-                        .is_err_and(ExtractError::is_budget_limited)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            round_extractor = round_extractor.escalated(opts.budget_growth);
-            // A budget failure always carries its partial, and the
-            // partial holds the page's tokens: the retry reuses them.
-            let retry_jobs: Vec<PageJob<'_>> = pending
-                .iter()
-                .map(|&i| {
-                    let partial = states[i].attempt.partial.as_mut();
-                    (i, pages[i], partial.map(|p| std::mem::take(&mut p.tokens)))
-                })
-                .collect();
-            stats.retried += retry_jobs.len();
-            let retried = round_extractor.run_jobs(retry_jobs);
-            for (&i, attempt) in pending.iter().zip(retried) {
-                let state = &mut states[i];
-                state.attempt = attempt;
-                state.story.final_budgets = round_extractor.budgets();
-                let cache = round_extractor.attempt_cache_outcome(&state.attempt.result);
-                state.log_attempt(round, round_extractor.budgets(), cache);
-            }
-        }
-
-        // Settle every page: salvage-or-degrade the still-failing
-        // ones, collect the failure stories, count recoveries.
+        let cached = self.cache().is_some();
         let mut extractions = Vec::with_capacity(pages.len());
         let mut failures = Vec::new();
-        for (i, state) in states.into_iter().enumerate() {
-            let (attempt, story) = state.seal();
-            match attempt.result {
-                Ok(extraction) => {
-                    if story.attempts.len() > 1 {
-                        stats.recovered += 1;
-                        failures.push(story.record(i, FailureOutcome::Recovered));
-                    }
-                    extractions.push(extraction);
-                }
-                Err(err) => {
-                    let settled = self.settle_failed(
-                        pages[i],
-                        &err,
-                        attempt.partial,
-                        attempt.tokens,
-                        &mut stats,
-                    );
-                    let outcome = if settled.via == Provenance::PartialSalvage {
-                        FailureOutcome::Salvaged
-                    } else if matches!(err, ExtractError::Cancelled { .. }) {
-                        FailureOutcome::Cancelled
-                    } else {
-                        FailureOutcome::Degraded
-                    };
-                    let mut record = story.record(i, outcome);
-                    if settled.via == Provenance::PartialSalvage {
-                        record.salvage_covered =
-                            Some(token_coverage(&settled.report, settled.tokens.len()));
-                        record.salvage_tokens = Some(settled.tokens.len());
-                    }
-                    // Induction evidence: how far the partial parse got
-                    // and which token arrangements it left unexplained.
-                    record.partial_roots = settled.partial_roots.clone();
-                    record.arrangements = metaform_grammar::mine_page(
-                        &settled.tokens,
-                        &settled.report.missing,
-                        &settled.pattern_spans,
-                        &self.grammar().proximity,
-                    )
-                    .into_iter()
-                    .map(|a| a.signature)
-                    .collect();
-                    extractions.push(settled);
-                    failures.push(record);
-                }
+        for (i, slot) in slots.into_iter().enumerate() {
+            let (extraction, record) = slot.unwrap_or_else(|| {
+                let message = "batch worker died outside the page boundary".to_string();
+                let died = ExtractError::Panicked {
+                    page_index: i,
+                    message,
+                };
+                self.settle_unparsed(i, pages[i], died)
+            });
+            stats.add(&extraction, cached);
+            if let Some(record) = record {
+                stats.count(&record);
+                failures.push(record);
             }
+            extractions.push(extraction);
         }
-        self.roll_up(&extractions, &mut stats);
         stats.elapsed = started.elapsed();
         AdaptiveBatch {
             extractions,
@@ -443,69 +328,145 @@ impl FormExtractor {
         }
     }
 
-    /// The single settlement site of the batch drivers for failed
-    /// pages: counts the failure cause in `stats`, then serves the
-    /// page via [`FormExtractor::salvage_or_degrade`] — the salvaged
-    /// partial grammar-path report when it dominates the proximity
-    /// baseline, the baseline otherwise — over the tokens the failed
-    /// attempt already holds. The salvaged/degraded split itself is
-    /// counted in `roll_up` from the provenance marks.
-    fn settle_failed(
+    /// One page's whole ladder on the worker that claimed it: the
+    /// front end once, a first attempt at the configured budgets,
+    /// escalating retries while the attempt is budget-limited, retries
+    /// remain and the cancel token has not fired, then settlement.
+    pub(crate) fn ladder(
         &self,
-        page: &str,
-        err: &ExtractError,
-        partial: Option<Extraction>,
-        tokens: Option<Vec<Token>>,
-        stats: &mut BatchStats,
-    ) -> Extraction {
-        match err {
-            ExtractError::Panicked { .. } => stats.panicked += 1,
-            ExtractError::Truncated { .. } => stats.truncated += 1,
-            ExtractError::Timeout { .. } => stats.timed_out += 1,
-            ExtractError::EmptyForm { .. } => stats.empty += 1,
-            ExtractError::Cancelled { .. } => stats.cancelled += 1,
-        }
-        self.salvage_or_degrade(page, partial, tokens)
-    }
-
-    /// Sums per-page counters into the batch rollup (shared by the
-    /// stats and adaptive drivers). Cache misses are counted only when
-    /// a cache is actually attached — a plain grammar extraction is
-    /// not a "miss" on an extractor that never consulted anything.
-    fn roll_up(&self, extractions: &[Extraction], stats: &mut BatchStats) {
-        let cached = self.cache().is_some();
-        for ex in extractions {
-            match ex.via {
-                Provenance::BaselineFallback => stats.degraded += 1,
-                Provenance::PartialSalvage => stats.salvaged += 1,
-                Provenance::CacheHit => stats.cache_hits += 1,
-                Provenance::Grammar if cached => stats.cache_misses += 1,
-                Provenance::Grammar => {}
+        session: &mut ParseSession,
+        page_index: usize,
+        html: &str,
+        opts: &AdaptiveOptions,
+    ) -> Settled {
+        let tokens = match self.page_tokens(page_index, html) {
+            Ok(tokens) => tokens,
+            Err(err) => return self.settle_unparsed(page_index, html, err),
+        };
+        let mut budgets = self.budgets();
+        let mut attempt = self.attempt(session, page_index, &tokens, budgets);
+        let mut trail = Vec::new();
+        self.log_attempt(&mut trail, 0, budgets, &attempt);
+        let growth = opts.budget_growth.max(1);
+        for retry in 1..=opts.max_retries {
+            if !attempt
+                .result
+                .as_ref()
+                .is_err_and(ExtractError::is_budget_limited)
+                || self.cancel().is_some_and(CancelToken::is_cancelled)
+            {
+                break;
             }
-            stats.tokens += ex.stats.tokens;
-            stats.created += ex.stats.created;
-            stats.invalidated += ex.stats.invalidated;
-            stats.trees += ex.stats.trees;
-            stats.schedules_built += ex.stats.schedules_built;
+            budgets = (
+                budgets.0.saturating_mul(growth as usize),
+                budgets.1.map(|d| d.saturating_mul(growth)),
+            );
+            attempt = self.attempt(session, page_index, &tokens, budgets);
+            self.log_attempt(&mut trail, retry, budgets, &attempt);
         }
+        self.settle(page_index, html, attempt, Some(tokens), trail)
     }
 
-    /// The cache interaction of one settled attempt, for the per-page
-    /// telemetry trail: `None` without a cache, on failures, and on
-    /// degraded pages.
-    fn attempt_cache_outcome(
+    /// Settles a page on its final attempt. A completed attempt is
+    /// served with the page's tokens (and narrated as `Recovered` when
+    /// an earlier attempt failed); a failed one is served via
+    /// [`FormExtractor::salvage_or_degrade`] — the salvaged partial
+    /// grammar-path report when it dominates the proximity baseline,
+    /// the baseline otherwise — and its record gains the salvage
+    /// coverage and the induction evidence.
+    fn settle(
         &self,
-        result: &Result<Extraction, ExtractError>,
-    ) -> Option<CacheOutcome> {
-        self.cache()?;
-        match result {
-            Ok(ex) => match ex.via {
-                Provenance::CacheHit => Some(CacheOutcome::Hit),
-                Provenance::Grammar => Some(CacheOutcome::Miss),
-                Provenance::BaselineFallback | Provenance::PartialSalvage => None,
-            },
-            Err(_) => None,
+        page_index: usize,
+        html: &str,
+        attempt: Attempt,
+        tokens: Option<Vec<Token>>,
+        trail: Vec<AttemptRecord>,
+    ) -> Settled {
+        let err = match attempt.result {
+            Ok(mut extraction) => {
+                extraction.tokens = tokens.unwrap_or_default();
+                let record = (!trail.is_empty())
+                    .then(|| failure_record(page_index, trail, FailureOutcome::Recovered, None));
+                return (extraction, record);
+            }
+            Err(err) => err,
+        };
+        let settled = self.salvage_or_degrade(html, attempt.partial, tokens);
+        let outcome = if settled.via == Provenance::PartialSalvage {
+            FailureOutcome::Salvaged
+        } else if matches!(err, ExtractError::Cancelled { .. }) {
+            FailureOutcome::Cancelled
+        } else {
+            FailureOutcome::Degraded
+        };
+        let message = match err {
+            ExtractError::Panicked { message, .. } => Some(message),
+            _ => None,
+        };
+        let mut record = failure_record(page_index, trail, outcome, message);
+        if settled.via == Provenance::PartialSalvage {
+            record.salvage_covered = Some(token_coverage(&settled.report, settled.tokens.len()));
+            record.salvage_tokens = Some(settled.tokens.len());
         }
+        // Induction evidence: how far the partial parse got and which
+        // token arrangements it left unexplained.
+        record.partial_roots = settled.partial_roots.clone();
+        record.arrangements = metaform_grammar::mine_page(
+            &settled.tokens,
+            &settled.report.missing,
+            &settled.pattern_spans,
+            &self.grammar().proximity,
+        )
+        .into_iter()
+        .map(|a| a.signature)
+        .collect();
+        (settled, Some(record))
+    }
+
+    /// Settles a page that never reached a parse — its front end
+    /// panicked, the batch was cancelled before it started, or its
+    /// batch worker died — on its one failed attempt.
+    fn settle_unparsed(&self, page_index: usize, html: &str, err: ExtractError) -> Settled {
+        let attempt = Attempt::failed(err);
+        let mut trail = Vec::new();
+        self.log_attempt(&mut trail, 0, self.budgets(), &attempt);
+        self.settle(page_index, html, attempt, None, trail)
+    }
+
+    /// Appends one attempt to the page's trail — but only once the
+    /// page has failed: clean pages (the common case) allocate no
+    /// telemetry at all, and a recovered page's final, clean attempt is
+    /// logged because a failed one precedes it.
+    fn log_attempt(
+        &self,
+        trail: &mut Vec<AttemptRecord>,
+        number: usize,
+        budgets: (usize, Option<Duration>),
+        attempt: &Attempt,
+    ) {
+        let error = attempt.result.as_ref().err().map(ErrorKind::of);
+        if error.is_none() && trail.is_empty() {
+            return;
+        }
+        let built = attempt.built();
+        trail.push(AttemptRecord {
+            attempt: number,
+            max_instances: budgets.0,
+            deadline_ms: duration_to_ms(budgets.1),
+            error,
+            // None without a cache or on a failed attempt.
+            cache: match (&attempt.result, self.cache()) {
+                (Ok(ex), Some(_)) if ex.via == Provenance::CacheHit => Some(CacheOutcome::Hit),
+                (Ok(_), Some(_)) => Some(CacheOutcome::Miss),
+                _ => None,
+            },
+            tokens: built.map_or(0, |ex| ex.stats.tokens),
+            created: built.map_or(0, |ex| ex.stats.created),
+            covered: built.map(|ex| token_coverage(&ex.report, ex.stats.tokens)),
+            elapsed_us: built.map_or(0, |ex| {
+                u64::try_from(ex.stats.elapsed.as_micros()).unwrap_or(u64::MAX)
+            }),
+        });
     }
 
     /// Worker count for a batch of `pages` pages: the configured
@@ -521,73 +482,35 @@ impl FormExtractor {
     }
 }
 
-impl PageState {
-    /// Appends this round's attempt to the trail — but only once the
-    /// page has failed at least once: clean pages (the common case)
-    /// carry no telemetry at all, and a recovered page's final, clean
-    /// attempt is logged because a failed one precedes it.
-    fn log_attempt(
-        &mut self,
-        round: usize,
-        budgets: (usize, Option<Duration>),
-        cache: Option<CacheOutcome>,
-    ) {
-        let error = self.attempt.result.as_ref().err().map(ErrorKind::of);
-        if error.is_none() && self.story.attempts.is_empty() {
-            return;
-        }
-        if let Some(kind) = error {
-            self.story.last_error = Some(kind);
-        }
-        if let Err(ExtractError::Panicked { message, .. }) = &self.attempt.result {
-            self.story.message = Some(message.clone());
-        }
-        let (tokens, created, elapsed_us) = match &self.attempt.stats {
-            Some(s) => (
-                s.tokens,
-                s.created,
-                u64::try_from(s.elapsed.as_micros()).unwrap_or(u64::MAX),
-            ),
-            None => (0, 0, 0),
-        };
-        self.story.attempts.push(AttemptRecord {
-            attempt: round,
-            max_instances: budgets.0,
-            deadline_ms: duration_to_ms(budgets.1),
-            error,
-            cache,
-            tokens,
-            created,
-            covered: self.attempt.covered(),
-            elapsed_us,
-        });
-    }
-
-    /// Splits the final attempt from the telemetry trail.
-    fn seal(self) -> (Attempt, PageStory) {
-        (self.attempt, self.story)
-    }
-}
-
-impl PageStory {
-    /// Seals the story into the record handed to telemetry consumers.
-    fn record(self, page_index: usize, outcome: FailureOutcome) -> FailureRecord {
-        FailureRecord {
-            page_index,
-            error: self
-                .last_error
-                .expect("a failure record exists only for a page that failed"),
-            message: self.message,
-            attempts: self.attempts.len(),
-            outcome,
-            final_max_instances: self.final_budgets.0,
-            final_deadline_ms: duration_to_ms(self.final_budgets.1),
-            salvage_covered: None,
-            salvage_tokens: None,
-            partial_roots: Vec::new(),
-            arrangements: Vec::new(),
-            attempt_log: self.attempts,
-        }
+/// Seals a failed page's trail into the record handed to telemetry
+/// consumers: the error is the last failed attempt's, the final budgets
+/// the last attempt's.
+fn failure_record(
+    page_index: usize,
+    trail: Vec<AttemptRecord>,
+    outcome: FailureOutcome,
+    message: Option<String>,
+) -> FailureRecord {
+    let last = trail
+        .last()
+        .expect("a failure record exists only for a page that failed");
+    FailureRecord {
+        page_index,
+        error: trail
+            .iter()
+            .rev()
+            .find_map(|a| a.error)
+            .expect("a failure record exists only for a page that failed"),
+        message,
+        attempts: trail.len(),
+        outcome,
+        final_max_instances: last.max_instances,
+        final_deadline_ms: last.deadline_ms,
+        salvage_covered: None,
+        salvage_tokens: None,
+        partial_roots: Vec::new(),
+        arrangements: Vec::new(),
+        attempt_log: trail,
     }
 }
 
@@ -595,6 +518,7 @@ impl PageStory {
 mod tests {
     use super::*;
     use crate::pipeline::tests::QAM;
+    use crate::pipeline::{Fault, FaultPlan};
 
     fn pages() -> Vec<String> {
         (0..12)
@@ -673,7 +597,7 @@ mod tests {
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         let extractor = FormExtractor::new()
             .worker_threads(4)
-            .inject_panic_marker("POISON");
+            .fault_plan(FaultPlan::new().with(5, Fault::Panic));
         let AdaptiveBatch {
             extractions: batch,
             stats,
@@ -769,40 +693,6 @@ mod tests {
             Some(CacheOutcome::Miss),
             "the recovering attempt parsed cold under a cache"
         );
-    }
-
-    /// Retry rounds hand pages the tokens of their earlier attempt,
-    /// skipping the front end — but the cancel marker is still checked
-    /// on such an attempt, fires the token, and the page keeps the
-    /// tokens it was handed.
-    #[test]
-    fn retry_job_with_known_tokens_still_fires_the_cancel_marker() {
-        let page = "<form>STOP <input type=text name=s><input type=submit value=Go></form>";
-        let tokens = FormExtractor::new().extract(page).tokens;
-        assert!(!tokens.is_empty());
-        let cancel = CancelToken::new();
-        let extractor = FormExtractor::new()
-            .worker_threads(1)
-            .cancel_token(cancel.clone())
-            .inject_cancel_marker("STOP");
-        let attempts = extractor.run_jobs(vec![(7, page, Some(tokens.clone()))]);
-        assert!(cancel.is_cancelled(), "the retried marker page fired");
-        let attempt = &attempts[0];
-        assert!(matches!(
-            attempt.result,
-            Err(ExtractError::Cancelled { page_index: 7 })
-        ));
-        let partial = attempt.partial.as_ref().expect("cancelled mid-parse");
-        assert_eq!(partial.tokens, tokens);
-
-        // A page met after the cancellation is skipped whole and
-        // still keeps its tokens for the baseline.
-        let skipped = extractor.run_jobs(vec![(8, page, Some(tokens.clone()))]);
-        assert!(matches!(
-            skipped[0].result,
-            Err(ExtractError::Cancelled { page_index: 8 })
-        ));
-        assert_eq!(skipped[0].tokens.as_ref(), Some(&tokens));
     }
 
     #[test]

@@ -78,22 +78,6 @@ impl ExtractError {
             ExtractError::Truncated { .. } | ExtractError::Timeout { .. }
         )
     }
-
-    /// The same error re-attributed to `page_index` — for callers that
-    /// run single-page extractions (which report page 0) inside their
-    /// own batch loop.
-    pub fn with_page_index(self, page_index: usize) -> Self {
-        match self {
-            ExtractError::Panicked { message, .. } => ExtractError::Panicked {
-                page_index,
-                message,
-            },
-            ExtractError::Truncated { .. } => ExtractError::Truncated { page_index },
-            ExtractError::Timeout { .. } => ExtractError::Timeout { page_index },
-            ExtractError::EmptyForm { .. } => ExtractError::EmptyForm { page_index },
-            ExtractError::Cancelled { .. } => ExtractError::Cancelled { page_index },
-        }
-    }
 }
 
 impl fmt::Display for ExtractError {
@@ -154,18 +138,9 @@ mod tests {
         assert!(ExtractError::EmptyForm { page_index: 3 }
             .to_string()
             .contains("no form"));
-        assert_eq!(e.with_page_index(9).page_index(), 9);
-        assert_eq!(
-            ExtractError::Timeout { page_index: 0 }.with_page_index(4),
-            ExtractError::Timeout { page_index: 4 }
-        );
         let c = ExtractError::Cancelled { page_index: 5 };
         assert_eq!(c.page_index(), 5);
         assert!(c.to_string().contains("cancelled"));
-        assert_eq!(
-            c.with_page_index(8),
-            ExtractError::Cancelled { page_index: 8 }
-        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //!   [best-effort parser ⟲ 2P grammar] → [merger] → query capabilities
 //! ```
 
+use crate::batch::AdaptiveOptions;
 use crate::cache::{CachedVisit, ParseCache};
 use crate::error::{panic_message, ExtractError};
 use metaform_core::{ExtractionReport, Token, TokenFingerprint};
@@ -245,50 +246,38 @@ pub struct FormExtractor {
     layout: LayoutOptions,
     parser: ParserOptions,
     workers: Option<usize>,
-    fault_marker: Option<String>,
-    cancel_marker: Option<String>,
     fault_plan: Option<Arc<FaultPlan>>,
     cache: Option<Arc<dyn ParseCache>>,
 }
 
-/// What one page attempt produces: the page's verdict, the parse stats
-/// of the attempt (absent when the pipeline never reached the parser),
-/// and — when the parse was budget-limited or cancelled mid-flight —
-/// the partial grammar-path extraction it still built, carried as the
-/// salvage candidate instead of being thrown away with the error.
+/// What one parse attempt produces: the page's verdict and — when the
+/// parse was budget-limited or cancelled mid-flight — the partial
+/// grammar-path extraction it still built, carried as the salvage
+/// candidate instead of being thrown away with the error.
 ///
-/// Once the front end has run, the page's tokens ride along so no
-/// later rung tokenizes the page again: inside the extraction on
-/// success, inside the partial on a budget failure, and in
-/// [`Attempt::tokens`] when neither exists (an empty form, a parse
-/// that panicked, a retry skipped by cancellation).
+/// Neither extraction holds the page's tokens: they stay a local of the
+/// page's ladder, which moves them into whichever extraction it serves.
 pub(crate) struct Attempt {
     pub(crate) result: Result<Extraction, ExtractError>,
-    pub(crate) stats: Option<ParseStats>,
     pub(crate) partial: Option<Extraction>,
-    pub(crate) tokens: Option<Vec<Token>>,
 }
 
 impl Attempt {
-    /// A failed attempt that built no extraction, keeping the page's
-    /// tokens if the front end had produced them.
-    pub(crate) fn failed(result: ExtractError, tokens: Option<Vec<Token>>) -> Self {
+    /// An attempt that failed before it built any extraction.
+    pub(crate) fn failed(error: ExtractError) -> Self {
         Attempt {
-            result: Err(result),
-            stats: None,
+            result: Err(error),
             partial: None,
-            tokens,
         }
     }
 
-    /// Token coverage of whatever report this attempt produced — the
-    /// full extraction on success, the salvage candidate on a budget
-    /// failure, nothing when no parse ran. This is the per-attempt
-    /// coverage trajectory the control plane fits budgets from.
-    pub(crate) fn covered(&self) -> Option<usize> {
+    /// The extraction this attempt built — the full one on success,
+    /// the salvage candidate on a budget failure, nothing when no parse
+    /// ran. Its stats and coverage are the per-attempt telemetry the
+    /// control plane fits budgets from.
+    pub(crate) fn built(&self) -> Option<&Extraction> {
         match (&self.result, &self.partial) {
-            (Ok(ex), _) => Some(token_coverage(&ex.report, ex.tokens.len())),
-            (Err(_), Some(partial)) => Some(token_coverage(&partial.report, partial.tokens.len())),
+            (Ok(ex), _) | (Err(_), Some(ex)) => Some(ex),
             (Err(_), None) => None,
         }
     }
@@ -328,8 +317,6 @@ impl FormExtractor {
             layout: LayoutOptions::default(),
             parser: ParserOptions::default(),
             workers: None,
-            fault_marker: None,
-            cancel_marker: None,
             fault_plan: None,
             cache: None,
         }
@@ -385,16 +372,6 @@ impl FormExtractor {
         self
     }
 
-    /// Fault injection for exercising the isolation path (builder
-    /// style): any page whose HTML contains `marker` panics inside the
-    /// pipeline, exactly where a real defect would. Used by the
-    /// panic-isolation tests and available for chaos-style batch
-    /// testing; production extractors simply never set it.
-    pub fn inject_panic_marker(mut self, marker: impl Into<String>) -> Self {
-        self.fault_marker = Some(marker.into());
-        self
-    }
-
     /// Attaches a batch-level cancel token (builder style). Every
     /// parse run by this extractor polls the token at the parser's
     /// sampled budget check; calling [`CancelToken::cancel`] on any
@@ -406,23 +383,12 @@ impl FormExtractor {
         self
     }
 
-    /// Fault injection for exercising the cancellation path (builder
-    /// style): any page whose HTML contains `marker` fires this
-    /// extractor's cancel token just before its parse starts, giving
-    /// tests a deterministic mid-batch cancellation point. No-op
-    /// unless a [`FormExtractor::cancel_token`] is attached;
-    /// production extractors simply never set it.
-    pub fn inject_cancel_marker(mut self, marker: impl Into<String>) -> Self {
-        self.cancel_marker = Some(marker.into());
-        self
-    }
-
     /// Attaches a deterministic fault plan (builder style): pages at
     /// the planned batch indices panic, stall past their deadline, or
-    /// fire the cancel token, per [`FaultPlan`]. Index-addressed where
-    /// the marker injectors are content-addressed, so chaos suites can
-    /// plan faults without editing page HTML. Production extractors
-    /// simply never attach one.
+    /// fire the cancel token, per [`FaultPlan`] — the one way to inject
+    /// a fault. Index-addressed, so chaos suites plan faults without
+    /// editing page HTML. Production extractors simply never attach
+    /// one.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = (!plan.is_empty()).then(|| Arc::new(plan));
         self
@@ -470,17 +436,6 @@ impl FormExtractor {
         (self.parser.max_instances, self.parser.deadline)
     }
 
-    /// This extractor with both per-page budgets multiplied by
-    /// `growth` (saturating) — one escalation step of the adaptive
-    /// retry loop. A `growth` of 0 is treated as 1 (no shrink).
-    pub(crate) fn escalated(&self, growth: u32) -> Self {
-        let growth = growth.max(1);
-        let mut next = self.clone();
-        next.parser.max_instances = next.parser.max_instances.saturating_mul(growth as usize);
-        next.parser.deadline = next.parser.deadline.map(|d| d.saturating_mul(growth));
-        next
-    }
-
     /// The compiled artifact extractions parse under.
     pub fn compiled(&self) -> &Arc<CompiledGrammar> {
         &self.grammar
@@ -495,189 +450,123 @@ impl FormExtractor {
     /// Runs the full pipeline on an HTML page containing a query form.
     ///
     /// Infallible by graceful degradation: a panic, budget blow-out, or
-    /// empty form yields a proximity-baseline report marked
-    /// [`Provenance::BaselineFallback`] instead of an error — callers
-    /// always get some capability description. Use
-    /// [`FormExtractor::try_extract`] to observe the failure instead.
+    /// empty form yields the salvaged partial report
+    /// ([`Provenance::PartialSalvage`]) or a proximity-baseline report
+    /// ([`Provenance::BaselineFallback`]) instead of an error — callers
+    /// always get some capability description. This is the batch's
+    /// per-page ladder at 0 retries; use [`FormExtractor::try_extract`]
+    /// to observe the failure instead.
     pub fn extract(&self, html: &str) -> Extraction {
-        self.extract_in(&mut self.session(), 0, html)
+        let once = AdaptiveOptions {
+            max_retries: 0,
+            ..AdaptiveOptions::default()
+        };
+        self.ladder(&mut self.session(), 0, html, &once).0
     }
 
-    /// Fallible form of [`FormExtractor::extract`]: surfaces the
-    /// page's failure as a typed [`ExtractError`] (with `page_index`
-    /// 0) instead of degrading to the baseline.
+    /// Fallible form of [`FormExtractor::extract`]: the ladder's first
+    /// attempt, unsettled. Surfaces the page's failure as a typed
+    /// [`ExtractError`] (with `page_index` 0) instead of degrading.
     pub fn try_extract(&self, html: &str) -> Result<Extraction, ExtractError> {
-        self.try_extract_in(&mut self.session(), 0, html)
+        let tokens = self.page_tokens(0, html)?;
+        let attempt = self.attempt(&mut self.session(), 0, &tokens, self.budgets());
+        let mut extraction = attempt.result?;
+        extraction.tokens = tokens;
+        Ok(extraction)
     }
 
-    /// Extracts every `<form>` on the page separately, in document
-    /// order — entry pages often pair a site-wide keyword box with the
-    /// main query form.
-    pub fn extract_all(&self, html: &str) -> Vec<Extraction> {
-        let doc = parse_html(html);
-        let lay = layout_with(&doc, &self.layout);
-        let mut session = self.session();
-        metaform_tokenizer::tokenize_all_forms(&doc, &lay)
-            .into_iter()
-            .map(|t| self.extract_tokens_in(&mut session, t.tokens))
-            .collect()
+    /// The fault the attached plan injects at `page_index`, if any.
+    fn fault_at(&self, page_index: usize) -> Option<Fault> {
+        self.fault_plan.as_ref()?.fault_for(page_index)
     }
 
-    /// Runs parsing + merging on pre-tokenized input (useful for tests
-    /// and for the paper's walk-through figures).
-    pub fn extract_tokens(&self, tokens: &[Token]) -> Extraction {
-        self.extract_tokens_in(&mut self.session(), tokens.to_vec())
-    }
-
-    /// [`FormExtractor::extract`] through a caller-owned session —
-    /// the parse-many path batch workers run on. Degrades failures to
-    /// the baseline like [`FormExtractor::extract`].
-    pub(crate) fn extract_in(
+    /// The first step of a page's ladder: the front end (HTML → DOM →
+    /// layout → tokens), run once per page behind the page's panic
+    /// boundary. A page met after the batch's cancel token fired is
+    /// skipped without running it, so pages not yet started cost
+    /// nothing. A planned [`Fault::Panic`] fires here, exactly where a
+    /// real defect would.
+    pub(crate) fn page_tokens(
         &self,
-        session: &mut ParseSession,
         page_index: usize,
         html: &str,
-    ) -> Extraction {
-        let attempt = self.attempt_in(session, page_index, html, None);
-        match attempt.result {
-            Ok(extraction) => extraction,
-            Err(_) => self.salvage_or_degrade(html, attempt.partial, attempt.tokens),
-        }
-    }
-
-    /// The fallible core: [`FormExtractor::attempt_in`] without the
-    /// per-attempt stats side channel.
-    pub(crate) fn try_extract_in(
-        &self,
-        session: &mut ParseSession,
-        page_index: usize,
-        html: &str,
-    ) -> Result<Extraction, ExtractError> {
-        self.attempt_in(session, page_index, html, None).result
-    }
-
-    /// One extraction attempt: tokenizes and parses one page with
-    /// every pipeline stage behind a panic boundary, and maps budget
-    /// blow-outs and cancellation to typed errors. `known` is the
-    /// page's tokens from an earlier attempt (a retry round hands them
-    /// over); the front end runs only when it is `None`. The batch
-    /// cancel check, the fault plan and the injected markers are
-    /// evaluated on every attempt either way. The second return slot
-    /// carries the parse stats even when the attempt *failed* a
-    /// budget (the parse ran, just not to completion) — the adaptive
-    /// telemetry records them per attempt; it is `None` when no parse
-    /// ran (panic, empty form, pre-parse cancellation). A panic
-    /// mid-parse may leave the session's recycled chart un-recycled —
-    /// that only costs the next parse a fresh allocation, never
-    /// correctness, because `ParseSession::parse` resets the chart for
-    /// each input.
-    pub(crate) fn attempt_in(
-        &self,
-        session: &mut ParseSession,
-        page_index: usize,
-        html: &str,
-        mut known: Option<Vec<Token>>,
-    ) -> Attempt {
-        // A batch already cancelled skips the whole pipeline — pages
-        // not yet started cost nothing.
+    ) -> Result<Vec<Token>, ExtractError> {
         if self.cancel().is_some_and(CancelToken::is_cancelled) {
-            return Attempt::failed(ExtractError::Cancelled { page_index }, known);
+            return Err(ExtractError::Cancelled { page_index });
         }
-        let fault = self
-            .fault_plan
-            .as_ref()
-            .and_then(|plan| plan.fault_for(page_index));
-        // The closure takes `known` only after the injected faults had
-        // their chance to fire, so a faulted retry keeps its tokens.
-        let front_end = catch_unwind(AssertUnwindSafe(|| {
+        let fault = self.fault_at(page_index);
+        catch_unwind(AssertUnwindSafe(|| {
             if fault == Some(Fault::Panic) {
                 panic!("injected fault: plan panics page {page_index}");
             }
-            if let Some(marker) = &self.fault_marker {
-                assert!(
-                    !html.contains(marker.as_str()),
-                    "injected fault: page contains {marker:?}"
-                );
-            }
-            known.take().unwrap_or_else(|| self.front_end(html))
-        }));
-        let tokens = match front_end {
-            Ok(tokens) => tokens,
-            Err(payload) => {
-                return Attempt::failed(
-                    ExtractError::Panicked {
-                        page_index,
-                        message: panic_message(payload),
-                    },
-                    known,
-                )
-            }
-        };
+            self.front_end(html)
+        }))
+        .map_err(|payload| ExtractError::Panicked {
+            page_index,
+            message: panic_message(payload),
+        })
+    }
+
+    /// One parse attempt over the page's tokens at `budgets`
+    /// (`(max_instances, deadline)`), set on the caller's session, with
+    /// the parse and merge behind the page's panic boundary; budget
+    /// blow-outs and cancellation map to typed errors. Planned
+    /// [`Fault::Stall`] and [`Fault::Cancel`] faults fire on every
+    /// attempt. A panic mid-parse may leave the session's recycled
+    /// chart un-recycled — that only costs the next parse a fresh
+    /// allocation, never correctness, because `ParseSession::parse`
+    /// resets the chart for each input.
+    pub(crate) fn attempt(
+        &self,
+        session: &mut ParseSession,
+        page_index: usize,
+        tokens: &[Token],
+        budgets: (usize, Option<Duration>),
+    ) -> Attempt {
         if tokens.is_empty() {
-            return Attempt::failed(ExtractError::EmptyForm { page_index }, Some(tokens));
+            return Attempt::failed(ExtractError::EmptyForm { page_index });
         }
-        // Deterministic cancellation points for tests: the marker page
-        // (or planned Cancel page) fires the token right before its own
+        let fault = self.fault_at(page_index);
+        // A planned Cancel page fires the token right before its own
         // parse, which then observes the cancellation at its first poll.
-        if let Some(token) = self.cancel() {
-            let marker_hit = self
-                .cancel_marker
-                .as_ref()
-                .is_some_and(|marker| html.contains(marker.as_str()));
-            if marker_hit || fault == Some(Fault::Cancel) {
-                token.cancel();
-            }
+        if let (Some(token), Some(Fault::Cancel)) = (self.cancel(), fault) {
+            token.cancel();
         }
-        let parsed = catch_unwind(AssertUnwindSafe(|| {
-            if fault == Some(Fault::Stall) {
-                // The stalled page's parse runs under a zeroed deadline
-                // and ends at its first budget poll — the deterministic
-                // equivalent of stalling until the deadline passed.
-                let mut opts = self.parser.clone();
-                opts.deadline = Some(Duration::ZERO);
-                let mut stalled = ParseSession::with_options(self.grammar.clone(), opts);
-                self.parse_tokens_in(&mut stalled, &tokens)
-            } else {
-                self.parse_tokens_in(session, &tokens)
-            }
-        }));
-        let mut extraction = match parsed {
-            Ok(extraction) => extraction,
-            Err(payload) => {
-                return Attempt::failed(
-                    ExtractError::Panicked {
+        // A stalled page parses under a zeroed deadline and ends at its
+        // first budget poll — the deterministic equivalent of stalling
+        // until the deadline passed.
+        let deadline = match fault {
+            Some(Fault::Stall) => Some(Duration::ZERO),
+            _ => budgets.1,
+        };
+        session.set_budgets(budgets.0, deadline);
+        let extraction =
+            match catch_unwind(AssertUnwindSafe(|| self.parse_tokens_in(session, tokens))) {
+                Ok(extraction) => extraction,
+                Err(payload) => {
+                    return Attempt::failed(ExtractError::Panicked {
                         page_index,
                         message: panic_message(payload),
-                    },
-                    Some(tokens),
-                )
-            }
-        };
-        extraction.tokens = tokens;
-        let stats = extraction.stats.clone();
-        match extraction.stats.budget {
-            BudgetOutcome::Completed => Attempt {
-                result: Ok(extraction),
-                stats: Some(stats),
-                partial: None,
-                tokens: None,
-            },
-            exhausted => {
-                // The budget-limited parse still maximized whatever it
-                // built (best-effort end to end) — keep the partial as
-                // the salvage candidate alongside the typed error.
-                let error = match exhausted {
-                    BudgetOutcome::TruncatedInstances => ExtractError::Truncated { page_index },
-                    BudgetOutcome::DeadlineExceeded => ExtractError::Timeout { page_index },
-                    _ => ExtractError::Cancelled { page_index },
-                };
-                Attempt {
-                    result: Err(error),
-                    stats: Some(stats),
-                    partial: Some(extraction),
-                    tokens: None,
+                    })
+                }
+            };
+        // A budget-limited parse still maximized whatever it built
+        // (best-effort end to end) — keep the partial as the salvage
+        // candidate alongside the typed error.
+        let error = match extraction.stats.budget {
+            BudgetOutcome::Completed => {
+                return Attempt {
+                    result: Ok(extraction),
+                    partial: None,
                 }
             }
+            BudgetOutcome::TruncatedInstances => ExtractError::Truncated { page_index },
+            BudgetOutcome::DeadlineExceeded => ExtractError::Timeout { page_index },
+            BudgetOutcome::Cancelled => ExtractError::Cancelled { page_index },
+        };
+        Attempt {
+            result: Err(error),
+            partial: Some(extraction),
         }
     }
 
@@ -693,19 +582,18 @@ impl FormExtractor {
     /// is the one place [`Provenance::PartialSalvage`] is constructed,
     /// as [`FormExtractor::degrade`] is for
     /// [`Provenance::BaselineFallback`]. The baseline reads the
-    /// tokens the failed attempt already holds — the partial's, or
-    /// `tokens` when there is no partial — and both candidates share
-    /// that one token list, so it moves to whichever is served.
+    /// page's `tokens` from its ladder, and both candidates share that
+    /// one token list, so it moves to whichever is served.
     pub(crate) fn salvage_or_degrade(
         &self,
         html: &str,
         partial: Option<Extraction>,
         tokens: Option<Vec<Token>>,
     ) -> Extraction {
+        let mut baseline = self.degrade(html, tokens);
         let Some(mut partial) = partial else {
-            return self.degrade(html, tokens);
+            return baseline;
         };
-        let mut baseline = self.degrade(html, Some(std::mem::take(&mut partial.tokens)));
         let total = baseline.tokens.len();
         let partial_claims = condition_coverage(&partial.report);
         let baseline_claims = condition_coverage(&baseline.report);
@@ -742,7 +630,7 @@ impl FormExtractor {
 
     /// The degradation path: runs the proximity baseline over the
     /// page's tokens, marking the provenance. The tokens are the ones
-    /// the failed attempt already computed; only when there are none —
+    /// the page's ladder already computed; only when there are none —
     /// the page's front end panicked, or a cancelled batch never
     /// started the page — does the front end run here, behind its own
     /// panic boundary. The parse counters are zeroed — the page-level
@@ -768,19 +656,11 @@ impl FormExtractor {
 
     /// The front end: HTML → DOM → layout → the form's 2-D tokens. A
     /// pure function of the HTML and the layout options, so each page
-    /// runs it once and every rung of the ladder shares the result.
+    /// runs it once and every rung of its ladder shares the result.
     fn front_end(&self, html: &str) -> Vec<Token> {
         let doc = parse_html(html);
         let lay = layout_with(&doc, &self.layout);
         tokenize(&doc, &lay).tokens
-    }
-
-    /// Parsing + merging over `tokens`, which the caller moves into
-    /// [`Extraction::tokens`].
-    fn extract_tokens_in(&self, session: &mut ParseSession, tokens: Vec<Token>) -> Extraction {
-        let mut extraction = self.parse_tokens_in(session, &tokens);
-        extraction.tokens = tokens;
-        extraction
     }
 
     /// The parse + merge core. The returned extraction's `tokens` are
@@ -1000,17 +880,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn extract_all_handles_multi_form_pages() {
-        let html = "<form>Site search <input type=text name=q></form>\n\
-                    <form>Author <input type=text name=a></form>";
-        let all = FormExtractor::new().extract_all(html);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].report.conditions[0].attribute, "Site search");
-        assert_eq!(all[1].report.conditions[0].attribute, "Author");
-        assert!(FormExtractor::new().extract_all("no forms").is_empty());
-    }
-
-    #[test]
     fn stats_flow_through() {
         let ex = FormExtractor::new().extract(QAM);
         assert!(ex.stats.created > ex.tokens.len());
@@ -1025,7 +894,7 @@ pub(crate) mod tests {
             ex.try_extract("<form></form>"),
             Err(ExtractError::EmptyForm { page_index: 0 })
         ));
-        let poisoned = FormExtractor::new().inject_panic_marker("POISON");
+        let poisoned = FormExtractor::new().fault_plan(FaultPlan::new().with(0, Fault::Panic));
         match poisoned.try_extract("<form>POISON <input type=text name=q></form>") {
             Err(ExtractError::Panicked {
                 page_index,
@@ -1101,7 +970,7 @@ pub(crate) mod tests {
         );
         assert!(!degraded.tokens.is_empty());
         // Same for a panicking page.
-        let poisoned = FormExtractor::new().inject_panic_marker("Subject");
+        let poisoned = FormExtractor::new().fault_plan(FaultPlan::new().with(0, Fault::Panic));
         let degraded = poisoned.extract(QAM);
         assert_eq!(degraded.via, Provenance::BaselineFallback);
         assert!(!degraded.report.conditions.is_empty());

@@ -38,7 +38,7 @@ use crate::stats::BudgetOutcome;
 use metaform_core::Token;
 use metaform_grammar::CompiledGrammar;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A reusable parser over a compiled grammar (see module docs).
 pub struct ParseSession {
@@ -74,6 +74,16 @@ impl ParseSession {
     /// The options every parse of this session runs with.
     pub fn options(&self) -> &ParserOptions {
         &self.opts
+    }
+
+    /// Sets the per-parse budgets ([`ParserOptions::max_instances`]
+    /// and [`ParserOptions::deadline`]) for the parses that follow.
+    /// Budgets only bound a parse, so the session's recycled chart and
+    /// scratch stay valid: an escalating retry reuses its session
+    /// instead of building a new one.
+    pub fn set_budgets(&mut self, max_instances: usize, deadline: Option<Duration>) {
+        self.opts.max_instances = max_instances;
+        self.opts.deadline = deadline;
     }
 
     /// Parses one token sequence. Borrows the tokens; the result owns
@@ -207,6 +217,68 @@ mod tests {
         let mut unbounded = ParseSession::new(compiled);
         let result = unbounded.parse(&tokens);
         assert_eq!(result.stats.budget, BudgetOutcome::Completed);
+    }
+
+    #[test]
+    fn changed_budgets_match_a_fresh_session_at_those_budgets() {
+        let compiled = Arc::new(paper_example_grammar().compile().unwrap());
+        let tokens: Vec<Token> = (0..3)
+            .flat_map(|row| {
+                let y = row as i32 * 40;
+                [
+                    Token::text(2 * row, "Author", BBox::new(10, y + 4, 52, y + 20)),
+                    Token::widget(
+                        2 * row + 1,
+                        TokenKind::Textbox,
+                        "q",
+                        BBox::new(60, y, 200, y + 20),
+                    ),
+                ]
+            })
+            .collect();
+        let unbounded = ParserOptions::default().max_instances;
+        // Up, down and up again, so each parse follows one at other
+        // budgets on the same recycled chart and scratch.
+        let budgets = [
+            (2, None),
+            (5, None),
+            (unbounded, None),
+            (3, None),
+            (unbounded, Some(Duration::ZERO)),
+            (unbounded, None),
+        ];
+        let counters = |stats: &crate::ParseStats| crate::ParseStats {
+            elapsed: Duration::ZERO,
+            phase: Default::default(),
+            ..stats.clone()
+        };
+        let mut reused = ParseSession::new(compiled.clone());
+        let mut outcomes = Vec::new();
+        for (cap, deadline) in budgets {
+            reused.set_budgets(cap, deadline);
+            let got = reused.parse(&tokens);
+            let mut fresh = ParseSession::with_options(
+                compiled.clone(),
+                ParserOptions {
+                    max_instances: cap,
+                    deadline,
+                    ..Default::default()
+                },
+            );
+            let want = fresh.parse(&tokens);
+            assert_eq!(
+                counters(&got.stats),
+                counters(&want.stats),
+                "{cap} {deadline:?}"
+            );
+            assert_eq!(got.trees, want.trees, "{cap} {deadline:?}");
+            assert_eq!(got.chart.len(), want.chart.len());
+            outcomes.push(got.stats.budget);
+            reused.recycle(got);
+        }
+        assert!(outcomes.contains(&BudgetOutcome::TruncatedInstances));
+        assert!(outcomes.contains(&BudgetOutcome::DeadlineExceeded));
+        assert!(outcomes.contains(&BudgetOutcome::Completed));
     }
 
     #[test]

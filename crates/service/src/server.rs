@@ -80,13 +80,6 @@ pub struct ServiceConfig {
     /// Unix-socket path for the line-delimited-JSON daemon listener;
     /// `None` disables daemon mode.
     pub uds_path: Option<String>,
-    /// Test-only fault injection: pages containing this marker panic
-    /// the pipeline (mirrors `FormExtractor::inject_panic_marker`).
-    pub panic_marker: Option<String>,
-    /// Test-only cancellation injection: a page containing this marker
-    /// fires the job's cancel token mid-parse (mirrors
-    /// `FormExtractor::inject_cancel_marker`).
-    pub cancel_marker: Option<String>,
     /// Automatic budget recalibration cadence: after every N completed
     /// jobs the control plane refits the live budgets from the
     /// accumulated rollups and failure records (see [`BudgetControl`]).
@@ -120,8 +113,6 @@ impl Default for ServiceConfig {
             max_body_bytes: 16 * 1024 * 1024,
             read_timeout: Duration::from_secs(10),
             uds_path: None,
-            panic_marker: None,
-            cancel_marker: None,
             refit_every: None,
             induce_every: None,
             fault_plan: None,
@@ -330,12 +321,6 @@ impl ServiceState {
         }
         if let Some(deadline) = config.page_deadline {
             extractor = extractor.page_deadline(deadline);
-        }
-        if let Some(marker) = &config.panic_marker {
-            extractor = extractor.inject_panic_marker(marker.clone());
-        }
-        if let Some(marker) = &config.cancel_marker {
-            extractor = extractor.inject_cancel_marker(marker.clone());
         }
         if let Some(plan) = &config.fault_plan {
             extractor = extractor.fault_plan(plan.clone());

@@ -15,4 +15,4 @@ pub mod classify;
 pub mod textrun;
 pub mod tokenize;
 
-pub use tokenize::{tokenize, tokenize_all_forms, tokenize_scope, Tokenized};
+pub use tokenize::{tokenize, tokenize_scope, Tokenized};

@@ -60,17 +60,6 @@ pub fn tokenize(doc: &Document, layout: &Layout) -> Tokenized {
     tokenize_scope(doc, layout, scope)
 }
 
-/// Tokenizes every `<form>` in the document separately — entry pages
-/// often carry several (a site-wide keyword box plus the main query
-/// form). Returns one token set per form, in document order; an empty
-/// vector when the page has no form element.
-pub fn tokenize_all_forms(doc: &Document, layout: &Layout) -> Vec<Tokenized> {
-    doc.elements_by_tag(doc.root(), "form")
-        .into_iter()
-        .map(|form| tokenize_scope(doc, layout, form))
-        .collect()
-}
-
 /// Tokenizes an explicit subtree.
 pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokenized {
     let mut widgets: Vec<(Token, NodeId)> = Vec::new();
@@ -406,19 +395,12 @@ mod tests {
     }
 
     #[test]
-    fn multiple_forms_tokenize_separately() {
+    fn tokenize_picks_the_first_form() {
         let doc = parse(
             "<form>Site search <input type=text name=q></form>\n\
              <form>Author <input type=text name=a><br>Title <input type=text name=t></form>",
         );
         let lay = layout(&doc);
-        let forms = tokenize_all_forms(&doc, &lay);
-        assert_eq!(forms.len(), 2);
-        assert_eq!(forms[0].tokens.len(), 2);
-        assert_eq!(forms[1].tokens.len(), 4);
-        // Ids are dense within each form independently.
-        assert_eq!(forms[1].tokens[0].id, TokenId(0));
-        // tokenize() still picks the first form.
         assert_eq!(tokenize(&doc, &lay).tokens.len(), 2);
     }
 
@@ -430,13 +412,6 @@ mod tests {
         assert_eq!(a.fingerprint().tokens, 2);
         let edited = toks("<form>Title <input type=text name=q></form>");
         assert_ne!(a.fingerprint(), edited.fingerprint());
-    }
-
-    #[test]
-    fn no_forms_yields_empty_vec() {
-        let doc = parse("just text, no form");
-        let lay = layout(&doc);
-        assert!(tokenize_all_forms(&doc, &lay).is_empty());
     }
 
     #[test]

@@ -102,10 +102,6 @@ echo "==> JSON codec gate (one depth-capped JSON value parser)"
 test "$(grep -rlE "MAX_DEPTH|Some\(b'\{'\)" crates/extractor/src crates/service/src)" = \
     "crates/extractor/src/json.rs"
 
-echo "==> bench_revisit smoke (exact-hit tier engages; parity asserted inside)"
-cargo run --release -q -p metaform-bench --bin bench_revisit -- "$tmp/BENCH_revisit.json" > /dev/null
-grep -q '"exact_hit_speedup"' "$tmp/BENCH_revisit.json"
-
 echo "==> cargo test -q --test parser_work (parser work counters per page, exact)"
 # Instances, combinations enumerated and skipped, preference pairs
 # skipped, fix-point rounds, invalidations, rollbacks and trees for

@@ -25,19 +25,21 @@
 //!   --export <f.2pg>             write the extended grammar to a file
 //! ```
 //!
+//! All inputs are extracted as one batch, one pipeline run per page.
 //! Extraction is best-effort end to end: a page that panics the
 //! pipeline or blows a budget prints a per-page failure line on
-//! stderr and a degraded (proximity-baseline) report on stdout — it
-//! never aborts the run or the remaining pages. `--adaptive` (implied
-//! by `--max-retries` and `--failures-json`/`--failures-csv`) extracts
-//! all inputs as one batch, re-runs budget-limited pages under doubled
-//! budgets before degrading them, and can leave a machine-readable
-//! failure trail (see README.md for the JSON schema).
+//! stderr, naming the rung that served it, and the served (salvaged
+//! partial or proximity-baseline) report on stdout — it never aborts
+//! the run or the remaining pages. `--adaptive` (implied by
+//! `--max-retries` and `--failures-json`/`--failures-csv`) re-runs
+//! budget-limited pages under doubled budgets before settling them,
+//! prints the batch rollup, and can leave a machine-readable failure
+//! trail (see README.md for the JSON schema).
 
 use metaform::{
     global_compiled, global_grammar, AdaptiveOptions, CancelToken, FormExtractor, Provenance,
 };
-use metaform_extractor::{failures_to_csv, failures_to_json};
+use metaform_extractor::{failures_to_csv, failures_to_json, FailureOutcome};
 use metaform_grammar::schedule_to_dot;
 use std::io::Read;
 use std::process::ExitCode;
@@ -225,79 +227,7 @@ fn main() -> ExitCode {
         });
     }
 
-    if opts.adaptive {
-        return run_adaptive(&extractor, &opts);
-    }
-
-    let many = opts.inputs.len() > 1;
-    for (page_index, path) in opts.inputs.iter().enumerate() {
-        let html = match read_page(path) {
-            Ok(html) => html,
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if many {
-            println!("== {path} ==");
-        }
-        if opts.show_ascii {
-            let doc = metaform_html::parse(&html);
-            let lay = metaform_layout::layout(&doc);
-            println!("{}", metaform_layout::ascii_render(&doc, &lay));
-        }
-        // Best-effort serving: a failed page prints a diagnostic line
-        // and a degraded baseline report, never aborts the run.
-        let extraction = match extractor.try_extract(&html) {
-            Ok(extraction) => extraction,
-            Err(err) => {
-                // try_extract reports page 0; re-attribute to this
-                // run's page index so the warning matches the header.
-                let err = err.with_page_index(page_index);
-                eprintln!("warning: {path}: {err}; degrading to the proximity baseline");
-                extractor.extract(&html)
-            }
-        };
-        if opts.show_tokens {
-            println!("tokens ({}):", extraction.tokens.len());
-            for t in &extraction.tokens {
-                let extra = if t.kind == metaform::TokenKind::Text {
-                    format!(" {:?}", t.sval)
-                } else if !t.name.is_empty() {
-                    format!(" name={}", t.name)
-                } else {
-                    String::new()
-                };
-                println!("  {:?} {} {:?}{extra}", t.id, t.kind, t.pos);
-            }
-            println!();
-        }
-        if opts.show_trees && extraction.via == Provenance::Grammar {
-            println!("parse: {}", extraction.stats.summary());
-            // Re-parse through the extractor's own compiled grammar —
-            // no rebuild, no re-validation.
-            let result = extractor.session().parse(&extraction.tokens);
-            for (i, &tree) in result.trees.iter().enumerate() {
-                println!("\nmaximal tree {}:", i + 1);
-                print!(
-                    "{}",
-                    metaform_parser::render_tree(&result.chart, extractor.grammar(), tree)
-                );
-            }
-            println!();
-        }
-        if extraction.via == Provenance::PartialSalvage {
-            println!("(via salvaged partial parse, page {page_index})");
-        }
-        if extraction.via == Provenance::BaselineFallback {
-            println!("(via proximity-baseline fallback, page {page_index})");
-        }
-        print!("{}", extraction.report);
-        if many && page_index + 1 < opts.inputs.len() {
-            println!();
-        }
-    }
-    ExitCode::SUCCESS
+    run_batch(&extractor, &opts)
 }
 
 /// The `induce` subcommand: the Collect → Infer → Validate loop over
@@ -393,12 +323,22 @@ fn read_page(path: &str) -> Result<String, String> {
     }
 }
 
-/// The `--adaptive` batch mode: all inputs as one
-/// `extract_batch_adaptive` run — bounded retry escalation for
-/// budget-limited pages, per-page reports on stdout in input order,
-/// failure warnings and the batch rollup on stderr, and optional
-/// machine-readable failure telemetry on disk.
-fn run_adaptive(extractor: &FormExtractor, opts: &Options) -> ExitCode {
+/// The stage that served a page, named as the per-page report line
+/// names it.
+fn rung(outcome: FailureOutcome) -> &'static str {
+    match outcome {
+        FailureOutcome::Recovered => "grammar parse",
+        FailureOutcome::Salvaged => "salvaged partial parse",
+        FailureOutcome::Degraded | FailureOutcome::Cancelled => "proximity-baseline fallback",
+    }
+}
+
+/// All inputs as one `extract_batch_adaptive` run — retry escalation
+/// for budget-limited pages only under `--adaptive` — with per-page
+/// reports on stdout in input order, failure warnings on stderr, and
+/// under `--adaptive` the batch rollup and optional machine-readable
+/// failure telemetry on disk.
+fn run_batch(extractor: &FormExtractor, opts: &Options) -> ExitCode {
     let mut pages = Vec::with_capacity(opts.inputs.len());
     for path in &opts.inputs {
         match read_page(path) {
@@ -410,10 +350,12 @@ fn run_adaptive(extractor: &FormExtractor, opts: &Options) -> ExitCode {
         }
     }
     let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
+    let max_retries = match (opts.adaptive, opts.max_retries) {
+        (false, _) => 0,
+        (true, retries) => retries.unwrap_or(AdaptiveOptions::default().max_retries),
+    };
     let adaptive_opts = AdaptiveOptions {
-        max_retries: opts
-            .max_retries
-            .unwrap_or(AdaptiveOptions::default().max_retries),
+        max_retries,
         ..AdaptiveOptions::default()
     };
     let batch = extractor.extract_batch_adaptive(&refs, &adaptive_opts);
@@ -422,6 +364,39 @@ fn run_adaptive(extractor: &FormExtractor, opts: &Options) -> ExitCode {
     for (page_index, (path, extraction)) in opts.inputs.iter().zip(&batch.extractions).enumerate() {
         if many {
             println!("== {path} ==");
+        }
+        if opts.show_ascii {
+            let doc = metaform_html::parse(&pages[page_index]);
+            let lay = metaform_layout::layout(&doc);
+            println!("{}", metaform_layout::ascii_render(&doc, &lay));
+        }
+        if opts.show_tokens {
+            println!("tokens ({}):", extraction.tokens.len());
+            for t in &extraction.tokens {
+                let extra = if t.kind == metaform::TokenKind::Text {
+                    format!(" {:?}", t.sval)
+                } else if !t.name.is_empty() {
+                    format!(" name={}", t.name)
+                } else {
+                    String::new()
+                };
+                println!("  {:?} {} {:?}{extra}", t.id, t.kind, t.pos);
+            }
+            println!();
+        }
+        if opts.show_trees && extraction.via == Provenance::Grammar {
+            println!("parse: {}", extraction.stats.summary());
+            // Re-parse through the extractor's own compiled grammar —
+            // no rebuild, no re-validation.
+            let result = extractor.session().parse(&extraction.tokens);
+            for (i, &tree) in result.trees.iter().enumerate() {
+                println!("\nmaximal tree {}:", i + 1);
+                print!(
+                    "{}",
+                    metaform_parser::render_tree(&result.chart, extractor.grammar(), tree)
+                );
+            }
+            println!();
         }
         if extraction.via == Provenance::PartialSalvage {
             println!("(via salvaged partial parse, page {page_index})");
@@ -436,11 +411,13 @@ fn run_adaptive(extractor: &FormExtractor, opts: &Options) -> ExitCode {
     }
     for record in &batch.failures {
         eprintln!(
-            "warning: {}: {} after {} attempt(s) -> {}",
+            "warning: {}: {} after {} attempt(s) -> {} (via {}, page {})",
             opts.inputs[record.page_index],
             record.error.as_str(),
             record.attempts,
-            record.outcome.as_str()
+            record.outcome.as_str(),
+            rung(record.outcome),
+            record.page_index
         );
     }
     if let Some(path) = &opts.failures_json {
@@ -455,6 +432,8 @@ fn run_adaptive(extractor: &FormExtractor, opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    eprintln!("batch: {}", batch.stats.summary());
+    if opts.adaptive {
+        eprintln!("batch: {}", batch.stats.summary());
+    }
     ExitCode::SUCCESS
 }

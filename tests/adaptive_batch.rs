@@ -8,7 +8,9 @@
 
 use metaform::{AdaptiveOptions, BudgetPreset, CancelToken, FormExtractor, Provenance};
 use metaform_datasets::basic;
-use metaform_extractor::{failures_from_json, failures_to_json, ErrorKind, FailureOutcome};
+use metaform_extractor::{
+    failures_from_json, failures_to_json, ErrorKind, FailureOutcome, Fault, FaultPlan,
+};
 
 /// A batch of real pages from the Basic dataset.
 fn dataset_pages(n: usize) -> Vec<String> {
@@ -111,7 +113,7 @@ fn panicked_and_empty_pages_are_never_retried() {
 
     let extractor = FormExtractor::new()
         .worker_threads(2)
-        .inject_panic_marker("PANIC_MARKER");
+        .fault_plan(FaultPlan::new().with(2, Fault::Panic));
     let batch = extractor.extract_batch_adaptive(
         &refs,
         &AdaptiveOptions {
@@ -190,45 +192,43 @@ fn exhausted_retries_degrade_with_baseline_provenance() {
 #[test]
 fn cancellation_mid_batch_keeps_completed_pages() {
     let mut pages = dataset_pages(8);
-    // The marker page fires the token just before its own parse; with
-    // one worker, everything before it is already complete and
-    // everything after it is skipped by the pre-parse check. The
-    // marker page itself is rich enough that its parse is guaranteed
+    // The planned Cancel page fires the token just before its own
+    // parse; with one worker, everything before it is already complete
+    // and everything after it is skipped by the pre-parse check. The
+    // cancel page itself is rich enough that its parse is guaranteed
     // to reach a sampled poll and observe the cancellation.
-    let marker_at = 3;
-    pages.insert(marker_at, {
-        let rich = dataset_pages(1).remove(0);
-        rich.replace("<form", "<form data-cancel=CANCEL_NOW")
-    });
+    let cancel_page = 3;
+    pages.insert(cancel_page, dataset_pages(1).remove(0));
     let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
+    let plan = || FaultPlan::new().with(cancel_page, Fault::Cancel);
 
     let token = CancelToken::new();
     let extractor = FormExtractor::new()
         .worker_threads(1)
         .cancel_token(token.clone())
-        .inject_cancel_marker("CANCEL_NOW");
+        .fault_plan(plan());
     let batch = extractor.extract_batch_adaptive(&refs, &AdaptiveOptions::default());
-    assert!(token.is_cancelled(), "the marker page fired the token");
+    assert!(token.is_cancelled(), "the cancel page fired the token");
 
-    // Pages before the marker completed and keep their results.
-    for i in 0..marker_at {
+    // Pages before the cancel page completed and keep their results.
+    for i in 0..cancel_page {
         assert_eq!(batch.extractions[i].via, Provenance::Grammar, "page {i}");
     }
-    // The marker page and everything after it were cancelled, never
+    // The cancel page and everything after it were cancelled, never
     // retried, and served by the baseline.
-    let cancelled = refs.len() - marker_at;
+    let cancelled = refs.len() - cancel_page;
     assert_eq!(batch.stats.cancelled, cancelled);
     assert_eq!(batch.stats.degraded, cancelled);
     assert_eq!(batch.stats.retried, 0, "a cancelled batch never retries");
     assert_eq!(batch.stats.failed(), cancelled);
     assert_eq!(batch.failures.len(), cancelled);
     for (offset, record) in batch.failures.iter().enumerate() {
-        assert_eq!(record.page_index, marker_at + offset);
+        assert_eq!(record.page_index, cancel_page + offset);
         assert_eq!(record.error, ErrorKind::Cancelled);
         assert_eq!(record.outcome, FailureOutcome::Cancelled);
         assert_eq!(record.attempts, 1);
     }
-    for i in marker_at..refs.len() {
+    for i in cancel_page..refs.len() {
         assert_eq!(batch.extractions[i].via, Provenance::BaselineFallback);
     }
 
@@ -237,13 +237,13 @@ fn cancellation_mid_batch_keeps_completed_pages() {
     let extractor2 = FormExtractor::new()
         .worker_threads(1)
         .cancel_token(token2)
-        .inject_cancel_marker("CANCEL_NOW");
+        .fault_plan(plan());
     let one_pass = AdaptiveOptions {
         max_retries: 0,
         ..Default::default()
     };
     let run = extractor2.extract_batch_adaptive(&refs, &one_pass);
-    for i in 0..marker_at {
+    for i in 0..cancel_page {
         assert_eq!(
             run.extractions[i].via,
             Provenance::Grammar,
@@ -255,13 +255,79 @@ fn cancellation_mid_batch_keeps_completed_pages() {
         .iter()
         .map(|r| (r.page_index, r.error))
         .collect();
-    let expected: Vec<(usize, ErrorKind)> = (marker_at..refs.len())
+    let expected: Vec<(usize, ErrorKind)> = (cancel_page..refs.len())
         .map(|i| (i, ErrorKind::Cancelled))
         .collect();
     assert_eq!(
         failed, expected,
-        "every page from the marker on is Cancelled"
+        "every page from the cancel page on is Cancelled"
     );
+}
+
+#[test]
+fn a_budget_failure_before_the_cancel_still_retries() {
+    // One worker runs each page's whole ladder before claiming the
+    // next: page 1 truncates at the cap and retries at twice the cap
+    // before page 4 fires the token, so it recovers — and pages from 4
+    // on are cancelled.
+    let rich = dataset_pages(1).remove(0);
+    let n = created_unbounded(&rich);
+    let cap = n / 2 + 1;
+    let tiny = |i: usize| format!("<form>Field{i} <input type=text name=f{i}></form>");
+    let pages = [
+        tiny(0),
+        rich.clone(),
+        tiny(2),
+        tiny(3),
+        rich,
+        tiny(5),
+        tiny(6),
+    ];
+    let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
+    for i in [0, 2, 3] {
+        assert!(
+            created_unbounded(refs[i]) < cap,
+            "page {i} must fit the cap"
+        );
+    }
+
+    let token = CancelToken::new();
+    let batch = FormExtractor::new()
+        .worker_threads(1)
+        .max_instances(cap)
+        .cancel_token(token.clone())
+        .fault_plan(FaultPlan::new().with(4, Fault::Cancel))
+        .extract_batch_adaptive(
+            &refs,
+            &AdaptiveOptions {
+                max_retries: 1,
+                budget_growth: 2,
+            },
+        );
+    assert!(token.is_cancelled(), "page 4 fired the token");
+
+    let recovered = &batch.failures[0];
+    assert_eq!(recovered.page_index, 1);
+    assert_eq!(recovered.outcome, FailureOutcome::Recovered);
+    assert_eq!(recovered.attempts, 2);
+    assert_eq!(recovered.attempt_log[0].error, Some(ErrorKind::Truncated));
+    assert_eq!(recovered.attempt_log[1].max_instances, cap * 2);
+    assert_eq!(batch.extractions[1].via, Provenance::Grammar);
+    assert_eq!(batch.stats.recovered, 1);
+    assert_eq!(batch.stats.retried, 1);
+
+    let cancelled: Vec<(usize, ErrorKind, FailureOutcome)> = batch.failures[1..]
+        .iter()
+        .map(|r| (r.page_index, r.error, r.outcome))
+        .collect();
+    let expected: Vec<(usize, ErrorKind, FailureOutcome)> = (4..refs.len())
+        .map(|i| (i, ErrorKind::Cancelled, FailureOutcome::Cancelled))
+        .collect();
+    assert_eq!(cancelled, expected);
+    assert_eq!(batch.stats.cancelled, refs.len() - 4);
+    for i in [0, 2, 3] {
+        assert_eq!(batch.extractions[i].via, Provenance::Grammar, "page {i}");
+    }
 }
 
 #[test]
@@ -307,7 +373,7 @@ fn real_failure_records_round_trip_through_json() {
     let batch = FormExtractor::new()
         .worker_threads(2)
         .max_instances(cap)
-        .inject_panic_marker("PANIC_MARKER")
+        .fault_plan(FaultPlan::new().with(refs.len() - 1, Fault::Panic))
         .extract_batch_adaptive(&refs, &AdaptiveOptions::default());
     assert!(
         !batch.failures.is_empty(),

@@ -6,7 +6,7 @@
 
 use metaform::{AdaptiveBatch, AdaptiveOptions, BatchStats, FormExtractor, Provenance};
 use metaform_datasets::basic;
-use metaform_extractor::{ErrorKind, FailureRecord};
+use metaform_extractor::{ErrorKind, FailureRecord, Fault, FaultPlan};
 use std::time::Duration;
 
 /// The plain batch: one pass, no retries.
@@ -38,7 +38,7 @@ fn panicking_page_yields_error_slot_and_leaves_others_byte_identical() {
     let clean = FormExtractor::new().worker_threads(4);
     let poisoned = FormExtractor::new()
         .worker_threads(4)
-        .inject_panic_marker("PANIC_MARKER");
+        .fault_plan(FaultPlan::new().with(POISON_AT, Fault::Panic));
 
     let run = one_pass(&poisoned, &refs);
     assert_eq!(run.extractions.len(), refs.len());
@@ -81,7 +81,7 @@ fn infallible_batch_degrades_the_poison_page_and_counts_it() {
 
     let poisoned = FormExtractor::new()
         .worker_threads(4)
-        .inject_panic_marker("PANIC_MARKER");
+        .fault_plan(FaultPlan::new().with(POISON_AT, Fault::Panic));
     let AdaptiveBatch {
         extractions, stats, ..
     } = one_pass(&poisoned, &refs);

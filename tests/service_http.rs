@@ -8,7 +8,7 @@
 //! masked via `FailureRecord::normalized`). Three scenarios:
 //!
 //! 1. the survey corpus with a poison (panicking) page in the middle;
-//! 2. a deterministic mid-batch cancellation (a marker page fires the
+//! 2. a deterministic mid-batch cancellation (a planned cancel page fires the
 //!    job's cancel token between pages, single batch worker);
 //! 3. `DELETE` on a still-queued job, equal to a run under a
 //!    pre-fired token.
@@ -16,7 +16,8 @@
 use metaform_datasets::survey_corpus;
 use metaform_extractor::telemetry::failures_from_json;
 use metaform_extractor::{
-    stats_to_json, AdaptiveBatch, AdaptiveOptions, FormExtractor, LruParseCache, Provenance,
+    stats_to_json, AdaptiveBatch, AdaptiveOptions, Fault, FaultPlan, FormExtractor, LruParseCache,
+    Provenance,
 };
 use metaform_parser::CancelToken;
 use metaform_service::{push_json_str, status_for, JsonValue, Server, ServerHandle, ServiceConfig};
@@ -225,7 +226,7 @@ fn wire_results_are_byte_identical_to_in_process_extraction() {
         addr: "127.0.0.1:0".to_string(),
         pool_workers: 1,
         batch_workers: Some(2),
-        panic_marker: Some("POISON".to_string()),
+        fault_plan: Some(FaultPlan::new().with(5, Fault::Panic)),
         ..ServiceConfig::default()
     });
     let addr = handle.addr;
@@ -254,7 +255,7 @@ fn wire_results_are_byte_identical_to_in_process_extraction() {
     let expected = FormExtractor::new()
         .worker_threads(2)
         .parse_cache(LruParseCache::shared())
-        .inject_panic_marker("POISON")
+        .fault_plan(FaultPlan::new().with(5, Fault::Panic))
         .extract_batch_adaptive(&refs, &AdaptiveOptions::default());
     assert_eq!(expected.stats.panicked, 1, "the poison page panicked");
     assert_differential(&body, &expected);
@@ -278,7 +279,7 @@ fn wire_results_are_byte_identical_to_in_process_extraction() {
 #[test]
 fn mid_batch_cancellation_matches_in_process_run() {
     // Deterministic mid-batch cancel: one batch worker processes pages
-    // in order; the marker page fires the job's token before its own
+    // in order; the planned cancel page fires the job's token before its own
     // parse, so page 0 completes, pages 1..N come back cancelled —
     // on the wire and in process alike.
     let pages = vec![
@@ -291,7 +292,7 @@ fn mid_batch_cancellation_matches_in_process_run() {
         addr: "127.0.0.1:0".to_string(),
         pool_workers: 1,
         batch_workers: Some(1),
-        cancel_marker: Some("CANCEL_NOW".to_string()),
+        fault_plan: Some(FaultPlan::new().with(1, Fault::Cancel)),
         ..ServiceConfig::default()
     });
     let job = submit(handle.addr, &pages);
@@ -303,7 +304,7 @@ fn mid_batch_cancellation_matches_in_process_run() {
         .worker_threads(1)
         .parse_cache(LruParseCache::shared())
         .cancel_token(CancelToken::new())
-        .inject_cancel_marker("CANCEL_NOW")
+        .fault_plan(FaultPlan::new().with(1, Fault::Cancel))
         .extract_batch_adaptive(&refs, &AdaptiveOptions::default());
     assert_eq!(expected.stats.cancelled, 2, "pages 1..3 were cancelled");
     assert_eq!(expected.extractions[0].via, Provenance::Grammar);
