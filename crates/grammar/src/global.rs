@@ -1,23 +1,18 @@
-//! The derived global grammar.
+//! The two shipped grammars.
 //!
 //! The paper derives a single grammar from the Basic dataset — "82
 //! productions with 39 nonterminals and 16 terminals" summarizing the
-//! 21 most common condition patterns (§6) — and shows it generalizes to
-//! new sources, new domains, and random sources. This module is our
-//! version of that artifact: a catalog of condition patterns expressed
-//! as productions over topological constraints, plus the precedence
-//! conventions expressed as preferences.
-//!
-//! Also provided: [`paper_example_grammar`], the 11-production grammar
-//! *G* of paper Figure 6, used in walk-through examples and the
-//! ambiguity experiments.
+//! 21 most common condition patterns (§6) — and publishes it. Ours is
+//! published the same way: `grammars/global.2pg` *is* the derived
+//! global grammar, compiled into the binary and parsed once per
+//! process; there is no second copy in Rust. Likewise
+//! `grammars/paper_g.2pg` is the 11-rule grammar *G* of paper Figure 6
+//! ([`paper_example_grammar`]), used in walk-through examples and the
+//! ambiguity experiments. Edit a rule by editing the `.2pg` file.
 
 use crate::compiled::CompiledGrammar;
-use crate::constraint::{Constraint as C, Pred};
-use crate::constructor::Constructor as K;
-use crate::grammar::{Grammar, GrammarBuilder};
-use crate::preference::{ConflictCond, WinCriteria};
-use metaform_core::{DomainKind, TokenKind};
+use crate::dsl::from_dsl;
+use crate::grammar::Grammar;
 use std::sync::{Arc, OnceLock};
 
 /// Returns the compiled global grammar, built at most once per
@@ -29,8 +24,10 @@ pub fn global_compiled() -> Arc<CompiledGrammar> {
     static GLOBAL: OnceLock<Arc<CompiledGrammar>> = OnceLock::new();
     GLOBAL
         .get_or_init(|| {
+            let grammar = from_dsl(include_str!("../../../grammars/global.2pg"))
+                .expect("grammars/global.2pg is a valid grammar");
             Arc::new(
-                build_global_grammar()
+                grammar
                     .compile()
                     .expect("derived global grammar is schedulable"),
             )
@@ -48,936 +45,12 @@ pub fn global_grammar() -> Grammar {
     global_compiled().grammar().clone()
 }
 
-fn build_global_grammar() -> Grammar {
-    let mut b = GrammarBuilder::new("QI");
-
-    // ---- terminals ----
-    let text = b.t(TokenKind::Text);
-    let textbox = b.t(TokenKind::Textbox);
-    let password = b.t(TokenKind::Password);
-    let textarea = b.t(TokenKind::TextArea);
-    let sel = b.t(TokenKind::SelectionList);
-    let numl = b.t(TokenKind::NumberList);
-    let monl = b.t(TokenKind::MonthList);
-    let dayl = b.t(TokenKind::DayList);
-    let yearl = b.t(TokenKind::YearList);
-    let radio = b.t(TokenKind::Radiobutton);
-    let checkbox = b.t(TokenKind::Checkbox);
-    let submit = b.t(TokenKind::SubmitButton);
-    let reset = b.t(TokenKind::ResetButton);
-    let image = b.t(TokenKind::ImageInput);
-    let file = b.t(TokenKind::FileInput);
-
-    // ---- nonterminals ----
-    let attr = b.nt("Attr");
-    let val = b.nt("Val");
-    let connector = b.nt("Connector");
-    let op_select = b.nt("OpSelect");
-    let rbu = b.nt("RBU");
-    let rblist = b.nt("RBList");
-    let cbu = b.nt("CBU");
-    let cblist = b.nt("CBList");
-    let op = b.nt("Op");
-    let text_val = b.nt("TextVal");
-    let text_op = b.nt("TextOp");
-    let text_op_sel = b.nt("TextOpSel");
-    let sel_val = b.nt("SelVal");
-    let num_cond = b.nt("NumCond");
-    let enum_rb = b.nt("EnumRB");
-    let enum_cb = b.nt("EnumCB");
-    let bool_cb = b.nt("BoolCB");
-    let range_tb = b.nt("RangeTB");
-    let range_sel = b.nt("RangeSel");
-    let year_range = b.nt("YearRange");
-    let date_mdy = b.nt("DateMDY");
-    let date_md = b.nt("DateMD");
-    let unit_tb = b.nt("UnitTB");
-    let kw_val = b.nt("KwVal");
-    let self_sel = b.nt("SelfSel");
-    let action = b.nt("Action");
-    let action_row = b.nt("ActionRow");
-    let cp = b.nt("CP");
-    let hqi = b.nt("HQI");
-    let qi = b.nt("QI");
-
-    // ---- units and helpers ----
-    b.production(
-        "Attr<-text",
-        attr,
-        vec![text],
-        C::Is(0, Pred::AttrLike),
-        K::MakeAttr(0),
-    );
-    for (name, term) in [
-        ("Val<-textbox", textbox),
-        ("Val<-password", password),
-        ("Val<-textarea", textarea),
-    ] {
-        b.production(name, val, vec![term], C::True, K::Inherit(0));
-    }
-    b.production(
-        "Connector<-text",
-        connector,
-        vec![text],
-        C::Is(0, Pred::RangeConnector),
-        K::TextOf(0),
-    );
-    b.production(
-        "OpSelect<-select",
-        op_select,
-        vec![sel],
-        C::Is(0, Pred::OptionsOpsLike),
-        K::OpsFromOptions(0),
-    );
-
-    // Radio/checkbox units: glyph left-adjacent and tightly bound to its
-    // caption (paper pattern: "text and its preceding radio button are
-    // usually tightly bounded together", Example 4).
-    b.production(
-        "RBU",
-        rbu,
-        vec![radio, text],
-        C::all([C::Left(0, 1), C::MaxDist(0, 1, 20)]),
-        K::TextOf(1),
-    );
-    b.production(
-        "CBU",
-        cbu,
-        vec![checkbox, text],
-        C::all([C::Left(0, 1), C::MaxDist(0, 1, 20)]),
-        K::TextOf(1),
-    );
-    // Lists grow horizontally or stack vertically.
-    b.production("RBList<-RBU", rblist, vec![rbu], C::True, K::ListStart(0));
-    b.production(
-        "RBList<-RBList,RBU",
-        rblist,
-        vec![rblist, rbu],
-        C::Or(vec![C::LeftWithin(0, 1, 80), C::AboveWithin(0, 1, 14)]),
-        K::ListAppend { list: 0, unit: 1 },
-    );
-    b.production("CBList<-CBU", cblist, vec![cbu], C::True, K::ListStart(0));
-    b.production(
-        "CBList<-CBList,CBU",
-        cblist,
-        vec![cblist, cbu],
-        C::Or(vec![C::LeftWithin(0, 1, 80), C::AboveWithin(0, 1, 14)]),
-        K::ListAppend { list: 0, unit: 1 },
-    );
-    b.production("Op<-RBList", op, vec![rblist], C::True, K::Inherit(0));
-
-    // ---- condition patterns ----
-    // 1/2/3: attribute next to a free-text field.
-    b.production(
-        "TextVal:left",
-        text_val,
-        vec![attr, val],
-        C::Left(0, 1),
-        K::MakeCond {
-            attr: Some(0),
-            ops: None,
-            val: 1,
-            kind: None,
-        },
-    );
-    b.production(
-        "TextVal:above",
-        text_val,
-        vec![attr, val],
-        C::Above(0, 1),
-        K::MakeCond {
-            attr: Some(0),
-            ops: None,
-            val: 1,
-            kind: None,
-        },
-    );
-    // The label-below-box arrangement is rare and conflicts with the
-    // dominant patterns (the next row's label sits right below this
-    // row's box), so it is a separate, lower-precedence symbol.
-    let text_val_b = b.nt("TextValB");
-    b.production(
-        "TextVal:below",
-        text_val_b,
-        vec![attr, val],
-        C::Below(0, 1),
-        K::MakeCond {
-            attr: Some(0),
-            ops: None,
-            val: 1,
-            kind: None,
-        },
-    );
-    // 4/5: textbox with a radio operator list below (paper P5, Qam).
-    b.production(
-        "TextOp:attr-left",
-        text_op,
-        vec![attr, val, op],
-        C::all([C::Left(0, 1), C::Below(2, 1)]),
-        K::MakeCond {
-            attr: Some(0),
-            ops: Some(2),
-            val: 1,
-            kind: None,
-        },
-    );
-    b.production(
-        "TextOp:attr-above",
-        text_op,
-        vec![attr, val, op],
-        C::all([C::Above(0, 1), C::Below(2, 1)]),
-        K::MakeCond {
-            attr: Some(0),
-            ops: Some(2),
-            val: 1,
-            kind: None,
-        },
-    );
-    // 6/7: operator selection list before/after the field.
-    b.production(
-        "TextOpSel:op-first",
-        text_op_sel,
-        vec![attr, op_select, val],
-        C::all([C::LeftWithin(0, 1, 90), C::LeftWithin(1, 2, 40)]),
-        K::MakeCond {
-            attr: Some(0),
-            ops: Some(1),
-            val: 2,
-            kind: None,
-        },
-    );
-    b.production(
-        "TextOpSel:op-last",
-        text_op_sel,
-        vec![attr, val, op_select],
-        C::all([C::Left(0, 1), C::LeftWithin(1, 2, 40)]),
-        K::MakeCond {
-            attr: Some(0),
-            ops: Some(2),
-            val: 1,
-            kind: None,
-        },
-    );
-    // 8/9: attribute with a generic selection list.
-    for (name, c) in [
-        ("SelVal:left", C::Left(0, 1)),
-        ("SelVal:above", C::Above(0, 1)),
-    ] {
-        b.production(
-            name,
-            sel_val,
-            vec![attr, sel],
-            c,
-            K::MakeCond {
-                attr: Some(0),
-                ops: None,
-                val: 1,
-                kind: None,
-            },
-        );
-    }
-    // 10/11: attribute with a single date-part list (e.g. "Year:").
-    for (name, term) in [
-        ("SelVal:year", yearl),
-        ("SelVal:month", monl),
-        ("SelVal:day", dayl),
-    ] {
-        b.production(
-            name,
-            sel_val,
-            vec![attr, term],
-            C::Or(vec![C::Left(0, 1), C::Above(0, 1)]),
-            K::MakeCond {
-                attr: Some(0),
-                ops: None,
-                val: 1,
-                kind: Some(DomainKind::Enumerated),
-            },
-        );
-    }
-    // 12/13: attribute with a numeric quantity list (passengers).
-    for (name, c) in [
-        ("NumCond:left", C::Left(0, 1)),
-        ("NumCond:above", C::Above(0, 1)),
-    ] {
-        b.production(
-            name,
-            num_cond,
-            vec![attr, numl],
-            c,
-            K::MakeCond {
-                attr: Some(0),
-                ops: None,
-                val: 1,
-                kind: Some(DomainKind::Numeric),
-            },
-        );
-    }
-    // 14/15/16: enumerated radio groups, labeled or bare.
-    b.production(
-        "EnumRB:left",
-        enum_rb,
-        vec![attr, rblist],
-        C::all([C::LeftWithin(0, 1, 90), C::Is(1, Pred::MinOps(2))]),
-        K::MakeEnumCond {
-            attr: Some(0),
-            list: 1,
-        },
-    );
-    b.production(
-        "EnumRB:above",
-        enum_rb,
-        vec![attr, rblist],
-        C::all([C::AboveWithin(0, 1, 16), C::Is(1, Pred::MinOps(2))]),
-        K::MakeEnumCond {
-            attr: Some(0),
-            list: 1,
-        },
-    );
-    b.production(
-        "EnumRB:bare",
-        enum_rb,
-        vec![rblist],
-        C::Is(0, Pred::MinOps(2)),
-        K::MakeEnumCond {
-            attr: None,
-            list: 0,
-        },
-    );
-    // 17/18: enumerated checkbox groups.
-    b.production(
-        "EnumCB:left",
-        enum_cb,
-        vec![attr, cblist],
-        C::all([C::LeftWithin(0, 1, 90), C::Is(1, Pred::MinOps(2))]),
-        K::MakeEnumCond {
-            attr: Some(0),
-            list: 1,
-        },
-    );
-    b.production(
-        "EnumCB:above",
-        enum_cb,
-        vec![attr, cblist],
-        C::all([C::AboveWithin(0, 1, 16), C::Is(1, Pred::MinOps(2))]),
-        K::MakeEnumCond {
-            attr: Some(0),
-            list: 1,
-        },
-    );
-    // 19: boolean single checkbox ("Hardcover only").
-    b.production("BoolCB", bool_cb, vec![cbu], C::True, K::MakeBoolCond(0));
-    // 20/21: textbox ranges, with or without a connector word.
-    b.production(
-        "RangeTB:connector",
-        range_tb,
-        vec![attr, val, connector, val],
-        C::all([C::Left(0, 1), C::Left(1, 2), C::Left(2, 3)]),
-        K::MakeRange {
-            attr: 0,
-            lo: 1,
-            hi: 3,
-        },
-    );
-    // Connector-less ranges need the two boxes tightly adjacent, or a
-    // city-pair table ("From [ ] To [ ]") would read as a range.
-    b.production(
-        "RangeTB:bare",
-        range_tb,
-        vec![attr, val, val],
-        C::all([C::Left(0, 1), C::LeftWithin(1, 2, 14)]),
-        K::MakeRange {
-            attr: 0,
-            lo: 1,
-            hi: 2,
-        },
-    );
-    // 22/23: selection-list ranges (price between $x and $y).
-    b.production(
-        "RangeSel:connector",
-        range_sel,
-        vec![attr, numl, connector, numl],
-        C::all([C::LeftWithin(0, 1, 90), C::Left(1, 2), C::Left(2, 3)]),
-        K::MakeRange {
-            attr: 0,
-            lo: 1,
-            hi: 3,
-        },
-    );
-    b.production(
-        "RangeSel:bare",
-        range_sel,
-        vec![attr, numl, numl],
-        C::all([C::LeftWithin(0, 1, 90), C::LeftWithin(1, 2, 24)]),
-        K::MakeRange {
-            attr: 0,
-            lo: 1,
-            hi: 2,
-        },
-    );
-    // 24/25: year ranges (automobiles).
-    b.production(
-        "YearRange:connector",
-        year_range,
-        vec![attr, yearl, connector, yearl],
-        C::all([C::LeftWithin(0, 1, 90), C::Left(1, 2), C::Left(2, 3)]),
-        K::MakeRange {
-            attr: 0,
-            lo: 1,
-            hi: 3,
-        },
-    );
-    b.production(
-        "YearRange:bare",
-        year_range,
-        vec![attr, yearl, yearl],
-        C::all([C::LeftWithin(0, 1, 90), C::LeftWithin(1, 2, 24)]),
-        K::MakeRange {
-            attr: 0,
-            lo: 1,
-            hi: 2,
-        },
-    );
-    // 26/27/28/29: date conditions from part lists.
-    b.production(
-        "DateMDY:left",
-        date_mdy,
-        vec![attr, monl, dayl, yearl],
-        C::all([
-            C::LeftWithin(0, 1, 90),
-            C::LeftWithin(1, 2, 24),
-            C::LeftWithin(2, 3, 24),
-        ]),
-        K::MakeDate(0),
-    );
-    b.production(
-        "DateMDY:above",
-        date_mdy,
-        vec![attr, monl, dayl, yearl],
-        C::all([
-            C::AboveWithin(0, 1, 16),
-            C::LeftWithin(1, 2, 24),
-            C::LeftWithin(2, 3, 24),
-        ]),
-        K::MakeDate(0),
-    );
-    b.production(
-        "DateMD:left",
-        date_md,
-        vec![attr, monl, dayl],
-        C::all([C::LeftWithin(0, 1, 90), C::LeftWithin(1, 2, 24)]),
-        K::MakeDate(0),
-    );
-    b.production(
-        "DateMD:above",
-        date_md,
-        vec![attr, monl, dayl],
-        C::all([C::AboveWithin(0, 1, 16), C::LeftWithin(1, 2, 24)]),
-        K::MakeDate(0),
-    );
-    // 30: textbox with trailing unit text ("within [ ] miles").
-    b.production(
-        "UnitTB",
-        unit_tb,
-        vec![attr, val, text],
-        C::all([
-            C::Left(0, 1),
-            C::Left(1, 2),
-            C::Is(2, Pred::AttrLike),
-            C::Is(2, Pred::MaxWords(4)),
-            // Unit words are lowercase; a capitalized trailing text is
-            // the next field's label, not a unit.
-            C::Is(2, Pred::LowercaseText),
-        ]),
-        K::MakeCond {
-            attr: Some(0),
-            ops: None,
-            val: 1,
-            kind: None,
-        },
-    );
-    // 31/32: unlabeled fallbacks — a bare keyword box, a bare select.
-    b.production(
-        "KwVal<-textbox",
-        kw_val,
-        vec![textbox],
-        C::True,
-        K::MakeUnlabeledCond(0),
-    );
-    b.production(
-        "KwVal<-textarea",
-        kw_val,
-        vec![textarea],
-        C::True,
-        K::MakeUnlabeledCond(0),
-    );
-    b.production(
-        "SelfSel<-select",
-        self_sel,
-        vec![sel],
-        C::Not(Box::new(C::Is(0, Pred::OptionsOpsLike))),
-        K::MakeUnlabeledCond(0),
-    );
-    b.production(
-        "SelfSel<-number",
-        self_sel,
-        vec![numl],
-        C::True,
-        K::MakeUnlabeledCond(0),
-    );
-
-    // ---- buttons (no conditions, but cover the tokens) ----
-    for (name, term) in [
-        ("Action<-submit", submit),
-        ("Action<-reset", reset),
-        ("Action<-image", image),
-        ("Action<-file", file),
-    ] {
-        b.production(name, action, vec![term], C::True, K::Group);
-    }
-    b.production(
-        "ActionRow<-Action",
-        action_row,
-        vec![action],
-        C::True,
-        K::Group,
-    );
-    b.production(
-        "ActionRow<-ActionRow,Action",
-        action_row,
-        vec![action_row, action],
-        C::LeftWithin(0, 1, 200),
-        K::Group,
-    );
-
-    // ---- condition-pattern alternatives ----
-    for (name, sym) in [
-        ("CP<-TextOp", text_op),
-        ("CP<-TextOpSel", text_op_sel),
-        ("CP<-RangeTB", range_tb),
-        ("CP<-RangeSel", range_sel),
-        ("CP<-YearRange", year_range),
-        ("CP<-DateMDY", date_mdy),
-        ("CP<-DateMD", date_md),
-        ("CP<-UnitTB", unit_tb),
-        ("CP<-TextVal", text_val),
-        ("CP<-TextValB", text_val_b),
-        ("CP<-SelVal", sel_val),
-        ("CP<-NumCond", num_cond),
-        ("CP<-EnumRB", enum_rb),
-        ("CP<-EnumCB", enum_cb),
-        ("CP<-BoolCB", bool_cb),
-        ("CP<-KwVal", kw_val),
-        ("CP<-SelfSel", self_sel),
-    ] {
-        b.production(name, cp, vec![sym], C::True, K::Inherit(0));
-    }
-
-    // ---- form patterns (paper P1/P2): rows of CPs, stacked rows ----
-    b.production("HQI<-CP", hqi, vec![cp], C::True, K::CollectConds);
-    // Capped below the width of any real condition so a row chain
-    // cannot skip over a middle condition (exponential blow-up).
-    b.production(
-        "HQI<-HQI,CP",
-        hqi,
-        vec![hqi, cp],
-        C::LeftWithin(0, 1, 120),
-        K::CollectConds,
-    );
-    b.production(
-        "HQI<-ActionRow",
-        hqi,
-        vec![action_row],
-        C::True,
-        K::CollectConds,
-    );
-    b.production(
-        "HQI<-HQI,ActionRow",
-        hqi,
-        vec![hqi, action_row],
-        C::LeftWithin(0, 1, 120),
-        K::CollectConds,
-    );
-    b.production("QI<-HQI", qi, vec![hqi], C::True, K::CollectConds);
-    // Adjacency, not proximity: the gap must be smaller than one line
-    // height (16px) so a chain can never skip over an interposed row —
-    // otherwise the number of row-subsets explodes exponentially.
-    b.production(
-        "QI<-QI,HQI",
-        qi,
-        vec![qi, hqi],
-        C::AboveWithin(0, 1, 12),
-        K::CollectConds,
-    );
-
-    // ---- preferences: the precedence conventions ----
-    use ConflictCond::{LoserSubsumed, Overlap};
-    use WinCriteria::{Always, WinnerLarger, WinnerTighter};
-    // Captions bind to their glyphs (paper R1).
-    b.preference("R1:RBU>Attr", rbu, attr, Overlap, Always);
-    b.preference("R2:CBU>Attr", cbu, attr, Overlap, Always);
-    // Longer lists win (paper R2).
-    b.preference(
-        "R3:RBList-longer",
-        rblist,
-        rblist,
-        LoserSubsumed,
-        WinnerLarger,
-    );
-    b.preference(
-        "R4:CBList-longer",
-        cblist,
-        cblist,
-        LoserSubsumed,
-        WinnerLarger,
-    );
-    // Richer condition interpretations beat poorer ones on shared tokens.
-    b.preference(
-        "R5:TextOp>TextVal",
-        text_op,
-        text_val,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference("R6:TextOp>EnumRB", text_op, enum_rb, Overlap, WinnerLarger);
-    b.preference(
-        "R7:TextOpSel>SelVal",
-        text_op_sel,
-        sel_val,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R8:TextOpSel>TextVal",
-        text_op_sel,
-        text_val,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R9:RangeTB>TextVal",
-        range_tb,
-        text_val,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R10:RangeTB>UnitTB",
-        range_tb,
-        unit_tb,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R11:UnitTB>TextVal",
-        unit_tb,
-        text_val,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R12:RangeSel>NumCond",
-        range_sel,
-        num_cond,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R13:RangeSel>SelfSel",
-        range_sel,
-        self_sel,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R14:YearRange>SelVal",
-        year_range,
-        sel_val,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R15:DateMDY>SelVal",
-        date_mdy,
-        sel_val,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R16:DateMDY>DateMD",
-        date_mdy,
-        date_md,
-        LoserSubsumed,
-        WinnerLarger,
-    );
-    b.preference("R17:DateMD>SelVal", date_md, sel_val, Overlap, WinnerLarger);
-    b.preference(
-        "R18:DateMDY>SelfSel",
-        date_mdy,
-        self_sel,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference("R19:EnumCB>BoolCB", enum_cb, bool_cb, Overlap, WinnerLarger);
-    // Dominant arrangements beat the rare label-below one.
-    b.preference(
-        "R34:TextVal>TextValB",
-        text_val,
-        text_val_b,
-        Overlap,
-        Always,
-    );
-    b.preference(
-        "R35:TextOp>TextValB",
-        text_op,
-        text_val_b,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R36:RangeTB>TextValB",
-        range_tb,
-        text_val_b,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R37:UnitTB>TextValB",
-        unit_tb,
-        text_val_b,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference("R38:TextValB>KwVal", text_val_b, kw_val, Overlap, Always);
-    // Labeled interpretations beat unlabeled fallbacks.
-    b.preference("R20:TextVal>KwVal", text_val, kw_val, Overlap, Always);
-    b.preference("R21:TextOp>KwVal", text_op, kw_val, Overlap, Always);
-    b.preference("R22:TextOpSel>KwVal", text_op_sel, kw_val, Overlap, Always);
-    b.preference("R23:RangeTB>KwVal", range_tb, kw_val, Overlap, Always);
-    b.preference("R24:UnitTB>KwVal", unit_tb, kw_val, Overlap, Always);
-    b.preference("R25:SelVal>SelfSel", sel_val, self_sel, Overlap, Always);
-    b.preference("R26:NumCond>SelfSel", num_cond, self_sel, Overlap, Always);
-    // Competing labelings: the tighter pairing wins — also across
-    // pattern types (a label reads with the widget beside it before
-    // the widget below it; see Chart::spread).
-    b.preference(
-        "R27:TextVal-tighter",
-        text_val,
-        text_val,
-        Overlap,
-        WinnerTighter,
-    );
-    b.preference(
-        "R28:SelVal-tighter",
-        sel_val,
-        sel_val,
-        Overlap,
-        WinnerTighter,
-    );
-    b.preference(
-        "R39:NumCond-tighter",
-        num_cond,
-        num_cond,
-        Overlap,
-        WinnerTighter,
-    );
-    b.preference(
-        "R40:SelVal>TextVal",
-        sel_val,
-        text_val,
-        Overlap,
-        WinnerTighter,
-    );
-    b.preference(
-        "R41:TextVal>SelVal",
-        text_val,
-        sel_val,
-        Overlap,
-        WinnerTighter,
-    );
-    b.preference(
-        "R42:NumCond>TextVal",
-        num_cond,
-        text_val,
-        Overlap,
-        WinnerTighter,
-    );
-    b.preference(
-        "R43:TextVal>NumCond",
-        text_val,
-        num_cond,
-        Overlap,
-        WinnerTighter,
-    );
-    b.preference(
-        "R44:EnumRB>TextVal",
-        enum_rb,
-        text_val,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference(
-        "R45:EnumCB>TextVal",
-        enum_cb,
-        text_val,
-        Overlap,
-        WinnerLarger,
-    );
-    b.preference("R46:EnumRB>SelVal", enum_rb, sel_val, Overlap, WinnerLarger);
-    b.preference("R47:EnumCB>SelVal", enum_cb, sel_val, Overlap, WinnerLarger);
-    // Labeled enumerations beat bare ones; longer assemblies beat
-    // their fragments.
-    b.preference(
-        "R29:EnumRB-longer",
-        enum_rb,
-        enum_rb,
-        LoserSubsumed,
-        WinnerLarger,
-    );
-    b.preference(
-        "R30:EnumCB-longer",
-        enum_cb,
-        enum_cb,
-        LoserSubsumed,
-        WinnerLarger,
-    );
-    b.preference("R31:HQI-longer", hqi, hqi, LoserSubsumed, WinnerLarger);
-    b.preference("R32:QI-longer", qi, qi, LoserSubsumed, WinnerLarger);
-    b.preference(
-        "R33:ActionRow-longer",
-        action_row,
-        action_row,
-        LoserSubsumed,
-        WinnerLarger,
-    );
-
-    b.build()
-        .expect("the global grammar is valid by construction")
-}
-
-/// The paper's Figure 6 example grammar *G* (11 productions), with real
-/// spatial constraints and constructors. Used for walk-throughs and the
-/// §4.2.1 ambiguity experiment.
+/// The paper's Figure 6 example grammar *G* (11 rules, 16 productions
+/// with alternatives split), loaded from `grammars/paper_g.2pg`. Used
+/// for walk-throughs and the §4.2.1 ambiguity experiment.
 pub fn paper_example_grammar() -> Grammar {
-    let mut b = GrammarBuilder::new("QI");
-    let text = b.t(TokenKind::Text);
-    let textbox = b.t(TokenKind::Textbox);
-    let radio = b.t(TokenKind::Radiobutton);
-    let (qi, hqi, cp) = (b.nt("QI"), b.nt("HQI"), b.nt("CP"));
-    let (text_val, text_op, enum_rb) = (b.nt("TextVal"), b.nt("TextOp"), b.nt("EnumRB"));
-    let (attr, op, val) = (b.nt("Attr"), b.nt("Op"), b.nt("Val"));
-    let (rblist, rbu) = (b.nt("RBList"), b.nt("RBU"));
-
-    b.production("P1a", qi, vec![hqi], C::True, K::CollectConds);
-    b.production(
-        "P1b",
-        qi,
-        vec![qi, hqi],
-        C::AboveWithin(0, 1, 12),
-        K::CollectConds,
-    );
-    b.production("P2a", hqi, vec![cp], C::True, K::CollectConds);
-    b.production(
-        "P2b",
-        hqi,
-        vec![hqi, cp],
-        C::LeftWithin(0, 1, 120),
-        K::CollectConds,
-    );
-    b.production("P3a", cp, vec![text_val], C::True, K::Inherit(0));
-    b.production("P3b", cp, vec![text_op], C::True, K::Inherit(0));
-    b.production("P3c", cp, vec![enum_rb], C::True, K::Inherit(0));
-    b.production(
-        "P4",
-        text_val,
-        vec![attr, val],
-        C::Or(vec![C::Left(0, 1), C::Above(0, 1), C::Below(0, 1)]),
-        K::MakeCond {
-            attr: Some(0),
-            ops: None,
-            val: 1,
-            kind: None,
-        },
-    );
-    b.production(
-        "P5",
-        text_op,
-        vec![attr, val, op],
-        C::all([C::Left(0, 1), C::Below(2, 1)]),
-        K::MakeCond {
-            attr: Some(0),
-            ops: Some(2),
-            val: 1,
-            kind: None,
-        },
-    );
-    b.production("P6", op, vec![rblist], C::True, K::Inherit(0));
-    b.production(
-        "P7",
-        enum_rb,
-        vec![rblist],
-        C::True,
-        K::MakeEnumCond {
-            attr: None,
-            list: 0,
-        },
-    );
-    b.production("P8a", rblist, vec![rbu], C::True, K::ListStart(0));
-    b.production(
-        "P8b",
-        rblist,
-        vec![rblist, rbu],
-        C::Or(vec![C::LeftWithin(0, 1, 80), C::AboveWithin(0, 1, 14)]),
-        K::ListAppend { list: 0, unit: 1 },
-    );
-    b.production(
-        "P9",
-        rbu,
-        vec![radio, text],
-        C::all([C::Left(0, 1), C::MaxDist(0, 1, 20)]),
-        K::TextOf(1),
-    );
-    b.production(
-        "P10",
-        attr,
-        vec![text],
-        C::Is(0, Pred::AttrLike),
-        K::MakeAttr(0),
-    );
-    b.production("P11", val, vec![textbox], C::True, K::Inherit(0));
-
-    b.preference(
-        "R1:RBU>Attr",
-        rbu,
-        attr,
-        ConflictCond::Overlap,
-        WinCriteria::Always,
-    );
-    b.preference(
-        "R2:RBList-longer",
-        rblist,
-        rblist,
-        ConflictCond::LoserSubsumed,
-        WinCriteria::WinnerLarger,
-    );
-    // Beyond Figure 6: the two preferences that resolve the global
-    // ambiguity of Figure 9 (the TextOp reading wins over the stacked
-    // TextVal + EnumRB reading on shared tokens).
-    b.preference(
-        "R3:TextOp>TextVal",
-        text_op,
-        text_val,
-        ConflictCond::Overlap,
-        WinCriteria::WinnerLarger,
-    );
-    b.preference(
-        "R4:TextOp>EnumRB",
-        text_op,
-        enum_rb,
-        ConflictCond::Overlap,
-        WinCriteria::WinnerLarger,
-    );
-    b.build().expect("paper grammar G is valid")
+    from_dsl(include_str!("../../../grammars/paper_g.2pg"))
+        .expect("grammars/paper_g.2pg is a valid grammar")
 }
 
 #[cfg(test)]

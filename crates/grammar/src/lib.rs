@@ -14,7 +14,8 @@
 //!   greedy cycle avoidance;
 //! - the **derived global grammar** ([`global::global_grammar`])
 //!   reproducing the paper's 21-pattern catalog, and the Figure 6
-//!   example grammar *G*.
+//!   example grammar *G*, both loaded from their textual artifacts
+//!   (`grammars/*.2pg`, see [`dsl`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,27 +1,54 @@
-//! The shipped grammar artifact (`grammars/global.2pg`) must stay in
-//! sync with the built-in derived grammar — the analogue of the paper
-//! publishing its grammar online.
+//! The shipped grammar artifacts are the grammars' only source:
+//! `grammars/global.2pg` (the derived global grammar) and
+//! `grammars/paper_g.2pg` (Figure 6's *G*) are compiled into the
+//! library. These tests keep each file canonical — with comment and
+//! blank lines dropped it is exactly what `to_dsl` writes for the
+//! grammar it loads, so a load/export round trip is a fixed point —
+//! and check that a file loaded at run time parses like the built-in.
 
-use metaform::global_grammar;
+use metaform::{global_grammar, paper_example_grammar, Grammar};
 use metaform_grammar::{build_schedule, from_dsl, to_dsl};
 
-fn artifact() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/grammars/global.2pg");
-    std::fs::read_to_string(path).expect("grammars/global.2pg exists")
+fn artifact(name: &str) -> String {
+    let path = format!("{}/grammars/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The lines that carry meaning: no blank or comment lines.
+fn rule_lines(src: &str) -> Vec<&str> {
+    src.lines()
+        .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
+        .collect()
+}
+
+fn assert_canonical(name: &str, grammar: &Grammar) {
+    let src = artifact(name);
+    let export = to_dsl(grammar);
+    let (got, want) = (rule_lines(&src), rule_lines(&export));
+    if let Some(at) = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
+        panic!(
+            "grammars/{name} is not in canonical form; edit the .2pg file so its \
+             rule line {} reads\n  {}\ninstead of\n  {}",
+            at + 1,
+            want.get(at).unwrap_or(&"(nothing)"),
+            got.get(at).unwrap_or(&"(nothing)"),
+        );
+    }
 }
 
 #[test]
 fn shipped_grammar_matches_builtin() {
-    assert_eq!(
-        artifact(),
-        to_dsl(&global_grammar()),
-        "regenerate with: cargo run --bin metaform -- --export-grammar > grammars/global.2pg"
-    );
+    assert_canonical("global.2pg", &global_grammar());
+}
+
+#[test]
+fn paper_grammar_matches_builtin() {
+    assert_canonical("paper_g.2pg", &paper_example_grammar());
 }
 
 #[test]
 fn shipped_grammar_loads_and_schedules() {
-    let g = from_dsl(&artifact()).expect("artifact parses");
+    let g = from_dsl(&artifact("global.2pg")).expect("artifact parses");
     assert_eq!(g.productions.len(), global_grammar().productions.len());
     let schedule = build_schedule(&g).expect("schedulable");
     assert_eq!(schedule.rollback_prefs().count(), 0);
@@ -29,7 +56,7 @@ fn shipped_grammar_loads_and_schedules() {
 
 #[test]
 fn shipped_grammar_extracts_like_builtin() {
-    let g = from_dsl(&artifact()).expect("artifact parses");
+    let g = from_dsl(&artifact("global.2pg")).expect("artifact parses");
     let html = metaform_datasets::fixtures::qam().html;
     let builtin = metaform::FormExtractor::new().extract(&html);
     let loaded = metaform::FormExtractor::with_grammar(g).extract(&html);
