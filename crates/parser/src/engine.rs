@@ -717,6 +717,7 @@ impl Parser<'_> {
                     continue; // may have lost to a peer earlier in this pass
                 }
                 let l_start = if wi < w_mark { l_mark } else { 0 };
+                self.stats.pairs_tested += (l_len - l_start) as u64;
                 for li in l_start..l_len {
                     let l = self.chart.of_symbol(l_sym)[li];
                     if w == l || !self.chart.is_valid(l) || !self.chart.is_valid(w) {

@@ -112,6 +112,13 @@ test -z "${METAFORM_BLESS:-}"
 cargo test -q --test parser_work
 git diff --quiet -- tests/golden/parser_work.txt
 
+echo "==> cargo test -q -p metaform-bench --test parse_scaling (enforcement pairs per instance, exact)"
+# Instances created, enforcement pairs visited and trees on generated
+# forms of 25 to 200 rows, pinned exactly, with enforcement held to a
+# fixed number of pairs per instance: a preference whose sweep outgrows
+# the chart fails here, whatever the host's speed.
+cargo test -q -p metaform-bench --test parse_scaling
+
 echo "==> cargo test -q --test service_http (HTTP vs in-process differential)"
 cargo test -q --test service_http
 
