@@ -47,7 +47,7 @@ impl TokenFingerprint {
             h.write_str(&t.sval);
             h.write_str(&t.name);
             h.write_u32(t.options.len() as u32);
-            for opt in &t.options {
+            for opt in t.options.iter() {
                 h.write_str(opt);
             }
             h.write_u32(t.checked as u32);
@@ -141,10 +141,10 @@ mod tests {
             Box::new(|t| t[0].pos.top += 1),
             Box::new(|t| t[0].pos.right += 1),
             Box::new(|t| t[0].pos.bottom += 1),
-            Box::new(|t| t[0].sval.push('x')),
-            Box::new(|t| t[1].name.push('x')),
-            Box::new(|t| t[2].options.push("Audio".into())),
-            Box::new(|t| t[2].options[0].push('x')),
+            Box::new(|t| t[0].sval = "Authorx".into()),
+            Box::new(|t| t[1].name = "qx".into()),
+            Box::new(|t| t[2].options = ["Hardcover", "Paperback", "Audio"].map(Into::into).into()),
+            Box::new(|t| t[2].options = ["Hardcoverx", "Paperback"].map(Into::into).into()),
             Box::new(|t| t[1].checked = true),
             Box::new(|t| {
                 t.pop();

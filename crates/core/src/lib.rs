@@ -11,6 +11,8 @@
 //!   alignment) that 2P-grammar productions are written in;
 //! - [`token::Token`] / [`token::TokenKind`] — visual tokens, the
 //!   terminal alphabet;
+//! - [`text::Text`] / [`text::TextList`] — shared strings, carried
+//!   from a token into the parse payloads built over it;
 //! - [`condition::Condition`] — the semantic model `[attribute;
 //!   operators; domain]`;
 //! - [`report::ExtractionReport`] — extractor output with conflict and
@@ -26,6 +28,7 @@ pub mod fingerprint;
 pub mod geom;
 pub mod relations;
 pub mod report;
+pub mod text;
 pub mod token;
 
 pub use condition::{Condition, DomainKind, DomainSpec};
@@ -33,4 +36,5 @@ pub use fingerprint::TokenFingerprint;
 pub use geom::BBox;
 pub use relations::Proximity;
 pub use report::{Conflict, ExtractionReport};
+pub use text::{empty_list, empty_text, share, Text, TextList};
 pub use token::{normalize_label, trim_label, Token, TokenId, TokenKind};

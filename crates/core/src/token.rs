@@ -7,6 +7,7 @@
 //! captures two-dimensional layout.
 
 use crate::geom::BBox;
+use crate::text::{empty_list, empty_text, Text, TextList};
 use std::fmt;
 
 /// Identifier of a token within one tokenized interface.
@@ -171,51 +172,51 @@ pub struct Token {
     pub pos: BBox,
     /// String value: text content for [`TokenKind::Text`], button caption
     /// for buttons, empty otherwise.
-    pub sval: String,
+    pub sval: Text,
     /// HTML control `name` attribute (e.g. `query-0`, `field-0`), empty
     /// for text tokens.
-    pub name: String,
+    pub name: Text,
     /// Visible option labels for selection lists.
-    pub options: Vec<String>,
+    pub options: TextList,
     /// Whether a radio button / checkbox is pre-checked.
     pub checked: bool,
 }
 
 impl Token {
     /// Builds a text token.
-    pub fn text(id: u32, sval: impl Into<String>, pos: BBox) -> Self {
+    pub fn text(id: u32, sval: impl Into<Text>, pos: BBox) -> Self {
         Token {
             id: TokenId(id),
             kind: TokenKind::Text,
             pos,
             sval: sval.into(),
-            name: String::new(),
-            options: Vec::new(),
+            name: empty_text(),
+            options: empty_list(),
             checked: false,
         }
     }
 
     /// Builds a widget token of the given kind.
-    pub fn widget(id: u32, kind: TokenKind, name: impl Into<String>, pos: BBox) -> Self {
+    pub fn widget(id: u32, kind: TokenKind, name: impl Into<Text>, pos: BBox) -> Self {
         Token {
             id: TokenId(id),
             kind,
             pos,
-            sval: String::new(),
+            sval: empty_text(),
             name: name.into(),
-            options: Vec::new(),
+            options: empty_list(),
             checked: false,
         }
     }
 
     /// Adds option labels (builder style), for selection lists.
-    pub fn with_options(mut self, options: Vec<String>) -> Self {
-        self.options = options;
+    pub fn with_options(mut self, options: Vec<Text>) -> Self {
+        self.options = options.into();
         self
     }
 
     /// Sets the string value (builder style).
-    pub fn with_sval(mut self, sval: impl Into<String>) -> Self {
+    pub fn with_sval(mut self, sval: impl Into<Text>) -> Self {
         self.sval = sval.into();
         self
     }
@@ -271,14 +272,14 @@ mod tests {
     fn builders_fill_fields() {
         let t = Token::text(0, "Author", BBox::new(10, 40, 10, 20));
         assert_eq!(t.kind, TokenKind::Text);
-        assert_eq!(t.sval, "Author");
+        assert_eq!(&*t.sval, "Author");
 
         let w = Token::widget(1, TokenKind::SelectionList, "dept", BBox::at(0, 0, 80, 20))
             .with_options(vec!["Any".into(), "Books".into()])
             .with_sval("Any");
         assert_eq!(w.options.len(), 2);
-        assert_eq!(w.name, "dept");
-        assert_eq!(w.sval, "Any");
+        assert_eq!(&*w.name, "dept");
+        assert_eq!(&*w.sval, "Any");
         assert!(!w.checked);
         let r = Token::widget(2, TokenKind::Radiobutton, "fmt", BBox::at(0, 0, 13, 13))
             .with_checked(true);

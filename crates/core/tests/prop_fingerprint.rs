@@ -6,7 +6,7 @@
 //! for a 64-bit hash, but a violation on these small inputs would
 //! expose a field the hash forgot to mix in.
 
-use metaform_core::{BBox, Token, TokenFingerprint, TokenId, TokenKind};
+use metaform_core::{BBox, Text, Token, TokenFingerprint, TokenId, TokenKind};
 use proptest::prelude::*;
 
 /// Random token streams exercising every hashed field.
@@ -38,9 +38,9 @@ fn token_soup(max: usize) -> impl Strategy<Value = Vec<Token>> {
                 id: TokenId(i as u32),
                 kind,
                 pos: BBox::at(x, y, 40, 16),
-                sval: s,
-                name: format!("f{i}"),
-                options,
+                sval: s.into(),
+                name: format!("f{i}").into(),
+                options: options.into_iter().map(Text::from).collect(),
                 checked: checked == 1,
             })
             .collect()
@@ -66,15 +66,17 @@ fn mutate(tokens: &mut [Token], which: usize, idx: usize) -> &'static str {
             "kind swap"
         }
         2 => {
-            tokens[i].sval.push('!');
+            tokens[i].sval = format!("{}!", tokens[i].sval).into();
             "sval edit"
         }
         3 => {
-            tokens[i].name.push('_');
+            tokens[i].name = format!("{}_", tokens[i].name).into();
             "name edit"
         }
         4 => {
-            tokens[i].options.push("zz".into());
+            let mut options = tokens[i].options.to_vec();
+            options.push("zz".into());
+            tokens[i].options = options.into();
             "option added"
         }
         5 => {

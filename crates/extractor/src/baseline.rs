@@ -31,7 +31,7 @@ pub fn extract_baseline(tokens: &[Token]) -> ExtractionReport {
     let mut groups: BTreeMap<(TokenKind, &str), Vec<&Token>> = BTreeMap::new();
     for t in tokens {
         if matches!(t.kind, TokenKind::Radiobutton | TokenKind::Checkbox) {
-            groups.entry((t.kind, t.name.as_str())).or_default().push(t);
+            groups.entry((t.kind, &*t.name)).or_default().push(t);
         }
     }
     for ((_, _), glyphs) in &groups {
@@ -42,7 +42,7 @@ pub fn extract_baseline(tokens: &[Token]) -> ExtractionReport {
             if let Some((idx, caption)) = nearest_text(&texts, g, &prox, |a, b, p| {
                 relations::left(&a.pos, &b.pos, p) // caption sits right of the glyph
             }) {
-                values.push(caption.sval.clone());
+                values.push(caption.sval.to_string());
                 used_text[idx] = true;
                 member_tokens.push(caption.id);
             }
@@ -66,7 +66,7 @@ pub fn extract_baseline(tokens: &[Token]) -> ExtractionReport {
             Some((i, t)) => {
                 used_text[i] = true;
                 member_tokens.push(t.id);
-                t.sval.clone()
+                t.sval.to_string()
             }
             None => String::new(),
         };
@@ -101,20 +101,21 @@ pub fn extract_baseline(tokens: &[Token]) -> ExtractionReport {
                 Some((i, label)) => {
                     used_text[i] = true;
                     member_tokens.push(label.id);
-                    label.sval.clone()
+                    label.sval.to_string()
                 }
                 None => String::new(),
             }
         };
+        let options = || t.options.iter().map(|o| o.to_string()).collect();
         let domain = match t.kind {
-            TokenKind::SelectionList => DomainSpec::enumerated(t.options.clone()),
+            TokenKind::SelectionList => DomainSpec::enumerated(options()),
             TokenKind::NumberList => DomainSpec {
                 kind: DomainKind::Numeric,
-                values: t.options.clone(),
+                values: options(),
             },
             TokenKind::MonthList | TokenKind::DayList | TokenKind::YearList => DomainSpec {
                 kind: DomainKind::Enumerated,
-                values: t.options.clone(),
+                values: options(),
             },
             _ => DomainSpec::text(),
         };

@@ -4,7 +4,9 @@
 //!
 //! [`FormExtractor::extract_batch_adaptive`] is the one batch entry
 //! point. It makes one parallel pass over a slice of HTML pages: the
-//! batch enters one `thread::scope`, and each worker owns one
+//! batch enters one `thread::scope`, the calling thread is worker 0 and
+//! spawns the other workers (so a one-worker batch spawns no thread),
+//! and each worker owns one
 //! [`metaform_parser::ParseSession`] for the whole batch (recycling its
 //! chart and scratch across every page and every retry it runs) while
 //! all workers share the extractor's one `Arc<CompiledGrammar>`. Pages
@@ -62,6 +64,7 @@ use crate::telemetry::{
 };
 use metaform_core::Token;
 use metaform_parser::{CancelToken, ParseSession};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -70,8 +73,8 @@ use std::time::{Duration, Instant};
 pub struct BatchStats {
     /// Pages extracted.
     pub pages: usize,
-    /// Worker threads used (0 for an empty batch — no worker is
-    /// spawned when there is nothing to claim).
+    /// Workers used, the calling thread included (0 for an empty
+    /// batch — no worker runs when there is nothing to claim).
     pub workers: usize,
     /// Total tokens across all pages.
     pub tokens: usize,
@@ -262,36 +265,34 @@ impl FormExtractor {
         let mut slots: Vec<Option<Settled>> = Vec::new();
         slots.resize_with(pages.len(), || None);
         // Workers claim pages in input order; the counter publishes
-        // nothing but the index, and results travel back through join.
+        // nothing but the index, and results travel back through join
+        // (or, for the calling thread, its return value).
         let next = AtomicUsize::new(0);
+        let work = || {
+            let mut session = self.session();
+            let mut out = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&html) = pages.get(i) else {
+                    break;
+                };
+                out.push((i, self.ladder(&mut session, i, html, opts)));
+            }
+            out
+        };
 
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut session = self.session();
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&html) = pages.get(i) else {
-                                break;
-                            };
-                            out.push((i, self.ladder(&mut session, i, html, opts)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // Per-page panics are caught inside the ladder, so a
-                // worker-level panic should be impossible; if one
-                // happens anyway, its claimed-but-unfilled slots are
-                // reported as Panicked below rather than killing the
-                // batch here.
-                if let Ok(filled) = handle.join() {
-                    for (i, settled) in filled {
-                        slots[i] = Some(settled);
-                    }
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            // Per-page panics are caught inside the ladder, so a
+            // worker-level panic should be impossible; if one happens
+            // anyway, on a spawned worker or on this one, its
+            // claimed-but-unfilled slots are reported as Panicked below
+            // rather than killing the batch here.
+            let own = catch_unwind(AssertUnwindSafe(work));
+            let joined = handles.into_iter().map(|handle| handle.join());
+            for filled in [own].into_iter().chain(joined).flatten() {
+                for (i, settled) in filled {
+                    slots[i] = Some(settled);
                 }
             }
         });

@@ -346,8 +346,8 @@ impl FormExtractor {
     }
 
     /// Fixes the number of worker threads batch extraction uses
-    /// (builder style). Defaults to the machine's available
-    /// parallelism, capped by the number of pages.
+    /// (builder style), the calling thread included. Defaults to the
+    /// machine's available parallelism, capped by the number of pages.
     pub fn worker_threads(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self

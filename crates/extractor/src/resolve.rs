@@ -163,7 +163,7 @@ pub fn attach_missing(
         });
         match candidate {
             Some(cond) => {
-                cond.attribute = token.sval.clone();
+                cond.attribute = token.sval.to_string();
                 cond.tokens.push(missing_id);
                 cond.tokens.sort_unstable();
                 false // consumed: no longer missing

@@ -392,7 +392,8 @@ fn eval_pred(pred: Pred, view: &View<'_>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payload::{Domain, TextList};
+    use crate::payload::Domain;
+    use metaform_core::TextList;
 
     fn view_at<'a>(payloads: &'a [Payload], boxes: &[BBox]) -> Vec<View<'a>> {
         payloads

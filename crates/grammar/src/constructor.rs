@@ -7,10 +7,8 @@
 //! components' boxes; the constructor decides the *semantic* payload.
 
 use crate::constraint::View;
-use crate::payload::{
-    empty_list, empty_text, texts, Cond, CondAt, Domain, Payload, Text, TextList,
-};
-use metaform_core::{normalize_label, DomainKind};
+use crate::payload::{trim_shared, Cond, CondAt, Domain, Payload};
+use metaform_core::{empty_list, empty_text, normalize_label, DomainKind, Text, TextList};
 use std::sync::Arc;
 
 /// Declarative constructor actions (indexes refer to components).
@@ -119,7 +117,7 @@ impl Constructor {
             Constructor::OpsFromOptions(i) => Payload::Ops(
                 views[*i]
                     .token
-                    .map_or_else(empty_list, |t| texts(&t.options)),
+                    .map_or_else(empty_list, |t| t.options.clone()),
             ),
             Constructor::MakeCond {
                 attr,
@@ -237,13 +235,7 @@ fn text_of(view: &View<'_>) -> Text {
 
 /// A component's caption trimmed; shared when already trimmed.
 fn trimmed(view: &View<'_>) -> Text {
-    let text = text_of(view);
-    let t = text.trim();
-    if t.len() == text.len() {
-        text
-    } else {
-        Text::from(t)
-    }
+    trim_shared(&text_of(view))
 }
 
 /// A component's caption list, shared (empty when it has none).
@@ -256,7 +248,7 @@ fn ops_of(view: &View<'_>) -> TextList {
 
 /// Derives an attribute label for an unlabeled widget from its control
 /// name (`dept`, `pub_year`) or a placeholder option ("Select a State").
-fn unlabeled_attribute(name: &str, options: &[String]) -> String {
+fn unlabeled_attribute(name: &str, options: &[Text]) -> String {
     if let Some(first) = options.first() {
         let norm = normalize_label(first);
         for prefix in ["select a ", "select ", "choose a ", "choose ", "pick a "] {

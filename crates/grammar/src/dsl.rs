@@ -675,22 +675,13 @@ R1: TextVal > Attr : overlap always
     }
 
     #[test]
-    fn round_tripped_global_grammar_still_extracts() {
+    fn round_tripped_global_grammar_keeps_text_val_productions() {
+        // A structural check only: this crate cannot run the parser.
+        // `tests/grammar_artifact.rs::shipped_grammar_extracts_like_builtin`
+        // extracts through a grammar read back from its DSL text.
         let g = from_dsl(&to_dsl(&global_grammar())).expect("round trip");
-        let tokens = vec![
-            metaform_core::Token::text(0, "Author", metaform_core::BBox::new(10, 12, 52, 28)),
-            metaform_core::Token::widget(
-                1,
-                TokenKind::Textbox,
-                "q",
-                metaform_core::BBox::new(60, 8, 200, 28),
-            ),
-        ];
-        // Parse through the real parser via a quick structural check:
-        // productions for TextVal must still exist and reference Attr.
         let tv = g.symbols.lookup("TextVal").expect("TextVal survives");
         assert!(!g.productions_of(tv).is_empty());
-        let _ = tokens;
     }
 
     #[test]

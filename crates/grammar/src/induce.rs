@@ -93,7 +93,7 @@ fn descriptor(t: &Token) -> &'static str {
         TokenKind::FileInput => "file",
         TokenKind::HiddenInput => "hid",
         TokenKind::Text => {
-            let s = t.sval.as_str();
+            let s = &*t.sval;
             if constraint::is_connector(s) {
                 "conn"
             } else if !s.chars().any(char::is_alphanumeric) {
@@ -113,7 +113,7 @@ fn descriptor(t: &Token) -> &'static str {
 /// production uses, so mined windows agree with what the grammar would
 /// accept as a label.
 fn attr_like(t: &Token) -> bool {
-    let payload = Payload::Text(t.sval.as_str().into());
+    let payload = Payload::Text(t.sval.clone());
     Pred::AttrLike.eval(&View {
         bbox: t.pos,
         payload: &payload,

@@ -6,27 +6,11 @@
 //! conditions. This is how "tagging" (paper §1) falls out of parsing:
 //! the payload records the semantic role of the construct.
 
-use metaform_core::{Condition, DomainKind, DomainSpec, Token, TokenId, TokenKind};
+use metaform_core::{
+    empty_list, Condition, DomainKind, DomainSpec, Text, TextList, Token, TokenId, TokenKind,
+};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
-
-/// A shared caption, label or value text.
-pub type Text = Arc<str>;
-
-/// A shared list of texts: operator captions, domain values.
-pub type TextList = Arc<[Text]>;
-
-/// The shared empty text.
-pub fn empty_text() -> Text {
-    static EMPTY: OnceLock<Text> = OnceLock::new();
-    EMPTY.get_or_init(|| Text::from("")).clone()
-}
-
-/// The shared empty text list.
-pub fn empty_list() -> TextList {
-    static EMPTY: OnceLock<TextList> = OnceLock::new();
-    EMPTY.get_or_init(|| TextList::from([])).clone()
-}
+use std::sync::Arc;
 
 /// A value domain whose value list is shared.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -46,11 +30,11 @@ impl Domain {
         }
     }
 
-    /// A domain of `kind` over a token's option labels.
-    fn of_options(kind: DomainKind, options: &[String]) -> Self {
+    /// A domain of `kind` over a token's option labels, sharing them.
+    fn of_options(kind: DomainKind, options: &TextList) -> Self {
         Domain {
             kind,
-            values: texts(options),
+            values: options.clone(),
         }
     }
 
@@ -61,14 +45,6 @@ impl Domain {
             values: self.values.iter().map(|v| v.to_string()).collect(),
         }
     }
-}
-
-/// Shares a list of owned strings.
-pub(crate) fn texts(strings: &[String]) -> TextList {
-    if strings.is_empty() {
-        return empty_list();
-    }
-    strings.iter().map(|s| Text::from(s.as_str())).collect()
 }
 
 /// One assembled query condition `[attribute; operators; domain]`,
@@ -137,10 +113,12 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// The initial payload of a terminal instance for `token`.
+    /// The initial payload of a terminal instance for `token`, sharing
+    /// the token's text and option list (the caption is copied only
+    /// when trimming shortens it).
     pub fn for_token(token: &Token) -> Payload {
         match token.kind {
-            TokenKind::Text => Payload::Text(Text::from(token.sval.trim())),
+            TokenKind::Text => Payload::Text(trim_shared(&token.sval)),
             TokenKind::Textbox | TokenKind::Password | TokenKind::TextArea => {
                 Payload::Val(Domain::of(DomainKind::Text))
             }
@@ -204,6 +182,17 @@ impl Payload {
     }
 }
 
+/// `text` with surrounding whitespace trimmed, shared when there is
+/// none to trim.
+pub(crate) fn trim_shared(text: &Text) -> Text {
+    let t = text.trim();
+    if t.len() == text.len() {
+        text.clone()
+    } else {
+        Text::from(t)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +230,31 @@ mod tests {
 
         let radio = Token::widget(5, TokenKind::Radiobutton, "r", BBox::ZERO);
         assert_eq!(Payload::for_token(&radio), Payload::None);
+    }
+
+    #[test]
+    fn terminal_payloads_share_the_token_text() {
+        let text = Token::text(0, "Author", BBox::ZERO);
+        let Payload::Text(caption) = Payload::for_token(&text) else {
+            unreachable!()
+        };
+        assert!(
+            Arc::ptr_eq(&caption, &text.sval),
+            "a trimmed caption is shared"
+        );
+        let padded = Token::text(1, " Author ", BBox::ZERO);
+        assert!(!Arc::ptr_eq(
+            Payload::for_token(&padded).shared_text().unwrap(),
+            &padded.sval
+        ));
+        let sel = Token::widget(2, TokenKind::SelectionList, "c", BBox::ZERO)
+            .with_options(vec!["Coach".into(), "First".into()]);
+        let val = Payload::for_token(&sel);
+        let values = &val.val().unwrap().values;
+        assert!(
+            Arc::ptr_eq(values, &sel.options),
+            "option labels are shared"
+        );
     }
 
     fn cond(attr: &str) -> Arc<Cond> {

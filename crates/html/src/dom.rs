@@ -1,8 +1,16 @@
-//! Arena-based DOM.
+//! Arena-based DOM that borrows its page.
 //!
 //! Nodes live in a flat `Vec` and refer to each other by [`NodeId`],
 //! which keeps the tree cheap to build and traverse and trivially
 //! borrow-checker-friendly for the layout engine's multiple passes.
+//!
+//! A [`Document<'src>`] borrows the source it was parsed from: a tag
+//! name, attribute name or value, or text node is a slice of the page
+//! unless decoding changed it (an entity, an uppercase name), and only
+//! then owned. Every attribute lives in one per-document arena, and
+//! every child list in one flat per-document array built once when the
+//! tree is complete, so a parsed page is three allocations however
+//! many nodes it has.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -24,55 +32,84 @@ impl fmt::Debug for NodeId {
     }
 }
 
+/// One attribute: lowercased name, entity-decoded value.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Attr<'src> {
+    /// Lowercased attribute name.
+    pub name: Cow<'src, str>,
+    /// Entity-decoded value (empty for a boolean attribute).
+    pub value: Cow<'src, str>,
+}
+
+/// An element's run of attributes in its document's attribute arena
+/// (read them with [`Document::attrs`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct AttrRange {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
 /// Node payload.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum NodeData {
+pub enum NodeData<'src> {
     /// The synthetic document root.
     Document,
     /// An element with lowercased tag name and source-ordered attributes.
     Element {
         /// Lowercased tag name (`input`, `td`, …).
-        tag: String,
-        /// `(name, value)` pairs; names lowercased, values entity-decoded.
-        attrs: Vec<(String, String)>,
+        tag: Cow<'src, str>,
+        /// The element's attributes, in source order.
+        attrs: AttrRange,
     },
     /// A text node (entities already decoded).
-    Text(String),
+    Text(Cow<'src, str>),
 }
 
 /// One DOM node.
 #[derive(Clone, Debug)]
-pub struct Node {
+pub struct Node<'src> {
     /// Payload.
-    pub data: NodeData,
+    pub data: NodeData<'src>,
     /// Parent id; `None` only for the root.
     pub parent: Option<NodeId>,
-    /// Children in document order.
-    pub children: Vec<NodeId>,
+    /// End of this node's run in the document's child array; the run
+    /// starts where the previous node's ends.
+    child_end: u32,
+    /// The next child of the same parent.
+    next_sibling: Option<NodeId>,
 }
 
-/// A parsed HTML document.
+/// A parsed HTML document borrowing its source text.
 #[derive(Clone, Debug)]
-pub struct Document {
-    nodes: Vec<Node>,
+pub struct Document<'src> {
+    nodes: Vec<Node<'src>>,
+    /// Every element's attributes, element by element.
+    pub(crate) attrs: Vec<Attr<'src>>,
+    /// Every node's children, node by node, each run in document order.
+    children: Vec<NodeId>,
 }
 
-impl Document {
+impl<'src> Document<'src> {
     /// Creates a document containing only the root node.
     pub fn new() -> Self {
-        Self::with_capacity(1)
+        Self::with_capacity(1, 0)
     }
 
-    /// [`Document::new`], with room for `nodes` nodes before the arena
-    /// grows.
-    pub fn with_capacity(nodes: usize) -> Self {
+    /// An empty document with room for `nodes` nodes and `attrs`
+    /// attributes before either arena grows.
+    pub(crate) fn with_capacity(nodes: usize, attrs: usize) -> Self {
         let mut arena = Vec::with_capacity(nodes.max(1));
         arena.push(Node {
             data: NodeData::Document,
             parent: None,
-            children: Vec::new(),
+            child_end: 0,
+            next_sibling: None,
         });
-        Document { nodes: arena }
+        Document {
+            nodes: arena,
+            attrs: Vec::with_capacity(attrs),
+            children: Vec::new(),
+        }
     }
 
     /// The root node id.
@@ -91,40 +128,70 @@ impl Document {
     }
 
     /// Borrow a node.
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub fn node(&self, id: NodeId) -> &Node<'src> {
         &self.nodes[id.index()]
     }
 
-    /// Appends a new element under `parent`, returning its id.
-    pub fn create_element(
+    /// Appends a new element under `parent` whose attributes are the
+    /// arena run `attrs`, returning its id. Child lists are stale until
+    /// [`Document::finish`].
+    pub(crate) fn create_element(
         &mut self,
         parent: NodeId,
-        tag: impl Into<String>,
-        attrs: Vec<(String, String)>,
+        tag: Cow<'src, str>,
+        attrs: AttrRange,
     ) -> NodeId {
-        self.push_node(
-            parent,
-            NodeData::Element {
-                tag: tag.into(),
-                attrs,
-            },
-        )
+        self.push_node(parent, NodeData::Element { tag, attrs })
     }
 
-    /// Appends a new text node under `parent`, returning its id.
-    pub fn create_text(&mut self, parent: NodeId, text: impl Into<String>) -> NodeId {
-        self.push_node(parent, NodeData::Text(text.into()))
+    /// Appends a new text node under `parent`, returning its id. Child
+    /// lists are stale until [`Document::finish`].
+    pub(crate) fn create_text(&mut self, parent: NodeId, text: Cow<'src, str>) -> NodeId {
+        self.push_node(parent, NodeData::Text(text))
     }
 
-    fn push_node(&mut self, parent: NodeId, data: NodeData) -> NodeId {
+    fn push_node(&mut self, parent: NodeId, data: NodeData<'src>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             data,
             parent: Some(parent),
-            children: Vec::new(),
+            child_end: 0,
+            next_sibling: None,
         });
-        self.nodes[parent.index()].children.push(id);
         id
+    }
+
+    /// Builds the child array and sibling links from the parent links,
+    /// once the tree is complete. A counting sort by parent keeps each
+    /// run in creation order, which is document order.
+    pub(crate) fn finish(&mut self) {
+        let nodes = &mut self.nodes;
+        for i in 1..nodes.len() {
+            let p = nodes[i].parent.expect("only the root has no parent");
+            nodes[p.index()].child_end += 1;
+        }
+        // Child counts become run starts...
+        let mut start = 0;
+        for node in nodes.iter_mut() {
+            let count = node.child_end;
+            node.child_end = start;
+            start += count;
+        }
+        // ...and filling each run moves its start to its end.
+        self.children.clear();
+        self.children.resize(nodes.len() - 1, NodeId(0));
+        for i in 1..nodes.len() {
+            let p = nodes[i].parent.expect("only the root has no parent");
+            let at = &mut nodes[p.index()].child_end;
+            self.children[*at as usize] = NodeId(i as u32);
+            *at += 1;
+        }
+        for pair in self.children.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            if nodes[a.index()].parent == nodes[b.index()].parent {
+                nodes[a.index()].next_sibling = Some(b);
+            }
+        }
     }
 
     /// Tag name when the node is an element.
@@ -135,15 +202,22 @@ impl Document {
         }
     }
 
+    /// An element's attributes in source order (empty for other nodes).
+    pub fn attrs(&self, id: NodeId) -> &[Attr<'src>] {
+        match &self.node(id).data {
+            NodeData::Element { attrs, .. } => {
+                &self.attrs[attrs.start as usize..attrs.end as usize]
+            }
+            _ => &[],
+        }
+    }
+
     /// Attribute value (attributes are stored lowercased).
     pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
-        match &self.node(id).data {
-            NodeData::Element { attrs, .. } => attrs
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.as_str()),
-            _ => None,
-        }
+        self.attrs(id)
+            .iter()
+            .find(|a| a.name == name)
+            .map(|a| &*a.value)
     }
 
     /// Text content when the node is a text node.
@@ -156,7 +230,11 @@ impl Document {
 
     /// Children of a node, in document order.
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.node(id).children
+        let start = match id.index() {
+            0 => 0,
+            i => self.nodes[i - 1].child_end,
+        };
+        &self.children[start as usize..self.node(id).child_end as usize]
     }
 
     /// Parent of a node.
@@ -165,8 +243,8 @@ impl Document {
     }
 
     /// Pre-order traversal of the subtree rooted at `id` (inclusive).
-    /// Walks parent and sibling links, so it allocates nothing.
-    pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
+    /// Walks child, sibling and parent links, so it allocates nothing.
+    pub fn descendants(&self, id: NodeId) -> Descendants<'_, 'src> {
         Descendants {
             doc: self,
             root: id,
@@ -175,7 +253,7 @@ impl Document {
     }
 
     /// All descendant elements with the given tag, in document order.
-    pub fn elements_by_tag<'a>(&'a self, root: NodeId, tag: &'a str) -> Vec<NodeId> {
+    pub fn elements_by_tag(&self, root: NodeId, tag: &str) -> Vec<NodeId> {
         self.descendants(root)
             .filter(|&n| self.tag(n) == Some(tag))
             .collect()
@@ -185,7 +263,7 @@ impl Document {
     pub fn text_content(&self, id: NodeId) -> String {
         let mut out = String::new();
         for n in self.descendants(id) {
-            if let NodeData::Text(t) = &self.node(n).data {
+            if let Some(t) = self.text(n) {
                 out.push_str(t);
             }
         }
@@ -223,31 +301,20 @@ impl Document {
     }
 }
 
-impl Default for Document {
+impl Default for Document<'_> {
     fn default() -> Self {
         Self::new()
     }
 }
 
 /// Iterator over a subtree in pre-order (see [`Document::descendants`]).
-pub struct Descendants<'a> {
-    doc: &'a Document,
+pub struct Descendants<'d, 'src> {
+    doc: &'d Document<'src>,
     root: NodeId,
     next: Option<NodeId>,
 }
 
-impl Document {
-    /// The sibling after `id` under its parent. Children are appended
-    /// in creation order, so every child list is sorted by id and the
-    /// lookup is a binary search.
-    fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
-        let siblings = self.children(self.parent(id)?);
-        let at = siblings.binary_search(&id).ok()?;
-        siblings.get(at + 1).copied()
-    }
-}
-
-impl Iterator for Descendants<'_> {
+impl Iterator for Descendants<'_, '_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
@@ -262,10 +329,11 @@ impl Iterator for Descendants<'_> {
                     if up == self.root {
                         break None;
                     }
-                    if let Some(sib) = self.doc.next_sibling(up) {
-                        break Some(sib);
+                    let node = self.doc.node(up);
+                    if node.next_sibling.is_some() {
+                        break node.next_sibling;
                     }
-                    match self.doc.parent(up) {
+                    match node.parent {
                         Some(p) => up = p,
                         None => break None,
                     }
@@ -280,16 +348,32 @@ impl Iterator for Descendants<'_> {
 mod tests {
     use super::*;
 
-    fn sample() -> (Document, NodeId, NodeId, NodeId) {
+    /// Appends an element with `attrs` under `parent`.
+    fn element<'s>(
+        doc: &mut Document<'s>,
+        parent: NodeId,
+        tag: &'s str,
+        attrs: &[(&'s str, &'s str)],
+    ) -> NodeId {
+        let start = doc.attrs.len() as u32;
+        doc.attrs.extend(attrs.iter().map(|&(name, value)| Attr {
+            name: name.into(),
+            value: value.into(),
+        }));
+        let range = AttrRange {
+            start,
+            end: doc.attrs.len() as u32,
+        };
+        doc.create_element(parent, tag.into(), range)
+    }
+
+    fn sample() -> (Document<'static>, NodeId, NodeId, NodeId) {
         let mut doc = Document::new();
-        let form = doc.create_element(doc.root(), "form", vec![("action".into(), "/q".into())]);
-        let b = doc.create_element(form, "b", vec![]);
-        doc.create_text(b, "Author");
-        let input = doc.create_element(
-            form,
-            "input",
-            vec![("type".into(), "text".into()), ("name".into(), "q".into())],
-        );
+        let form = element(&mut doc, NodeId(0), "form", &[("action", "/q")]);
+        let b = element(&mut doc, form, "b", &[]);
+        doc.create_text(b, "Author".into());
+        let input = element(&mut doc, form, "input", &[("type", "text"), ("name", "q")]);
+        doc.finish();
         (doc, form, b, input)
     }
 
@@ -299,6 +383,8 @@ mod tests {
         assert_eq!(doc.tag(form), Some("form"));
         assert_eq!(doc.attr(form, "action"), Some("/q"));
         assert_eq!(doc.attr(input, "type"), Some("text"));
+        assert_eq!(doc.attrs(input).len(), 2);
+        assert!(doc.attrs(b).is_empty());
         assert_eq!(doc.children(form), &[b, input]);
         assert_eq!(doc.parent(b), Some(form));
         assert_eq!(doc.parent(doc.root()), None);
@@ -323,12 +409,15 @@ mod tests {
     #[test]
     fn descendants_stop_at_the_subtree() {
         let mut doc = Document::new();
-        let a = doc.create_element(doc.root(), "a", vec![]);
-        let b = doc.create_element(a, "b", vec![]);
-        let c = doc.create_element(doc.root(), "c", vec![]);
+        let root = doc.root();
+        let a = element(&mut doc, root, "a", &[]);
+        let b = element(&mut doc, a, "b", &[]);
+        let c = element(&mut doc, root, "c", &[]);
         // A child appended to an earlier node after a later sibling.
-        let d = doc.create_element(a, "d", vec![]);
-        let e = doc.create_element(b, "e", vec![]);
+        let d = element(&mut doc, a, "d", &[]);
+        let e = element(&mut doc, b, "e", &[]);
+        doc.finish();
+        assert_eq!(doc.children(a), &[b, d]);
         assert_eq!(doc.descendants(a).collect::<Vec<_>>(), vec![a, b, e, d]);
         assert_eq!(doc.descendants(b).collect::<Vec<_>>(), vec![b, e]);
         assert_eq!(doc.descendants(c).collect::<Vec<_>>(), vec![c]);
@@ -341,15 +430,17 @@ mod tests {
     #[test]
     fn trimmed_text_borrows_a_single_text_node() {
         let mut doc = Document::new();
-        let one = doc.create_element(doc.root(), "option", vec![]);
-        doc.create_text(one, "  Coach \n");
+        let root = doc.root();
+        let one = element(&mut doc, root, "option", &[]);
+        doc.create_text(one, "  Coach \n".into());
+        let two = element(&mut doc, root, "button", &[]);
+        doc.create_text(two, " Find ".into());
+        let b = element(&mut doc, two, "b", &[]);
+        doc.create_text(b, "now ".into());
+        let empty = element(&mut doc, root, "option", &[]);
+        doc.finish();
         assert!(matches!(doc.trimmed_text(one), Cow::Borrowed("Coach")));
-        let two = doc.create_element(doc.root(), "button", vec![]);
-        doc.create_text(two, " Find ");
-        let b = doc.create_element(two, "b", vec![]);
-        doc.create_text(b, "now ");
         assert_eq!(doc.trimmed_text(two), doc.text_content(two).trim());
-        let empty = doc.create_element(doc.root(), "option", vec![]);
         assert_eq!(doc.trimmed_text(empty), "");
     }
 
@@ -374,6 +465,7 @@ mod tests {
         let doc = Document::new();
         assert!(doc.is_empty());
         assert_eq!(doc.len(), 1);
+        assert!(doc.children(doc.root()).is_empty());
         assert_eq!(doc.text_content(doc.root()), "");
     }
 }

@@ -6,43 +6,80 @@
 //! values, and raw-text elements (`script`, `style`, `textarea`,
 //! `title`) swallow their content up to the matching close tag.
 
+use crate::dom::{Attr, AttrRange};
 use crate::entity::decode_entities;
-use std::collections::VecDeque;
+use std::borrow::Cow;
 
-/// One lexical HTML token.
+/// One lexical HTML token, borrowing the source wherever decoding
+/// left the text unchanged.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum HtmlToken {
+pub enum HtmlToken<'src> {
     /// `<name attr="v" …>`; `self_closing` records a trailing `/`.
     StartTag {
         /// Lowercased tag name.
-        name: String,
-        /// Attributes in source order; names lowercased, values decoded.
-        attrs: Vec<(String, String)>,
+        name: Cow<'src, str>,
+        /// The tag's attributes: a run appended to the caller's
+        /// attribute arena, in source order.
+        attrs: AttrRange,
         /// `<br/>`-style self-closing marker.
         self_closing: bool,
     },
     /// `</name>`.
     EndTag {
         /// Lowercased tag name.
-        name: String,
+        name: Cow<'src, str>,
     },
     /// Character data between tags (entities decoded, whitespace kept).
-    Text(String),
+    Text(Cow<'src, str>),
     /// `<!-- … -->` contents.
-    Comment(String),
+    Comment(&'src str),
     /// `<!DOCTYPE …>` contents.
-    Doctype(String),
+    Doctype(&'src str),
 }
 
-/// Elements whose content is raw text up to the matching end tag.
-fn is_raw_text(tag: &str) -> bool {
-    matches!(tag, "script" | "style" | "textarea" | "title")
+/// The element whose content is raw text up to its end tag, if `tag`
+/// names one.
+fn raw_text_element(tag: &str) -> Option<&'static str> {
+    ["script", "style", "textarea", "title"]
+        .into_iter()
+        .find(|&raw| raw == tag)
 }
 
-/// Lexes `input` into a token vector. Never fails: malformed markup
-/// degrades to text, as in lenient browser parsing.
-pub fn lex(input: &str) -> Vec<HtmlToken> {
-    Lexer::new(input).collect()
+/// `name` lowercased, borrowed when it already is: only a name with an
+/// ASCII-uppercase or non-ASCII byte is copied.
+fn lowercase(name: &str) -> Cow<'_, str> {
+    if name
+        .bytes()
+        .any(|b| b.is_ascii_uppercase() || !b.is_ascii())
+    {
+        Cow::Owned(name.to_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+/// Lexes `input` into a token vector and the attribute arena its start
+/// tags index. Never fails: malformed markup degrades to text, as in
+/// lenient browser parsing.
+pub fn lex(input: &str) -> (Vec<HtmlToken<'_>>, Vec<Attr<'_>>) {
+    let mut lexer = Lexer::new(input);
+    let mut attrs = Vec::new();
+    let mut tokens = Vec::new();
+    while let Some(token) = lexer.next_token(&mut attrs) {
+        tokens.push(token);
+    }
+    (tokens, attrs)
+}
+
+/// Where the lexer stands inside a raw-text element.
+#[derive(Clone, Copy)]
+enum Raw {
+    /// Ordinary markup.
+    Markup,
+    /// Just after the named element's start tag: its content is next.
+    Content(&'static str),
+    /// At the named element's end tag.
+    End(&'static str),
 }
 
 /// The token stream of [`lex`], produced on demand: the tree builder
@@ -51,9 +88,7 @@ pub(crate) struct Lexer<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    /// Tokens lexed but not yet handed out (one markup step can yield
-    /// up to three: a raw-text element's start tag, text and end tag).
-    out: VecDeque<HtmlToken>,
+    raw: Raw,
 }
 
 impl<'a> Lexer<'a> {
@@ -62,77 +97,75 @@ impl<'a> Lexer<'a> {
             input,
             bytes: input.as_bytes(),
             pos: 0,
-            out: VecDeque::new(),
+            raw: Raw::Markup,
         }
     }
-}
 
-impl Iterator for Lexer<'_> {
-    type Item = HtmlToken;
-
-    fn next(&mut self) -> Option<HtmlToken> {
+    /// The next token; a start tag's attributes are appended to
+    /// `attrs`, and the token names their run.
+    pub(crate) fn next_token(&mut self, attrs: &mut Vec<Attr<'a>>) -> Option<HtmlToken<'a>> {
         loop {
-            if let Some(token) = self.out.pop_front() {
-                return Some(token);
+            match self.raw {
+                Raw::Content(name) => {
+                    if let Some(text) = self.lex_raw_text(name) {
+                        return Some(text);
+                    }
+                    continue;
+                }
+                Raw::End(name) => return Some(self.lex_raw_end(name)),
+                Raw::Markup => {}
             }
             if self.pos >= self.bytes.len() {
                 return None;
             }
-            if self.bytes[self.pos] == b'<' {
-                self.lex_markup();
+            let token = if self.bytes[self.pos] == b'<' {
+                self.lex_markup(attrs)
             } else {
-                self.lex_text();
+                Some(self.lex_text())
+            };
+            if token.is_some() {
+                return token;
             }
         }
     }
-}
 
-impl<'a> Lexer<'a> {
-    fn lex_text(&mut self) {
+    fn lex_text(&mut self) -> HtmlToken<'a> {
         let start = self.pos;
         while self.pos < self.bytes.len() && self.bytes[self.pos] != b'<' {
             self.pos += 1;
         }
-        let raw = &self.input[start..self.pos];
-        if !raw.is_empty() {
-            self.out
-                .push_back(HtmlToken::Text(decode_entities(raw).into_owned()));
-        }
+        HtmlToken::Text(decode_entities(&self.input[start..self.pos]))
     }
 
-    fn lex_markup(&mut self) {
+    fn lex_markup(&mut self, attrs: &mut Vec<Attr<'a>>) -> Option<HtmlToken<'a>> {
         debug_assert_eq!(self.bytes[self.pos], b'<');
         let rest = &self.bytes[self.pos + 1..];
         match rest.first() {
-            Some(b'!') => self.lex_declaration(),
+            Some(b'!') => Some(self.lex_declaration()),
             Some(b'/') => self.lex_end_tag(),
-            Some(c) if c.is_ascii_alphabetic() => self.lex_start_tag(),
+            Some(c) if c.is_ascii_alphabetic() => Some(self.lex_start_tag(attrs)),
             _ => {
                 // Stray '<' — treat as text.
-                self.out.push_back(HtmlToken::Text("<".to_string()));
                 self.pos += 1;
+                Some(HtmlToken::Text(Cow::Borrowed("<")))
             }
         }
     }
 
-    fn lex_declaration(&mut self) {
+    fn lex_declaration(&mut self) -> HtmlToken<'a> {
         if self.input[self.pos..].starts_with("<!--") {
             let body_start = self.pos + 4;
-            match self.input[body_start..].find("-->") {
+            return match self.input[body_start..].find("-->") {
                 Some(rel) => {
-                    self.out.push_back(HtmlToken::Comment(
-                        self.input[body_start..body_start + rel].to_string(),
-                    ));
                     self.pos = body_start + rel + 3;
+                    HtmlToken::Comment(&self.input[body_start..body_start + rel])
                 }
                 None => {
                     // Unterminated comment swallows the rest.
-                    self.out
-                        .push_back(HtmlToken::Comment(self.input[body_start..].to_string()));
                     self.pos = self.bytes.len();
+                    HtmlToken::Comment(&self.input[body_start..])
                 }
-            }
-            return;
+            };
         }
         // <!DOCTYPE …> or other declaration: skip to '>'.
         let body_start = self.pos + 2;
@@ -140,30 +173,24 @@ impl<'a> Lexer<'a> {
             .find('>')
             .map(|r| body_start + r)
             .unwrap_or(self.bytes.len());
-        self.out.push_back(HtmlToken::Doctype(
-            self.input[body_start..end].trim().to_string(),
-        ));
         self.pos = (end + 1).min(self.bytes.len());
+        HtmlToken::Doctype(self.input[body_start..end].trim())
     }
 
-    fn lex_end_tag(&mut self) {
+    fn lex_end_tag(&mut self) -> Option<HtmlToken<'a>> {
         let name_start = self.pos + 2;
         let mut i = name_start;
         while i < self.bytes.len() && self.bytes[i] != b'>' {
             i += 1;
         }
-        let name = self.input[name_start..i]
-            .split_whitespace()
-            .next()
-            .unwrap_or("")
-            .to_lowercase();
-        if !name.is_empty() {
-            self.out.push_back(HtmlToken::EndTag { name });
-        }
         self.pos = (i + 1).min(self.bytes.len());
+        let name = self.input[name_start..i].split_whitespace().next()?;
+        Some(HtmlToken::EndTag {
+            name: lowercase(name),
+        })
     }
 
-    fn lex_start_tag(&mut self) {
+    fn lex_start_tag(&mut self, attrs: &mut Vec<Attr<'a>>) -> HtmlToken<'a> {
         let name_start = self.pos + 1;
         let mut i = name_start;
         while i < self.bytes.len()
@@ -171,38 +198,41 @@ impl<'a> Lexer<'a> {
         {
             i += 1;
         }
-        let name = self.input[name_start..i].to_lowercase();
+        let name = lowercase(&self.input[name_start..i]);
         self.pos = i;
-        let (attrs, self_closing) = self.lex_attributes();
-        let raw = (is_raw_text(&name) && !self_closing).then(|| name.clone());
-        self.out.push_back(HtmlToken::StartTag {
+        let start = attrs.len() as u32;
+        let self_closing = self.lex_attributes(attrs);
+        if !self_closing {
+            if let Some(raw) = raw_text_element(&name) {
+                self.raw = Raw::Content(raw);
+            }
+        }
+        HtmlToken::StartTag {
             name,
-            attrs,
+            attrs: AttrRange {
+                start,
+                end: attrs.len() as u32,
+            },
             self_closing,
-        });
-        if let Some(name) = raw {
-            self.lex_raw_text(name);
         }
     }
 
-    /// Consumes attributes up to and including the closing `>`.
-    fn lex_attributes(&mut self) -> (Vec<(String, String)>, bool) {
-        let mut attrs = Vec::new();
-        let mut self_closing = false;
+    /// Consumes attributes up to and including the closing `>`,
+    /// appending them to `attrs`; returns the self-closing marker.
+    fn lex_attributes(&mut self, attrs: &mut Vec<Attr<'a>>) -> bool {
         loop {
             self.skip_whitespace();
             match self.bytes.get(self.pos) {
-                None => break,
+                None => return false,
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    return false;
                 }
                 Some(b'/') => {
                     self.pos += 1;
                     if self.bytes.get(self.pos) == Some(&b'>') {
                         self.pos += 1;
-                        self_closing = true;
-                        break;
+                        return true;
                     }
                 }
                 Some(_) => {
@@ -212,10 +242,9 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        (attrs, self_closing)
     }
 
-    fn lex_one_attribute(&mut self) -> Option<(String, String)> {
+    fn lex_one_attribute(&mut self) -> Option<Attr<'a>> {
         let start = self.pos;
         while self.pos < self.bytes.len()
             && !matches!(
@@ -230,10 +259,14 @@ impl<'a> Lexer<'a> {
             self.pos += 1;
             return None;
         }
-        let name = self.input[start..self.pos].to_lowercase();
+        let name = lowercase(&self.input[start..self.pos]);
         self.skip_whitespace();
         if self.bytes.get(self.pos) != Some(&b'=') {
-            return Some((name, String::new())); // boolean attribute
+            // Boolean attribute.
+            return Some(Attr {
+                name,
+                value: Cow::Borrowed(""),
+            });
         }
         self.pos += 1; // '='
         self.skip_whitespace();
@@ -258,12 +291,16 @@ impl<'a> Lexer<'a> {
                 &self.input[vstart..self.pos]
             }
         };
-        Some((name, decode_entities(value).into_owned()))
+        Some(Attr {
+            name,
+            value: decode_entities(value),
+        })
     }
 
-    /// After a raw-text start tag: swallow content until `</name`
-    /// (matched ASCII case-insensitively; raw-text tag names are ASCII).
-    fn lex_raw_text(&mut self, name: String) {
+    /// After a raw-text start tag: swallows content until `</name`
+    /// (matched ASCII case-insensitively; raw-text tag names are ASCII)
+    /// and returns it as text, or `None` when it is empty.
+    fn lex_raw_text(&mut self, name: &'static str) -> Option<HtmlToken<'a>> {
         let rest = &self.bytes[self.pos..];
         let rel = (0..rest.len())
             .find(|&i| {
@@ -274,21 +311,27 @@ impl<'a> Lexer<'a> {
             })
             .unwrap_or(rest.len());
         let content = &self.input[self.pos..self.pos + rel];
-        if !content.is_empty() {
-            // textarea/title content is real text; script/style is not,
-            // but the tree builder drops those nodes anyway.
-            self.out
-                .push_back(HtmlToken::Text(decode_entities(content).into_owned()));
-        }
         self.pos += rel;
-        if self.pos < self.bytes.len() {
-            // We are looking at "</name ... >".
-            let end = self.input[self.pos..]
-                .find('>')
-                .map(|r| self.pos + r)
-                .unwrap_or(self.bytes.len());
-            self.out.push_back(HtmlToken::EndTag { name });
-            self.pos = (end + 1).min(self.bytes.len());
+        self.raw = if self.pos < self.bytes.len() {
+            Raw::End(name)
+        } else {
+            Raw::Markup
+        };
+        // textarea/title content is real text; script/style is not,
+        // but the tree builder drops those nodes anyway.
+        (!content.is_empty()).then(|| HtmlToken::Text(decode_entities(content)))
+    }
+
+    /// At a raw-text element's `</name ... >`: consumes it.
+    fn lex_raw_end(&mut self, name: &'static str) -> HtmlToken<'a> {
+        let end = self.input[self.pos..]
+            .find('>')
+            .map(|r| self.pos + r)
+            .unwrap_or(self.bytes.len());
+        self.pos = (end + 1).min(self.bytes.len());
+        self.raw = Raw::Markup;
+        HtmlToken::EndTag {
+            name: Cow::Borrowed(name),
         }
     }
 
@@ -305,35 +348,72 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn start(name: &str, attrs: &[(&str, &str)]) -> HtmlToken {
-        HtmlToken::StartTag {
-            name: name.into(),
-            attrs: attrs
+    /// A token with its attributes resolved from the arena.
+    #[derive(Debug, PartialEq)]
+    enum Tok {
+        Start(String, Vec<(String, String)>, bool),
+        End(String),
+        Text(String),
+        Comment(String),
+        Doctype(String),
+    }
+
+    fn toks(input: &str) -> Vec<Tok> {
+        let (tokens, attrs) = lex(input);
+        tokens
+            .into_iter()
+            .map(|t| match t {
+                HtmlToken::StartTag {
+                    name,
+                    attrs: run,
+                    self_closing,
+                } => Tok::Start(
+                    name.into_owned(),
+                    attrs[run.start as usize..run.end as usize]
+                        .iter()
+                        .map(|a| (a.name.to_string(), a.value.to_string()))
+                        .collect(),
+                    self_closing,
+                ),
+                HtmlToken::EndTag { name } => Tok::End(name.into_owned()),
+                HtmlToken::Text(t) => Tok::Text(t.into_owned()),
+                HtmlToken::Comment(c) => Tok::Comment(c.to_string()),
+                HtmlToken::Doctype(d) => Tok::Doctype(d.to_string()),
+            })
+            .collect()
+    }
+
+    fn start(name: &str, attrs: &[(&str, &str)]) -> Tok {
+        Tok::Start(
+            name.into(),
+            attrs
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
-            self_closing: false,
-        }
+            false,
+        )
+    }
+
+    fn end(name: &str) -> Tok {
+        Tok::End(name.into())
+    }
+
+    fn text(t: &str) -> Tok {
+        Tok::Text(t.into())
     }
 
     #[test]
     fn simple_tag_text_tag() {
-        let toks = lex("<b>Author</b>");
         assert_eq!(
-            toks,
-            vec![
-                start("b", &[]),
-                HtmlToken::Text("Author".into()),
-                HtmlToken::EndTag { name: "b".into() },
-            ]
+            toks("<b>Author</b>"),
+            vec![start("b", &[]), text("Author"), end("b")]
         );
     }
 
     #[test]
     fn attributes_all_quote_styles() {
-        let toks = lex(r#"<input type="text" name='q' size=20 disabled>"#);
         assert_eq!(
-            toks,
+            toks(r#"<input type="text" name='q' size=20 disabled>"#),
             vec![start(
                 "input",
                 &[
@@ -348,76 +428,99 @@ mod tests {
 
     #[test]
     fn names_are_lowercased() {
-        let toks = lex("<INPUT TYPE=RADIO VALUE=Yes>");
         assert_eq!(
-            toks,
-            vec![start("input", &[("type", "RADIO"), ("value", "Yes")])]
-        );
-    }
-
-    #[test]
-    fn self_closing_tag() {
-        let toks = lex("<br/>");
-        assert_eq!(
-            toks,
-            vec![HtmlToken::StartTag {
-                name: "br".into(),
-                attrs: vec![],
-                self_closing: true,
-            }]
-        );
-    }
-
-    #[test]
-    fn comments_and_doctype() {
-        let toks = lex("<!DOCTYPE html><!-- hi --><p>x</p>");
-        assert_eq!(toks[0], HtmlToken::Doctype("DOCTYPE html".into()));
-        assert_eq!(toks[1], HtmlToken::Comment(" hi ".into()));
-        assert_eq!(toks[2], start("p", &[]));
-    }
-
-    #[test]
-    fn entities_decoded_in_text_and_attrs() {
-        let toks = lex(r#"<option value="B&amp;N">Barnes &amp; Noble</option>"#);
-        assert_eq!(toks[0], start("option", &[("value", "B&N")]));
-        assert_eq!(toks[1], HtmlToken::Text("Barnes & Noble".into()));
-    }
-
-    #[test]
-    fn textarea_is_raw_text() {
-        let toks = lex("<textarea><b>not bold</b></textarea>");
-        assert_eq!(
-            toks,
+            toks("<INPUT TYPE=RADIO VALUE=Yes></INPUT>"),
             vec![
-                start("textarea", &[]),
-                HtmlToken::Text("<b>not bold</b>".into()),
-                HtmlToken::EndTag {
-                    name: "textarea".into()
-                },
+                start("input", &[("type", "RADIO"), ("value", "Yes")]),
+                end("input")
             ]
         );
     }
 
     #[test]
-    fn script_content_swallowed_as_one_text() {
-        let toks = lex("<script>if (a<b) { x(); }</script><p>y</p>");
-        assert_eq!(toks[0], start("script", &[]));
-        assert_eq!(toks[1], HtmlToken::Text("if (a<b) { x(); }".into()));
-        assert_eq!(
-            toks[2],
+    fn lowercase_names_and_plain_values_are_borrowed() {
+        let input = r#"<td class="row">Plain text</td><TD CLASS=a&amp;b>"#;
+        let (tokens, attrs) = lex(input);
+        let HtmlToken::StartTag { name, .. } = &tokens[0] else {
+            panic!("{:?}", tokens[0]);
+        };
+        assert!(matches!(name, Cow::Borrowed("td")));
+        assert!(matches!(attrs[0].name, Cow::Borrowed("class")));
+        assert!(matches!(attrs[0].value, Cow::Borrowed("row")));
+        assert!(matches!(
+            tokens[1],
+            HtmlToken::Text(Cow::Borrowed("Plain text"))
+        ));
+        assert!(matches!(
+            tokens[2],
             HtmlToken::EndTag {
-                name: "script".into()
+                name: Cow::Borrowed("td")
             }
+        ));
+        // Uppercase names and entity-bearing values are decoded copies.
+        let HtmlToken::StartTag { name, .. } = &tokens[3] else {
+            panic!("{:?}", tokens[3]);
+        };
+        assert!(matches!(name, Cow::Owned(n) if n == "td"));
+        assert!(matches!(&attrs[1].name, Cow::Owned(n) if n == "class"));
+        assert!(matches!(&attrs[1].value, Cow::Owned(v) if v == "a&b"));
+    }
+
+    #[test]
+    fn self_closing_tag() {
+        assert_eq!(toks("<br/>"), vec![Tok::Start("br".into(), vec![], true)]);
+    }
+
+    #[test]
+    fn comments_and_doctype() {
+        let toks = toks("<!DOCTYPE html><!-- hi --><p>x</p>");
+        assert_eq!(toks[0], Tok::Doctype("DOCTYPE html".into()));
+        assert_eq!(toks[1], Tok::Comment(" hi ".into()));
+        assert_eq!(toks[2], start("p", &[]));
+    }
+
+    #[test]
+    fn entities_decoded_in_text_and_attrs() {
+        let toks = toks(r#"<option value="B&amp;N">Barnes &amp; Noble</option>"#);
+        assert_eq!(toks[0], start("option", &[("value", "B&N")]));
+        assert_eq!(toks[1], text("Barnes & Noble"));
+    }
+
+    #[test]
+    fn textarea_is_raw_text() {
+        assert_eq!(
+            toks("<textarea><b>not bold</b></textarea>"),
+            vec![
+                start("textarea", &[]),
+                text("<b>not bold</b>"),
+                end("textarea")
+            ]
         );
     }
 
     #[test]
+    fn empty_and_unterminated_raw_text() {
+        assert_eq!(
+            toks("<title></TITLE>x"),
+            vec![start("title", &[]), end("title"), text("x")]
+        );
+        assert_eq!(toks("<style>p{}"), vec![start("style", &[]), text("p{}")]);
+    }
+
+    #[test]
+    fn script_content_swallowed_as_one_text() {
+        let toks = toks("<script>if (a<b) { x(); }</script><p>y</p>");
+        assert_eq!(toks[0], start("script", &[]));
+        assert_eq!(toks[1], text("if (a<b) { x(); }"));
+        assert_eq!(toks[2], end("script"));
+    }
+
+    #[test]
     fn stray_lt_is_text() {
-        let toks = lex("a < b");
-        let joined: String = toks
-            .iter()
+        let joined: String = toks("a < b")
+            .into_iter()
             .map(|t| match t {
-                HtmlToken::Text(s) => s.clone(),
+                Tok::Text(s) => s,
                 _ => String::new(),
             })
             .collect();
@@ -426,15 +529,14 @@ mod tests {
 
     #[test]
     fn unterminated_structures_do_not_hang() {
-        assert!(!lex("<!-- never closed").is_empty());
-        assert!(!lex("<input type=").is_empty());
-        assert!(lex("</>").is_empty());
-        let _ = lex("<");
+        assert!(!toks("<!-- never closed").is_empty());
+        assert!(!toks("<input type=").is_empty());
+        assert!(toks("</>").is_empty());
+        let _ = toks("<");
     }
 
     #[test]
     fn end_tag_with_junk_space() {
-        let toks = lex("</ p >");
-        assert_eq!(toks, vec![HtmlToken::EndTag { name: "p".into() }]);
+        assert_eq!(toks("</ p >"), vec![end("p")]);
     }
 }

@@ -56,28 +56,36 @@ fn is_scope_barrier(tag: &str) -> bool {
     )
 }
 
-/// Parses HTML source into a DOM. Lenient: never fails.
+/// Parses HTML source into a DOM that borrows `input`. Lenient: never
+/// fails.
 ///
 /// ```
 /// let doc = metaform_html::parse("<form><option>One<option>Two</form>");
 /// assert_eq!(doc.elements_by_tag(doc.root(), "option").len(), 2);
 /// assert_eq!(doc.text_content(doc.root()), "OneTwo");
 /// ```
-pub fn parse(input: &str) -> Document {
-    // Query-form markup runs at about one node per ten bytes; the cap
-    // keeps a huge text-only input from reserving a huge arena.
-    let mut doc = Document::with_capacity((input.len() / 8).min(1024));
-    // Stack of open elements; their tags are read from the tree.
-    let mut stack: Vec<NodeId> = vec![doc.root()];
+pub fn parse(input: &str) -> Document<'_> {
+    // Every node but the root starts at a '<' or at the text after
+    // one, and every valued attribute has an '=': the arenas are sized
+    // once from a single pass over the bytes.
+    let (mut lt, mut eq) = (0, 0);
+    for &b in input.as_bytes() {
+        lt += usize::from(b == b'<');
+        eq += usize::from(b == b'=');
+    }
+    let mut doc = Document::with_capacity(2 * lt + 2, eq + lt / 8);
+    // The innermost open element. The open-element stack is always the
+    // path from the root to it, so its parent links are the stack.
+    let mut open = doc.root();
     let mut skip_depth = 0usize; // >0 while inside script/style
+    let mut lexer = Lexer::new(input);
 
-    for token in Lexer::new(input) {
+    while let Some(token) = lexer.next_token(&mut doc.attrs) {
         match token {
             HtmlToken::Doctype(_) | HtmlToken::Comment(_) => {}
             HtmlToken::Text(text) => {
                 if skip_depth == 0 && !text.is_empty() {
-                    let parent = *stack.last().expect("root never popped");
-                    doc.create_text(parent, text);
+                    doc.create_text(open, text);
                 }
             }
             HtmlToken::StartTag {
@@ -85,80 +93,72 @@ pub fn parse(input: &str) -> Document {
                 attrs,
                 self_closing,
             } => {
-                if skip_depth > 0 {
-                    if matches!(name.as_str(), "script" | "style") && !self_closing {
+                let script = matches!(&*name, "script" | "style");
+                if skip_depth > 0 || script {
+                    // A dropped element's attributes leave the arena.
+                    doc.attrs.truncate(attrs.start as usize);
+                    if script && !self_closing {
                         skip_depth += 1;
                     }
                     continue;
                 }
-                if matches!(name.as_str(), "script" | "style") {
-                    if !self_closing {
-                        skip_depth = 1;
-                    }
-                    continue;
-                }
-                close_implied(&doc, &mut stack, &name);
-                let parent = *stack.last().expect("root never popped");
-                let open = !is_void(&name) && !self_closing;
-                let node = doc.create_element(parent, name, attrs);
-                if open {
-                    stack.push(node);
+                close_implied(&doc, &mut open, &name);
+                let opens = !is_void(&name) && !self_closing;
+                let node = doc.create_element(open, name, attrs);
+                if opens {
+                    open = node;
                 }
             }
             HtmlToken::EndTag { name } => {
                 if skip_depth > 0 {
-                    if matches!(name.as_str(), "script" | "style") {
+                    if matches!(&*name, "script" | "style") {
                         skip_depth -= 1;
                     }
                     continue;
                 }
-                close_matching(&doc, &mut stack, &name);
+                close_matching(&doc, &mut open, &name);
             }
         }
     }
+    doc.finish();
     doc
 }
 
-/// Pops elements whose end tag is implied by the arrival of `tag`.
-fn close_implied(doc: &Document, stack: &mut Vec<NodeId>, tag: &str) {
+/// Closes the open elements whose end tag is implied by the arrival of
+/// `tag`.
+fn close_implied(doc: &Document, open: &mut NodeId, tag: &str) {
     let closes = implied_closes(tag);
-    if closes.is_empty() {
-        return;
-    }
-    while stack.len() > 1 {
-        let top = doc.tag(*stack.last().expect("len > 1")).unwrap_or("");
-        if closes.contains(&top) {
-            stack.pop();
-        } else {
-            break;
-        }
+    while *open != doc.root() && closes.contains(&doc.tag(*open).unwrap_or("")) {
+        *open = doc.parent(*open).expect("a non-root node has a parent");
     }
 }
 
-/// Handles an explicit end tag: pops to the matching open element if one
-/// is in scope; ignores the end tag otherwise (browser-style recovery).
-fn close_matching(doc: &Document, stack: &mut Vec<NodeId>, tag: &str) {
+/// Handles an explicit end tag: closes up to the matching open element
+/// if one is in scope; ignores the end tag otherwise (browser-style
+/// recovery).
+fn close_matching(doc: &Document, open: &mut NodeId, tag: &str) {
     // Find the matching element, not crossing scope barriers other than
     // the element itself.
-    let mut match_at = None;
-    for (i, &node) in stack.iter().enumerate().skip(1).rev() {
-        let open = doc.tag(node).unwrap_or("");
-        if open == tag {
-            match_at = Some(i);
-            break;
+    let mut cur = *open;
+    while cur != doc.root() {
+        let name = doc.tag(cur).unwrap_or("");
+        let parent = doc.parent(cur).expect("a non-root node has a parent");
+        if name == tag {
+            *open = parent;
+            return;
         }
-        if is_scope_barrier(open) {
-            break;
+        if is_scope_barrier(name) {
+            return;
         }
-    }
-    if let Some(i) = match_at {
-        stack.truncate(i);
+        cur = parent;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dom::NodeData;
+    use std::borrow::Cow;
 
     fn tags_under(doc: &Document, root: NodeId) -> Vec<String> {
         doc.children(root)
@@ -297,5 +297,76 @@ mod tests {
         let doc = parse("<textarea name=c>default text</textarea>");
         let ta = doc.elements_by_tag(doc.root(), "textarea")[0];
         assert_eq!(doc.text_content(ta), "default text");
+    }
+
+    /// The subtree under `id` as one line: tags with attributes, text
+    /// in quotes, children in brackets.
+    fn dump(doc: &Document, id: NodeId) -> String {
+        let mut out = match &doc.node(id).data {
+            NodeData::Document => "#doc".to_string(),
+            NodeData::Text(t) => format!("{t:?}"),
+            NodeData::Element { tag, .. } => {
+                let attrs: Vec<String> = doc
+                    .attrs(id)
+                    .iter()
+                    .map(|a| format!("{}={:?}", a.name, a.value))
+                    .collect();
+                format!("<{tag} {}>", attrs.join(" "))
+            }
+        };
+        let kids: Vec<String> = doc.children(id).iter().map(|&c| dump(doc, c)).collect();
+        if !kids.is_empty() {
+            out.push_str(&format!("[{}]", kids.join(", ")));
+        }
+        out
+    }
+
+    #[test]
+    fn uppercase_markup_parses_like_its_lowercase_form() {
+        let upper = parse("<FORM><INPUT TYPE=Text NAME=q><B>Go</B></FORM>");
+        let lower = parse("<form><input type=Text name=q><b>Go</b></form>");
+        assert_eq!(dump(&upper, upper.root()), dump(&lower, lower.root()));
+        let input = upper.elements_by_tag(upper.root(), "input")[0];
+        assert_eq!(upper.attr(input, "type"), Some("Text"));
+        assert_eq!(upper.attr(input, "name"), Some("q"));
+    }
+
+    #[test]
+    fn entity_free_text_and_values_borrow_the_input() {
+        let input = "<form>Author <input name=q value=\"a b\">Caf&eacute; &amp; more</form>";
+        let doc = parse(input);
+        let within = |s: &str| {
+            let range = input.as_bytes().as_ptr_range();
+            range.contains(&s.as_ptr()) && s.len() <= input.len()
+        };
+        let texts: Vec<&Cow<str>> = doc
+            .descendants(doc.root())
+            .filter_map(|n| match &doc.node(n).data {
+                NodeData::Text(t) => Some(t),
+                _ => None,
+            })
+            .collect();
+        assert!(matches!(texts[0], Cow::Borrowed(t) if *t == "Author " && within(t)));
+        // An entity (known or not) makes the text a decoded copy.
+        assert!(matches!(texts[1], Cow::Owned(t) if t == "Caf&eacute; & more"));
+        let field = doc.elements_by_tag(doc.root(), "input")[0];
+        for attr in doc.attrs(field) {
+            assert!(matches!(&attr.name, Cow::Borrowed(n) if within(n)));
+            assert!(matches!(&attr.value, Cow::Borrowed(v) if within(v)));
+        }
+        assert_eq!(doc.attr(field, "value"), Some("a b"));
+        let NodeData::Element { tag, .. } = &doc.node(field).data else {
+            unreachable!()
+        };
+        assert!(matches!(tag, Cow::Borrowed(t) if within(t)));
+    }
+
+    #[test]
+    fn dropped_script_attributes_leave_no_trace() {
+        let doc = parse("<script src=a.js></script><input name=q><style media=x>p{}</style>");
+        let input = doc.elements_by_tag(doc.root(), "input")[0];
+        assert_eq!(doc.attrs(input).len(), 1);
+        assert_eq!(doc.attr(input, "name"), Some("q"));
+        assert_eq!(doc.attrs.len(), 1, "only the kept element's attribute");
     }
 }

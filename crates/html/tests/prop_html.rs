@@ -1,8 +1,67 @@
 //! Property tests: the HTML pipeline never panics and preserves text.
 
 use metaform_html::entity::decode_entities;
-use metaform_html::parse;
+use metaform_html::{parse, Document, NodeId};
 use proptest::prelude::*;
+
+/// Markup pieces the tree builder treats specially: implied and
+/// recovered closes, scope barriers, void and dropped elements.
+const PIECES: &[&str] = &[
+    "<b>",
+    "</b>",
+    "<TD>",
+    "</td>",
+    "<tr>",
+    "</TR>",
+    "<table>",
+    "</table>",
+    "<p>",
+    "</p>",
+    "<option>",
+    "<select name=s>",
+    "</select>",
+    "<form>",
+    "</form>",
+    "<input name=q>",
+    "<br>",
+    "<li>",
+    "<ul>",
+    "</ul>",
+    "<script>x</script>",
+    "<textarea>t</textarea>",
+    "Author",
+    " ",
+    "&amp;",
+    "<",
+    "</ div >",
+    "<img/>",
+];
+
+/// Checks `children` and `descendants` against the order the parent
+/// links alone imply: each child list is the parent's children in
+/// creation order, and each traversal is the pre-order over them.
+fn check_child_order(doc: &Document) -> Result<(), TestCaseError> {
+    let mut kids: Vec<Vec<NodeId>> = vec![Vec::new(); doc.len()];
+    for i in 1..doc.len() {
+        let id = NodeId(i as u32);
+        let parent = doc.parent(id).expect("only the root has no parent");
+        kids[parent.index()].push(id);
+    }
+    fn preorder(kids: &[Vec<NodeId>], id: NodeId, out: &mut Vec<NodeId>) {
+        out.push(id);
+        for &c in &kids[id.index()] {
+            preorder(kids, c, out);
+        }
+    }
+    for i in 0..doc.len() {
+        let id = NodeId(i as u32);
+        prop_assert_eq!(doc.children(id), &kids[i][..]);
+        let mut want = Vec::new();
+        preorder(&kids, id, &mut want);
+        prop_assert_eq!(doc.descendants(id).collect::<Vec<_>>(), want);
+    }
+    Ok(())
+}
 
 proptest! {
     /// Arbitrary byte soup must never panic the lexer/tree builder.
@@ -12,6 +71,15 @@ proptest! {
         // Traversal must terminate and visit every node exactly once.
         let visited = doc.descendants(doc.root()).count();
         prop_assert_eq!(visited, doc.len());
+        check_child_order(&doc)?;
+    }
+
+    /// Tag soup: every child list and traversal follows creation order.
+    #[test]
+    fn child_lists_follow_creation_order(picks in proptest::collection::vec(0usize..PIECES.len(), 0..60)) {
+        let html: String = picks.iter().map(|&i| PIECES[i]).collect();
+        let doc = parse(&html);
+        check_child_order(&doc)?;
     }
 
     /// Tag-free text round-trips through parse + text_content.
@@ -59,5 +127,6 @@ proptest! {
         let doc = parse(&html);
         let expect: String = words.iter().map(|w| format!("{w} ")).collect();
         prop_assert_eq!(doc.text_content(doc.root()), expect);
+        check_child_order(&doc)?;
     }
 }

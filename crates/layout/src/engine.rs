@@ -62,7 +62,7 @@ pub(crate) const PROBE_W: i32 = 1_000_000;
 /// Shared flow state: the document, a monotone line-box counter, and
 /// the inline items gathered since the last block boundary.
 pub(crate) struct Flow<'a> {
-    pub(crate) doc: &'a Document,
+    pub(crate) doc: &'a Document<'a>,
     line_ctr: u32,
     /// Inline items awaiting line placement. A block flushes them
     /// before it lays out its own content, so one buffer serves every

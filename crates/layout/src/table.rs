@@ -264,7 +264,7 @@ mod tests {
     use metaform_core::BBox;
     use metaform_html::parse;
 
-    fn cell_boxes(html: &str) -> (metaform_html::Document, crate::output::Layout) {
+    fn cell_boxes(html: &str) -> (metaform_html::Document<'_>, crate::output::Layout) {
         let doc = parse(html);
         let lay = layout(&doc);
         (doc, lay)
@@ -336,7 +336,7 @@ mod tests {
                     <tr><td>Title</td><td><input type=text name=t></td></tr>";
         let plain = format!("<table>{rows}</table>");
         let ruled = format!("<table>{rows}<tr><td colspan=2><hr></td></tr></table>");
-        let widths = |html: &str| {
+        fn widths(html: &str) -> (metaform_html::Document<'_>, crate::output::Layout, Vec<i32>) {
             let (doc, lay) = cell_boxes(html);
             let tds = doc.elements_by_tag(doc.root(), "td");
             let w: Vec<i32> = tds[..4]
@@ -344,7 +344,7 @@ mod tests {
                 .map(|&t| lay.bbox(t).unwrap().width())
                 .collect();
             (doc, lay, w)
-        };
+        }
         let (_, _, plain_w) = widths(&plain);
         let (doc, lay, ruled_w) = widths(&ruled);
         assert_eq!(ruled_w, plain_w, "column widths unchanged by the rule");
@@ -431,7 +431,8 @@ mod tests {
             )
         };
         let frag_top = |v: &str| {
-            let (doc, lay) = cell_boxes(&html(v));
+            let src = html(v);
+            let (doc, lay) = cell_boxes(&src);
             let td = doc.elements_by_tag(doc.root(), "td")[0];
             let text = doc.children(td)[0];
             let row = lay.bbox(doc.elements_by_tag(doc.root(), "tr")[0]).unwrap();

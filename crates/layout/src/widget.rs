@@ -90,7 +90,7 @@ fn option_count(doc: &Document, node: NodeId) -> i32 {
 }
 
 /// The `<option>` elements under a `<select>`, in document order.
-fn options(doc: &Document, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+fn options<'d>(doc: &'d Document<'d>, node: NodeId) -> impl Iterator<Item = NodeId> + 'd {
     doc.descendants(node)
         .filter(move |&n| doc.tag(n) == Some("option"))
 }

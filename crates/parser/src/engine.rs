@@ -295,7 +295,7 @@ pub(crate) fn run_parse(
     p.stats.complete =
         trees.len() == 1 && p.chart.span(trees[0]).count() == token_count && token_count > 0;
     p.stats.complete_parses = count_complete_parses(&p.chart, grammar);
-    p.stats.temporary = count_temporary(&p.chart, &trees);
+    p.stats.temporary = count_temporary(&p.chart, &trees, p.scratch);
     p.stats.created = p.chart.len();
     p.stats.elapsed = started.elapsed();
     ParseResult {
@@ -314,15 +314,22 @@ fn count_complete_parses(chart: &Chart, grammar: &Grammar) -> usize {
         .count()
 }
 
-/// Instances not reachable from any selected tree.
-fn count_temporary(chart: &Chart, trees: &[InstId]) -> usize {
-    let mut used = vec![false; chart.len()];
-    for &t in trees {
-        for n in chart.tree_nodes(t) {
-            used[n.index()] = true;
+/// Instances not reachable from any selected tree, found with the
+/// scratch's recycled bitmap and stack.
+fn count_temporary(chart: &Chart, trees: &[InstId], scratch: &mut Scratch) -> usize {
+    let (seen, stack) = (&mut scratch.seen, &mut scratch.stack);
+    seen.clear();
+    seen.resize(chart.len(), false);
+    stack.clear();
+    stack.extend_from_slice(trees);
+    let mut used = 0;
+    while let Some(cur) = stack.pop() {
+        if !std::mem::replace(&mut seen[cur.index()], true) {
+            used += 1;
+            stack.extend_from_slice(chart.children(cur));
         }
     }
-    used.iter().filter(|&&u| !u).count()
+    chart.len() - used
 }
 
 /// Recycled working memory for the parse core: candidate lists and
@@ -361,6 +368,10 @@ pub(crate) struct Scratch {
     suffix_new: Vec<bool>,
     /// Saturating product of candidate-list lengths for slots `d..`.
     suffix_prod: Vec<u64>,
+    /// Per-instance visited marks and the walk stack of
+    /// [`count_temporary`].
+    seen: Vec<bool>,
+    stack: Vec<InstId>,
 }
 
 /// Upper bound on production arity, sized for fixed enumeration
@@ -1057,7 +1068,7 @@ mod tests {
         // flow layout renders them).
         tokens.extend(author_row(44, 8));
         // Relabel the second row's caption.
-        tokens[8].sval = "Title".to_string();
+        tokens[8].sval = "Title".into();
         let tokens = renumber(tokens);
         let res = parse(&g, &tokens);
         assert_eq!(res.trees.len(), 1);

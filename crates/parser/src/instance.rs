@@ -116,20 +116,9 @@ impl Chart {
     /// the parse-many path: a [`crate::ParseSession`] resets one chart
     /// per parse instead of allocating a fresh one.
     pub fn reset_for(&mut self, tokens: &[Token], symbol_count: usize) {
-        // Field-wise copy into the recycled tokens so the retained
-        // `String`/`Vec` buffers are reused instead of reallocated.
-        let shared = self.tokens.len().min(tokens.len());
-        self.tokens.truncate(tokens.len());
-        for (dst, src) in self.tokens.iter_mut().zip(&tokens[..shared]) {
-            dst.id = src.id;
-            dst.kind = src.kind;
-            dst.pos = src.pos;
-            dst.sval.clone_from(&src.sval);
-            dst.name.clone_from(&src.name);
-            dst.options.clone_from(&src.options);
-            dst.checked = src.checked;
-        }
-        self.tokens.extend_from_slice(&tokens[shared..]);
+        // Token text is shared, so this copy bumps reference counts.
+        self.tokens.clear();
+        self.tokens.extend_from_slice(tokens);
         self.symbols.clear();
         self.prods.clear();
         self.token_of.clear();
@@ -551,7 +540,7 @@ mod tests {
         let b = chart.add_terminal(tb_sym, &t1);
         let cond = metaform_grammar::Cond {
             attribute: "Author".into(),
-            operators: metaform_grammar::empty_list(),
+            operators: metaform_core::empty_list(),
             domain: metaform_grammar::Domain::of(metaform_core::DomainKind::Text),
         };
         let payload = Payload::Cond(std::sync::Arc::new(cond));

@@ -38,16 +38,16 @@ fn token_soup(max: usize) -> impl Strategy<Value = Vec<Token>> {
                         id: metaform_core::TokenId(i as u32),
                         kind,
                         pos: BBox::at(x, y, w, h),
-                        sval: s,
-                        name: format!("f{i}"),
-                        options: vec![],
+                        sval: s.into(),
+                        name: format!("f{i}").into(),
+                        options: metaform_core::empty_list(),
                         checked: false,
                     };
                     if kind == TokenKind::SelectionList {
-                        t.options = vec!["alpha".into(), "beta".into()];
+                        t.options = ["alpha", "beta"].map(Into::into).into();
                     }
                     if kind == TokenKind::NumberList {
-                        t.options = (1..=6).map(|n| n.to_string()).collect();
+                        t.options = (1..=6).map(|n| n.to_string().into()).collect();
                     }
                     t
                 })

@@ -74,11 +74,11 @@ fn as_number(s: &str) -> Option<i64> {
 }
 
 /// Classifies a `<select>` by its visible option labels.
-pub fn classify_select(options: &[String]) -> TokenKind {
+pub fn classify_select<S: AsRef<str>>(options: &[S]) -> TokenKind {
     let informative = || {
         options
             .iter()
-            .map(|s| s.trim())
+            .map(|s| s.as_ref().trim())
             .filter(|s| !is_placeholder(s))
     };
     let n = informative().count();
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn empty_and_placeholder_only_lists() {
-        assert_eq!(classify_select(&[]), TokenKind::SelectionList);
+        assert_eq!(classify_select::<&str>(&[]), TokenKind::SelectionList);
         assert_eq!(
             classify_select(&opts(&["--", "Any"])),
             TokenKind::SelectionList

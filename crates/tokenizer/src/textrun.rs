@@ -8,12 +8,14 @@
 //! is the whole caption "first name/initial and last name").
 
 use metaform_core::BBox;
+use std::borrow::Cow;
 
-/// A text fragment candidate prior to merging.
+/// A text fragment candidate prior to merging. Its text is borrowed
+/// from the layout until a merge joins it with a neighbour.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RawRun {
+pub struct RawRun<'a> {
     /// Fragment text.
-    pub text: String,
+    pub text: Cow<'a, str>,
     /// Fragment box.
     pub bbox: BBox,
     /// Line-box id from layout (unique per flow line).
@@ -28,7 +30,7 @@ const MERGE_GAP: i32 = 14;
 ///
 /// `obstacles` are widget boxes; a merge never bridges across one
 /// (a radio glyph between two captions keeps them separate tokens).
-pub fn merge_runs(mut runs: Vec<RawRun>, obstacles: &[BBox]) -> Vec<RawRun> {
+pub fn merge_runs<'a>(mut runs: Vec<RawRun<'a>>, obstacles: &[BBox]) -> Vec<RawRun<'a>> {
     runs.sort_by_key(|r| (r.line, r.bbox.left, r.bbox.top));
     let mut out: Vec<RawRun> = Vec::with_capacity(runs.len());
     for run in runs {
@@ -36,10 +38,11 @@ pub fn merge_runs(mut runs: Vec<RawRun>, obstacles: &[BBox]) -> Vec<RawRun> {
             if prev.line == run.line {
                 let gap = run.bbox.left - prev.bbox.right;
                 if (0..=MERGE_GAP).contains(&gap) && !blocked(&prev.bbox, &run.bbox, obstacles) {
+                    let text = prev.text.to_mut();
                     if gap > 0 {
-                        prev.text.push(' ');
+                        text.push(' ');
                     }
-                    prev.text.push_str(&run.text);
+                    text.push_str(&run.text);
                     prev.bbox = prev.bbox.union(&run.bbox);
                     continue;
                 }
@@ -61,7 +64,7 @@ fn blocked(a: &BBox, b: &BBox, obstacles: &[BBox]) -> bool {
 mod tests {
     use super::*;
 
-    fn run(text: &str, left: i32, line: u32) -> RawRun {
+    fn run(text: &str, left: i32, line: u32) -> RawRun<'_> {
         RawRun {
             text: text.into(),
             bbox: BBox::new(left, 10, left + text.len() as i32 * 7, 26),

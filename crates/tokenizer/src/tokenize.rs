@@ -2,7 +2,7 @@
 
 use crate::classify::classify_select;
 use crate::textrun::{merge_runs, RawRun};
-use metaform_core::{BBox, Token, TokenFingerprint, TokenId, TokenKind};
+use metaform_core::{share, BBox, Text, TextList, Token, TokenFingerprint, TokenId, TokenKind};
 use metaform_html::{Document, NodeId};
 use metaform_layout::Layout;
 
@@ -49,7 +49,7 @@ impl Tokenized {
 /// let layout = metaform_layout::layout(&doc);
 /// let tokenized = metaform_tokenizer::tokenize(&doc, &layout);
 /// assert_eq!(tokenized.tokens.len(), 2);
-/// assert_eq!(tokenized.tokens[0].sval, "Author");
+/// assert_eq!(&*tokenized.tokens[0].sval, "Author");
 /// assert_eq!(tokenized.tokens[1].kind, TokenKind::Textbox);
 /// ```
 pub fn tokenize(doc: &Document, layout: &Layout) -> Tokenized {
@@ -64,6 +64,9 @@ pub fn tokenize(doc: &Document, layout: &Layout) -> Tokenized {
 pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokenized {
     let mut widgets: Vec<(Token, NodeId)> = Vec::new();
     let mut runs: Vec<RawRun> = Vec::new();
+    // One buffer gathers every `<select>`'s labels before they are
+    // shared as the token's option list.
+    let mut labels: Vec<Text> = Vec::new();
     let mut run_nodes: Vec<(u32, NodeId)> = Vec::new(); // (line, node) keyed lookup
 
     let mut in_select_depth = 0usize;
@@ -81,7 +84,7 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
         if let Some(tag) = doc.tag(node) {
             match tag {
                 "select" => {
-                    if let Some(t) = select_token(doc, layout, node) {
+                    if let Some(t) = select_token(doc, layout, node, &mut labels) {
                         widgets.push((t, node));
                     }
                     select_stack.push(node);
@@ -105,7 +108,7 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
                 }
                 "button" => {
                     if let Some(b) = layout.bbox(node) {
-                        let caption = doc.trimmed_text(node).into_owned();
+                        let caption = share(&doc.trimmed_text(node));
                         widgets.push((
                             Token::widget(0, TokenKind::SubmitButton, attr(doc, node, "name"), b)
                                 .with_sval(caption),
@@ -129,7 +132,7 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
                     continue;
                 }
                 runs.push(RawRun {
-                    text: trimmed.to_string(),
+                    text: trimmed.into(),
                     bbox: f.bbox,
                     line: f.line,
                 });
@@ -142,9 +145,9 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
     let merged = merge_runs(runs, &obstacle_boxes);
 
     // Interleave text runs and widgets into reading order.
-    enum Pending {
+    enum Pending<'a> {
         Widget(Token, NodeId),
-        Text(RawRun, Option<NodeId>),
+        Text(RawRun<'a>, Option<NodeId>),
     }
     let mut pending: Vec<Pending> = Vec::with_capacity(widgets.len() + merged.len());
     for (t, n) in widgets {
@@ -174,7 +177,7 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
                 nodes.push(Some(n));
             }
             Pending::Text(r, n) => {
-                tokens.push(Token::text(i as u32, r.text, r.bbox));
+                tokens.push(Token::text(i as u32, &*r.text, r.bbox));
                 nodes.push(n);
             }
         }
@@ -193,21 +196,32 @@ fn is_descendant(doc: &Document, node: NodeId, ancestor: NodeId) -> bool {
     false
 }
 
-fn attr(doc: &Document, node: NodeId, name: &str) -> String {
-    doc.attr(node, name).unwrap_or("").to_string()
+fn attr(doc: &Document, node: NodeId, name: &str) -> Text {
+    share(doc.attr(node, name).unwrap_or(""))
 }
 
-fn select_token(doc: &Document, layout: &Layout, node: NodeId) -> Option<Token> {
+/// A `<select>`'s token; `labels` is a reused buffer.
+fn select_token(
+    doc: &Document,
+    layout: &Layout,
+    node: NodeId,
+    labels: &mut Vec<Text>,
+) -> Option<Token> {
     let bbox = layout.bbox(node)?;
-    let options: Vec<String> = doc
-        .descendants(node)
-        .filter(|&o| doc.tag(o) == Some("option"))
-        .map(|o| doc.trimmed_text(o))
-        .filter(|s| !s.is_empty())
-        .map(|s| s.into_owned())
-        .collect();
-    let kind = classify_select(&options);
-    Some(Token::widget(0, kind, attr(doc, node, "name"), bbox).with_options(options))
+    labels.clear();
+    labels.extend(
+        doc.descendants(node)
+            .filter(|&o| doc.tag(o) == Some("option"))
+            .map(|o| doc.trimmed_text(o))
+            .filter(|s| !s.is_empty())
+            .map(|s| Text::from(s.as_ref())),
+    );
+    let kind = classify_select(labels);
+    let mut token = Token::widget(0, kind, attr(doc, node, "name"), bbox);
+    if !labels.is_empty() {
+        token.options = TextList::from(&labels[..]);
+    }
+    Some(token)
 }
 
 fn input_token(doc: &Document, layout: &Layout, node: NodeId) -> Option<Token> {
@@ -235,7 +249,7 @@ fn input_token(doc: &Document, layout: &Layout, node: NodeId) -> Option<Token> {
             .with_checked(checked),
         "submit" => Token::widget(0, TokenKind::SubmitButton, name, bbox).with_sval(
             if value.trim().is_empty() {
-                "Submit".to_string()
+                Text::from("Submit")
             } else {
                 value
             },
@@ -290,12 +304,12 @@ mod tests {
             1
         );
         // Reading order: "Author" first.
-        assert_eq!(t.tokens[0].sval, "Author");
+        assert_eq!(&*t.tokens[0].sval, "Author");
         // Radio captions preserved whole.
         assert!(t
             .tokens
             .iter()
-            .any(|x| x.sval == "first name/initials and last name"));
+            .any(|x| &*x.sval == "first name/initials and last name"));
         // The checked radio is marked.
         let checked: Vec<&Token> = t
             .tokens
@@ -303,7 +317,7 @@ mod tests {
             .filter(|x| x.kind == TokenKind::Radiobutton && x.checked)
             .collect();
         assert_eq!(checked.len(), 1);
-        assert_eq!(checked[0].sval, "3");
+        assert_eq!(&*checked[0].sval, "3");
     }
 
     #[test]
@@ -313,8 +327,8 @@ mod tests {
             assert_eq!(tok.id, TokenId(i as u32));
         }
         // Reading order: A-row tokens before B-row tokens.
-        let a = t.tokens.iter().position(|x| x.sval == "A").unwrap();
-        let b = t.tokens.iter().position(|x| x.sval == "B").unwrap();
+        let a = t.tokens.iter().position(|x| &*x.sval == "A").unwrap();
+        let b = t.tokens.iter().position(|x| &*x.sval == "B").unwrap();
         assert!(a < b);
     }
 
@@ -328,7 +342,10 @@ mod tests {
         );
         assert_eq!(t.of_kind(TokenKind::MonthList).count(), 1);
         let class = t.of_kind(TokenKind::SelectionList).next().unwrap();
-        assert_eq!(class.options, vec!["Coach", "First"]);
+        assert_eq!(
+            class.options[..],
+            [Text::from("Coach"), Text::from("First")]
+        );
     }
 
     #[test]
@@ -348,7 +365,7 @@ mod tests {
     fn text_outside_form_excluded() {
         let t = toks("<h1>Welcome to MegaBooks</h1><form>Title <input type=text name=t></form>");
         assert_eq!(t.of_kind(TokenKind::Text).count(), 1);
-        assert_eq!(t.of_kind(TokenKind::Text).next().unwrap().sval, "Title");
+        assert_eq!(&*t.of_kind(TokenKind::Text).next().unwrap().sval, "Title");
     }
 
     #[test]
@@ -363,7 +380,7 @@ mod tests {
             r#"<form><input type=submit value="Find Flights"><input type=reset value=Clear></form>"#,
         );
         let submit = t.of_kind(TokenKind::SubmitButton).next().unwrap();
-        assert_eq!(submit.sval, "Find Flights");
+        assert_eq!(&*submit.sval, "Find Flights");
         assert_eq!(t.of_kind(TokenKind::ResetButton).count(), 1);
     }
 
@@ -372,7 +389,7 @@ mod tests {
         let t = toks("<form><b>Price</b> Range: <input type=text name=p></form>");
         let texts: Vec<&Token> = t.of_kind(TokenKind::Text).collect();
         assert_eq!(texts.len(), 1);
-        assert_eq!(texts[0].sval, "Price Range:");
+        assert_eq!(&*texts[0].sval, "Price Range:");
     }
 
     #[test]
@@ -381,7 +398,7 @@ mod tests {
             "<form><table><tr><td>From</td><td>To</td></tr>\
              <tr><td><input type=text name=f></td><td><input type=text name=to></td></tr></table></form>",
         );
-        let texts: Vec<String> = t.of_kind(TokenKind::Text).map(|x| x.sval.clone()).collect();
+        let texts: Vec<&str> = t.of_kind(TokenKind::Text).map(|x| &*x.sval).collect();
         assert_eq!(texts, vec!["From", "To"]);
     }
 

@@ -7,7 +7,9 @@
 //! covers the whole page pass (DOM, layout, tokens, parse, merge and
 //! the batch bookkeeping) and repeats exactly from run to run, so a
 //! change that starts copying on the cold path again fails here
-//! whatever the host's speed.
+//! whatever the host's speed. The DOM alone is held to a few
+//! allocations a page: it borrows the page's text, and its nodes,
+//! attributes and child lists are one arena each.
 //!
 //! This binary holds exactly one test: the allocator counts every
 //! thread of the process, and a second test running beside it would
@@ -46,7 +48,10 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per page the cold path may spend on the fixed set.
-const BUDGET_PER_PAGE: f64 = 750.0;
+const BUDGET_PER_PAGE: f64 = 330.0;
+
+/// Allocations per page `metaform_html::parse` may spend on the set.
+const DOM_BUDGET_PER_PAGE: f64 = 4.0;
 
 /// Pages per batch job, as in a crawl's job queue.
 const JOB: usize = 32;
@@ -82,6 +87,21 @@ fn cold_path_stays_within_its_allocation_budget() {
         .chunks(JOB)
         .map(|job| job.iter().map(String::as_str).collect())
         .collect();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for page in &pages {
+        drop(metaform_html::parse(page));
+    }
+    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let dom_per_page = spent as f64 / pages.len() as f64;
+    println!(
+        "{dom_per_page:.1} DOM allocations per page ({spent} over {} pages)",
+        pages.len()
+    );
+    assert!(
+        dom_per_page <= DOM_BUDGET_PER_PAGE,
+        "{dom_per_page:.1} DOM allocations per page exceeds the budget of {DOM_BUDGET_PER_PAGE}"
+    );
+
     let extractor = FormExtractor::new().worker_threads(1);
     let opts = AdaptiveOptions::default();
     // Warm-up job: the grammar compile and the session's first-parse
