@@ -2,9 +2,10 @@
 //!
 //! A [`Grammar`] is a *description*; a [`CompiledGrammar`] is the
 //! immutable, parse-ready form of it: the validated 2P [`Schedule`],
-//! a densified per-head production table, and a per-symbol preference
-//! index (so enforcement at each scheduled symbol is a direct lookup
-//! instead of a scan over every preference). Compiling is the only
+//! a densified per-head production table, a flat table of every
+//! production's component slots, and a per-symbol preference index
+//! (so enforcement at each scheduled symbol is a direct lookup instead
+//! of a scan over every preference). Compiling is the only
 //! fallible step on the way to parsing — once a `CompiledGrammar`
 //! exists, parsing cannot fail.
 //!
@@ -42,12 +43,11 @@ pub struct CompiledGrammar {
     /// live at `head_prods[head_ranges[s].0 .. head_ranges[s].1]`.
     head_prods: Vec<ProdId>,
     head_ranges: Vec<(u32, u32)>,
-    /// Widest production right-hand side — sessions size their
-    /// enumeration scratch from this.
-    max_arity: usize,
     /// Every production's constraint in enumeration form, indexed by
     /// production id (see [`hoist_constraints`]).
     hoisted: Vec<Hoisted>,
+    /// Every production's component slots, flat (see [`SlotTable`]).
+    slots: SlotTable,
 }
 
 impl CompiledGrammar {
@@ -77,13 +77,8 @@ impl CompiledGrammar {
             head_prods.extend_from_slice(grammar.productions_of(SymbolId(s as u32)));
             head_ranges.push((start, head_prods.len() as u32));
         }
-        let max_arity = grammar
-            .productions
-            .iter()
-            .map(|p| p.arity())
-            .max()
-            .unwrap_or(0);
         let hoisted = hoist_constraints(&grammar);
+        let slots = SlotTable::new(&grammar, &hoisted);
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         Ok(CompiledGrammar {
             grammar,
@@ -91,8 +86,8 @@ impl CompiledGrammar {
             prefs_by_symbol,
             head_prods,
             head_ranges,
-            max_arity,
             hoisted,
+            slots,
         })
     }
 
@@ -130,12 +125,75 @@ impl CompiledGrammar {
 
     /// Widest production right-hand side in the grammar.
     pub fn max_arity(&self) -> usize {
-        self.max_arity
+        self.slots.max_arity()
     }
 
     /// Every production's hoisted constraint, indexed by production id.
     pub fn hoisted(&self) -> &[Hoisted] {
         &self.hoisted
+    }
+
+    /// Every production's component slots.
+    pub fn slots(&self) -> &SlotTable {
+        &self.slots
+    }
+}
+
+/// Every production's component slots in one flat table: the symbol
+/// each slot reads and whether a hoisted unary predicate filters it.
+/// The parser reads both for every production it applies, before it
+/// knows whether the production can fire, so they sit in two dense
+/// arrays rather than behind each [`crate::Production`].
+#[derive(Clone, Debug, Default)]
+pub struct SlotTable {
+    /// Production `p`'s slots are `off[p]..off[p + 1]`.
+    off: Vec<u32>,
+    symbols: Vec<SymbolId>,
+    filtered: Vec<bool>,
+    /// Widest production right-hand side — the parser checks it
+    /// against its fixed enumeration buffers.
+    max_arity: usize,
+}
+
+impl SlotTable {
+    /// The table of `grammar`, with `hoisted` its
+    /// [`hoist_constraints`].
+    pub fn new(grammar: &Grammar, hoisted: &[Hoisted]) -> Self {
+        let mut table = SlotTable {
+            off: vec![0],
+            ..Default::default()
+        };
+        for (p, h) in grammar.productions.iter().zip(hoisted) {
+            table.symbols.extend_from_slice(&p.components);
+            table
+                .filtered
+                .extend(h.slot_preds.iter().map(|preds| !preds.is_empty()));
+            table.off.push(table.symbols.len() as u32);
+            table.max_arity = table.max_arity.max(p.arity());
+        }
+        table
+    }
+
+    /// Widest production right-hand side.
+    pub fn max_arity(&self) -> usize {
+        self.max_arity
+    }
+
+    fn range(&self, p: ProdId) -> std::ops::Range<usize> {
+        self.off[p.index()] as usize..self.off[p.index() + 1] as usize
+    }
+
+    /// The component symbols of production `p`, in slot order.
+    #[inline]
+    pub fn symbols(&self, p: ProdId) -> &[SymbolId] {
+        &self.symbols[self.range(p)]
+    }
+
+    /// Per slot of production `p`: does a hoisted unary predicate
+    /// filter its candidates?
+    #[inline]
+    pub fn filtered(&self, p: ProdId) -> &[bool] {
+        &self.filtered[self.range(p)]
     }
 }
 
@@ -235,6 +293,24 @@ mod tests {
         for (h, p) in compiled.hoisted().iter().zip(&g.productions) {
             assert_eq!(h.slot_preds.len(), p.arity());
         }
+    }
+
+    #[test]
+    fn slot_table_flattens_components_and_filters() {
+        let g = crate::global::global_grammar();
+        let compiled = CompiledGrammar::new(&g).unwrap();
+        let slots = compiled.slots();
+        for (i, (p, h)) in g.productions.iter().zip(compiled.hoisted()).enumerate() {
+            let id = ProdId(i as u32);
+            assert_eq!(slots.symbols(id), &p.components[..]);
+            let filtered: Vec<bool> = h.slot_preds.iter().map(|s| !s.is_empty()).collect();
+            assert_eq!(slots.filtered(id), &filtered[..]);
+        }
+        assert!(g
+            .productions
+            .iter()
+            .enumerate()
+            .any(|(i, _)| slots.filtered(ProdId(i as u32)).contains(&true)));
     }
 
     #[test]

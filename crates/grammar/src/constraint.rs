@@ -19,8 +19,8 @@ pub struct View<'a> {
     pub payload: &'a Payload,
     /// The underlying token for terminal instances.
     pub token: Option<&'a Token>,
-    /// The instance's id in its chart. Conditions collected from it
-    /// take their tokens from its span.
+    /// The instance's id in its chart: an `inherit` of a collected
+    /// list refers to the list by it.
     pub inst: u32,
 }
 
@@ -355,11 +355,18 @@ fn eval_pred(pred: Pred, view: &View<'_>) -> bool {
             if t.is_empty() {
                 return false;
             }
-            let mut lower_len = 0usize;
-            for c in t.chars() {
-                lower_len += c.to_lowercase().map(char::len_utf8).sum::<usize>();
-                if lower_len > 48 {
+            if t.is_ascii() {
+                // ASCII lowercases byte for byte.
+                if t.len() > 48 {
                     return false;
+                }
+            } else {
+                let mut lower_len = 0usize;
+                for c in t.chars() {
+                    lower_len += c.to_lowercase().map(char::len_utf8).sum::<usize>();
+                    if lower_len > 48 {
+                        return false;
+                    }
                 }
             }
             t.split_whitespace().count() <= 6
@@ -486,6 +493,17 @@ mod tests {
                 arr[0]
             );
         }
+
+        // The length bound is on the lowercased label: 48 bytes. `İ`
+        // is two bytes but lowercases to three.
+        let attr_like = |text: String| {
+            let arr = [Payload::Text(text.into())];
+            Constraint::Is(0, Pred::AttrLike).eval(&view_at(&arr, &[BBox::ZERO]), &p)
+        };
+        assert!(attr_like("Ab".repeat(24)));
+        assert!(!attr_like("Ab".repeat(24) + "c"));
+        assert!(attr_like("İ".repeat(16)));
+        assert!(!attr_like("İ".repeat(17)));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! components' boxes; the constructor decides the *semantic* payload.
 
 use crate::constraint::View;
-use crate::payload::{trim_shared, Cond, CondAt, Domain, Payload};
-use metaform_core::{empty_list, empty_text, normalize_label, DomainKind, Text, TextList};
+use crate::payload::{trim_shared, Cond, Domain, Payload};
+use metaform_core::{empty_list, empty_text, trim_label, DomainKind, Text, TextList};
 use std::sync::Arc;
 
 /// Declarative constructor actions (indexes refer to components).
@@ -16,7 +16,8 @@ use std::sync::Arc;
 pub enum Constructor {
     /// Structural grouping: no payload.
     Group,
-    /// Copy component `i`'s payload.
+    /// Copy component `i`'s payload (a collected list is referred to
+    /// by the component's id).
     Inherit(usize),
     /// Component `i` is text: payload becomes `Attr`.
     MakeAttr(usize),
@@ -69,7 +70,8 @@ pub enum Constructor {
     /// Condition for an unlabeled widget: attribute from the widget's
     /// control name or placeholder option.
     MakeUnlabeledCond(usize),
-    /// Union all conditions found in the components.
+    /// Union all conditions found in the components, in component
+    /// order — read off the chart, never stored.
     CollectConds,
 }
 
@@ -100,12 +102,16 @@ impl Constructor {
 
     /// Builds the head payload from component views. Every part of the
     /// result is shared with the components' payloads — no caption,
-    /// list or condition is copied. Conditions carry no token lists;
-    /// the merger reads them off the chart.
+    /// list or condition is copied. Conditions carry no token lists,
+    /// and collected lists are not built; the merger reads both off
+    /// the chart.
     pub fn eval(&self, views: &[View<'_>]) -> Payload {
         match self {
             Constructor::Group => Payload::None,
-            Constructor::Inherit(i) => views[*i].payload.clone(),
+            Constructor::Inherit(i) => match views[*i].payload {
+                Payload::Collected => Payload::CollectedAt(views[*i].inst),
+                other => other.clone(),
+            },
             Constructor::MakeAttr(i) => Payload::Attr(trimmed(&views[*i])),
             Constructor::TextOf(i) => Payload::Text(trimmed(&views[*i])),
             Constructor::ListStart(i) => Payload::Ops(TextList::from([text_of(&views[*i])])),
@@ -187,31 +193,12 @@ impl Constructor {
                     .val()
                     .cloned()
                     .unwrap_or_else(|| Domain::of(DomainKind::Text));
-                let attribute = view.token.map_or_else(empty_text, |t| {
-                    Text::from(unlabeled_attribute(&t.name, &t.options))
-                });
+                let attribute = view
+                    .token
+                    .map_or_else(empty_text, |t| unlabeled_attribute(&t.name, &t.options));
                 cond(attribute, empty_list(), domain)
             }
-            Constructor::CollectConds => {
-                // A lone component that already carries a list passes
-                // it up as is: the `HQI<-CP`, `QI<-HQI` wrappers.
-                let mut carriers = views.iter().filter(|v| v.payload.has_conditions());
-                if let (Some(only), None) = (carriers.next(), carriers.next()) {
-                    if let Payload::Conds(list) = only.payload {
-                        return Payload::Conds(list.clone());
-                    }
-                }
-                Payload::Conds(
-                    views
-                        .iter()
-                        .flat_map(|v| v.payload.conditions(v.inst))
-                        .map(|(cond, at)| CondAt {
-                            cond: cond.clone(),
-                            at,
-                        })
-                        .collect(),
-                )
-            }
+            Constructor::CollectConds => Payload::Collected,
         }
     }
 }
@@ -246,20 +233,45 @@ fn ops_of(view: &View<'_>) -> TextList {
     }
 }
 
+/// Placeholder-option prefixes that name the attribute after them.
+const PLACEHOLDER_PREFIXES: [&str; 5] = ["select a ", "select ", "choose a ", "choose ", "pick a "];
+
 /// Derives an attribute label for an unlabeled widget from its control
 /// name (`dept`, `pub_year`) or a placeholder option ("Select a State").
-fn unlabeled_attribute(name: &str, options: &[Text]) -> String {
-    if let Some(first) = options.first() {
-        let norm = normalize_label(first);
-        for prefix in ["select a ", "select ", "choose a ", "choose ", "pick a "] {
-            if let Some(rest) = norm.strip_prefix(prefix) {
-                if !rest.is_empty() {
-                    return rest.to_string();
-                }
-            }
-        }
+/// A name with nothing to clean up is shared, not copied.
+fn unlabeled_attribute(name: &Text, options: &[Text]) -> Text {
+    if let Some(subject) = options.first().and_then(|o| placeholder_subject(o)) {
+        return subject;
     }
-    name.replace(['_', '-', '.'], " ").trim().to_string()
+    if !name.contains(['_', '-', '.']) && name.trim().len() == name.len() {
+        return name.clone();
+    }
+    Text::from(name.replace(['_', '-', '.'], " ").trim())
+}
+
+/// What a placeholder option asks for, lowercased ("Select a State" →
+/// "state"), or `None` if the option is no placeholder.
+fn placeholder_subject(option: &str) -> Option<Text> {
+    let label = trim_label(option);
+    // Lowercasing maps only a few non-ASCII characters to ASCII ones,
+    // so an ASCII label that starts with no prefix, ignoring ASCII
+    // case, needs no lowercased copy to rule it out.
+    let may_match = !label.is_ascii()
+        || PLACEHOLDER_PREFIXES.iter().any(|p| {
+            label
+                .as_bytes()
+                .get(..p.len())
+                .is_some_and(|head| head.eq_ignore_ascii_case(p.as_bytes()))
+        });
+    if !may_match {
+        return None;
+    }
+    let norm = label.to_lowercase();
+    PLACEHOLDER_PREFIXES.iter().find_map(|p| {
+        norm.strip_prefix(p)
+            .filter(|rest| !rest.is_empty())
+            .map(Text::from)
+    })
 }
 
 #[cfg(test)]
@@ -293,9 +305,9 @@ mod tests {
 
     /// The single condition a payload carries, in report form.
     fn only(p: &Payload) -> Condition {
-        let mut conds = p.conditions(0);
-        let (c, _) = conds.next().expect("one condition");
-        assert!(conds.next().is_none(), "exactly one condition");
+        let Payload::Cond(c) = p else {
+            panic!("one condition expected, got {p:?}")
+        };
         c.to_condition(vec![])
     }
 
@@ -433,35 +445,42 @@ mod tests {
         assert_eq!(only(&out2).domain, DomainSpec::text());
     }
 
-    fn cond_of(attr: &str) -> Payload {
-        Constructor::MakeDate(0).eval(&[v(&Payload::Attr(attr.into()))])
+    #[test]
+    fn unlabeled_attributes_share_clean_names_and_read_any_placeholder() {
+        let clean: Text = "dept".into();
+        let shared = unlabeled_attribute(&clean, &[]);
+        assert!(Arc::ptr_eq(&shared, &clean), "a clean name is shared");
+        assert_eq!(&*unlabeled_attribute(&" dept".into(), &[]), "dept");
+        let options = |first: &str| -> Vec<Text> { vec![first.into(), "IL".into()] };
+        for (option, want) in [
+            ("Select a State:", "state"),
+            ("CHOOSE color", "color"),
+            ("Any", "dept"),
+            ("Select", "dept"),
+            // The Kelvin sign lowercases to an ASCII `k`.
+            ("PIC\u{212A} A Size", "size"),
+        ] {
+            assert_eq!(
+                &*unlabeled_attribute(&clean, &options(option)),
+                want,
+                "{option}"
+            );
+        }
     }
 
     #[test]
-    fn collect_conditions_flattens_and_records_origins() {
-        let c1 = cond_of("a");
-        let c2 = Constructor::CollectConds.eval(&[v_at(&cond_of("b"), 4), v_at(&cond_of("c"), 5)]);
-        let none = Payload::None;
-        let out = Constructor::CollectConds.eval(&[v_at(&c1, 1), v_at(&c2, 6), v_at(&none, 7)]);
-        let got: Vec<(String, u32)> = out
-            .conditions(9)
-            .map(|(c, at)| (c.attribute.to_string(), at))
-            .collect();
+    fn collect_stores_no_list_and_inherit_refers_to_it() {
+        let cond = Constructor::MakeDate(0).eval(&[v(&Payload::Attr("a".into()))]);
+        let row = Constructor::CollectConds.eval(&[v_at(&cond, 1), v_at(&cond, 2)]);
+        assert_eq!(row, Payload::Collected);
+        assert!(row.has_conditions());
         assert_eq!(
-            got,
-            vec![("a".into(), 1), ("b".into(), 4), ("c".into(), 5)],
-            "a lone condition takes its component's span; listed ones keep theirs"
+            Constructor::Inherit(0).eval(&[v_at(&row, 5)]),
+            Payload::CollectedAt(5),
+            "an inherited list names the instance that collected it"
         );
-    }
-
-    #[test]
-    fn collecting_one_list_shares_it() {
-        let row = Constructor::CollectConds.eval(&[v_at(&cond_of("a"), 1), v_at(&cond_of("b"), 2)]);
-        let up = Constructor::CollectConds.eval(&[v(&Payload::None), v(&row)]);
-        let (Payload::Conds(a), Payload::Conds(b)) = (&row, &up) else {
-            unreachable!()
-        };
-        assert!(Arc::ptr_eq(a, b), "a wrapper passes the list up as is");
+        let up = Constructor::Inherit(0).eval(&[v_at(&Payload::CollectedAt(5), 6)]);
+        assert_eq!(up, Payload::CollectedAt(5));
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub mod production;
 pub mod schedule;
 pub mod symbol;
 
-pub use compiled::{compile_count, hoist_constraints, preference_index, CompiledGrammar};
+pub use compiled::{
+    compile_count, hoist_constraints, preference_index, CompiledGrammar, SlotTable,
+};
 pub use constraint::{Constraint, DepthTerms, Hoisted, Pred, View};
 pub use constructor::Constructor;
 pub use describe::{constraint_to_string, schedule_to_dot};
@@ -45,7 +47,7 @@ pub use induce::{
     mine_page, synthesize, synthesize_all, Arrangement, ArrangementBook, Candidate, Cluster,
     PatternSpan,
 };
-pub use payload::{Cond, CondAt, Domain, Payload};
+pub use payload::{Cond, Domain, Payload};
 pub use preference::{ConflictCond, PrefId, Preference, WinCriteria};
 pub use production::{ProdId, Production};
 pub use schedule::{build_schedule, schedule_build_count, Schedule};

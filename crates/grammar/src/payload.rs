@@ -80,16 +80,6 @@ impl fmt::Display for Cond {
     }
 }
 
-/// A condition collected from a component, with the chart id of the
-/// instance it came from — the instance whose span is its token list.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CondAt {
-    /// The condition.
-    pub cond: Arc<Cond>,
-    /// Chart id of the instance it was collected from.
-    pub at: u32,
-}
-
 /// Semantic content of an instance. Every variant's data is shared, so
 /// cloning a payload is O(1) and allocates nothing.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -107,9 +97,13 @@ pub enum Payload {
     Val(Domain),
     /// One assembled query condition, over the holding instance's span.
     Cond(Arc<Cond>),
-    /// Several conditions (rows, whole interfaces), each over the span
-    /// of the instance it was collected from.
-    Conds(Arc<[CondAt]>),
+    /// The conditions of the holding instance's components, in
+    /// component order (rows, whole interfaces): a `collect` instance.
+    /// No list is stored; the chart reads it off the components.
+    Collected,
+    /// The conditions collected at the instance with this chart id —
+    /// an `inherit` of a `collect` component.
+    CollectedAt(u32),
 }
 
 impl Payload {
@@ -164,21 +158,13 @@ impl Payload {
         }
     }
 
-    /// Whether the payload carries conditions (`Cond` or `Conds`).
+    /// Whether the payload carries conditions: one assembled
+    /// condition, or a collected list (possibly empty).
     pub fn has_conditions(&self) -> bool {
-        matches!(self, Payload::Cond(_) | Payload::Conds(_))
-    }
-
-    /// All conditions carried, each with the chart id of the instance
-    /// whose span is its token list; `holder` is the id of the instance
-    /// holding this payload (a lone `Cond` covers its holder's span).
-    pub fn conditions(&self, holder: u32) -> impl Iterator<Item = (&Arc<Cond>, u32)> {
-        let (one, many): (_, &[CondAt]) = match self {
-            Payload::Cond(c) => (Some((c, holder)), &[]),
-            Payload::Conds(v) => (None, v),
-            _ => (None, &[]),
-        };
-        one.into_iter().chain(many.iter().map(|e| (&e.cond, e.at)))
+        matches!(
+            self,
+            Payload::Cond(_) | Payload::Collected | Payload::CollectedAt(_)
+        )
     }
 }
 
@@ -272,25 +258,10 @@ mod tests {
         assert_eq!(Payload::None.text(), None);
         let ops = Payload::Ops(TextList::from([Text::from("exact")]));
         assert_eq!(ops.ops().unwrap().len(), 1);
-        assert_eq!(Payload::None.conditions(0).count(), 0);
-        let one = Payload::Cond(cond("a"));
-        let held: Vec<(&str, u32)> = one
-            .conditions(7)
-            .map(|(c, at)| (&*c.attribute, at))
-            .collect();
-        assert_eq!(held, vec![("a", 7)], "a lone condition covers its holder");
-        let many = Payload::Conds(Arc::from([
-            CondAt {
-                cond: cond("b"),
-                at: 3,
-            },
-            CondAt {
-                cond: cond("c"),
-                at: 4,
-            },
-        ]));
-        let held: Vec<u32> = many.conditions(9).map(|(_, at)| at).collect();
-        assert_eq!(held, vec![3, 4], "collected conditions keep their origin");
+        assert!(!ops.has_conditions());
+        assert!(Payload::Cond(cond("a")).has_conditions());
+        assert!(Payload::Collected.has_conditions());
+        assert!(Payload::CollectedAt(3).has_conditions());
     }
 
     #[test]

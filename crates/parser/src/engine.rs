@@ -13,12 +13,13 @@
 
 use crate::cancel::CancelToken;
 use crate::instance::{Chart, InstId};
-use crate::maximize::maximize;
+use crate::maximize::{maximize_with, MaxScratch};
 use crate::stats::{BudgetOutcome, ParseStats};
 use metaform_core::{BBox, Token};
 use metaform_grammar::{
     build_schedule, hoist_constraints, preference_index, ConflictCond, DepthTerms, Grammar,
-    Hoisted, Payload, PrefId, ProdId, Production, Schedule, SymbolId, SymbolKind, WinCriteria,
+    Hoisted, Payload, PrefId, ProdId, Production, Schedule, SlotTable, SymbolId, SymbolKind,
+    WinCriteria,
 };
 use std::time::{Duration, Instant};
 
@@ -176,17 +177,16 @@ pub fn parse_with(grammar: &Grammar, tokens: &[Token], opts: &ParserOptions) -> 
     };
     let prefs = preference_index(grammar);
     let hoisted = hoist_constraints(grammar);
-    let mut scratch = Scratch::default();
-    let chart = Chart::new(tokens.to_vec(), grammar.symbols.len());
-    let mut result = run_parse(
+    let slots = SlotTable::new(grammar, &hoisted);
+    let rules = Rules {
         grammar,
-        &schedule,
-        &prefs,
-        &hoisted,
-        chart,
-        opts,
-        &mut scratch,
-    );
+        schedule: &schedule,
+        prefs_by_symbol: &prefs,
+        hoisted: &hoisted,
+        slots: &slots,
+    };
+    let chart = Chart::new(tokens.to_vec(), grammar.symbols.len());
+    let mut result = run_parse(&rules, chart, opts, &mut Scratch::default());
     result.stats.schedules_built = 1;
     result
 }
@@ -203,35 +203,50 @@ fn empty_result(grammar: &Grammar, tokens: &[Token]) -> ParseResult {
     }
 }
 
+/// What one parse reads of a grammar beyond its description: the
+/// schedule, the per-symbol preference index, the hoisted constraints
+/// and the flat slot table. A [`crate::ParseSession`] borrows them
+/// from its compiled grammar; the one-shot wrappers build them per
+/// call.
+pub(crate) struct Rules<'a> {
+    pub grammar: &'a Grammar,
+    pub schedule: &'a Schedule,
+    pub prefs_by_symbol: &'a [Vec<PrefId>],
+    pub hoisted: &'a [Hoisted],
+    pub slots: &'a SlotTable,
+}
+
 /// The parse core (paper Figure 11), shared by the one-shot wrappers
-/// and [`crate::ParseSession`]. The caller provides the already-built
-/// schedule, per-symbol preference index and hoisted constraints plus
-/// a chart targeted at the tokens; `scratch` buffers are recycled
-/// across calls.
+/// and [`crate::ParseSession`]. The caller provides the grammar's
+/// compiled parts plus a chart targeted at the tokens; `scratch`
+/// buffers are recycled across calls.
 pub(crate) fn run_parse(
-    grammar: &Grammar,
-    schedule: &Schedule,
-    prefs_by_symbol: &[Vec<PrefId>],
-    hoisted: &[Hoisted],
+    rules: &Rules<'_>,
     chart: Chart,
     opts: &ParserOptions,
     scratch: &mut Scratch,
 ) -> ParseResult {
+    let Rules {
+        grammar,
+        schedule,
+        prefs_by_symbol,
+        hoisted,
+        slots,
+    } = *rules;
     let started = Instant::now();
     let token_count = chart.tokens().len();
-    for p in &grammar.productions {
-        assert!(
-            p.arity() <= MAX_ARITY,
-            "production arity {} exceeds the fixed enumeration buffers",
-            p.arity()
-        );
-    }
+    assert!(
+        slots.max_arity() <= MAX_ARITY,
+        "production arity {} exceeds the fixed enumeration buffers",
+        slots.max_arity()
+    );
     scratch.reset_for(grammar);
     let mut p = Parser {
         grammar,
         schedule,
         prefs_by_symbol,
         hoisted,
+        slots,
         chart,
         opts,
         stats: ParseStats {
@@ -287,7 +302,7 @@ pub(crate) fn run_parse(
         }
     }
     let t = profile.then(Instant::now);
-    let trees = maximize(&p.chart);
+    let trees = maximize_with(&p.chart, &mut p.scratch.max);
     if let Some(t) = t {
         p.stats.phase.maximize_ns += t.elapsed().as_nanos() as u64;
     }
@@ -334,9 +349,10 @@ fn count_temporary(chart: &Chart, trees: &[InstId], scratch: &mut Scratch) -> us
 
 /// Recycled working memory for the parse core: candidate lists and
 /// delta bookkeeping for production enumeration, watermarks for
-/// incremental enforcement, and the deferred-creation buffers of one
-/// enumeration pass. A [`crate::ParseSession`] keeps one `Scratch`
-/// alive across parses so the steady state allocates nothing here.
+/// incremental enforcement, the deferred-creation buffers of one
+/// enumeration pass and the maximizer's buffers. A
+/// [`crate::ParseSession`] keeps one `Scratch` alive across parses so
+/// the steady state allocates nothing here.
 #[derive(Default)]
 pub(crate) struct Scratch {
     /// The combination being enumerated.
@@ -349,11 +365,18 @@ pub(crate) struct Scratch {
     /// candidates the production saw at its previous application.
     /// Pinned at zero under [`FixpointMode::Naive`].
     prod_marks: Vec<Vec<u32>>,
+    /// Per-production `(stamp, skipped)` of the last completed
+    /// semi-naive application: the sum of its components'
+    /// [`Chart::symbol_version`]s then, and the `combos_skipped_delta`
+    /// an application at that stamp adds. `u64::MAX` = none yet.
+    prod_stamps: Vec<(u64, u64)>,
     /// Per-production per-slot cached candidate lists: the valid ids
     /// of the slot's symbol that pass its hoisted unary predicates.
     /// Keyed by `slot_vers`; refreshed only when the symbol changed,
     /// and extended in place (not rebuilt) when the change was pure
-    /// append.
+    /// append. A slot with no predicate over a symbol with no invalid
+    /// instance reads the chart's own list instead and leaves its
+    /// cache alone.
     prod_cands: Vec<Vec<Vec<InstId>>>,
     /// The [`Chart::symbol_version`] each `prod_cands` list was built
     /// at (`u32::MAX` components = never built; a chart can't reach
@@ -368,10 +391,12 @@ pub(crate) struct Scratch {
     suffix_new: Vec<bool>,
     /// Saturating product of candidate-list lengths for slots `d..`.
     suffix_prod: Vec<u64>,
-    /// Per-instance visited marks and the walk stack of
-    /// [`count_temporary`].
+    /// Per-instance visited marks of [`count_temporary`], and the walk
+    /// stack it shares with rollback.
     seen: Vec<bool>,
     stack: Vec<InstId>,
+    /// The maximizer's buffers.
+    max: MaxScratch,
 }
 
 /// Upper bound on production arity, sized for fixed enumeration
@@ -389,6 +414,9 @@ impl Scratch {
         }
         self.prod_marks
             .resize_with(grammar.productions.len(), Vec::new);
+        self.prod_stamps.clear();
+        self.prod_stamps
+            .resize(grammar.productions.len(), (u64::MAX, 0));
         self.prod_cands.truncate(grammar.productions.len());
         self.prod_cands
             .resize_with(grammar.productions.len(), Vec::new);
@@ -418,6 +446,8 @@ struct Parser<'a> {
     /// at the shallowest enumeration depth where they are decidable)
     /// — see [`metaform_grammar::Constraint::hoist`].
     hoisted: &'a [Hoisted],
+    /// Every production's component symbols and filtered-slot flags.
+    slots: &'a SlotTable,
     chart: Chart,
     opts: &'a ParserOptions,
     stats: ParseStats,
@@ -556,9 +586,32 @@ impl Parser<'_> {
     fn apply_production(&mut self, pid: ProdId) -> bool {
         let grammar = self.grammar;
         let prod = grammar.production(pid);
-        let arity = prod.arity();
+        let comps = self.slots.symbols(pid);
+        let arity = comps.len();
         let delta = self.opts.fixpoint == FixpointMode::SemiNaive;
+
+        // A production pays only when its page can fire it. A slot
+        // whose symbol has no instance makes nothing runnable, and a
+        // later application treats every candidate of that slot as new
+        // either way, so the production returns before any refresh or
+        // watermark work. The stamp sums the components' symbol
+        // versions, each monotone, so an equal stamp means no
+        // component changed since the last completed application: this
+        // one would enumerate nothing and skip what that one skipped.
+        let mut stamp = 0u64;
+        for &s in comps {
+            let (len, inv) = self.chart.symbol_version(s);
+            if len == 0 {
+                return false;
+            }
+            stamp += u64::from(len) + u64::from(inv);
+        }
         let scratch = &mut *self.scratch;
+        let (last_stamp, skipped) = scratch.prod_stamps[pid.index()];
+        if delta && stamp == last_stamp {
+            self.stats.combos_skipped_delta += skipped;
+            return false;
+        }
 
         // Refresh the per-slot cached candidate lists: valid ids that
         // pass the slot's hoisted unary predicates (a failing
@@ -568,17 +621,24 @@ impl Parser<'_> {
         // keyed by [`Chart::symbol_version`]: a slot whose symbol did
         // not change since its last refresh — by this production or a
         // previous application — keeps its list as-is, no copy and no
-        // re-filter. Instances added mid-round are picked up by the
+        // re-filter. A slot with no predicate over a symbol with no
+        // invalid instance needs no list of its own: it enumerates the
+        // chart's. Instances added mid-round are picked up by the
         // enclosing fix-point loop.
-        let hoisted = &self.hoisted[pid.index()];
-        let slot_preds = &hoisted.slot_preds;
+        let slot_preds = &self.hoisted[pid.index()].slot_preds;
+        let filtered = self.slots.filtered(pid);
         let cands = &mut scratch.prod_cands[pid.index()];
         let slot_vers = &mut scratch.slot_vers[pid.index()];
         cands.resize_with(arity, Vec::new);
         slot_vers.resize(arity, (u32::MAX, u32::MAX));
+        let mut in_place = [false; MAX_ARITY];
         for d in 0..arity {
-            let s = prod.components[d];
+            let s = comps[d];
             let (len, inv) = self.chart.symbol_version(s);
+            if !filtered[d] && inv == 0 {
+                in_place[d] = true;
+                continue;
+            }
             let (seen_len, seen_inv) = slot_vers[d];
             if (seen_len, seen_inv) == (len, inv) {
                 continue;
@@ -608,7 +668,15 @@ impl Parser<'_> {
             }
             slot_vers[d] = (len, inv);
         }
-        let candidates = &cands[..];
+        let mut candidates: [&[InstId]; MAX_ARITY] = [&[]; MAX_ARITY];
+        for d in 0..arity {
+            candidates[d] = if in_place[d] {
+                self.chart.of_symbol(comps[d])
+            } else {
+                &scratch.prod_cands[pid.index()][d]
+            };
+        }
+        let candidates = &candidates[..arity];
 
         // Delta bookkeeping. `marks[d]` is the candidate count slot `d`
         // saw at the previous application (grammar validation
@@ -622,11 +690,11 @@ impl Parser<'_> {
         scratch.suffix_new.resize(arity + 1, false);
         scratch.suffix_prod.clear();
         scratch.suffix_prod.resize(arity + 1, 1);
+        let mut lens = [0u32; MAX_ARITY];
         for d in (0..arity).rev() {
-            scratch.suffix_new[d] =
-                scratch.suffix_new[d + 1] || candidates[d].len() > marks[d] as usize;
-            scratch.suffix_prod[d] =
-                scratch.suffix_prod[d + 1].saturating_mul(candidates[d].len() as u64);
+            lens[d] = candidates[d].len() as u32;
+            scratch.suffix_new[d] = scratch.suffix_new[d + 1] || lens[d] > marks[d];
+            scratch.suffix_prod[d] = scratch.suffix_prod[d + 1].saturating_mul(u64::from(lens[d]));
         }
 
         let runnable = !candidates.iter().any(|c| c.is_empty());
@@ -637,7 +705,7 @@ impl Parser<'_> {
                 chart: &self.chart,
                 grammar,
                 prod,
-                by_depth: &hoisted.by_depth,
+                by_depth: &self.hoisted[pid.index()].by_depth,
                 pid,
                 candidates,
                 marks: &marks[..],
@@ -664,6 +732,7 @@ impl Parser<'_> {
             // Semi-naive early out: nothing new in any slot.
             self.stats.combos_skipped_delta += scratch.suffix_prod[0];
         }
+        let skipped = if runnable { scratch.suffix_prod[0] } else { 0 };
 
         // Flush the deferred creations in enumeration order. The
         // children `Vec` is materialized only here — i.e. only for
@@ -680,17 +749,16 @@ impl Parser<'_> {
         scratch.pending_children.clear();
 
         // Advance the watermarks to the candidate counts this pass
-        // saw. Skipped once a budget cut the pass short: nothing will
-        // ever be created again (every later enumeration bails at
-        // entry), and freezing the marks keeps them truthful about
-        // what was actually enumerated.
+        // saw, and stamp the application. Skipped once a budget cut
+        // the pass short: nothing will ever be created again (every
+        // later enumeration bails at entry), and freezing the marks
+        // keeps them truthful about what was actually enumerated.
         if delta
             && self.stats.budget == BudgetOutcome::Completed
             && self.chart.len() < self.opts.max_instances
         {
-            for (m, c) in marks.iter_mut().zip(&scratch.prod_cands[pid.index()]) {
-                *m = c.len() as u32;
-            }
+            scratch.prod_marks[pid.index()].copy_from_slice(&lens[..arity]);
+            scratch.prod_stamps[pid.index()] = (stamp, skipped);
         }
 
         added
@@ -717,6 +785,12 @@ impl Parser<'_> {
         let (w_sym, l_sym) = (pref.winner, pref.loser);
         let w_len = self.chart.of_symbol(w_sym).len();
         let l_len = self.chart.of_symbol(l_sym).len();
+        // No pairs: nothing to test, and no watermark to move — an
+        // empty side's mark is zero, so its first instances make every
+        // pair new either way.
+        if w_len == 0 || l_len == 0 {
+            return;
+        }
         let (w_mark, l_mark) = self.scratch.pref_marks[pref_id.index()];
         let (w_mark, l_mark) = (w_mark as usize, l_mark as usize);
         self.stats.pairs_skipped_delta += w_mark as u64 * l_mark as u64;
@@ -774,7 +848,9 @@ impl Parser<'_> {
     /// participate in further instantiations and in turn generate more
     /// false parents").
     fn rollback(&mut self, loser: InstId) {
-        let mut stack: Vec<InstId> = self.chart.parents_of(loser).collect();
+        let stack = &mut self.scratch.stack;
+        stack.clear();
+        stack.extend(self.chart.parents_of(loser));
         while let Some(p) = stack.pop() {
             if self.chart.invalidate(p) {
                 self.stats.rolled_back += 1;
@@ -805,8 +881,10 @@ struct EnumPass<'a> {
     /// combination a failing partial prefix would have spawned.
     by_depth: &'a [DepthTerms],
     pid: ProdId,
-    /// Valid candidates per component slot, snapshotted at pass start.
-    candidates: &'a [Vec<InstId>],
+    /// Valid candidates per component slot, snapshotted at pass start:
+    /// a cached filtered list, or the chart's own list of the slot's
+    /// symbol.
+    candidates: &'a [&'a [InstId]],
     /// Per-slot watermarks: candidates below `marks[d]` predate the
     /// production's previous application. All zero under
     /// [`FixpointMode::Naive`].

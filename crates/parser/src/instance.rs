@@ -25,8 +25,9 @@
 
 use crate::tokenset::TokenSet;
 use metaform_core::{BBox, Condition, Token, TokenId};
-use metaform_grammar::{Payload, ProdId, SymbolId, View};
+use metaform_grammar::{Cond, Payload, ProdId, SymbolId, View};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an instance within one chart.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -193,13 +194,27 @@ impl Chart {
         &self.payloads[id.index()]
     }
 
-    /// The conditions an instance's payload carries, each in report
-    /// form with its tokens read off the span of the instance it was
-    /// built at.
+    /// The conditions an instance carries, each in report form with
+    /// its tokens read off the span of the instance that holds it. A
+    /// `collect` instance stores no list: its conditions are its
+    /// components', read recursively in component order.
     pub fn conditions(&self, id: InstId) -> impl Iterator<Item = Condition> + '_ {
-        self.payload(id)
-            .conditions(id.0)
-            .map(|(cond, at)| cond.to_condition(self.span(InstId(at)).iter().collect()))
+        self.conditions_at(id).map(|(cond, at)| {
+            let span = self.span(at);
+            let mut tokens = Vec::with_capacity(span.count());
+            tokens.extend(span.iter());
+            cond.to_condition(tokens)
+        })
+    }
+
+    /// [`Chart::conditions`] before the report form: each condition
+    /// with the instance holding it.
+    fn conditions_at(&self, id: InstId) -> CondWalk<'_> {
+        CondWalk {
+            chart: self,
+            next: Some(id),
+            stack: Vec::new(),
+        }
     }
 
     /// False once invalidated by a preference (or rollback).
@@ -426,6 +441,16 @@ impl Chart {
     /// Is `ancestor` a (possibly transitive) structural ancestor of
     /// `descendant`? Pruned by span containment.
     pub fn is_ancestor(&self, ancestor: InstId, descendant: InstId) -> bool {
+        self.is_ancestor_in(ancestor, descendant, &mut Vec::new())
+    }
+
+    /// [`Chart::is_ancestor`] with a caller-recycled walk stack.
+    pub(crate) fn is_ancestor_in(
+        &self,
+        ancestor: InstId,
+        descendant: InstId,
+        stack: &mut Vec<InstId>,
+    ) -> bool {
         if ancestor == descendant {
             return false;
         }
@@ -433,7 +458,8 @@ impl Chart {
         if !dspan.is_subset(self.span(ancestor)) {
             return false;
         }
-        let mut stack = vec![ancestor];
+        stack.clear();
+        stack.push(ancestor);
         while let Some(cur) = stack.pop() {
             for &c in self.children(cur) {
                 if c == descendant {
@@ -447,22 +473,6 @@ impl Chart {
         false
     }
 
-    /// All instances in the derivation of `root` (inclusive), deduped.
-    pub fn tree_nodes(&self, root: InstId) -> Vec<InstId> {
-        let mut seen = vec![false; self.len()];
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(cur) = stack.pop() {
-            if seen[cur.index()] {
-                continue;
-            }
-            seen[cur.index()] = true;
-            out.push(cur);
-            stack.extend_from_slice(self.children(cur));
-        }
-        out
-    }
-
     /// Tokens covered by no instance in `roots`.
     pub fn uncovered_tokens(&self, roots: &[InstId]) -> Vec<TokenId> {
         let mut covered = TokenSet::new(self.tokens.len());
@@ -474,6 +484,33 @@ impl Chart {
             .map(|t| t.id)
             .filter(|&t| !covered.contains(t))
             .collect()
+    }
+}
+
+/// Depth-first walk over the conditions an instance carries (see
+/// [`Chart::conditions`]). The stack is only allocated when a collected
+/// list is expanded.
+struct CondWalk<'a> {
+    chart: &'a Chart,
+    /// The next instance to visit, ahead of the stack.
+    next: Option<InstId>,
+    /// Instances still to visit, the next one on top.
+    stack: Vec<InstId>,
+}
+
+impl<'a> Iterator for CondWalk<'a> {
+    type Item = (&'a Arc<Cond>, InstId);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while let Some(id) = self.next.take().or_else(|| self.stack.pop()) {
+            match self.chart.payload(id) {
+                Payload::Cond(cond) => return Some((cond, id)),
+                Payload::Collected => self.stack.extend(self.chart.children(id).iter().rev()),
+                Payload::CollectedAt(at) => self.next = Some(InstId(*at)),
+                _ => {}
+            }
+        }
+        None
     }
 }
 
@@ -500,7 +537,7 @@ impl Iterator for ParentIter<'_> {
 mod tests {
     use super::*;
     use metaform_core::TokenKind;
-    use metaform_grammar::SymbolTable;
+    use metaform_grammar::{Constructor, SymbolTable};
 
     fn setup() -> (Chart, SymbolId, SymbolId, SymbolId) {
         let mut syms = SymbolTable::new();
@@ -572,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn ancestry_and_tree_walk() {
+    fn ancestry() {
         let (mut chart, text_sym, tb_sym, nt) = setup();
         let t0 = chart.tokens()[0].clone();
         let t1 = chart.tokens()[1].clone();
@@ -583,9 +620,6 @@ mod tests {
         assert!(chart.is_ancestor(p, b));
         assert!(!chart.is_ancestor(a, p));
         assert!(!chart.is_ancestor(p, p));
-        let mut nodes = chart.tree_nodes(p);
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![a, b, p]);
     }
 
     #[test]
@@ -607,6 +641,98 @@ mod tests {
         let a = chart.add_terminal(text_sym, &t0);
         assert_eq!(chart.uncovered_tokens(&[a]), vec![TokenId(1)]);
         assert_eq!(chart.uncovered_tokens(&[]).len(), 2);
+    }
+
+    /// A chart over four captions, one terminal each, and a condition
+    /// instance over each of the first three.
+    fn conditions_chart() -> (Chart, SymbolId, SymbolId, [InstId; 3]) {
+        let mut syms = SymbolTable::new();
+        let text_sym = syms.terminal(TokenKind::Text);
+        let cp = syms.intern("CP");
+        let row = syms.intern("HQI");
+        let tokens: Vec<Token> = ["a", "b", "c", "d"]
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                Token::text(
+                    i as u32,
+                    *t,
+                    BBox::new(i as i32 * 20, 0, i as i32 * 20 + 10, 16),
+                )
+            })
+            .collect();
+        let mut chart = Chart::new(tokens, syms.len());
+        let terms: Vec<InstId> = (0..4)
+            .map(|i| chart.add_terminal_index(text_sym, i))
+            .collect();
+        let conds = [0, 1, 2].map(|i| {
+            let attr = Payload::Attr(chart.tokens()[i].sval.clone());
+            let payload = Constructor::MakeDate(0).eval(&[View {
+                payload: &attr,
+                ..chart.view(terms[i])
+            }]);
+            chart.add_nonterminal(cp, ProdId(0), &[terms[i]], payload)
+        });
+        (chart, text_sym, row, conds)
+    }
+
+    /// Adds a `collect` instance over `children`.
+    fn collect(chart: &mut Chart, head: SymbolId, children: &[InstId]) -> InstId {
+        let views: Vec<View<'_>> = children.iter().map(|&c| chart.view(c)).collect();
+        let payload = Constructor::CollectConds.eval(&views);
+        chart.add_nonterminal(head, ProdId(1), children, payload)
+    }
+
+    /// `(attribute, tokens)` of each condition an instance carries.
+    fn listed(chart: &Chart, id: InstId) -> Vec<(String, Vec<u32>)> {
+        chart
+            .conditions(id)
+            .map(|c| (c.attribute, c.tokens.iter().map(|t| t.0).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn collected_conditions_flatten_in_order_with_their_origins() {
+        let (mut chart, text, row, [a, b, c]) = conditions_chart();
+        let inner = collect(&mut chart, row, &[b, c]);
+        let bare = chart.add_terminal_index(text, 3);
+        let outer = collect(&mut chart, row, &[a, inner, bare]);
+        assert_eq!(chart.payload(outer), &Payload::Collected, "no list stored");
+        assert!(chart.payload(outer).has_conditions());
+        assert_eq!(
+            listed(&chart, outer),
+            vec![
+                ("a".into(), vec![0]),
+                ("b".into(), vec![1]),
+                ("c".into(), vec![2]),
+            ],
+            "component order; each condition over its own instance's span"
+        );
+        let origins: Vec<InstId> = chart.conditions_at(outer).map(|(_, at)| at).collect();
+        assert_eq!(origins, vec![a, b, c]);
+    }
+
+    #[test]
+    fn a_lone_carrier_passes_its_conditions_up_unchanged() {
+        let (mut chart, text, row, [a, b, _]) = conditions_chart();
+        // `HQI <- CP`: a condition over its own span.
+        let wrapped = collect(&mut chart, row, &[a]);
+        assert_eq!(listed(&chart, wrapped), vec![("a".into(), vec![0])]);
+        // `QI <- HQI` over a list, and an `inherit` of one: the same
+        // list with the same origins.
+        let list = collect(&mut chart, row, &[a, b]);
+        let qi = collect(&mut chart, row, &[list]);
+        assert_eq!(listed(&chart, qi), listed(&chart, list));
+        let payload = Constructor::Inherit(0).eval(&[chart.view(list)]);
+        assert_eq!(payload, Payload::CollectedAt(list.0));
+        let held = chart.add_nonterminal(row, ProdId(2), &[list], payload);
+        assert_eq!(listed(&chart, held), listed(&chart, list));
+        assert_eq!(listed(&chart, list).len(), 2);
+        // An empty collection still carries conditions (none).
+        let bare = chart.add_terminal_index(text, 3);
+        let empty = collect(&mut chart, row, &[bare]);
+        assert!(chart.payload(empty).has_conditions());
+        assert!(listed(&chart, empty).is_empty());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! what the merger's conflict reporting is for.
 
 use crate::instance::{Chart, InstId};
+use std::cmp::Reverse;
 
 /// Selects the maximal partial parse trees of a chart: valid
 /// nonterminal instances whose token span is not strictly subsumed by
@@ -28,19 +29,46 @@ use crate::instance::{Chart, InstId};
 /// bbox is the union of its span's token boxes, so span containment
 /// implies bbox containment) before the bitset subset test.
 pub fn maximize(chart: &Chart) -> Vec<InstId> {
-    let mut order: Vec<InstId> = chart
-        .ids()
-        .filter(|&i| chart.is_valid(i) && chart.prod(i).is_some() && !chart.span(i).is_empty())
-        .collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(chart.span(i).count()), i));
+    maximize_with(chart, &mut MaxScratch::default())
+}
+
+/// The working buffers of [`maximize`], recycled across the parses of
+/// a [`crate::ParseSession`] so that only the returned trees allocate.
+#[derive(Default)]
+pub(crate) struct MaxScratch {
+    /// Candidates keyed by the sweep order: span size, largest first,
+    /// then id.
+    order: Vec<(Reverse<usize>, InstId)>,
+    maximal: Vec<InstId>,
+    snapshot: Vec<InstId>,
+    stack: Vec<InstId>,
+}
+
+/// [`maximize`] over recycled buffers.
+pub(crate) fn maximize_with(chart: &Chart, scratch: &mut MaxScratch) -> Vec<InstId> {
+    let MaxScratch {
+        order,
+        maximal,
+        snapshot,
+        stack,
+    } = scratch;
+    order.clear();
+    order.extend(
+        chart
+            .ids()
+            .filter(|&i| chart.is_valid(i) && chart.prod(i).is_some() && !chart.span(i).is_empty())
+            .map(|i| (Reverse(chart.span(i).count()), i)),
+    );
+    // Ids are unique, so the unstable sort orders exactly as a stable
+    // one would, without a merge buffer.
+    order.sort_unstable();
 
     // Sweep: accepted entries are maximal-so-far; only entries with
     // strictly more tokens can strictly subsume the current candidate,
     // and ties on count cannot subsume at all.
-    let mut maximal: Vec<InstId> = Vec::new();
-    for &i in &order {
+    maximal.clear();
+    for &(Reverse(count), i) in order.iter() {
         let span = chart.span(i);
-        let count = span.count();
         let subsumed = maximal.iter().any(|&j| {
             chart.span(j).count() > count
                 && chart.bbox(j).contains(&chart.bbox(i))
@@ -56,17 +84,17 @@ pub fn maximize(chart: &Chart) -> Vec<InstId> {
     // counts, and the sweep order groups equal counts contiguously, but
     // the snapshot semantics stay those of the naive pass: `j` ranges
     // over the pre-retain selection.
-    let snapshot = maximal.clone();
+    snapshot.clone_from(maximal);
     maximal.retain(|&i| {
         !snapshot.iter().any(|&j| {
             j != i
                 && chart.span(i).count() == chart.span(j).count()
                 && chart.span(i) == chart.span(j)
-                && chart.is_ancestor(j, i)
+                && chart.is_ancestor_in(j, i, stack)
         })
     });
 
-    maximal
+    maximal.to_vec()
 }
 
 /// The reference all-pairs maximizer [`maximize`] is checked against:
@@ -101,7 +129,7 @@ pub fn maximize_naive(chart: &Chart) -> Vec<InstId> {
             .any(|&j| j != i && chart.span(i) == chart.span(j) && chart.is_ancestor(j, i))
     });
 
-    maximal.sort_by_key(|&i| (std::cmp::Reverse(chart.span(i).count()), i));
+    maximal.sort_by_key(|&i| (Reverse(chart.span(i).count()), i));
     maximal
 }
 

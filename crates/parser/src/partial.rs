@@ -11,10 +11,8 @@
 //! the form `metaform_grammar::induce::mine_page` consumes.
 
 use crate::instance::{Chart, InstId};
-use metaform_core::TokenId;
 use metaform_grammar::induce::PatternSpan;
 use metaform_grammar::Grammar;
-use std::collections::BTreeSet;
 
 /// One [`PatternSpan`] per pattern-level instance in the maximal
 /// trees: every `CP` node's single child is a condition pattern
@@ -25,24 +23,33 @@ pub fn pattern_spans(chart: &Chart, trees: &[InstId], grammar: &Grammar) -> Vec<
     let Some(cp) = grammar.symbols.lookup("CP") else {
         return Vec::new();
     };
-    let mut seen: BTreeSet<u32> = BTreeSet::new();
+    // `visited[i]` holds 1 + the index of the last tree whose walk
+    // reached instance `i`; `exported[i]` marks pattern instances
+    // already exported by an earlier node.
+    let mut visited = vec![0u32; chart.len()];
+    let mut exported = vec![false; chart.len()];
+    let mut stack = Vec::new();
     let mut out = Vec::new();
-    for &root in trees {
-        for node in chart.tree_nodes(root) {
+    for (tree, &root) in (1u32..).zip(trees) {
+        stack.clear();
+        stack.push(root);
+        while let Some(node) = stack.pop() {
+            if std::mem::replace(&mut visited[node.index()], tree) == tree {
+                continue;
+            }
+            stack.extend_from_slice(chart.children(node));
             if chart.symbol(node) != cp {
                 continue;
             }
             let Some(&child) = chart.children(node).first() else {
                 continue;
             };
-            if !seen.insert(child.0) {
+            if std::mem::replace(&mut exported[child.index()], true) {
                 continue;
             }
             let span = chart.span(child);
-            let tokens: Vec<TokenId> = (0..chart.len() as u32)
-                .map(TokenId)
-                .filter(|&t| span.contains(t))
-                .collect();
+            let mut tokens = Vec::with_capacity(span.count());
+            tokens.extend(span.iter());
             out.push(PatternSpan {
                 symbol: grammar.symbols.name(chart.symbol(child)).to_string(),
                 tokens,
@@ -66,7 +73,7 @@ pub fn tree_symbols(chart: &Chart, trees: &[InstId], grammar: &Grammar) -> Vec<S
 mod tests {
     use super::*;
     use crate::session::ParseSession;
-    use metaform_core::{BBox, Token, TokenKind};
+    use metaform_core::{BBox, Token, TokenId, TokenKind};
     use metaform_grammar::global_compiled;
 
     #[test]

@@ -32,7 +32,7 @@
 //! }
 //! ```
 
-use crate::engine::{run_parse, ParseResult, ParserOptions, Scratch};
+use crate::engine::{run_parse, ParseResult, ParserOptions, Rules, Scratch};
 use crate::instance::Chart;
 use crate::stats::BudgetOutcome;
 use metaform_core::Token;
@@ -101,15 +101,15 @@ impl ParseSession {
             .unwrap_or_else(|| Chart::new(Vec::new(), 0));
         chart.reset_for(tokens, self.grammar.grammar().symbols.len());
         let setup_ns = t.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let mut result = run_parse(
-            self.grammar.grammar(),
-            self.grammar.schedule(),
-            self.grammar.preference_index(),
-            self.grammar.hoisted(),
-            chart,
-            &self.opts,
-            &mut self.scratch,
-        );
+        let compiled = &*self.grammar;
+        let rules = Rules {
+            grammar: compiled.grammar(),
+            schedule: compiled.schedule(),
+            prefs_by_symbol: compiled.preference_index(),
+            hoisted: compiled.hoisted(),
+            slots: compiled.slots(),
+        };
+        let mut result = run_parse(&rules, chart, &self.opts, &mut self.scratch);
         result.stats.phase.alloc_ns += setup_ns;
         result
     }
@@ -279,6 +279,58 @@ mod tests {
         assert!(outcomes.contains(&BudgetOutcome::TruncatedInstances));
         assert!(outcomes.contains(&BudgetOutcome::DeadlineExceeded));
         assert!(outcomes.contains(&BudgetOutcome::Completed));
+    }
+
+    /// A caption and a group of `kind` buttons with their captions on
+    /// one row: a page where the radio or checkbox rules can fire.
+    fn button_group(kind: TokenKind) -> Vec<Token> {
+        let mut tokens = vec![Token::text(0, "Format", BBox::new(10, 4, 60, 20))];
+        for (i, caption) in ["Hardcover", "Paperback"].into_iter().enumerate() {
+            let x = 70 + 92 * i as i32;
+            let id = 1 + 2 * i as u32;
+            tokens.push(Token::widget(id, kind, "f", BBox::new(x, 4, x + 13, 17)));
+            tokens.push(Token::text(
+                id + 1,
+                caption,
+                BBox::new(x + 17, 3, x + 80, 19),
+            ));
+        }
+        tokens
+    }
+
+    #[test]
+    fn recycling_across_live_rule_sets_matches_fresh_sessions() {
+        // Each page fires a different subset of the global grammar's
+        // rules, so the per-production stamps, candidate caches and
+        // watermarks one page leaves behind are stale for the next.
+        let compiled = metaform_grammar::global_compiled();
+        let radio = button_group(TokenKind::Radiobutton);
+        let checkbox = button_group(TokenKind::Checkbox);
+        let plain = author_row();
+        let pages = [&radio, &plain, &checkbox, &plain, &radio, &checkbox, &radio];
+        let counters = |stats: &crate::ParseStats| crate::ParseStats {
+            elapsed: Duration::ZERO,
+            phase: Default::default(),
+            ..stats.clone()
+        };
+        let conditions = |result: &ParseResult| -> Vec<String> {
+            result
+                .chart
+                .ids()
+                .flat_map(|id| result.chart.conditions(id))
+                .map(|c| format!("{c} {:?}", c.tokens))
+                .collect()
+        };
+        let mut reused = ParseSession::new(compiled.clone());
+        for (i, tokens) in pages.into_iter().enumerate() {
+            let got = reused.parse(tokens);
+            let want = ParseSession::new(compiled.clone()).parse(tokens);
+            assert_eq!(got.trees, want.trees, "page {i}");
+            assert_eq!(counters(&got.stats), counters(&want.stats), "page {i}");
+            assert_eq!(conditions(&got), conditions(&want), "page {i}");
+            assert!(!conditions(&got).is_empty(), "page {i} extracts something");
+            reused.recycle(got);
+        }
     }
 
     #[test]

@@ -5,17 +5,17 @@
 //! redundancy counters (and timing) may differ.
 //!
 //! Checked instance-by-instance (symbol, production, children, token,
-//! span, bbox, payload, validity) across the generated corpus, under
-//! both preference orders, under brute force, and under truncation and
-//! zero-deadline budgets. Every chart's maximal trees are also checked
+//! span, bbox, payload, conditions, validity) across the generated
+//! corpus, under both preference orders, under brute force, and under
+//! truncation and zero-deadline budgets. Every chart's maximal trees are also checked
 //! against the all-pairs reference maximizer.
 
 use metaform::paper_example_grammar;
 use metaform_datasets::fixtures::figure5_fragment;
 use metaform_datasets::{all_datasets, basic};
 use metaform_parser::{
-    maximize_naive, merge, parse_with, FixpointMode, ParseResult, ParseSession, ParserOptions,
-    PreferenceOrder,
+    maximize_naive, merge, parse_with, Chart, FixpointMode, InstId, ParseResult, ParseSession,
+    ParserOptions, PreferenceOrder,
 };
 use std::sync::Arc;
 
@@ -23,6 +23,14 @@ fn tokens_of(html: &str) -> Vec<metaform::Token> {
     let doc = metaform_html::parse(html);
     let lay = metaform_layout::layout(&doc);
     metaform_tokenizer::tokenize(&doc, &lay).tokens
+}
+
+/// Every condition an instance carries, rendered with its tokens.
+fn rendered_conditions(chart: &Chart, id: InstId) -> Vec<String> {
+    chart
+        .conditions(id)
+        .map(|c| format!("{c} {:?}", c.tokens))
+        .collect()
 }
 
 /// Instance-level chart equality plus everything downstream of it.
@@ -41,6 +49,13 @@ fn assert_identical(semi: &ParseResult, naive: &ParseResult, label: &str) {
         assert_eq!(ca.span(a), cb.span(b), "{label}/{a:?}: span");
         assert_eq!(ca.bbox(a), cb.bbox(b), "{label}/{a:?}: bbox");
         assert_eq!(ca.payload(a), cb.payload(b), "{label}/{a:?}: payload");
+        // A collect instance's payload is only a marker; its conditions
+        // are read off the chart, so compare them rendered.
+        assert_eq!(
+            rendered_conditions(ca, a),
+            rendered_conditions(cb, b),
+            "{label}/{a:?}: conditions"
+        );
         assert_eq!(ca.is_valid(a), cb.is_valid(b), "{label}/{a:?}: validity");
     }
     assert_eq!(semi.trees, naive.trees, "{label}: maximal trees diverged");
