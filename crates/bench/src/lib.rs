@@ -3,11 +3,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use metaform_core::Token;
-
 /// Builds a synthetic form page with `rows` label+textbox conditions —
-/// a size-controllable workload for scaling benches (each row adds two
-/// tokens plus one submit button overall).
+/// a size-controllable workload for the `parse_scaling` test (each row
+/// adds two tokens plus one submit button overall).
 pub fn synthetic_form(rows: usize) -> String {
     let mut html = String::from("<form>\n");
     for i in 0..rows {
@@ -35,13 +33,6 @@ pub fn mixed_form(groups: usize) -> String {
     }
     html.push_str("<input type=\"submit\" value=\"Go\">\n</form>\n");
     html
-}
-
-/// Standard tokenization pipeline for bench inputs.
-pub fn tokens_of(html: &str) -> Vec<Token> {
-    let doc = metaform_html::parse(html);
-    let lay = metaform_layout::layout(&doc);
-    metaform_tokenizer::tokenize(&doc, &lay).tokens
 }
 
 /// Provenance block every `BENCH_*.json` embeds: the git revision the
@@ -82,16 +73,17 @@ pub fn metadata_json(indent: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaform_eval::timing::tokenize_source;
 
     #[test]
     fn synthetic_form_scales_linearly() {
-        assert_eq!(tokens_of(&synthetic_form(5)).len(), 11);
-        assert_eq!(tokens_of(&synthetic_form(12)).len(), 25);
+        assert_eq!(tokenize_source(&synthetic_form(5)).len(), 11);
+        assert_eq!(tokenize_source(&synthetic_form(12)).len(), 25);
     }
 
     #[test]
     fn mixed_form_has_all_widget_kinds() {
-        let toks = tokens_of(&mixed_form(2));
+        let toks = tokenize_source(&mixed_form(2));
         use metaform_core::TokenKind;
         assert!(toks.iter().any(|t| t.kind == TokenKind::Radiobutton));
         assert!(toks.iter().any(|t| t.kind == TokenKind::SelectionList));

@@ -12,7 +12,8 @@
 //! `mixed_form(g)` has four rows per group, so its sizes are given in
 //! rows as `4 g`.
 
-use metaform_bench::{mixed_form, synthetic_form, tokens_of};
+use metaform_bench::{mixed_form, synthetic_form};
+use metaform_eval::timing::tokenize_source;
 use metaform_grammar::global_compiled;
 use metaform_parser::ParseSession;
 
@@ -40,7 +41,7 @@ fn check(form: &str, html_of: impl Fn(usize) -> String, pins: &[Pin]) {
     let mut session = ParseSession::new(global_compiled());
     let mut got = Vec::new();
     for &(rows, ..) in pins {
-        let result = session.parse(&tokens_of(&html_of(rows)));
+        let result = session.parse(&tokenize_source(&html_of(rows)));
         let s = &result.stats;
         assert!(!s.budget.exhausted(), "{form} at {rows} rows: {}", s.budget);
         assert!(

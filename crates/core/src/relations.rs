@@ -111,16 +111,6 @@ pub fn align_left(a: &BBox, b: &BBox, p: &Proximity) -> bool {
     (a.left - b.left).abs() <= p.align_tol
 }
 
-/// Right edges are aligned within tolerance.
-pub fn align_right(a: &BBox, b: &BBox, p: &Proximity) -> bool {
-    (a.right - b.right).abs() <= p.align_tol
-}
-
-/// Horizontal centers are aligned within tolerance.
-pub fn align_center_h(a: &BBox, b: &BBox, p: &Proximity) -> bool {
-    (a.center().0 - b.center().0).abs() <= p.align_tol
-}
-
 /// `a` is the nearer of the two boxes to `target` by closest-edge
 /// Manhattan distance. Used by preference winning criteria of the
 /// "smaller inter-component distance" kind (paper Figure 13 discussion).

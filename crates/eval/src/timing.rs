@@ -7,8 +7,7 @@
 
 use metaform_datasets::Dataset;
 use metaform_extractor::FormExtractor;
-use metaform_grammar::Grammar;
-use metaform_parser::{parse_with, ParseSession, ParserOptions};
+use metaform_parser::ParseSession;
 use std::time::Duration;
 
 /// Timing for a single interface.
@@ -90,19 +89,7 @@ pub fn tokenize_source(html: &str) -> Vec<metaform_core::Token> {
     metaform_tokenizer::tokenize(&doc, &lay).tokens
 }
 
-/// Times one parse, rebuilding the schedule (the cold, one-shot
-/// path). Prefer [`time_parse_in`] when timing many parses under one
-/// grammar.
-pub fn time_parse(grammar: &Grammar, tokens: &[metaform_core::Token]) -> SingleTiming {
-    let result = parse_with(grammar, tokens, &ParserOptions::default());
-    SingleTiming {
-        tokens: tokens.len(),
-        parse_time: result.stats.elapsed,
-        instances: result.stats.created,
-    }
-}
-
-/// Times one parse through a reusable session (the warm path).
+/// Times one parse through a reusable session.
 pub fn time_parse_in(session: &mut ParseSession, tokens: &[metaform_core::Token]) -> SingleTiming {
     let result = session.parse(tokens);
     let timing = SingleTiming {

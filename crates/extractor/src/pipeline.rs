@@ -11,7 +11,7 @@ use crate::error::{panic_message, ExtractError};
 use metaform_core::{ExtractionReport, Token, TokenFingerprint};
 use metaform_grammar::{global_compiled, CompiledGrammar, Grammar, GrammarError, PatternSpan};
 use metaform_html::parse as parse_html;
-use metaform_layout::{layout_with, LayoutOptions};
+use metaform_layout::layout;
 use metaform_parser::{
     merge, salvage_merge, BudgetOutcome, CancelToken, ChartSnapshot, ParseSession, ParseStats,
     ParserOptions,
@@ -233,8 +233,7 @@ pub struct Extraction {
     pub partial_roots: Vec<String>,
 }
 
-/// End-to-end form extractor with a configurable grammar, layout, and
-/// parser.
+/// End-to-end form extractor with a configurable grammar and parser.
 ///
 /// The extractor holds its grammar in compiled form behind an `Arc`,
 /// so it is `Send + Sync` and cheap to clone: every extraction reuses
@@ -243,7 +242,6 @@ pub struct Extraction {
 #[derive(Clone, Debug)]
 pub struct FormExtractor {
     grammar: Arc<CompiledGrammar>,
-    layout: LayoutOptions,
     parser: ParserOptions,
     workers: Option<usize>,
     fault_plan: Option<Arc<FaultPlan>>,
@@ -314,18 +312,11 @@ impl FormExtractor {
     pub fn with_compiled(grammar: Arc<CompiledGrammar>) -> Self {
         FormExtractor {
             grammar,
-            layout: LayoutOptions::default(),
             parser: ParserOptions::default(),
             workers: None,
             fault_plan: None,
             cache: None,
         }
-    }
-
-    /// Overrides layout options (builder style).
-    pub fn layout_options(mut self, layout: LayoutOptions) -> Self {
-        self.layout = layout;
-        self
     }
 
     /// Overrides parser options (builder style).
@@ -335,7 +326,7 @@ impl FormExtractor {
     }
 
     /// Replaces the compiled grammar while keeping every other knob —
-    /// layout, parser options, workers, fault plan, parse cache —
+    /// parser options, workers, fault plan, parse cache —
     /// untouched (builder style). This is how the daemon hot-adds
     /// induced productions: cache entries recorded under the old
     /// grammar degrade to misses automatically because cached visits
@@ -655,11 +646,11 @@ impl FormExtractor {
     }
 
     /// The front end: HTML → DOM → layout → the form's 2-D tokens. A
-    /// pure function of the HTML and the layout options, so each page
-    /// runs it once and every rung of its ladder shares the result.
+    /// pure function of the HTML, so each page runs it once and every
+    /// rung of its ladder shares the result.
     fn front_end(&self, html: &str) -> Vec<Token> {
         let doc = parse_html(html);
-        let lay = layout_with(&doc, &self.layout);
+        let lay = layout(&doc);
         tokenize(&doc, &lay).tokens
     }
 

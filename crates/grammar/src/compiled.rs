@@ -2,8 +2,8 @@
 //!
 //! A [`Grammar`] is a *description*; a [`CompiledGrammar`] is the
 //! immutable, parse-ready form of it: the validated 2P [`Schedule`],
-//! a densified per-head production table, a flat table of every
-//! production's component slots, and a per-symbol preference index
+//! every production's constraint in enumeration form, a flat table of
+//! every production's component slots, and a per-symbol preference index
 //! (so enforcement at each scheduled symbol is a direct lookup instead
 //! of a scan over every preference). Compiling is the only
 //! fallible step on the way to parsing — once a `CompiledGrammar`
@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static COMPILE_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 /// Process-wide count of [`CompiledGrammar`] constructions. Batch
-/// paths are expected to keep this at one; tests and benches assert
-/// the compile-once contract through it.
+/// paths are expected to keep this at one; `tests/compile_once.rs`
+/// asserts the compile-once contract through it.
 pub fn compile_count() -> usize {
     COMPILE_COUNT.load(Ordering::Relaxed)
 }
@@ -39,10 +39,6 @@ pub struct CompiledGrammar {
     /// declaration order — the enforcement points of Figure 11's inner
     /// loop, pre-resolved per symbol.
     prefs_by_symbol: Vec<Vec<PrefId>>,
-    /// Productions per head symbol, flattened dense: ids of symbol `s`
-    /// live at `head_prods[head_ranges[s].0 .. head_ranges[s].1]`.
-    head_prods: Vec<ProdId>,
-    head_ranges: Vec<(u32, u32)>,
     /// Every production's constraint in enumeration form, indexed by
     /// production id (see [`hoist_constraints`]).
     hoisted: Vec<Hoisted>,
@@ -63,20 +59,13 @@ impl CompiledGrammar {
         // gate: re-validate and re-index even grammars whose
         // production/preference lists were extended after the builder
         // ran (hot-added induction candidates, deserialized DSL).
-        // Without this, the dense head table below would silently miss
-        // appended productions, and out-of-bounds symbol or slot
-        // references would surface as panics mid-parse.
+        // Without this, the per-head index the parser walks
+        // (`Grammar::productions_of`) would silently miss appended
+        // productions, and out-of-bounds symbol or slot references
+        // would surface as panics mid-parse.
         grammar.validate_and_reindex()?;
         let schedule = build_schedule(&grammar)?;
         let prefs_by_symbol = preference_index(&grammar);
-        let symbol_count = grammar.symbols.len();
-        let mut head_prods = Vec::with_capacity(grammar.productions.len());
-        let mut head_ranges = Vec::with_capacity(symbol_count);
-        for s in 0..symbol_count {
-            let start = head_prods.len() as u32;
-            head_prods.extend_from_slice(grammar.productions_of(SymbolId(s as u32)));
-            head_ranges.push((start, head_prods.len() as u32));
-        }
         let hoisted = hoist_constraints(&grammar);
         let slots = SlotTable::new(&grammar, &hoisted);
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
@@ -84,8 +73,6 @@ impl CompiledGrammar {
             grammar,
             schedule,
             prefs_by_symbol,
-            head_prods,
-            head_ranges,
             hoisted,
             slots,
         })
@@ -113,14 +100,6 @@ impl CompiledGrammar {
     /// The per-symbol preference index, indexed by symbol id.
     pub fn preference_index(&self) -> &[Vec<PrefId>] {
         &self.prefs_by_symbol
-    }
-
-    /// Productions whose head is `symbol`, from the dense table.
-    pub fn productions_of(&self, symbol: SymbolId) -> &[ProdId] {
-        match self.head_ranges.get(symbol.index()) {
-            Some(&(lo, hi)) => &self.head_prods[lo as usize..hi as usize],
-            None => &[],
-        }
     }
 
     /// Widest production right-hand side in the grammar.
@@ -158,7 +137,7 @@ pub struct SlotTable {
 impl SlotTable {
     /// The table of `grammar`, with `hoisted` its
     /// [`hoist_constraints`].
-    pub fn new(grammar: &Grammar, hoisted: &[Hoisted]) -> Self {
+    fn new(grammar: &Grammar, hoisted: &[Hoisted]) -> Self {
         let mut table = SlotTable {
             off: vec![0],
             ..Default::default()
@@ -211,7 +190,7 @@ impl Grammar {
 /// [`crate::Constraint::hoist`]) — indexed by production id. It depends
 /// on the grammar alone, so a compiled grammar builds it once for every
 /// session and parse.
-pub fn hoist_constraints(grammar: &Grammar) -> Vec<Hoisted> {
+fn hoist_constraints(grammar: &Grammar) -> Vec<Hoisted> {
     grammar
         .productions
         .iter()
@@ -222,7 +201,7 @@ pub fn hoist_constraints(grammar: &Grammar) -> Vec<Hoisted> {
 /// Builds the per-symbol preference index for a grammar: for every
 /// symbol, the declaration-ordered ids of preferences naming it as
 /// winner or loser.
-pub fn preference_index(grammar: &Grammar) -> Vec<Vec<PrefId>> {
+fn preference_index(grammar: &Grammar) -> Vec<Vec<PrefId>> {
     let mut index = vec![Vec::new(); grammar.symbols.len()];
     for (i, pref) in grammar.preferences.iter().enumerate() {
         let id = PrefId(i as u32);
@@ -253,16 +232,6 @@ mod tests {
         assert_eq!(compiled.schedule().order, direct.order);
         assert_eq!(compiled.grammar().productions.len(), g.productions.len());
         assert!(compiled.max_arity() >= 2);
-    }
-
-    #[test]
-    fn dense_production_table_matches_grammar() {
-        let g = paper_example_grammar();
-        let compiled = CompiledGrammar::new(&g).unwrap();
-        for s in 0..g.symbols.len() {
-            let sym = SymbolId(s as u32);
-            assert_eq!(compiled.productions_of(sym), g.productions_of(sym));
-        }
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Grammar {
         &self.preferences[id.index()]
     }
 
-    /// All preference ids.
-    pub fn preference_ids(&self) -> impl Iterator<Item = PrefId> {
-        (0..self.preferences.len() as u32).map(PrefId)
-    }
-
     /// Re-runs every structural validity check and rebuilds the
     /// per-head production index. This is the integrity gate of the
     /// grammar lifecycle: [`GrammarBuilder::build`] runs it once for

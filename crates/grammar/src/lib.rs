@@ -34,9 +34,7 @@ pub mod production;
 pub mod schedule;
 pub mod symbol;
 
-pub use compiled::{
-    compile_count, hoist_constraints, preference_index, CompiledGrammar, SlotTable,
-};
+pub use compiled::{compile_count, CompiledGrammar, SlotTable};
 pub use constraint::{Constraint, DepthTerms, Hoisted, Pred, View};
 pub use constructor::Constructor;
 pub use describe::{constraint_to_string, schedule_to_dot};

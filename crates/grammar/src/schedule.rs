@@ -18,7 +18,7 @@ static SCHEDULE_BUILDS: AtomicUsize = AtomicUsize::new(0);
 
 /// Process-wide count of [`build_schedule`] invocations. Compile-once
 /// paths (sessions over a [`crate::CompiledGrammar`]) schedule exactly
-/// once per grammar; tests and benches assert that through this.
+/// once per grammar; `tests/compile_once.rs` asserts that through this.
 pub fn schedule_build_count() -> usize {
     SCHEDULE_BUILDS.load(std::sync::atomic::Ordering::Relaxed)
 }

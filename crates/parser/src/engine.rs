@@ -17,9 +17,8 @@ use crate::maximize::{maximize_with, MaxScratch};
 use crate::stats::{BudgetOutcome, ParseStats};
 use metaform_core::{BBox, Token};
 use metaform_grammar::{
-    build_schedule, hoist_constraints, preference_index, ConflictCond, DepthTerms, Grammar,
-    Hoisted, Payload, PrefId, ProdId, Production, Schedule, SlotTable, SymbolId, SymbolKind,
-    WinCriteria,
+    CompiledGrammar, ConflictCond, DepthTerms, Grammar, Hoisted, Payload, PrefId, ProdId,
+    Production, Schedule, SlotTable, SymbolId, SymbolKind, WinCriteria,
 };
 use std::time::{Duration, Instant};
 
@@ -53,8 +52,8 @@ pub enum FixpointMode {
     SemiNaive,
     /// Re-enumerate the full cartesian product every round, relying on
     /// [`Chart::seen`] to discard repeats, and re-sweep every
-    /// enforcement pair — the reference schedule the parity suite and
-    /// benches compare against.
+    /// enforcement pair — the reference schedule the parity suite
+    /// compares against.
     Naive,
 }
 
@@ -160,33 +159,24 @@ pub fn parse(grammar: &Grammar, tokens: &[Token]) -> ParseResult {
 
 /// Parses tokens under a grammar with explicit options.
 ///
-/// This is the one-shot compatibility path: it rebuilds the schedule
-/// and preference index on every call. Workloads that parse many
+/// This is the one-shot path: it compiles the grammar
+/// ([`CompiledGrammar::new`]) and parses through a fresh
+/// [`crate::ParseSession`] on every call. Workloads that parse many
 /// interfaces under one grammar should compile once
-/// ([`metaform_grammar::Grammar::compile`]) and reuse a
-/// [`crate::ParseSession`] instead.
+/// ([`metaform_grammar::Grammar::compile`]) and reuse a session
+/// instead.
 ///
 /// Grammars produced by `GrammarBuilder` are already validated, so
-/// scheduling cannot fail for them; should an unschedulable grammar
-/// reach this function anyway, it degrades to an empty best-effort
-/// result (no trees, no instances) rather than panicking. The strict
-/// path is `Grammar::compile`, which surfaces the error.
+/// compiling cannot fail for them; should an invalid or unschedulable
+/// grammar reach this function anyway, it degrades to an empty
+/// best-effort result (no trees, no instances) rather than panicking.
+/// The strict path is `Grammar::compile`, which surfaces the error.
 pub fn parse_with(grammar: &Grammar, tokens: &[Token], opts: &ParserOptions) -> ParseResult {
-    let Ok(schedule) = build_schedule(grammar) else {
+    let Ok(compiled) = CompiledGrammar::new(grammar) else {
         return empty_result(grammar, tokens);
     };
-    let prefs = preference_index(grammar);
-    let hoisted = hoist_constraints(grammar);
-    let slots = SlotTable::new(grammar, &hoisted);
-    let rules = Rules {
-        grammar,
-        schedule: &schedule,
-        prefs_by_symbol: &prefs,
-        hoisted: &hoisted,
-        slots: &slots,
-    };
-    let chart = Chart::new(tokens.to_vec(), grammar.symbols.len());
-    let mut result = run_parse(&rules, chart, opts, &mut Scratch::default());
+    let mut session = crate::ParseSession::with_options(compiled.into(), opts.clone());
+    let mut result = session.parse(tokens);
     result.stats.schedules_built = 1;
     result
 }
@@ -203,36 +193,20 @@ fn empty_result(grammar: &Grammar, tokens: &[Token]) -> ParseResult {
     }
 }
 
-/// What one parse reads of a grammar beyond its description: the
-/// schedule, the per-symbol preference index, the hoisted constraints
-/// and the flat slot table. A [`crate::ParseSession`] borrows them
-/// from its compiled grammar; the one-shot wrappers build them per
-/// call.
-pub(crate) struct Rules<'a> {
-    pub grammar: &'a Grammar,
-    pub schedule: &'a Schedule,
-    pub prefs_by_symbol: &'a [Vec<PrefId>],
-    pub hoisted: &'a [Hoisted],
-    pub slots: &'a SlotTable,
-}
-
-/// The parse core (paper Figure 11), shared by the one-shot wrappers
-/// and [`crate::ParseSession`]. The caller provides the grammar's
-/// compiled parts plus a chart targeted at the tokens; `scratch`
-/// buffers are recycled across calls.
+/// The parse core (paper Figure 11), run by [`crate::ParseSession`].
+/// The caller provides the compiled grammar plus a chart targeted at
+/// the tokens; `scratch` buffers are recycled across calls.
 pub(crate) fn run_parse(
-    rules: &Rules<'_>,
+    compiled: &CompiledGrammar,
     chart: Chart,
     opts: &ParserOptions,
     scratch: &mut Scratch,
 ) -> ParseResult {
-    let Rules {
-        grammar,
-        schedule,
-        prefs_by_symbol,
-        hoisted,
-        slots,
-    } = *rules;
+    let grammar = compiled.grammar();
+    let schedule = compiled.schedule();
+    let prefs_by_symbol = compiled.preference_index();
+    let hoisted = compiled.hoisted();
+    let slots = compiled.slots();
     let started = Instant::now();
     let token_count = chart.tokens().len();
     assert!(
@@ -1211,6 +1185,15 @@ mod tests {
         assert_eq!(res.trees.len(), 0);
         assert!(!res.stats.complete);
         assert_eq!(res.stats.created, 0);
+
+        // A grammar that fails validation (a production naming a symbol
+        // outside the table) gets the same empty result, not a panic.
+        let mut bad = g.clone();
+        bad.productions[0].components[0] = SymbolId(bad.symbols.len() as u32);
+        let res = parse(&bad, &renumber(author_row(0, 0)));
+        assert_eq!(res.trees.len(), 0);
+        assert_eq!(res.stats.created, 0);
+        assert_eq!(res.stats.tokens, 8);
     }
 
     #[test]

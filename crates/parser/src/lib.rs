@@ -21,8 +21,8 @@
 //! `CompiledGrammar`; a [`ParseSession`] then parses any number of
 //! token sequences under it, recycling its chart and scratch buffers
 //! between parses. The free functions [`parse`] and [`parse_with`]
-//! remain as one-shot conveniences that rebuild the schedule per call
-//! — correct, but the wrong tool for batch workloads.
+//! are one-shot conveniences that compile the grammar and run a fresh
+//! session per call — correct, but the wrong tool for batch workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

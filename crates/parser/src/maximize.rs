@@ -99,8 +99,8 @@ pub(crate) fn maximize_with(chart: &Chart, scratch: &mut MaxScratch) -> Vec<Inst
 
 /// The reference all-pairs maximizer [`maximize`] is checked against:
 /// every candidate is tested for strict subsumption against every
-/// valid instance (O(n²) bitset tests). Kept for the parity suite and
-/// benches; produces identical output.
+/// valid instance (O(n²) bitset tests). Kept for the parity suite;
+/// produces identical output.
 pub fn maximize_naive(chart: &Chart) -> Vec<InstId> {
     let valid: Vec<InstId> = chart
         .ids()

@@ -32,7 +32,7 @@
 //! }
 //! ```
 
-use crate::engine::{run_parse, ParseResult, ParserOptions, Rules, Scratch};
+use crate::engine::{run_parse, ParseResult, ParserOptions, Scratch};
 use crate::instance::Chart;
 use crate::stats::BudgetOutcome;
 use metaform_core::Token;
@@ -101,15 +101,7 @@ impl ParseSession {
             .unwrap_or_else(|| Chart::new(Vec::new(), 0));
         chart.reset_for(tokens, self.grammar.grammar().symbols.len());
         let setup_ns = t.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let compiled = &*self.grammar;
-        let rules = Rules {
-            grammar: compiled.grammar(),
-            schedule: compiled.schedule(),
-            prefs_by_symbol: compiled.preference_index(),
-            hoisted: compiled.hoisted(),
-            slots: compiled.slots(),
-        };
-        let mut result = run_parse(&rules, chart, &self.opts, &mut self.scratch);
+        let mut result = run_parse(&self.grammar, chart, &self.opts, &mut self.scratch);
         result.stats.phase.alloc_ns += setup_ns;
         result
     }

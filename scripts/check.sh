@@ -180,9 +180,6 @@ curl -fsS -X POST "http://$addr/v1/shutdown" | grep -q draining
 wait "$metaformd_pid"
 test ! -e "$tmp/metaformd.sock"   # the daemon removes its socket file on exit
 
-echo "==> cargo bench --no-run (benches must keep compiling)"
-cargo bench --no-run --workspace --quiet
-
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
