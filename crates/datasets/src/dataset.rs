@@ -346,6 +346,38 @@ pub fn survey_corpus() -> Vec<(String, String)> {
     corpus
 }
 
+/// The fixed page set the token and parser-work goldens pin, and the
+/// rule probe of `experiments rules` measures: the survey corpus plus
+/// the 25 generator schemas × pages 0–7 at seed 1, each under its
+/// evaluation profile. `(name, html)` in golden-file order.
+pub fn pinned_pages() -> Vec<(String, String)> {
+    let mut pages = survey_corpus();
+    let schemas = [
+        domains::books(),
+        domains::automobiles(),
+        domains::airfares(),
+    ]
+    .into_iter()
+    .map(|s| (s, GenParams::basic()))
+    .chain(
+        domains::new_domains()
+            .into_iter()
+            .map(|s| (s, GenParams::new_domain())),
+    )
+    .chain(
+        domains::random_pools()
+            .into_iter()
+            .map(|s| (s, GenParams::random())),
+    );
+    for (schema, params) in schemas {
+        for page in 0..8 {
+            let html = generate_source(&schema, page, 1, &params).html;
+            pages.push((format!("{}/p{page}/s1", schema.name), html));
+        }
+    }
+    pages
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

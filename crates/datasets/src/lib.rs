@@ -32,8 +32,8 @@ pub mod schema;
 pub mod zipf;
 
 pub use dataset::{
-    all_datasets, basic, induction_split, new_domain, new_source, random, survey_corpus, Dataset,
-    GenParams, Source,
+    all_datasets, basic, induction_split, new_domain, new_source, pinned_pages, random,
+    survey_corpus, Dataset, GenParams, Source,
 };
 pub use domains::BudgetPreset;
 pub use patterns::PatternId;

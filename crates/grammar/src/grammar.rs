@@ -92,6 +92,67 @@ impl Grammar {
         &self.preferences[id.index()]
     }
 
+    /// Nonterminals that no derivation from the start symbol reaches:
+    /// their productions can build instances, but no tree through the
+    /// start symbol ever uses them.
+    pub fn unreachable_nonterminals(&self) -> Vec<&str> {
+        let mut reached = vec![false; self.symbols.len()];
+        reached[self.start.index()] = true;
+        let mut stack = vec![self.start];
+        while let Some(s) = stack.pop() {
+            for &p in self.productions_of(s) {
+                for &c in &self.production(p).components {
+                    if !std::mem::replace(&mut reached[c.index()], true) {
+                        stack.push(c);
+                    }
+                }
+            }
+        }
+        self.symbols
+            .ids()
+            .filter(|&s| !self.symbols.is_terminal(s) && !reached[s.index()])
+            .map(|s| self.symbols.name(s))
+            .collect()
+    }
+
+    /// Preferences that can never fire: no terminal kind is derivable
+    /// from both the winner and the loser, so no instance of one can
+    /// share a token with an instance of the other, and both conflict
+    /// conditions need a shared token.
+    pub fn disjoint_preferences(&self) -> Vec<&str> {
+        // Bit `t` of `kinds[s]`: terminal `t` is derivable from `s`
+        // (terminals hold ids below 64). A fixed point over the
+        // productions.
+        let mut kinds: Vec<u64> = self
+            .symbols
+            .ids()
+            .map(|s| {
+                if self.symbols.is_terminal(s) {
+                    1 << s.index()
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for p in &self.productions {
+                let derived = p.components.iter().fold(0, |acc, c| acc | kinds[c.index()]);
+                let head = &mut kinds[p.head.index()];
+                if derived & !*head != 0 {
+                    *head |= derived;
+                    changed = true;
+                }
+            }
+        }
+        self.preferences
+            .iter()
+            .filter(|r| kinds[r.winner.index()] & kinds[r.loser.index()] == 0)
+            .map(|r| r.name.as_str())
+            .collect()
+    }
+
     /// Re-runs every structural validity check and rebuilds the
     /// per-head production index. This is the integrity gate of the
     /// grammar lifecycle: [`GrammarBuilder::build`] runs it once for
@@ -312,6 +373,31 @@ mod tests {
         assert_eq!(g.productions_of(qi).len(), 1);
         assert_eq!(g.symbols.nonterminal_count(), 1);
         assert!(g.stats().contains("1 productions"));
+    }
+
+    #[test]
+    fn static_checks_find_unreachable_symbols_and_disjoint_preferences() {
+        let mut b = GrammarBuilder::new("QI");
+        let text = b.t(TokenKind::Text);
+        let textbox = b.t(TokenKind::Textbox);
+        let qi = b.nt("QI");
+        let a = b.nt("A");
+        let v = b.nt("V");
+        let orphan = b.nt("Orphan");
+        for (name, head, body) in [
+            ("QI<-A", qi, a),
+            ("QI<-V", qi, v),
+            ("A", a, text),
+            ("V", v, textbox),
+            ("Orphan", orphan, text),
+        ] {
+            b.production(name, head, vec![body], Constraint::True, Constructor::Group);
+        }
+        b.preference("QI>A", qi, a, ConflictCond::Overlap, WinCriteria::Always);
+        b.preference("A>V", a, v, ConflictCond::Overlap, WinCriteria::Always);
+        let g = b.build().expect("valid grammar");
+        assert_eq!(g.unreachable_nonterminals(), ["Orphan"]);
+        assert_eq!(g.disjoint_preferences(), ["A>V"]);
     }
 
     #[test]

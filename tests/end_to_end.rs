@@ -164,3 +164,77 @@ fn brute_force_and_pruned_agree_on_clean_forms() {
     }
     assert!(brute.stats.created >= pruned.stats.created);
 }
+
+/// The productions of maximal parse trees of `html`, by name.
+fn productions_in_trees(html: &str) -> Vec<String> {
+    let compiled = metaform::global_compiled();
+    let tokens = metaform::eval::timing::tokenize_source(html);
+    let result = metaform::ParseSession::new(compiled.clone()).parse(&tokens);
+    let mut names = Vec::new();
+    let mut stack = result.trees.clone();
+    while let Some(id) = stack.pop() {
+        if let Some(p) = result.chart.prod(id) {
+            names.push(compiled.grammar().production(p).name.clone());
+        }
+        stack.extend_from_slice(result.chart.children(id));
+    }
+    names
+}
+
+#[test]
+fn productions_no_corpus_report_needs_fire_on_hand_pages() {
+    // No report of the survey corpus, the four datasets or the
+    // induction holdout changes when one of these productions is
+    // removed (EXPERIMENTS E18: "unexercised"); each still reads its
+    // own pattern on a page that shows it.
+    let month = "<select name=m><option>January<option>February<option>March<option>April\
+                 <option>May<option>June<option>July<option>August<option>September\
+                 <option>October<option>November<option>December</select>";
+    let day = format!(
+        "<select name=d>{}</select>",
+        (1..=31).map(|d| format!("<option>{d}")).collect::<String>()
+    );
+    let pages: [(String, &[&str]); 8] = [
+        (
+            "Title <input type=text name=t> <select name=op><option>contains\
+             <option>exact phrase<option>starts with</select>"
+                .into(),
+            &["TextOpSel:op-last"],
+        ),
+        (
+            "Password <input type=password name=p><br>Resume <input type=file name=r><br>\
+             <input type=image name=go src=go.gif>"
+                .into(),
+            &["Val<-password", "Action<-file", "Action<-image"],
+        ),
+        (
+            "Keyword <input type=text name=k> <input type=submit value=Search>".into(),
+            &["HQI<-HQI,ActionRow"],
+        ),
+        (
+            format!("Month {month}<br>Day {day}"),
+            &["SelVal:month", "SelVal:day"],
+        ),
+        (
+            "Passengers<br><select name=n><option>1<option>2<option>3<option>4</select>".into(),
+            &["NumCond:above"],
+        ),
+        (
+            "Amenities<br><input type=checkbox name=a> Pool <input type=checkbox name=b> Gym"
+                .into(),
+            &["EnumCB:above"],
+        ),
+        (format!("Depart<br>{month} {day}"), &["DateMD:above"]),
+        ("<textarea name=q></textarea>".into(), &["KwVal<-textarea"]),
+    ];
+    for (form, want) in pages {
+        let html = format!("<form>{form}</form>");
+        let got = productions_in_trees(&html);
+        for production in want {
+            assert!(
+                got.iter().any(|p| p == production),
+                "{production} is in no maximal tree of {html}: {got:?}"
+            );
+        }
+    }
+}
