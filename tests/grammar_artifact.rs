@@ -62,3 +62,23 @@ fn shipped_grammar_extracts_like_builtin() {
     let loaded = metaform::FormExtractor::with_grammar(g).extract(&html);
     assert_eq!(builtin.report, loaded.report);
 }
+
+#[test]
+fn every_rule_of_the_shipped_grammar_can_fire() {
+    // Proofs over the productions alone, before any page is parsed:
+    // every nonterminal lies on some derivation from the start symbol,
+    // and every preference's winner and loser can derive a common
+    // terminal kind, so they can share a token and conflict.
+    let g = global_grammar();
+    assert_eq!(
+        g.unreachable_nonterminals(),
+        Vec::<&str>::new(),
+        "nonterminals unreachable from {}",
+        g.symbols.name(g.start)
+    );
+    assert_eq!(
+        g.disjoint_preferences(),
+        Vec::<&str>::new(),
+        "preferences whose winner and loser share no terminal kind never fire"
+    );
+}
