@@ -1,115 +1,11 @@
-//! Human-readable grammar listings, in the style of the paper's
-//! Figure 6 (productions) and Figure 12 (the 2P schedule graph, as
-//! Graphviz DOT).
+//! The 2P schedule graph in the style of the paper's Figure 12, as
+//! Graphviz DOT. (The grammar's own text form is the `.2pg` DSL; see
+//! [`crate::to_dsl`].)
 
-use crate::constraint::{Constraint, Pred};
-use crate::constructor::Constructor;
 use crate::grammar::Grammar;
 use crate::schedule::Schedule;
 use crate::symbol::SymbolId;
 use std::fmt::Write;
-
-fn pred_name(p: Pred) -> String {
-    match p {
-        Pred::AttrLike => "attr-like".into(),
-        Pred::OpsLike => "ops-like".into(),
-        Pred::RangeConnector => "connector".into(),
-        Pred::MaxWords(n) => format!("≤{n} words"),
-        Pred::OptionsOpsLike => "options-ops-like".into(),
-        Pred::LowercaseText => "lowercase".into(),
-        Pred::MinOps(n) => format!("≥{n} captions"),
-    }
-}
-
-/// Renders a constraint with component names substituted for indexes.
-pub fn constraint_to_string(c: &Constraint, names: &[&str]) -> String {
-    let n = |i: usize| names.get(i).copied().unwrap_or("?");
-    match c {
-        Constraint::True => "true".into(),
-        Constraint::Left(i, j) => format!("Left({}, {})", n(*i), n(*j)),
-        Constraint::Above(i, j) => format!("Above({}, {})", n(*i), n(*j)),
-        Constraint::Below(i, j) => format!("Below({}, {})", n(*i), n(*j)),
-        Constraint::LeftWithin(i, j, px) => format!("Left≤{px}({}, {})", n(*i), n(*j)),
-        Constraint::AboveWithin(i, j, px) => format!("Above≤{px}({}, {})", n(*i), n(*j)),
-        Constraint::SameRow(i, j) => format!("SameRow({}, {})", n(*i), n(*j)),
-        Constraint::SameCol(i, j) => format!("SameCol({}, {})", n(*i), n(*j)),
-        Constraint::AlignBottom(i, j) => format!("AlignBottom({}, {})", n(*i), n(*j)),
-        Constraint::AlignTop(i, j) => format!("AlignTop({}, {})", n(*i), n(*j)),
-        Constraint::AlignLeft(i, j) => format!("AlignLeft({}, {})", n(*i), n(*j)),
-        Constraint::MaxDist(i, j, px) => format!("Dist≤{px}({}, {})", n(*i), n(*j)),
-        Constraint::Is(i, p) => format!("{}({})", pred_name(*p), n(*i)),
-        Constraint::And(cs) => cs
-            .iter()
-            .map(|c| constraint_to_string(c, names))
-            .collect::<Vec<_>>()
-            .join(" ∧ "),
-        Constraint::Or(cs) => format!(
-            "({})",
-            cs.iter()
-                .map(|c| constraint_to_string(c, names))
-                .collect::<Vec<_>>()
-                .join(" ∨ ")
-        ),
-        Constraint::Not(c) => format!("¬{}", constraint_to_string(c, names)),
-    }
-}
-
-/// Short name for a constructor action.
-pub fn constructor_to_string(k: &Constructor) -> &'static str {
-    match k {
-        Constructor::Group => "group",
-        Constructor::Inherit(_) => "inherit",
-        Constructor::MakeAttr(_) => "attr",
-        Constructor::TextOf(_) => "text",
-        Constructor::ListStart(_) => "list-start",
-        Constructor::ListAppend { .. } => "list-append",
-        Constructor::OpsFromOptions(_) => "ops-from-options",
-        Constructor::MakeCond { .. } => "condition",
-        Constructor::MakeEnumCond { .. } => "enum-condition",
-        Constructor::MakeBoolCond(_) => "bool-condition",
-        Constructor::MakeRange { .. } => "range-condition",
-        Constructor::MakeDate(_) => "date-condition",
-        Constructor::MakeUnlabeledCond(_) => "unlabeled-condition",
-        Constructor::CollectConds => "collect",
-    }
-}
-
-impl Grammar {
-    /// Figure 6-style listing: one line per production, then the
-    /// preferences.
-    pub fn describe(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "2P grammar ({}):", self.stats());
-        let _ = writeln!(out, "start: {}", self.symbols.name(self.start));
-        let _ = writeln!(out, "productions:");
-        for (i, p) in self.productions.iter().enumerate() {
-            let comp_names: Vec<&str> =
-                p.components.iter().map(|&c| self.symbols.name(c)).collect();
-            let _ = writeln!(
-                out,
-                "  P{i:<3} {:<10} ← {:<28} ⟦{}⟧ ⟨{}⟩  # {}",
-                self.symbols.name(p.head),
-                comp_names.join(" "),
-                constraint_to_string(&p.constraint, &comp_names),
-                constructor_to_string(&p.constructor),
-                p.name
-            );
-        }
-        let _ = writeln!(out, "preferences:");
-        for (i, r) in self.preferences.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  R{i:<3} {} ≻ {}  when {:?}, wins by {:?}  # {}",
-                self.symbols.name(r.winner),
-                self.symbols.name(r.loser),
-                r.condition,
-                r.criteria,
-                r.name
-            );
-        }
-        out
-    }
-}
 
 /// Graphviz DOT rendering of the 2P schedule graph (paper Figure 12):
 /// solid d-edges (component → head) and dashed r-edges (winner →
@@ -175,38 +71,8 @@ pub fn schedule_to_dot(grammar: &Grammar, schedule: &Schedule) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::{global_grammar, paper_example_grammar};
+    use crate::global::paper_example_grammar;
     use crate::schedule::build_schedule;
-
-    #[test]
-    fn describe_lists_every_rule() {
-        let g = paper_example_grammar();
-        let listing = g.describe();
-        assert!(listing.contains("start: QI"));
-        assert!(listing.contains("TextOp"), "{listing}");
-        assert!(listing.contains("RBU"));
-        assert!(listing.contains("≻"), "preferences listed");
-        let starting_with =
-            |prefix: &str| listing.lines().filter(|l| l.starts_with(prefix)).count();
-        assert_eq!(
-            starting_with("  P"),
-            g.productions.len(),
-            "one line per production"
-        );
-        assert_eq!(starting_with("  R"), g.preferences.len());
-    }
-
-    #[test]
-    fn constraint_rendering_uses_component_names() {
-        let c = Constraint::all([Constraint::Left(0, 1), Constraint::Is(0, Pred::AttrLike)]);
-        let s = constraint_to_string(&c, &["Attr", "Val"]);
-        assert_eq!(s, "Left(Attr, Val) ∧ attr-like(Attr)");
-        let o = Constraint::Or(vec![Constraint::True, Constraint::Below(1, 0)]);
-        assert_eq!(
-            constraint_to_string(&o, &["A", "B"]),
-            "(true ∨ Below(B, A))"
-        );
-    }
 
     #[test]
     fn dot_export_has_both_edge_kinds() {
@@ -220,14 +86,5 @@ mod tests {
             "r-edge: {dot}"
         );
         assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn global_grammar_describe_is_complete() {
-        let g = global_grammar();
-        let listing = g.describe();
-        for nt in ["TextVal", "RangeTB", "DateMDY", "EnumCB", "QI"] {
-            assert!(listing.contains(nt), "{nt} missing");
-        }
     }
 }

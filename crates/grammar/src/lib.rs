@@ -37,7 +37,7 @@ pub mod symbol;
 pub use compiled::{compile_count, CompiledGrammar, SlotTable};
 pub use constraint::{Constraint, DepthTerms, Hoisted, Pred, View};
 pub use constructor::Constructor;
-pub use describe::{constraint_to_string, schedule_to_dot};
+pub use describe::schedule_to_dot;
 pub use dsl::{from_dsl, to_dsl, DslError};
 pub use global::{global_compiled, global_grammar, paper_example_grammar};
 pub use grammar::{Grammar, GrammarBuilder, GrammarError};
