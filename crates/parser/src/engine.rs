@@ -65,8 +65,6 @@ pub struct ParserOptions {
     /// "brute-force" fix-point of §4.2.1 that exhausts all
     /// interpretations.
     pub enforce_preferences: bool,
-    /// Compensate dropped r-edges by rolling back false ancestors.
-    pub rollback: bool,
     /// Hard cap on created instances — a safety valve for the
     /// exponential brute-force mode (visual-language membership is
     /// NP-complete, §5.1). Hitting it ends the parse with
@@ -101,7 +99,6 @@ impl Default for ParserOptions {
     fn default() -> Self {
         ParserOptions {
             enforce_preferences: true,
-            rollback: true,
             max_instances: 2_000_000,
             deadline: None,
             preference_order: PreferenceOrder::Scheduled,
@@ -117,7 +114,6 @@ impl ParserOptions {
     pub fn brute_force() -> Self {
         ParserOptions {
             enforce_preferences: false,
-            rollback: false,
             ..Default::default()
         }
     }
@@ -768,7 +764,7 @@ impl Parser<'_> {
         let (w_mark, l_mark) = self.scratch.pref_marks[pref_id.index()];
         let (w_mark, l_mark) = (w_mark as usize, l_mark as usize);
         self.stats.pairs_skipped_delta += w_mark as u64 * l_mark as u64;
-        let needs_rollback = self.opts.rollback && self.schedule.needs_rollback[pref_id.index()];
+        let needs_rollback = self.schedule.needs_rollback[pref_id.index()];
         if w_len > w_mark || l_len > l_mark {
             for wi in 0..w_len {
                 let w = self.chart.of_symbol(w_sym)[wi];

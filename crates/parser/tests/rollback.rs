@@ -8,7 +8,7 @@ use metaform_core::{BBox, Token, TokenKind};
 use metaform_grammar::{
     build_schedule, ConflictCond, Constraint, Constructor, Grammar, GrammarBuilder, WinCriteria,
 };
-use metaform_parser::{parse, parse_with, ParserOptions};
+use metaform_parser::parse;
 
 /// A grammar engineered so the preference `C > B` cannot keep any
 /// r-edge: `B`'s parent `P` feeds `C` (`A → B → P → C`), so both the
@@ -74,22 +74,4 @@ fn rollback_erases_false_ancestors() {
     // The loser symbol has no valid survivors.
     let b_sym = g.symbols.lookup("B").unwrap();
     assert!(result.chart.valid_of_symbol(b_sym).is_empty());
-}
-
-#[test]
-fn disabling_rollback_leaves_false_ancestors() {
-    let g = rollback_grammar();
-    let opts = ParserOptions {
-        rollback: false,
-        ..ParserOptions::default()
-    };
-    let result = parse_with(&g, &tokens(), &opts);
-    assert_eq!(result.stats.rolled_back, 0);
-    // Without compensation, the false parent of the pruned loser
-    // survives — exactly the "negative effect" the paper describes.
-    let p_sym = g.symbols.lookup("P").unwrap();
-    assert!(
-        !result.chart.valid_of_symbol(p_sym).is_empty(),
-        "false ancestor lingers when rollback is off"
-    );
 }
