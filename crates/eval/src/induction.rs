@@ -33,7 +33,6 @@ use metaform_extractor::FormExtractor;
 use metaform_grammar::{
     global_compiled, synthesize_all, ArrangementBook, Candidate, CompiledGrammar,
 };
-use metaform_parser::{FixpointMode, ParserOptions};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -47,9 +46,6 @@ pub struct InductionConfig {
     pub min_support: usize,
     /// Worker threads for batch extraction (`None` = machine default).
     pub workers: Option<usize>,
-    /// Parser fix-point scheduling mode. The induction trajectory must
-    /// not depend on this — `tests/induction.rs` pins that.
-    pub fixpoint: FixpointMode,
 }
 
 impl Default for InductionConfig {
@@ -58,7 +54,6 @@ impl Default for InductionConfig {
             rounds: 4,
             min_support: 2,
             workers: None,
-            fixpoint: FixpointMode::default(),
         }
     }
 }
@@ -178,15 +173,8 @@ pub fn frozen_corpus() -> Vec<(String, String)> {
     corpus
 }
 
-fn extractor_for(
-    grammar: Arc<CompiledGrammar>,
-    workers: Option<usize>,
-    fixpoint: FixpointMode,
-) -> FormExtractor {
-    let mut ex = FormExtractor::with_compiled(grammar).parser_options(ParserOptions {
-        fixpoint,
-        ..ParserOptions::default()
-    });
+fn extractor_for(grammar: Arc<CompiledGrammar>, workers: Option<usize>) -> FormExtractor {
+    let mut ex = FormExtractor::with_compiled(grammar);
     if let Some(w) = workers {
         ex = ex.worker_threads(w);
     }
@@ -206,18 +194,13 @@ pub struct InductionGate {
     /// re-baselined on every acceptance).
     pub holdout_accuracy: f64,
     workers: Option<usize>,
-    fixpoint: FixpointMode,
 }
 
 impl InductionGate {
     /// Builds the gate around `base`: renders the frozen corpus's
     /// baseline reports and scores the held-out slice under it.
-    pub fn new(
-        base: &Arc<CompiledGrammar>,
-        workers: Option<usize>,
-        fixpoint: FixpointMode,
-    ) -> Self {
-        let extractor = extractor_for(base.clone(), workers, fixpoint);
+    pub fn new(base: &Arc<CompiledGrammar>, workers: Option<usize>) -> Self {
+        let extractor = extractor_for(base.clone(), workers);
         let frozen = frozen_corpus();
         let frozen_reports = frozen
             .iter()
@@ -231,7 +214,6 @@ impl InductionGate {
             holdout,
             holdout_accuracy,
             workers,
-            fixpoint,
         }
     }
 
@@ -252,7 +234,7 @@ impl InductionGate {
             .compile()
             .map(Arc::new)
             .map_err(|e| RejectReason::CompileError(e.to_string()))?;
-        let extractor = extractor_for(compiled.clone(), self.workers, self.fixpoint);
+        let extractor = extractor_for(compiled.clone(), self.workers);
         // Clause 2: zero regression on the frozen corpus.
         for ((name, html), want) in self.frozen.iter().zip(&self.frozen_reports) {
             if extractor.extract(html).report.to_string() != *want {
@@ -311,15 +293,15 @@ pub fn refit_grammar(
 /// the split is seed-fixed, mining and clustering are order-stable,
 /// candidates are admitted in signature order, and the gate's metrics
 /// are exact counts — so the trajectory is identical across worker
-/// counts and fix-point modes (pinned by `tests/induction.rs`).
+/// counts (pinned by `tests/induction.rs`).
 pub fn run_induction(config: &InductionConfig) -> InductionOutcome {
     let (train, _) = induction_split();
     let random_ds = random();
     let mut grammar = global_compiled();
-    let mut gate = InductionGate::new(&grammar, config.workers, config.fixpoint);
+    let mut gate = InductionGate::new(&grammar, config.workers);
     let baseline_holdout = gate.holdout_accuracy;
     let baseline_random = {
-        let extractor = extractor_for(grammar.clone(), config.workers, config.fixpoint);
+        let extractor = extractor_for(grammar.clone(), config.workers);
         score_dataset(&extractor, &random_ds).accuracy()
     };
     let mut seen: BTreeSet<String> = BTreeSet::new();
@@ -327,7 +309,7 @@ pub fn run_induction(config: &InductionConfig) -> InductionOutcome {
     let mut rounds = Vec::new();
 
     for round in 0..config.rounds {
-        let extractor = extractor_for(grammar.clone(), config.workers, config.fixpoint);
+        let extractor = extractor_for(grammar.clone(), config.workers);
         // Collect: mine the training slice's parse residue.
         let proximity = extractor.grammar().proximity;
         let mut book = ArrangementBook::new();
@@ -353,7 +335,7 @@ pub fn run_induction(config: &InductionConfig) -> InductionOutcome {
         grammar = extended;
         accepted_all.extend(accepted.iter().cloned());
 
-        let extractor = extractor_for(grammar.clone(), config.workers, config.fixpoint);
+        let extractor = extractor_for(grammar.clone(), config.workers);
         let random_accuracy = score_dataset(&extractor, &random_ds).accuracy();
         let stop = accepted.is_empty();
         rounds.push(RoundOutcome {
@@ -407,7 +389,7 @@ mod tests {
     fn gate_rejects_inapplicable_candidates() {
         use metaform_grammar::{synthesize, Cluster};
         let base = global_compiled();
-        let mut gate = InductionGate::new(&base, Some(1), FixpointMode::default());
+        let mut gate = InductionGate::new(&base, Some(1));
         let cluster = Cluster {
             descriptors: vec!["tb".into(), "attr".into()],
             pages: ["a", "b"].iter().map(|s| s.to_string()).collect(),

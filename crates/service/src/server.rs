@@ -413,7 +413,6 @@ impl ServiceState {
                     control.gate = Some(InductionGate::new(
                         self.extractor.compiled(),
                         self.config.batch_workers,
-                        metaform_parser::FixpointMode::default(),
                     ));
                 }
                 let current = control
