@@ -14,7 +14,8 @@
 //! other code change.
 
 use metaform_datasets::survey_corpus;
-use metaform_extractor::{AdaptiveOptions, FormExtractor, Provenance};
+use metaform_eval::ablation::{one_pass, render_reports};
+use metaform_extractor::FormExtractor;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
@@ -48,27 +49,13 @@ fn render_starved_corpus() -> String {
 fn render_with(extractor: FormExtractor) -> String {
     let corpus = survey_corpus();
     let pages: Vec<&str> = corpus.iter().map(|(_, html)| html.as_str()).collect();
-    let one_pass = AdaptiveOptions {
-        max_retries: 0,
-        ..Default::default()
-    };
-    let extractions = extractor
-        .extract_batch_adaptive(&pages, &one_pass)
-        .extractions;
-    let mut out = String::new();
-    for ((name, _), extraction) in corpus.iter().zip(&extractions) {
-        out.push_str("== ");
-        out.push_str(name);
-        out.push_str(" ==\n");
-        match extraction.via {
-            Provenance::BaselineFallback => out.push_str("(via proximity-baseline fallback)\n"),
-            Provenance::PartialSalvage => out.push_str("(via salvaged partial parse)\n"),
-            _ => {}
-        }
-        out.push_str(&extraction.report.to_string());
-        out.push('\n');
-    }
-    out
+    let extractions = one_pass(&extractor, &pages);
+    render_reports(
+        corpus
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .zip(&extractions),
+    )
 }
 
 /// The shared bless-or-compare core: regenerates `path` under
