@@ -15,15 +15,12 @@
 //! METAFORM_BLESS=1 cargo test --test front_end_tokens
 //! ```
 
+#[path = "support/golden.rs"]
+mod golden;
 mod support;
 
 use metaform_core::{Token, TokenFingerprint};
-use std::path::PathBuf;
 use support::{pinned_pages, tokens_of};
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/front_end_tokens.txt")
-}
 
 /// Short per-token digest: the low 32 bits of the one-token fingerprint.
 fn token_digest(token: &Token) -> String {
@@ -41,53 +38,27 @@ fn line_of(name: &str, tokens: &[Token]) -> String {
     )
 }
 
-/// The first drifted page, its first differing token (as the front end
-/// now renders it) and the bless hint.
-fn divergence_report(golden: &str, pages: &[(String, Vec<Token>)]) -> String {
-    let mut out = String::from(
-        "front-end tokens drifted from the golden file\n\
-         to accept the change: METAFORM_BLESS=1 cargo test --test front_end_tokens\n",
-    );
-    let golden_lines: Vec<&str> = golden.lines().collect();
-    if golden_lines.len() != pages.len() {
-        out.push_str(&format!(
-            "(page counts differ: golden {}, rendered {})\n",
-            golden_lines.len(),
-            pages.len()
-        ));
+/// What drifted on the first differing page: its first differing token
+/// as the front end now renders it, or the change in its token count.
+fn first_token_drift(blessed: &str, tokens: &[Token]) -> String {
+    let blessed_digests: Vec<&str> = blessed
+        .split('\t')
+        .nth(2)
+        .unwrap_or("")
+        .split_whitespace()
+        .collect();
+    let first = tokens
+        .iter()
+        .enumerate()
+        .position(|(i, t)| blessed_digests.get(i) != Some(&token_digest(t).as_str()));
+    match first {
+        Some(i) => format!("first differing token #{i}: {:?}\n", tokens[i]),
+        None => format!(
+            "the golden has {} tokens, the front end now makes {}\n",
+            blessed_digests.len(),
+            tokens.len()
+        ),
     }
-    for (k, (name, tokens)) in pages.iter().enumerate() {
-        let rendered = line_of(name, tokens);
-        let Some(&blessed) = golden_lines.get(k) else {
-            out.push_str(&format!("page {name}: missing from the golden file\n"));
-            break;
-        };
-        if blessed == rendered {
-            continue;
-        }
-        out.push_str(&format!("page {name} (line {}):\n", k + 1));
-        out.push_str(&format!("-{blessed}\n+{rendered}\n"));
-        let blessed_digests: Vec<&str> = blessed
-            .split('\t')
-            .nth(2)
-            .unwrap_or("")
-            .split_whitespace()
-            .collect();
-        let first = tokens
-            .iter()
-            .enumerate()
-            .position(|(i, t)| blessed_digests.get(i) != Some(&token_digest(t).as_str()));
-        match first {
-            Some(i) => out.push_str(&format!("first differing token #{i}: {:?}\n", tokens[i])),
-            None => out.push_str(&format!(
-                "the golden has {} tokens, the front end now makes {}\n",
-                blessed_digests.len(),
-                tokens.len()
-            )),
-        }
-        break;
-    }
-    out
 }
 
 #[test]
@@ -104,20 +75,8 @@ fn front_end_tokens_match_the_golden_file() {
         rendered.push_str(&line_of(name, tokens));
         rendered.push('\n');
     }
-    let path = golden_path();
-    if std::env::var_os("METAFORM_BLESS").is_some() {
-        std::fs::write(&path, &rendered).expect("write golden file");
-        println!("blessed {} ({} pages)", path.display(), pages.len());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e}\n\
-             (first run? bless it: METAFORM_BLESS=1 cargo test --test front_end_tokens)",
-            path.display()
-        )
+    golden::check("front_end_tokens.txt", &rendered, |line, blessed| {
+        let (_, tokens) = pages.get(line)?;
+        Some(first_token_drift(blessed, tokens))
     });
-    if rendered != golden {
-        panic!("{}", divergence_report(&golden, &pages));
-    }
 }

@@ -18,19 +18,16 @@
 //! METAFORM_BLESS=1 cargo test --test parser_work
 //! ```
 
+#[path = "support/golden.rs"]
+mod golden;
 mod support;
 
 use metaform_grammar::global_compiled;
 use metaform_parser::{ParseSession, ParseStats, ParserOptions};
-use std::path::PathBuf;
 use support::{pinned_pages, tokens_of};
 
 /// The instance cap of the starved budget row.
 const STARVED_CAP: usize = 40;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/parser_work.txt")
-}
 
 fn counters(s: &ParseStats) -> String {
     format!(
@@ -58,7 +55,6 @@ fn parser_work_matches_the_golden_file() {
         },
     );
     let mut rendered = String::new();
-    let mut lines = 0;
     for (name, html) in pinned_pages() {
         let tokens = tokens_of(&html);
         let a = full.parse(&tokens);
@@ -70,37 +66,6 @@ fn parser_work_matches_the_golden_file() {
         ));
         full.recycle(a);
         starved.recycle(b);
-        lines += 1;
     }
-    let path = golden_path();
-    if std::env::var_os("METAFORM_BLESS").is_some() {
-        std::fs::write(&path, &rendered).expect("write golden file");
-        println!("blessed {} ({lines} pages)", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e}\n\
-             (first run? bless it: METAFORM_BLESS=1 cargo test --test parser_work)",
-            path.display()
-        )
-    });
-    if rendered != golden {
-        let first = golden
-            .lines()
-            .zip(rendered.lines())
-            .enumerate()
-            .find(|(_, (g, r))| g != r);
-        let at = match first {
-            Some((k, (blessed, now))) => format!("line {}\n-{blessed}\n+{now}", k + 1),
-            None => format!(
-                "the page count: golden {}, parsed {lines}",
-                golden.lines().count()
-            ),
-        };
-        panic!(
-            "parser work drifted from the golden file at {at}\n\
-             to accept the change: METAFORM_BLESS=1 cargo test --test parser_work"
-        );
-    }
+    golden::check("parser_work.txt", &rendered, |_, _| None);
 }
