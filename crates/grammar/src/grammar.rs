@@ -158,8 +158,7 @@ impl Grammar {
     /// grammar lifecycle: [`GrammarBuilder::build`] runs it once for
     /// hand-assembled grammars, and [`Grammar::compile`] runs it
     /// again so grammars whose `productions`/`preferences` were
-    /// extended after building — the induction loop's hot-add path,
-    /// or a deserializer — are fully re-validated before any parse
+    /// edited after building are fully re-validated before any parse
     /// touches them. After it succeeds, every symbol id in every
     /// production and preference is in-bounds and every
     /// constraint/constructor slot index is below its production's
@@ -197,24 +196,6 @@ impl Grammar {
         }
         self.heads = heads;
         Ok(())
-    }
-
-    /// This grammar plus extra productions and preferences, by value —
-    /// the induction loop's hot-add entry. Infallible by design: the
-    /// additions are *recorded* here and *validated* by
-    /// [`Grammar::compile`], which stays the only fallible step. The
-    /// head index is refreshed opportunistically when the extended
-    /// grammar is already valid; an invalid addition simply leaves the
-    /// index stale until compile rejects the grammar.
-    pub fn with_additions(
-        mut self,
-        productions: Vec<Production>,
-        preferences: Vec<Preference>,
-    ) -> Grammar {
-        self.productions.extend(productions);
-        self.preferences.extend(preferences);
-        let _ = self.validate_and_reindex();
-        self
     }
 
     /// Summary line for reports: counts of terminals, nonterminals,

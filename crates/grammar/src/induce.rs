@@ -18,24 +18,22 @@
 //!   gaps.
 //! - [`synthesize`] maps a recurring cluster onto one of the known
 //!   production *shapes* and generalizes the spatial constraints from
-//!   the observed gaps, yielding a [`Candidate`].
+//!   the observed gaps, yielding a [`Candidate`]: `.2pg` rule text.
 //!
 //! A [`Candidate`] is a proposal, not a grammar change:
-//! [`Candidate::apply`] returns a *description* ([`Grammar`]) with the
-//! productions appended, and the only way that description becomes
+//! [`Candidate::apply`] returns a *description* ([`Grammar`]) read by
+//! the grammar DSL from the base's text with the candidate's rules
+//! after it, and the only way that description becomes
 //! parse-ready is [`Grammar::compile`] — the grammar lifecycle's single
 //! fallible entry point, which re-validates everything. The **Validate**
 //! half (held-out replay, zero-regression gate) lives in
 //! `metaform-eval`, which alone decides whether an applied candidate is
 //! kept.
 
-use crate::constraint::{self, Constraint, Pred, View};
-use crate::constructor::Constructor;
+use crate::constraint::{self, Pred, View};
+use crate::dsl::{from_dsl, to_dsl};
 use crate::grammar::Grammar;
 use crate::payload::Payload;
-use crate::preference::{ConflictCond, Preference, WinCriteria};
-use crate::production::Production;
-use crate::symbol::SymbolId;
 use metaform_core::relations::same_row;
 use metaform_core::{Proximity, Token, TokenId, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -339,21 +337,65 @@ impl ArrangementBook {
     }
 }
 
-/// The production shapes the synthesizer knows how to generalize a
-/// cluster into. Each mirrors a catalogued pattern family with the
-/// label on the *other* side (or the parts split differently) from
-/// what the hand grammar covers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Shape {
-    /// `[tb attr]` — textbox with a trailing label.
-    TbAttr,
-    /// `[sel attr]` — selection list with a trailing label.
-    SelAttr,
-    /// `[attr tb sep tb sep tb]` — date split over punctuated boxes.
-    DateBoxes,
-    /// `[attr conn tb conn tb]` — worded range over two boxes.
-    RangeBoxes,
-}
+/// The production shapes the synthesizer generalizes a cluster into,
+/// as (descriptor signature, new nonterminal, `.2pg` rules). Each
+/// mirrors a catalogued pattern family with the label on the *other*
+/// side (or the parts split differently) from what the hand grammar
+/// covers, and brings preferences against the patterns it competes
+/// with. `{gN}` is the generalized `leftwithin` bound of adjacency `N`.
+const SHAPES: [(&[&str], &str, &str); 4] = [
+    // `[tb attr]` — textbox with a trailing label. A lowercase trailing
+    // word is a unit ("miles"), not a label: those are left to UnitTB.
+    // Tighter-wins both ways against TextVal (the R40/R41 precedent):
+    // whichever pairing hugs its tokens closer is the real label-widget
+    // association.
+    (
+        &["tb", "attr"],
+        "IndTbAttr",
+        "\
+IndTbAttr: IndTbAttr <- Val Attr : leftwithin(0,1,{g0}) & !lowercase(1) => cond(attr=1,val=0)
+IndR:IndTbAttr>TextVal: IndTbAttr > TextVal : overlap tighter
+IndR:TextVal>IndTbAttr: TextVal > IndTbAttr : overlap tighter
+IndR:IndTbAttr>TextValB: IndTbAttr > TextValB : overlap always
+IndR:IndTbAttr>KwVal: IndTbAttr > KwVal : overlap always
+IndR:UnitTB>IndTbAttr: UnitTB > IndTbAttr : overlap larger",
+    ),
+    // `[sel attr]` — selection list with a trailing label. An
+    // operator-listing select is an op picker, not a value domain (the
+    // SelfSel guard).
+    (
+        &["sel", "attr"],
+        "IndSelAttr",
+        "\
+IndSelAttr: IndSelAttr <- selection_list Attr : leftwithin(0,1,{g0}) & !lowercase(1) & !optionsops(0) => cond(attr=1,val=0)
+IndR:IndSelAttr>SelVal: IndSelAttr > SelVal : overlap tighter
+IndR:SelVal>IndSelAttr: SelVal > IndSelAttr : overlap tighter
+IndR:IndSelAttr>SelfSel: IndSelAttr > SelfSel : overlap always
+IndR:IndSelAttr>TextValB: IndSelAttr > TextValB : overlap always",
+    ),
+    // `[attr tb sep tb sep tb]` — date split over punctuated boxes. The
+    // interior texts are bare separators, never labels.
+    (
+        &["attr", "tb", "sep", "tb", "sep", "tb"],
+        "IndDateBoxes",
+        "\
+IndDateBoxes: IndDateBoxes <- Attr Val text Val text Val : leftwithin(0,1,{g0}) & leftwithin(1,2,{g1}) & leftwithin(2,3,{g2}) & leftwithin(3,4,{g3}) & leftwithin(4,5,{g4}) & maxwords(2,1) & !attrlike(2) & maxwords(4,1) & !attrlike(4) => date(0)
+IndR:IndDateBoxes>TextVal: IndDateBoxes > TextVal : overlap larger
+IndR:IndDateBoxes>KwVal: IndDateBoxes > KwVal : overlap always
+IndR:IndDateBoxes>TextValB: IndDateBoxes > TextValB : overlap always
+IndR:IndDateBoxes>RangeTB: IndDateBoxes > RangeTB : overlap larger",
+    ),
+    // `[attr conn tb conn tb]` — worded range over two boxes.
+    (
+        &["attr", "conn", "tb", "conn", "tb"],
+        "IndRangeBoxes",
+        "\
+IndRangeBoxes: IndRangeBoxes <- Attr Connector Val Connector Val : leftwithin(0,1,{g0}) & leftwithin(1,2,{g1}) & leftwithin(2,3,{g2}) & leftwithin(3,4,{g3}) => range(0,2,4)
+IndR:IndRangeBoxes>RangeTB: IndRangeBoxes > RangeTB : overlap larger
+IndR:IndRangeBoxes>KwVal: IndRangeBoxes > KwVal : overlap always
+IndR:IndRangeBoxes>TextValB: IndRangeBoxes > TextValB : overlap always",
+    ),
+];
 
 /// A synthesized candidate production set: one new pattern nonterminal
 /// plus its `CP` bridge and disambiguation preferences, with spatial
@@ -368,7 +410,8 @@ pub struct Candidate {
     pub signature: String,
     /// Distinct supporting pages.
     pub support: usize,
-    shape: Shape,
+    /// The shape's `.2pg` rules, gaps not yet filled in.
+    rules: &'static str,
     /// Per-adjacency generalized `LeftWithin` bounds.
     gaps: Vec<i32>,
 }
@@ -388,19 +431,14 @@ pub fn synthesize(signature: &str, cluster: &Cluster, min_support: usize) -> Opt
     if cluster.pages.len() < min_support {
         return None;
     }
-    let ds: Vec<&str> = cluster.descriptors.iter().map(String::as_str).collect();
-    let (name, shape) = match ds.as_slice() {
-        ["tb", "attr"] => ("IndTbAttr", Shape::TbAttr),
-        ["sel", "attr"] => ("IndSelAttr", Shape::SelAttr),
-        ["attr", "tb", "sep", "tb", "sep", "tb"] => ("IndDateBoxes", Shape::DateBoxes),
-        ["attr", "conn", "tb", "conn", "tb"] => ("IndRangeBoxes", Shape::RangeBoxes),
-        _ => return None,
-    };
+    let &(_, name, rules) = SHAPES
+        .iter()
+        .find(|(descriptors, _, _)| cluster.descriptors == *descriptors)?;
     Some(Candidate {
         name: name.to_string(),
         signature: signature.to_string(),
         support: cluster.pages.len(),
-        shape,
+        rules,
         gaps: cluster
             .max_gaps
             .iter()
@@ -417,253 +455,50 @@ pub fn synthesize_all(book: &ArrangementBook, min_support: usize) -> Vec<Candida
 }
 
 impl Candidate {
-    /// The generalized adjacency bound for slot pair `i` (falls back
-    /// to the floor when the cluster recorded fewer gaps).
-    fn gap(&self, i: usize) -> i32 {
-        self.gaps
-            .get(i)
-            .copied()
-            .unwrap_or_else(|| generalize_gap(0))
+    /// The candidate's `.2pg` rules: the shape's rules with every gap
+    /// filled in (the floor where the cluster recorded fewer gaps),
+    /// then the `CP` bridge production.
+    fn render(&self) -> String {
+        let mut rules = self.rules.to_string();
+        for i in 0..MAX_WINDOW {
+            let gap = self.gaps.get(i).copied().unwrap_or(generalize_gap(0));
+            rules = rules.replace(&format!("{{g{i}}}"), &gap.to_string());
+        }
+        let n = &self.name;
+        rules + &format!("\nCP<-{n}: CP <- {n} : true => inherit(0)\n")
     }
 
     /// Applies the candidate to a grammar *description*: appends the
-    /// new pattern production, its `CP` bridge, and its preferences.
-    /// Infallible and non-destructive — the result is only a proposal
-    /// until [`Grammar::compile`] validates it, and the caller keeps
-    /// the base grammar for rollback. When the base grammar lacks the
-    /// symbols the shape builds on (or already has this candidate's
-    /// nonterminal), the description is returned unchanged.
+    /// new pattern production, its `CP` bridge, and its preferences,
+    /// by parsing the base's `.2pg` text with the candidate's rules
+    /// after it. Infallible and non-destructive — the result is only a
+    /// proposal until [`Grammar::compile`] validates it, and the caller
+    /// keeps the base grammar for rollback. When the base lacks a
+    /// symbol a production needs (or already has this candidate's
+    /// nonterminal), the description is returned unchanged; a
+    /// preference whose rival the base lacks is left out.
     pub fn apply(&self, base: &Grammar) -> Grammar {
-        let mut g = base.clone();
-        if g.symbols.lookup(&self.name).is_some() {
-            return g;
+        if base.symbols.lookup(&self.name).is_some() {
+            return base.clone();
         }
-        let Some(cp) = g.symbols.lookup("CP") else {
-            return g;
-        };
-        let Some(attr) = g.symbols.lookup("Attr") else {
-            return g;
-        };
-        let Some(val) = g.symbols.lookup("Val") else {
-            return g;
-        };
-        let text = g.symbols.terminal(TokenKind::Text);
-        let sel = g.symbols.terminal(TokenKind::SelectionList);
-        let nt = g.symbols.intern(&self.name);
-
-        let mut productions = Vec::new();
-        let mut preferences = Vec::new();
-        let mut prefer = |name: String, winner: SymbolId, loser: Option<SymbolId>, criteria| {
-            if let Some(loser) = loser {
-                preferences.push(Preference {
-                    name,
-                    winner,
-                    loser,
-                    condition: ConflictCond::Overlap,
-                    criteria,
-                });
-            }
-        };
-        let lookup = |g: &Grammar, name: &str| g.symbols.lookup(name);
-
-        match self.shape {
-            Shape::TbAttr => {
-                productions.push(Production {
-                    name: self.name.clone(),
-                    head: nt,
-                    components: vec![val, attr],
-                    constraint: Constraint::And(vec![
-                        Constraint::LeftWithin(0, 1, self.gap(0)),
-                        // A lowercase trailing word is a unit ("miles"),
-                        // not a label — leave those to UnitTB.
-                        Constraint::Not(Box::new(Constraint::Is(1, Pred::LowercaseText))),
-                    ]),
-                    constructor: Constructor::MakeCond {
-                        attr: Some(1),
-                        ops: None,
-                        val: 0,
-                        kind: None,
-                    },
-                });
-                // Tighter-wins both ways against TextVal (the R40/R41
-                // precedent): whichever pairing hugs its tokens closer
-                // is the real label-widget association.
-                let text_val = lookup(&g, "TextVal");
-                prefer(
-                    format!("IndR:{}>TextVal", self.name),
-                    nt,
-                    text_val,
-                    WinCriteria::WinnerTighter,
-                );
-                if let Some(tv) = text_val {
-                    prefer(
-                        format!("IndR:TextVal>{}", self.name),
-                        tv,
-                        Some(nt),
-                        WinCriteria::WinnerTighter,
-                    );
-                }
-                prefer(
-                    format!("IndR:{}>TextValB", self.name),
-                    nt,
-                    lookup(&g, "TextValB"),
-                    WinCriteria::Always,
-                );
-                prefer(
-                    format!("IndR:{}>KwVal", self.name),
-                    nt,
-                    lookup(&g, "KwVal"),
-                    WinCriteria::Always,
-                );
-                if let Some(unit_tb) = lookup(&g, "UnitTB") {
-                    prefer(
-                        format!("IndR:UnitTB>{}", self.name),
-                        unit_tb,
-                        Some(nt),
-                        WinCriteria::WinnerLarger,
-                    );
-                }
-            }
-            Shape::SelAttr => {
-                productions.push(Production {
-                    name: self.name.clone(),
-                    head: nt,
-                    components: vec![sel, attr],
-                    constraint: Constraint::And(vec![
-                        Constraint::LeftWithin(0, 1, self.gap(0)),
-                        Constraint::Not(Box::new(Constraint::Is(1, Pred::LowercaseText))),
-                        // An operator-listing select is an op picker,
-                        // not a value domain (the SelfSel guard).
-                        Constraint::Not(Box::new(Constraint::Is(0, Pred::OptionsOpsLike))),
-                    ]),
-                    constructor: Constructor::MakeCond {
-                        attr: Some(1),
-                        ops: None,
-                        val: 0,
-                        kind: None,
-                    },
-                });
-                let sel_val = lookup(&g, "SelVal");
-                prefer(
-                    format!("IndR:{}>SelVal", self.name),
-                    nt,
-                    sel_val,
-                    WinCriteria::WinnerTighter,
-                );
-                if let Some(sv) = sel_val {
-                    prefer(
-                        format!("IndR:SelVal>{}", self.name),
-                        sv,
-                        Some(nt),
-                        WinCriteria::WinnerTighter,
-                    );
-                }
-                prefer(
-                    format!("IndR:{}>SelfSel", self.name),
-                    nt,
-                    lookup(&g, "SelfSel"),
-                    WinCriteria::Always,
-                );
-                prefer(
-                    format!("IndR:{}>TextValB", self.name),
-                    nt,
-                    lookup(&g, "TextValB"),
-                    WinCriteria::Always,
-                );
-            }
-            Shape::DateBoxes => {
-                productions.push(Production {
-                    name: self.name.clone(),
-                    head: nt,
-                    components: vec![attr, val, text, val, text, val],
-                    constraint: Constraint::And(vec![
-                        Constraint::LeftWithin(0, 1, self.gap(0)),
-                        Constraint::LeftWithin(1, 2, self.gap(1)),
-                        Constraint::LeftWithin(2, 3, self.gap(2)),
-                        Constraint::LeftWithin(3, 4, self.gap(3)),
-                        Constraint::LeftWithin(4, 5, self.gap(4)),
-                        // The interior texts are bare separators, never
-                        // labels.
-                        Constraint::Is(2, Pred::MaxWords(1)),
-                        Constraint::Not(Box::new(Constraint::Is(2, Pred::AttrLike))),
-                        Constraint::Is(4, Pred::MaxWords(1)),
-                        Constraint::Not(Box::new(Constraint::Is(4, Pred::AttrLike))),
-                    ]),
-                    constructor: Constructor::MakeDate(0),
-                });
-                prefer(
-                    format!("IndR:{}>TextVal", self.name),
-                    nt,
-                    lookup(&g, "TextVal"),
-                    WinCriteria::WinnerLarger,
-                );
-                prefer(
-                    format!("IndR:{}>KwVal", self.name),
-                    nt,
-                    lookup(&g, "KwVal"),
-                    WinCriteria::Always,
-                );
-                prefer(
-                    format!("IndR:{}>TextValB", self.name),
-                    nt,
-                    lookup(&g, "TextValB"),
-                    WinCriteria::Always,
-                );
-                prefer(
-                    format!("IndR:{}>RangeTB", self.name),
-                    nt,
-                    lookup(&g, "RangeTB"),
-                    WinCriteria::WinnerLarger,
-                );
-            }
-            Shape::RangeBoxes => {
-                let Some(connector) = lookup(&g, "Connector") else {
-                    return base.clone();
-                };
-                productions.push(Production {
-                    name: self.name.clone(),
-                    head: nt,
-                    components: vec![attr, connector, val, connector, val],
-                    constraint: Constraint::And(vec![
-                        Constraint::LeftWithin(0, 1, self.gap(0)),
-                        Constraint::LeftWithin(1, 2, self.gap(1)),
-                        Constraint::LeftWithin(2, 3, self.gap(2)),
-                        Constraint::LeftWithin(3, 4, self.gap(3)),
-                    ]),
-                    constructor: Constructor::MakeRange {
-                        attr: 0,
-                        lo: 2,
-                        hi: 4,
-                    },
-                });
-                prefer(
-                    format!("IndR:{}>RangeTB", self.name),
-                    nt,
-                    lookup(&g, "RangeTB"),
-                    WinCriteria::WinnerLarger,
-                );
-                prefer(
-                    format!("IndR:{}>KwVal", self.name),
-                    nt,
-                    lookup(&g, "KwVal"),
-                    WinCriteria::Always,
-                );
-                prefer(
-                    format!("IndR:{}>TextValB", self.name),
-                    nt,
-                    lookup(&g, "TextValB"),
-                    WinCriteria::Always,
-                );
+        let known = |s: &str| s == self.name || base.symbols.lookup(s).is_some();
+        let mut text = to_dsl(base);
+        for rule in self.render().lines() {
+            // `NAME: HEAD <- COMPONENTS : …` or `NAME: WINNER > LOSER : …`.
+            let symbols = rule.split(" : ").next().and_then(|s| s.split_once(": "));
+            let symbols = symbols.map_or("", |(_, s)| s).split_whitespace();
+            if symbols.filter(|s| !matches!(*s, "<-" | ">")).all(known) {
+                text = text + rule + "\n";
+            } else if rule.contains(" <- ") {
+                return base.clone();
             }
         }
-        productions.push(Production {
-            name: format!("CP<-{}", self.name),
-            head: cp,
-            components: vec![nt],
-            constraint: Constraint::True,
-            constructor: Constructor::Inherit(0),
-        });
-        g.with_additions(productions, preferences)
+        let Ok(mut g) = from_dsl(&text) else {
+            return base.clone();
+        };
+        // The `.2pg` text does not carry the adjacency thresholds.
+        g.proximity = base.proximity;
+        g
     }
 }
 
@@ -838,5 +673,167 @@ mod tests {
                 compiled.grammar().productions.len()
             );
         }
+    }
+
+    /// The `.2pg` lines `apply` adds to the global grammar for a
+    /// cluster of `descriptors` with observed gaps `gaps`.
+    fn added_lines(descriptors: &[&str], gaps: Vec<i32>) -> Vec<String> {
+        let base = global_grammar();
+        let cluster = Cluster {
+            descriptors: descriptors.iter().map(|s| s.to_string()).collect(),
+            pages: ["a", "b"].iter().map(|s| s.to_string()).collect(),
+            occurrences: 2,
+            max_gaps: gaps,
+        };
+        let cand = synthesize(&descriptors.join(" "), &cluster, 2).expect("known shape");
+        let applied = cand.apply(&base);
+        // Every base symbol keeps its id; the new nonterminal comes last.
+        let names = |g: &Grammar| -> Vec<String> {
+            g.symbols
+                .ids()
+                .map(|id| g.symbols.name(id).to_string())
+                .collect()
+        };
+        let mut want = names(&base);
+        want.push(cand.name.clone());
+        assert_eq!(names(&applied), want);
+        // `to_dsl` writes header, productions and preferences as three
+        // blank-line separated blocks; the base's rules open the last
+        // two, unchanged and in order.
+        let (before, after) = (to_dsl(&base), to_dsl(&applied));
+        let mut added = Vec::new();
+        for (b, a) in before.split("\n\n").zip(after.split("\n\n")).skip(1) {
+            let rest = a.strip_prefix(b).expect("base rules come first");
+            added.extend(rest.lines().filter(|l| !l.is_empty()).map(str::to_string));
+        }
+        added
+    }
+
+    #[test]
+    fn each_shape_adds_its_rules_to_the_global_grammar() {
+        assert_eq!(
+            added_lines(&["tb", "attr"], vec![30]),
+            [
+                "IndTbAttr: IndTbAttr <- Val Attr : leftwithin(0,1,42) & !lowercase(1) => cond(attr=1,val=0)",
+                "CP<-IndTbAttr: CP <- IndTbAttr : true => inherit(0)",
+                "IndR:IndTbAttr>TextVal: IndTbAttr > TextVal : overlap tighter",
+                "IndR:TextVal>IndTbAttr: TextVal > IndTbAttr : overlap tighter",
+                "IndR:IndTbAttr>TextValB: IndTbAttr > TextValB : overlap always",
+                "IndR:IndTbAttr>KwVal: IndTbAttr > KwVal : overlap always",
+                "IndR:UnitTB>IndTbAttr: UnitTB > IndTbAttr : overlap larger",
+            ]
+        );
+        assert_eq!(
+            added_lines(&["sel", "attr"], vec![30]),
+            [
+                "IndSelAttr: IndSelAttr <- selection_list Attr : leftwithin(0,1,42) & !lowercase(1) & !optionsops(0) => cond(attr=1,val=0)",
+                "CP<-IndSelAttr: CP <- IndSelAttr : true => inherit(0)",
+                "IndR:IndSelAttr>SelVal: IndSelAttr > SelVal : overlap tighter",
+                "IndR:SelVal>IndSelAttr: SelVal > IndSelAttr : overlap tighter",
+                "IndR:IndSelAttr>SelfSel: IndSelAttr > SelfSel : overlap always",
+                "IndR:IndSelAttr>TextValB: IndSelAttr > TextValB : overlap always",
+            ]
+        );
+        assert_eq!(
+            added_lines(
+                &["attr", "tb", "sep", "tb", "sep", "tb"],
+                vec![30, 31, 32, 33, 34]
+            ),
+            [
+                "IndDateBoxes: IndDateBoxes <- Attr Val text Val text Val : leftwithin(0,1,42) & leftwithin(1,2,43) & leftwithin(2,3,44) & leftwithin(3,4,45) & leftwithin(4,5,46) & maxwords(2,1) & !attrlike(2) & maxwords(4,1) & !attrlike(4) => date(0)",
+                "CP<-IndDateBoxes: CP <- IndDateBoxes : true => inherit(0)",
+                "IndR:IndDateBoxes>TextVal: IndDateBoxes > TextVal : overlap larger",
+                "IndR:IndDateBoxes>KwVal: IndDateBoxes > KwVal : overlap always",
+                "IndR:IndDateBoxes>TextValB: IndDateBoxes > TextValB : overlap always",
+                "IndR:IndDateBoxes>RangeTB: IndDateBoxes > RangeTB : overlap larger",
+            ]
+        );
+        // Fewer observed gaps than adjacencies: the rest take the floor.
+        assert_eq!(
+            added_lines(&["attr", "conn", "tb", "conn", "tb"], vec![5]),
+            [
+                "IndRangeBoxes: IndRangeBoxes <- Attr Connector Val Connector Val : leftwithin(0,1,17) & leftwithin(1,2,16) & leftwithin(2,3,16) & leftwithin(3,4,16) => range(0,2,4)",
+                "CP<-IndRangeBoxes: CP <- IndRangeBoxes : true => inherit(0)",
+                "IndR:IndRangeBoxes>RangeTB: IndRangeBoxes > RangeTB : overlap larger",
+                "IndR:IndRangeBoxes>KwVal: IndRangeBoxes > KwVal : overlap always",
+                "IndR:IndRangeBoxes>TextValB: IndRangeBoxes > TextValB : overlap always",
+            ]
+        );
+    }
+
+    fn tb_attr() -> Candidate {
+        let cluster = Cluster {
+            descriptors: vec!["tb".into(), "attr".into()],
+            pages: ["a", "b"].iter().map(|s| s.to_string()).collect(),
+            occurrences: 2,
+            max_gaps: vec![10],
+        };
+        synthesize("tb attr", &cluster, 2).expect("known shape")
+    }
+
+    #[test]
+    fn apply_keeps_the_base_proximity() {
+        let mut base = global_grammar();
+        base.proximity.max_h_gap += 7;
+        assert_ne!(base.proximity, Proximity::default());
+        assert_eq!(tb_attr().apply(&base).proximity, base.proximity);
+    }
+
+    #[test]
+    fn apply_drops_only_preferences_whose_rival_is_missing() {
+        // TextVal, TextValB and KwVal are here; UnitTB is not.
+        let base = crate::dsl::from_dsl(
+            "\
+grammar QI
+Attr: Attr <- text : attrlike(0) => attr(0)
+Val: Val <- textbox : true => inherit(0)
+TextVal: TextVal <- Attr Val : left(0,1) => cond(attr=0,val=1)
+TextValB: TextValB <- Val : true => unlabeled(0)
+KwVal: KwVal <- Val : true => unlabeled(0)
+CP<-TextVal: CP <- TextVal : true => inherit(0)
+CP<-TextValB: CP <- TextValB : true => inherit(0)
+CP<-KwVal: CP <- KwVal : true => inherit(0)
+QI: QI <- CP : true => collect
+",
+        )
+        .expect("parses");
+        let applied = tb_attr().apply(&base);
+        assert_eq!(applied.productions.len(), base.productions.len() + 2);
+        let names: Vec<&str> = applied
+            .preferences
+            .iter()
+            .map(|r| r.name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "IndR:IndTbAttr>TextVal",
+                "IndR:TextVal>IndTbAttr",
+                "IndR:IndTbAttr>TextValB",
+                "IndR:IndTbAttr>KwVal",
+            ]
+        );
+        // A production's missing symbol leaves the base unchanged:
+        // this grammar has no `Connector` for a worded range.
+        let cluster = Cluster {
+            descriptors: ["attr", "conn", "tb", "conn", "tb"]
+                .map(String::from)
+                .to_vec(),
+            pages: ["a", "b"].iter().map(|s| s.to_string()).collect(),
+            occurrences: 2,
+            max_gaps: vec![10; 4],
+        };
+        let range = synthesize("attr conn tb conn tb", &cluster, 2).expect("known shape");
+        assert_eq!(to_dsl(&range.apply(&base)), to_dsl(&base));
+    }
+
+    #[test]
+    fn a_base_whose_text_does_not_parse_back_is_returned_unchanged() {
+        // `#` opens a `.2pg` comment, so this rule name cannot be read.
+        let mut base = global_grammar();
+        base.productions[0].name = "QI#1".into();
+        let applied = tb_attr().apply(&base);
+        assert_eq!(applied.productions.len(), base.productions.len());
+        assert!(applied.symbols.lookup("IndTbAttr").is_none());
     }
 }

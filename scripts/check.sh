@@ -73,6 +73,10 @@ test "$(grep -rl 'CompiledGrammar::build' crates src | grep -v 'crates/grammar/s
 # flows through the validation gate, whose first clause is the compile.
 test "$(grep -rn '\.compile()' crates/service/src | wc -l)" = 0
 grep -q 'RejectReason::CompileError' crates/eval/src/induction.rs
+# Induced rules are `.2pg` text read by the one DSL parser
+# (`Candidate::apply`); a struct literal there would be a second way
+# to write a rule.
+test "$(grep -cE '(Production|Preference) \{' crates/grammar/src/induce.rs)" = 0
 
 echo "==> JSON codec gate (one depth-capped JSON value parser)"
 # Telemetry and the service wire both parse through

@@ -17,6 +17,9 @@
 //!
 //! then review the diff like any other code change.
 
+#[path = "support/golden.rs"]
+mod golden;
+
 use metaform_datasets::{basic, survey_corpus};
 use metaform_eval::{
     frozen_corpus, run_induction, score_dataset, InductionConfig, InductionGate, InductionOutcome,
@@ -32,10 +35,6 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/induction_rounds.txt")
-}
 
 /// One full default-config induction run, shared by every test in this
 /// file (the loop is deterministic, so sharing changes nothing but
@@ -205,25 +204,7 @@ fn trajectory_is_identical_across_worker_counts() {
 #[test]
 fn trajectory_matches_the_golden_file() {
     let rendered = render_trajectory(default_outcome());
-    let path = golden_path();
-    if std::env::var_os("METAFORM_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
-        std::fs::write(&path, &rendered).expect("write golden file");
-        println!("blessed {} ({} bytes)", path.display(), rendered.len());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e}\n\
-             (first run? bless it: METAFORM_BLESS=1 cargo test --test induction)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, golden,
-        "induction trajectory drifted from the golden file\n\
-         to accept the change: METAFORM_BLESS=1 cargo test --test induction"
-    );
+    golden::check("induction_rounds.txt", &rendered, |_, _| None);
 }
 
 #[test]
@@ -316,10 +297,8 @@ proptest! {
             ]),
             constructor,
         };
-        let description = global_compiled()
-            .grammar()
-            .clone()
-            .with_additions(vec![production], Vec::new());
+        let mut description = global_compiled().grammar().clone();
+        description.productions.push(production);
         // Ok or Err are both acceptable; reaching here without a panic
         // is the property.
         let _ = description.compile();
