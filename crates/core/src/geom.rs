@@ -121,11 +121,6 @@ impl BBox {
             && self.bottom >= other.bottom
     }
 
-    /// True when the point is inside or on the boundary.
-    pub fn contains_point(&self, x: i32, y: i32) -> bool {
-        x >= self.left && x <= self.right && y >= self.top && y <= self.bottom
-    }
-
     /// Length of the shared vertical interval (how much two boxes overlap
     /// when projected onto the y axis). Negative values are the gap size.
     pub fn v_overlap(&self, other: &BBox) -> i32 {
@@ -234,14 +229,6 @@ mod tests {
         assert_eq!(a.distance(&a), 0);
         let far = BBox::new(20, 30, 25, 35);
         assert_eq!(a.distance(&far), 10 + 20);
-    }
-
-    #[test]
-    fn contains_point_on_boundary() {
-        let a = BBox::new(0, 0, 10, 10);
-        assert!(a.contains_point(0, 0));
-        assert!(a.contains_point(10, 10));
-        assert!(!a.contains_point(11, 5));
     }
 
     #[test]

@@ -134,18 +134,6 @@ impl TokenKind {
         )
     }
 
-    /// True for any `<select>` flavor.
-    pub fn is_selection(self) -> bool {
-        matches!(
-            self,
-            TokenKind::SelectionList
-                | TokenKind::NumberList
-                | TokenKind::MonthList
-                | TokenKind::DayList
-                | TokenKind::YearList
-        )
-    }
-
     /// True for form-submission controls, which never carry conditions.
     pub fn is_button(self) -> bool {
         matches!(
@@ -261,7 +249,6 @@ mod tests {
     fn kind_classification() {
         assert!(TokenKind::Textbox.is_input_field());
         assert!(TokenKind::MonthList.is_input_field());
-        assert!(TokenKind::MonthList.is_selection());
         assert!(!TokenKind::Text.is_input_field());
         assert!(TokenKind::SubmitButton.is_button());
         assert!(!TokenKind::SubmitButton.is_input_field());

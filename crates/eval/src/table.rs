@@ -24,12 +24,6 @@ impl TextTable {
         self
     }
 
-    /// Convenience for `&str` rows.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -125,8 +119,8 @@ mod tests {
     #[test]
     fn table_alignment() {
         let mut t = TextTable::new(&["dataset", "P", "R"]);
-        t.row_str(&["Basic", "0.9", "0.92"]);
-        t.row_str(&["NewSource", "0.95", "0.97"]);
+        t.row(&["Basic", "0.9", "0.92"].map(String::from));
+        t.row(&["NewSource", "0.95", "0.97"].map(String::from));
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -143,15 +137,15 @@ mod tests {
     #[test]
     fn short_rows_padded() {
         let mut t = TextTable::new(&["a", "b"]);
-        t.row_str(&["only"]);
+        t.row(&["only"].map(String::from));
         assert!(t.render().contains("only"));
     }
 
     #[test]
     fn csv_escapes_properly() {
         let mut t = TextTable::new(&["name", "values"]);
-        t.row_str(&["plain", "a,b"]);
-        t.row_str(&["with \"quotes\"", "line\nbreak"]);
+        t.row(&["plain", "a,b"].map(String::from));
+        t.row(&["with \"quotes\"", "line\nbreak"].map(String::from));
         let csv = t.to_csv();
         let lines: Vec<&str> = csv.split('\n').collect();
         assert_eq!(lines[0], "name,values");

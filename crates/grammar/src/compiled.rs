@@ -88,15 +88,6 @@ impl CompiledGrammar {
         &self.schedule
     }
 
-    /// Preferences involving `symbol` (as winner or loser), in
-    /// declaration order.
-    pub fn prefs_involving(&self, symbol: SymbolId) -> &[PrefId] {
-        self.prefs_by_symbol
-            .get(symbol.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// The per-symbol preference index, indexed by symbol id.
     pub fn preference_index(&self) -> &[Vec<PrefId>] {
         &self.prefs_by_symbol
@@ -238,14 +229,14 @@ mod tests {
     fn preference_index_covers_every_preference_once_per_side() {
         let g = paper_example_grammar();
         let compiled = CompiledGrammar::new(&g).unwrap();
+        let index = compiled.preference_index();
         for (i, pref) in g.preferences.iter().enumerate() {
             let id = PrefId(i as u32);
-            assert!(compiled.prefs_involving(pref.winner).contains(&id));
-            assert!(compiled.prefs_involving(pref.loser).contains(&id));
+            assert!(index[pref.winner.index()].contains(&id));
+            assert!(index[pref.loser.index()].contains(&id));
         }
         // Index lists stay in declaration order (ascending ids).
-        for s in 0..g.symbols.len() {
-            let prefs = compiled.prefs_involving(SymbolId(s as u32));
+        for (s, prefs) in index.iter().enumerate() {
             assert!(prefs.windows(2).all(|w| w[0] < w[1]));
             // Only symbols actually named by a preference appear.
             if !prefs.is_empty() {

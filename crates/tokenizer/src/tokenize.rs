@@ -22,14 +22,6 @@ impl Tokenized {
         self.tokens.iter().filter(move |t| t.kind == kind)
     }
 
-    /// The token covering a DOM node, if any.
-    pub fn token_of_node(&self, node: NodeId) -> Option<&Token> {
-        self.nodes
-            .iter()
-            .position(|&n| n == Some(node))
-            .map(|i| &self.tokens[i])
-    }
-
     /// Content-addressed identity of this token stream, the key a
     /// revisit parse cache looks pages up by. Stable across sessions:
     /// two tokenizations of the same rendered form always agree.
@@ -400,15 +392,6 @@ mod tests {
         );
         let texts: Vec<&str> = t.of_kind(TokenKind::Text).map(|x| &*x.sval).collect();
         assert_eq!(texts, vec!["From", "To"]);
-    }
-
-    #[test]
-    fn node_mapping_points_back() {
-        let doc = parse("<form><input type=text name=q></form>");
-        let lay = layout(&doc);
-        let t = tokenize(&doc, &lay);
-        let input = doc.elements_by_tag(doc.root(), "input")[0];
-        assert_eq!(t.token_of_node(input).unwrap().kind, TokenKind::Textbox);
     }
 
     #[test]
