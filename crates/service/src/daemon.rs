@@ -293,9 +293,12 @@ mod tests {
         );
         let (status, _) = decode(&handle_line(&state, r#"{"op": "results", "job": 99}"#));
         assert_eq!(status, 404);
+        // Job 1 is done: cancelling it removes it, as DELETE does.
         let (status, body) = decode(&handle_line(&state, r#"{"op": "cancel", "job": 1}"#));
-        assert_eq!(status, 202);
-        assert!(body.contains("\"cancel\": \"requested\""), "{body}");
+        assert_eq!(status, 200);
+        assert!(body.contains("\"removed\": true"), "{body}");
+        let (status, _) = decode(&handle_line(&state, r#"{"op": "status", "job": 1}"#));
+        assert_eq!(status, 404);
         let (status, _) = decode(&handle_line(&state, r#"{"op": "shutdown"}"#));
         assert_eq!(status, 202);
         assert!(state.is_stopping());

@@ -4,18 +4,21 @@
 //! Lifecycle (see DESIGN.md for the full diagram):
 //!
 //! ```text
-//! POST /v1/batches ──▶ Queued ──▶ Running ──▶ Done
-//!                        │           │
-//!                        └── DELETE ─┴──────▶ Cancelled
+//! POST /v1/batches ──▶ Queued ──▶ Running ──▶ Done ──── DELETE ──▶ (removed)
+//!                        │           │                      │
+//!                        └── DELETE ─┴──────▶ Cancelled ── DELETE
 //! ```
 //!
-//! A `DELETE` never yanks a job out of the pipeline — it fires the
-//! job's [`CancelToken`] and lets the run settle. A queued job still
-//! gets claimed by a worker and runs against its already-fired token,
-//! which is the engine's all-cancelled fast path: every page comes back
-//! `Cancelled`/degraded, byte-identical to an in-process run with a
-//! pre-fired token. That keeps exactly one code path producing results
-//! and keeps cancelled jobs queryable like any finished job.
+//! A `DELETE` never yanks an unfinished job out of the pipeline — it
+//! fires the job's [`CancelToken`] and lets the run settle. A queued
+//! job still gets claimed by a worker and runs against its
+//! already-fired token, which is the engine's all-cancelled fast path:
+//! every page comes back `Cancelled`/degraded, byte-identical to an
+//! in-process run with a pre-fired token. That keeps exactly one code
+//! path producing results and keeps cancelled jobs queryable like any
+//! finished job. A `DELETE` on a finished job removes it, results
+//! included, so a client that deletes what it has read keeps the store
+//! to its jobs in flight.
 //!
 //! **One lock each.** The store is one `Mutex<HashMap>` and the queue
 //! one `Mutex<VecDeque>` + `Condvar`; a push wakes a parked worker
@@ -95,9 +98,9 @@ pub struct Job {
 }
 
 /// All jobs the service knows, keyed by id. Ids are dense and
-/// monotone; jobs are kept after completion so results stay queryable
-/// for the life of the process (the work-queue protocol has no
-/// expiry).
+/// monotone (a removed id is never reused); jobs are kept after
+/// completion so results stay queryable until a `DELETE` removes them
+/// (the work-queue protocol has no expiry).
 #[derive(Debug, Default)]
 pub struct JobStore {
     jobs: Mutex<HashMap<u64, Job>>,
@@ -166,13 +169,18 @@ impl JobStore {
         lock_clean(&self.jobs).remove(&id);
     }
 
-    /// Fires the job's cancel token. Returns the phase the job was in,
-    /// or `None` for an unknown id.
-    pub fn cancel(&self, id: u64) -> Option<JobPhase> {
-        lock_clean(&self.jobs).get(&id).map(|job| {
-            job.token.cancel();
-            job.phase
-        })
+    /// The `DELETE` transition: removes a finished job, fires an
+    /// unfinished job's cancel token. Returns the phase the job was
+    /// in, or `None` for an unknown id.
+    pub fn delete(&self, id: u64) -> Option<JobPhase> {
+        let mut jobs = lock_clean(&self.jobs);
+        let phase = jobs.get(&id)?.phase;
+        if phase.is_finished() {
+            jobs.remove(&id);
+        } else {
+            jobs[&id].token.cancel();
+        }
+        Some(phase)
     }
 }
 
@@ -280,14 +288,14 @@ mod tests {
         // Unknown ids are None everywhere.
         assert!(store.with_job(999, |_| ()).is_none());
         assert!(store.claim(999).is_none());
-        assert!(store.cancel(999).is_none());
+        assert!(store.delete(999).is_none());
     }
 
     #[test]
-    fn cancel_fires_the_token_and_the_finish_phase_reads_it() {
+    fn delete_fires_the_token_and_the_finish_phase_reads_it() {
         let store = JobStore::default();
         let id = store.create(vec![], None);
-        let was = store.cancel(id).expect("job exists");
+        let was = store.delete(id).expect("job exists");
         assert_eq!(was, JobPhase::Queued);
         let (_, _, token) = store.claim(id).expect("claims");
         assert!(token.is_cancelled(), "cancel fired the shared token");
@@ -295,6 +303,10 @@ mod tests {
         assert_eq!(store.with_job(id, |j| j.phase), Some(JobPhase::Cancelled));
         assert!(JobPhase::Cancelled.is_finished());
         assert_eq!(JobPhase::Cancelled.as_str(), "cancelled");
+        // Finished, a second delete removes the job.
+        assert_eq!(store.delete(id), Some(JobPhase::Cancelled));
+        assert!(store.with_job(id, |_| ()).is_none());
+        assert!(store.delete(id).is_none());
     }
 
     #[test]

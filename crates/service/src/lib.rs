@@ -18,7 +18,7 @@
 //! | `POST /v1/batches` | Submit pages; answers `202` with a job id |
 //! | `GET /v1/batches/{id}` | Phase + [`metaform_extractor::BatchStats`] |
 //! | `GET /v1/batches/{id}/results` | Per-page reports + failure records |
-//! | `DELETE /v1/batches/{id}` | Fire the job's cancel token |
+//! | `DELETE /v1/batches/{id}` | Fire an unfinished job's cancel token; remove a finished job |
 //! | `GET /v1/budgets` | The control plane's live budgets + refit state |
 //! | `POST /v1/budgets` | Manually override budgets for subsequent jobs |
 //! | `GET /healthz` | Liveness |

@@ -118,7 +118,8 @@ pub struct Metrics {
     pub jobs_rejected: Counter,
     /// Jobs that ran to completion (cancelled runs included).
     pub jobs_completed: Counter,
-    /// Jobs whose cancel endpoint was invoked.
+    /// `DELETE`s that fired a queued or running job's cancel token (a
+    /// `DELETE` that removes a finished job is not counted).
     pub jobs_cancelled: Counter,
     /// Pages submitted across all accepted jobs.
     pub pages_submitted: Counter,

@@ -101,13 +101,14 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
+        let adaptive = AdaptiveOptions::default();
         ServiceConfig {
             addr: "127.0.0.1:8077".to_string(),
             pool_workers: 2,
             batch_workers: None,
             queue_capacity: 64,
-            max_retries: 2,
-            budget_growth: 2,
+            max_retries: adaptive.max_retries,
+            budget_growth: adaptive.budget_growth,
             max_instances: None,
             page_deadline: None,
             max_body_bytes: 16 * 1024 * 1024,
@@ -306,21 +307,17 @@ pub struct ServiceState {
 }
 
 impl ServiceState {
-    /// Builds the shared state: one extractor configured per `config`
-    /// (grammar compiled once, here), an empty store, an empty queue.
-    /// The extractor carries a process-wide parse cache, so a page
-    /// resubmitted unchanged in a later job replays the earlier visit
-    /// (the per-job extractor clones share it).
+    /// Builds the shared state: one extractor with `config`'s batch
+    /// workers and fault plan (grammar compiled once, here), an empty
+    /// store, an empty queue. The per-page budgets are not set here:
+    /// [`ServiceState::run_job`] applies the control plane's, which
+    /// start from `config`. The extractor carries a process-wide parse
+    /// cache, so a page resubmitted unchanged in a later job replays
+    /// the earlier visit (the per-job extractor clones share it).
     pub fn new(config: ServiceConfig) -> Self {
         let mut extractor = FormExtractor::new().parse_cache(LruParseCache::shared());
         if let Some(workers) = config.batch_workers {
             extractor = extractor.worker_threads(workers);
-        }
-        if let Some(cap) = config.max_instances {
-            extractor = extractor.max_instances(cap);
-        }
-        if let Some(deadline) = config.page_deadline {
-            extractor = extractor.page_deadline(deadline);
         }
         if let Some(plan) = &config.fault_plan {
             extractor = extractor.fault_plan(plan.clone());
@@ -654,7 +651,7 @@ fn batch_endpoint(state: &ServiceState, method: &str, rest: &str) -> Response {
     };
     match (method, sub) {
         ("GET", None) => job_status(state, id),
-        ("DELETE", None) => job_cancel(state, id),
+        ("DELETE", None) => job_delete(state, id),
         ("GET", Some("results")) => job_results(state, id),
         ("DELETE", Some("results")) => method_not_allowed("GET"),
         (_, None) => method_not_allowed("GET, DELETE"),
@@ -683,12 +680,21 @@ fn job_status(state: &ServiceState, id: u64) -> Response {
     }
 }
 
-/// `DELETE /v1/batches/{id}`: fires the job's cancel token. The job is
-/// never yanked — it settles through the normal pipeline (running
-/// against a fired token is the engine's all-cancelled fast path) and
-/// its results stay queryable, marked `cancelled`.
-fn job_cancel(state: &ServiceState, id: u64) -> Response {
-    match state.store.cancel(id) {
+/// `DELETE /v1/batches/{id}`: removes a finished job (later requests
+/// for it answer 404), or fires an unfinished job's cancel token. A
+/// cancelled job is never yanked — it settles through the normal
+/// pipeline (running against a fired token is the engine's
+/// all-cancelled fast path) and its results stay queryable, marked
+/// `cancelled`.
+fn job_delete(state: &ServiceState, id: u64) -> Response {
+    match state.store.delete(id) {
+        Some(phase) if phase.is_finished() => Response::json(
+            200,
+            format!(
+                "{{\"job\": {id}, \"state\": \"{}\", \"removed\": true}}",
+                phase.as_str()
+            ),
+        ),
         Some(phase) => {
             state.metrics.jobs_cancelled.bump();
             Response::json(
@@ -1161,6 +1167,40 @@ mod tests {
         assert_eq!(status, 200, "cancelled jobs keep queryable results");
         assert!(body.contains("\"via\": \"baseline\""), "{body}");
         assert!(body.contains("\"http_status\": 499"), "{body}");
+        assert_eq!(state.metrics.jobs_cancelled.value(), 1);
+    }
+
+    #[test]
+    fn deleting_a_finished_job_removes_it() {
+        let state = test_state();
+        for _ in 0..2 {
+            send(
+                &state,
+                &post_batch(r#"["<form>A <input type=text name=a></form>"]"#),
+            );
+        }
+        // Job 1 runs to `done`; job 2 is cancelled, then runs.
+        let (status, _) = send(&state, b"DELETE /v1/batches/2 HTTP/1.1\r\n\r\n");
+        assert_eq!(status, 202);
+        for _ in 0..2 {
+            let id = state.queue.pop(0).expect("queued");
+            state.run_job(id);
+        }
+        for (id, phase) in [(1, "done"), (2, "cancelled")] {
+            let delete = format!("DELETE /v1/batches/{id} HTTP/1.1\r\n\r\n");
+            let (status, body) = send(&state, delete.as_bytes());
+            assert_eq!(status, 200, "{body}");
+            assert!(body.contains(&format!("\"state\": \"{phase}\"")), "{body}");
+            assert!(body.contains("\"removed\": true"), "{body}");
+            for path in ["", "/results"] {
+                let get = format!("GET /v1/batches/{id}{path} HTTP/1.1\r\n\r\n");
+                assert_eq!(send(&state, get.as_bytes()).0, 404, "{get}");
+            }
+            assert_eq!(send(&state, delete.as_bytes()).0, 404, "deleted twice");
+        }
+        assert!(state.store.list().is_empty());
+        // Only the one real cancel counts.
+        assert_eq!(state.metrics.jobs_cancelled.value(), 1);
     }
 
     #[test]
