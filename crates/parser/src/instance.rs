@@ -199,22 +199,39 @@ impl Chart {
     /// `collect` instance stores no list: its conditions are its
     /// components', read recursively in component order.
     pub fn conditions(&self, id: InstId) -> impl Iterator<Item = Condition> + '_ {
-        self.conditions_at(id).map(|(cond, at)| {
-            let span = self.span(at);
-            let mut tokens = Vec::with_capacity(span.count());
-            tokens.extend(span.iter());
-            cond.to_condition(tokens)
-        })
+        let mut held = Vec::new();
+        self.conditions_at(id, &mut Vec::new(), &mut held);
+        held.into_iter().map(|(cond, at)| self.condition(cond, at))
     }
 
-    /// [`Chart::conditions`] before the report form: each condition
-    /// with the instance holding it.
-    fn conditions_at(&self, id: InstId) -> CondWalk<'_> {
-        CondWalk {
-            chart: self,
-            next: Some(id),
-            stack: Vec::new(),
+    /// [`Chart::conditions`] before the report form: appends to `held`
+    /// each condition `id` carries with the instance holding it, in
+    /// component order. `stack` is a caller-recycled walk stack.
+    pub(crate) fn conditions_at<'a>(
+        &'a self,
+        id: InstId,
+        stack: &mut Vec<InstId>,
+        held: &mut Vec<(&'a Arc<Cond>, InstId)>,
+    ) {
+        stack.clear();
+        stack.push(id);
+        while let Some(id) = stack.pop() {
+            match self.payload(id) {
+                Payload::Cond(cond) => held.push((cond, id)),
+                Payload::Collected => stack.extend(self.children(id).iter().rev()),
+                Payload::CollectedAt(at) => stack.push(InstId(*at)),
+                _ => {}
+            }
         }
+    }
+
+    /// The report form of `cond`, held at `at`: its tokens are the
+    /// span of `at`.
+    pub(crate) fn condition(&self, cond: &Cond, at: InstId) -> Condition {
+        let span = self.span(at);
+        let mut tokens = Vec::with_capacity(span.count());
+        tokens.extend(span.iter());
+        cond.to_condition(tokens)
     }
 
     /// False once invalidated by a preference (or rollback).
@@ -487,33 +504,6 @@ impl Chart {
     }
 }
 
-/// Depth-first walk over the conditions an instance carries (see
-/// [`Chart::conditions`]). The stack is only allocated when a collected
-/// list is expanded.
-struct CondWalk<'a> {
-    chart: &'a Chart,
-    /// The next instance to visit, ahead of the stack.
-    next: Option<InstId>,
-    /// Instances still to visit, the next one on top.
-    stack: Vec<InstId>,
-}
-
-impl<'a> Iterator for CondWalk<'a> {
-    type Item = (&'a Arc<Cond>, InstId);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while let Some(id) = self.next.take().or_else(|| self.stack.pop()) {
-            match self.chart.payload(id) {
-                Payload::Cond(cond) => return Some((cond, id)),
-                Payload::Collected => self.stack.extend(self.chart.children(id).iter().rev()),
-                Payload::CollectedAt(at) => self.next = Some(InstId(*at)),
-                _ => {}
-            }
-        }
-        None
-    }
-}
-
 /// Iterator over an instance's parents (see [`Chart::parents_of`]).
 pub struct ParentIter<'a> {
     links: &'a [(InstId, u32)],
@@ -708,7 +698,9 @@ mod tests {
             ],
             "component order; each condition over its own instance's span"
         );
-        let origins: Vec<InstId> = chart.conditions_at(outer).map(|(_, at)| at).collect();
+        let mut held = Vec::new();
+        chart.conditions_at(outer, &mut Vec::new(), &mut held);
+        let origins: Vec<InstId> = held.iter().map(|&(_, at)| at).collect();
         assert_eq!(origins, vec![a, b, c]);
     }
 

@@ -8,9 +8,17 @@
 //! is a token not covered by any parse tree."
 
 use crate::instance::{Chart, InstId};
-use metaform_core::{normalize_label, Condition, Conflict, DomainKind, ExtractionReport, TokenId};
-use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use crate::tokenset::TokenSet;
+use metaform_core::{normalize_label, Condition, Conflict, DomainKind, ExtractionReport};
+
+/// The key under which two conditions are
+/// [equivalent](Condition::equivalent): the normalized attribute and
+/// the domain shape.
+type EquivalenceKey = (String, DomainKind);
+
+fn equivalence_key(cond: &Condition) -> EquivalenceKey {
+    (normalize_label(&cond.attribute), cond.domain.kind)
+}
 
 /// Merges maximal partial trees into an [`ExtractionReport`].
 ///
@@ -29,15 +37,21 @@ use std::collections::{HashMap, HashSet};
 /// once per tree, its token list read off the chart span of the
 /// instance it was assembled at.
 pub fn merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
+    merge_keyed(chart, trees).0
+}
+
+/// [`merge`], also returning the equivalence keys of the report's
+/// conditions, parallel to them.
+fn merge_keyed(chart: &Chart, trees: &[InstId]) -> (ExtractionReport, Vec<EquivalenceKey>) {
     let mut conditions: Vec<Condition> = Vec::new();
-    // Equivalence keys of `conditions`, parallel to it.
-    let mut kept: Vec<(String, DomainKind)> = Vec::new();
-    let mut claimed: HashMap<TokenId, usize> = HashMap::new();
+    let mut kept: Vec<EquivalenceKey> = Vec::new();
+    // The condition that first claimed each token, by token index.
+    let mut owners: Vec<Option<usize>> = vec![None; chart.tokens().len()];
     let mut conflicts: Vec<Conflict> = Vec::new();
 
-    for tree_conds in in_visit_order(chart, trees.iter().copied()) {
+    for tree_conds in in_visit_order(chart, trees.iter().copied(), |_| true) {
         for cond in tree_conds {
-            let key = (normalize_label(&cond.attribute), cond.domain.kind);
+            let key = equivalence_key(&cond);
             if kept.contains(&key) {
                 // Same condition extracted from an overlapping tree —
                 // not a conflict, just overlap in coverage.
@@ -46,7 +60,7 @@ pub fn merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
             let idx = conditions.len();
             let mut conflicting_with: Vec<usize> = Vec::new();
             for &t in &cond.tokens {
-                if let Some(&owner) = claimed.get(&t) {
+                if let Some(owner) = owners[t.index()] {
                     if !conflicting_with.contains(&owner) {
                         conflicting_with.push(owner);
                         conflicts.push(Conflict {
@@ -58,7 +72,7 @@ pub fn merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
                 }
             }
             for &t in &cond.tokens {
-                claimed.entry(t).or_insert(idx);
+                owners[t.index()].get_or_insert(idx);
             }
             kept.push(key);
             conditions.push(cond);
@@ -66,36 +80,54 @@ pub fn merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
     }
 
     let missing = chart.uncovered_tokens(trees);
-    ExtractionReport {
+    let report = ExtractionReport {
         conditions,
         conflicts,
         missing,
-    }
+    };
+    (report, kept)
 }
 
-/// The report-form conditions of each instance, instances ordered by
-/// the merger's content key: span size (largest first), span, then the
-/// conditions' token lists and rendering — rendered only to break a
-/// tie between equal spans.
-fn in_visit_order(chart: &Chart, insts: impl Iterator<Item = InstId>) -> Vec<Vec<Condition>> {
-    let mut visits: Vec<(Reverse<usize>, Vec<u32>, Vec<Condition>)> = insts
-        .map(|t| {
-            let span: Vec<u32> = chart.span(t).iter().map(|tok| tok.0).collect();
-            (Reverse(span.len()), span, chart.conditions(t).collect())
-        })
-        .collect();
-    let shown = |conds: &[Condition]| -> Vec<(Vec<TokenId>, String)> {
-        conds
-            .iter()
-            .map(|c| (c.tokens.clone(), c.to_string()))
-            .collect()
-    };
-    visits.sort_by(|a, b| {
-        (a.0, &a.1)
-            .cmp(&(b.0, &b.1))
-            .then_with(|| shown(&a.2).cmp(&shown(&b.2)))
+/// The report-form conditions of each instance that holds a condition
+/// `serves` accepts (it is given the holding instance), instances
+/// ordered by the merger's content key: span size (largest first),
+/// span, then the conditions' token lists and rendering — rendered
+/// once per instance, and only for instances whose span ties with
+/// another's. An instance left out has no condition to add, and
+/// leaving it out keeps the others in the same relative order.
+fn in_visit_order(
+    chart: &Chart,
+    insts: impl Iterator<Item = InstId>,
+    mut serves: impl FnMut(InstId) -> bool,
+) -> Vec<Vec<Condition>> {
+    let mut stack = Vec::new();
+    let mut held = Vec::new();
+    let mut visits: Vec<(InstId, Vec<Condition>)> = Vec::new();
+    for inst in insts {
+        held.clear();
+        chart.conditions_at(inst, &mut stack, &mut held);
+        if held.iter().any(|&(_, at)| serves(at)) {
+            let conds = held.iter().map(|&(c, at)| chart.condition(c, at)).collect();
+            visits.push((inst, conds));
+        }
+    }
+    visits.sort_by(|(a, _), (b, _)| {
+        let (a, b) = (chart.span(*a), chart.span(*b));
+        b.count()
+            .cmp(&a.count())
+            .then_with(|| a.iter().cmp(b.iter()))
     });
-    visits.into_iter().map(|(_, _, conds)| conds).collect()
+    for tied in visits.chunk_by_mut(|(a, _), (b, _)| chart.span(*a) == chart.span(*b)) {
+        if tied.len() > 1 {
+            tied.sort_by_cached_key(|(_, conds)| {
+                conds
+                    .iter()
+                    .map(|c| (c.tokens.clone(), c.to_string()))
+                    .collect::<Vec<_>>()
+            });
+        }
+    }
+    visits.into_iter().map(|(_, conds)| conds).collect()
 }
 
 /// Salvage-tier merge for budget-limited parses: the regular
@@ -110,30 +142,41 @@ fn in_visit_order(chart: &Chart, insts: impl Iterator<Item = InstId>) -> Vec<Vec
 /// content order as [`merge`], so the result is deterministic across
 /// chart histories. Completed parses never come through here — the
 /// happy path stays byte-identical to [`merge`].
+///
+/// The sweep decides on chart spans before it builds anything: an
+/// instance none of whose conditions is held over a non-empty span
+/// disjoint from the trees' claims is dropped unbuilt. That is exact,
+/// because the claimed set only grows during the sweep, so every
+/// condition of such an instance would be skipped anyway.
 pub fn salvage_merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
-    let mut report = merge(chart, trees);
-    let mut claimed: HashSet<TokenId> = report
-        .conditions
-        .iter()
-        .flat_map(|c| c.tokens.iter().copied())
-        .collect();
-    // Instances without conditions have nothing to add; leaving them
-    // out keeps the others in the same relative order.
+    let (mut report, mut kept) = merge_keyed(chart, trees);
+    let mut claimed = TokenSet::new(chart.tokens().len());
+    for &t in report.conditions.iter().flat_map(|c| &c.tokens) {
+        claimed.insert(t);
+    }
     let extras = chart.ids().filter(|&i| {
         chart.is_valid(i)
             && chart.prod(i).is_some()
             && !chart.span(i).is_empty()
             && chart.payload(i).has_conditions()
     });
-    for cond in in_visit_order(chart, extras).into_iter().flatten() {
-        if cond.tokens.is_empty() || cond.tokens.iter().any(|t| claimed.contains(t)) {
+    let open = |at: InstId| {
+        let span = chart.span(at);
+        !span.is_empty() && !span.intersects(&claimed)
+    };
+    for cond in in_visit_order(chart, extras, open).into_iter().flatten() {
+        if cond.tokens.is_empty() || cond.tokens.iter().any(|&t| claimed.contains(t)) {
             continue;
         }
-        if report.conditions.iter().any(|c| c.equivalent(&cond)) {
+        let key = equivalence_key(&cond);
+        if kept.contains(&key) {
             continue;
         }
-        claimed.extend(cond.tokens.iter().copied());
+        for &t in &cond.tokens {
+            claimed.insert(t);
+        }
         report.missing.retain(|t| !cond.tokens.contains(t));
+        kept.push(key);
         report.conditions.push(cond);
     }
     report
@@ -143,8 +186,11 @@ pub fn salvage_merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
 mod tests {
     use super::*;
     use crate::engine::parse;
-    use metaform_core::{BBox, DomainKind, Token, TokenKind};
-    use metaform_grammar::paper_example_grammar;
+    use metaform_core::{BBox, DomainKind, Token, TokenId, TokenKind};
+    use metaform_grammar::{
+        paper_example_grammar, Cond, Domain, Payload, ProdId, SymbolId, SymbolTable,
+    };
+    use std::sync::Arc;
 
     fn label_box_pair(id0: u32, label: &str, x: i32, y: i32) -> Vec<Token> {
         let w = label.len() as i32 * 7;
@@ -224,6 +270,80 @@ mod tests {
         // uncovered or in a competing tree. Whatever the split, the
         // merger must not lose the Adults condition.
         assert!(report.conditions.iter().any(|c| c.attribute == "Adults"));
+    }
+
+    /// A chart over a caption and four textboxes on one row, with one
+    /// terminal instance per token.
+    fn row_chart() -> (Chart, SymbolId, Vec<InstId>) {
+        let mut syms = SymbolTable::new();
+        let text = syms.terminal(TokenKind::Text);
+        let tb = syms.terminal(TokenKind::Textbox);
+        let nt = syms.intern("CP");
+        let mut tokens = vec![Token::text(0, "Author", BBox::new(0, 4, 42, 20))];
+        tokens.extend((1..5).map(|i| {
+            let x = i * 60;
+            Token::widget(
+                i as u32,
+                TokenKind::Textbox,
+                "q",
+                BBox::new(x, 0, x + 50, 20),
+            )
+        }));
+        let mut chart = Chart::new(tokens, syms.len());
+        let terms = (0..5)
+            .map(|i| chart.add_terminal_index(if i == 0 { text } else { tb }, i))
+            .collect();
+        (chart, nt, terms)
+    }
+
+    /// Adds an instance over `children` carrying one text condition.
+    fn add_cond(chart: &mut Chart, nt: SymbolId, children: &[InstId], attr: &str) -> InstId {
+        let payload = Payload::Cond(Arc::new(Cond {
+            attribute: attr.into(),
+            operators: metaform_core::empty_list(),
+            domain: Domain::of(DomainKind::Text),
+        }));
+        chart.add_nonterminal(nt, ProdId(0), children, payload)
+    }
+
+    #[test]
+    fn salvage_breaks_equal_span_ties_by_content_not_creation_order() {
+        let report = |first: &str, second: &str| {
+            let (mut chart, nt, t) = row_chart();
+            add_cond(&mut chart, nt, &[t[0], t[1]], first);
+            add_cond(&mut chart, nt, &[t[0], t[1]], second);
+            salvage_merge(&chart, &[])
+        };
+        let (ab, ba) = (report("Alpha", "Beta"), report("Beta", "Alpha"));
+        assert_eq!(ab, ba, "the report does not depend on chart history");
+        let attrs: Vec<&str> = ab.conditions.iter().map(|c| &*c.attribute).collect();
+        assert_eq!(
+            attrs,
+            ["Alpha"],
+            "the rival over the same tokens is skipped"
+        );
+        assert_eq!(ab.missing, [TokenId(2), TokenId(3), TokenId(4)]);
+    }
+
+    #[test]
+    fn salvage_adds_only_conditions_disjoint_from_the_trees_claims() {
+        let (mut chart, nt, t) = row_chart();
+        let tree = add_cond(&mut chart, nt, &[t[0], t[1]], "Author");
+        let touching = add_cond(&mut chart, nt, &[t[1], t[2]], "Touching");
+        let disjoint = add_cond(&mut chart, nt, &[t[3], t[4]], "Disjoint");
+        let report = salvage_merge(&chart, &[tree]);
+        let attrs: Vec<&str> = report.conditions.iter().map(|c| &*c.attribute).collect();
+        assert_eq!(attrs, ["Author", "Disjoint"]);
+        assert!(report.conflicts.is_empty());
+        assert_eq!(report.missing, [TokenId(2)]);
+        // The touching instance is dropped before it is built.
+        let mut claimed = TokenSet::new(5);
+        claimed.union_with(chart.span(tree));
+        let built = in_visit_order(&chart, [touching, disjoint].into_iter(), |at| {
+            !chart.span(at).intersects(&claimed)
+        });
+        assert_eq!(built.len(), 1);
+        assert_eq!(built[0][0].attribute, "Disjoint");
     }
 
     #[test]

@@ -11,9 +11,6 @@ use metaform_layout::Layout;
 pub struct Tokenized {
     /// Tokens in reading order with dense ids `0..n`.
     pub tokens: Vec<Token>,
-    /// Originating DOM node per token (text tokens may merge several
-    /// nodes; the first is recorded). Parallel to `tokens`.
-    pub nodes: Vec<Option<NodeId>>,
 }
 
 impl Tokenized {
@@ -54,12 +51,11 @@ pub fn tokenize(doc: &Document, layout: &Layout) -> Tokenized {
 
 /// Tokenizes an explicit subtree.
 pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokenized {
-    let mut widgets: Vec<(Token, NodeId)> = Vec::new();
+    let mut widgets: Vec<Token> = Vec::new();
     let mut runs: Vec<RawRun> = Vec::new();
     // One buffer gathers every `<select>`'s labels before they are
     // shared as the token's option list.
     let mut labels: Vec<Text> = Vec::new();
-    let mut run_nodes: Vec<(u32, NodeId)> = Vec::new(); // (line, node) keyed lookup
 
     let mut in_select_depth = 0usize;
     let mut select_stack: Vec<NodeId> = Vec::new();
@@ -77,21 +73,23 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
             match tag {
                 "select" => {
                     if let Some(t) = select_token(doc, layout, node, &mut labels) {
-                        widgets.push((t, node));
+                        widgets.push(t);
                     }
                     select_stack.push(node);
                     in_select_depth += 1;
                 }
                 "input" => {
                     if let Some(t) = input_token(doc, layout, node) {
-                        widgets.push((t, node));
+                        widgets.push(t);
                     }
                 }
                 "textarea" => {
                     if let Some(b) = layout.bbox(node) {
-                        widgets.push((
-                            Token::widget(0, TokenKind::TextArea, attr(doc, node, "name"), b),
-                            node,
+                        widgets.push(Token::widget(
+                            0,
+                            TokenKind::TextArea,
+                            attr(doc, node, "name"),
+                            b,
                         ));
                     }
                     // Its default text renders inside the widget.
@@ -101,11 +99,10 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
                 "button" => {
                     if let Some(b) = layout.bbox(node) {
                         let caption = share(&doc.trimmed_text(node));
-                        widgets.push((
+                        widgets.push(
                             Token::widget(0, TokenKind::SubmitButton, attr(doc, node, "name"), b)
                                 .with_sval(caption),
-                            node,
-                        ));
+                        );
                     }
                     select_stack.push(node);
                     in_select_depth += 1;
@@ -128,53 +125,23 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
                     bbox: f.bbox,
                     line: f.line,
                 });
-                run_nodes.push((f.line, node));
             }
         }
     }
 
-    let obstacle_boxes: Vec<BBox> = widgets.iter().map(|(t, _)| t.pos).collect();
+    let obstacle_boxes: Vec<BBox> = widgets.iter().map(|t| t.pos).collect();
     let merged = merge_runs(runs, &obstacle_boxes);
 
-    // Interleave text runs and widgets into reading order.
-    enum Pending<'a> {
-        Widget(Token, NodeId),
-        Text(RawRun<'a>, Option<NodeId>),
+    // Interleave text runs and widgets into reading order. Line boxes
+    // bottom-align their items, so (bottom, left) is reading order even
+    // when a tall widget shares a line with short text.
+    let mut tokens = widgets;
+    tokens.extend(merged.into_iter().map(|r| Token::text(0, &*r.text, r.bbox)));
+    tokens.sort_by_key(|t| (t.pos.bottom, t.pos.left));
+    for (i, t) in tokens.iter_mut().enumerate() {
+        t.id = TokenId(i as u32);
     }
-    let mut pending: Vec<Pending> = Vec::with_capacity(widgets.len() + merged.len());
-    for (t, n) in widgets {
-        pending.push(Pending::Widget(t, n));
-    }
-    for r in merged {
-        let node = run_nodes
-            .iter()
-            .find(|(line, _)| *line == r.line)
-            .map(|&(_, n)| n);
-        pending.push(Pending::Text(r, node));
-    }
-    // Line boxes bottom-align their items, so (bottom, left) is reading
-    // order even when a tall widget shares a line with short text.
-    pending.sort_by_key(|p| match p {
-        Pending::Widget(t, _) => (t.pos.bottom, t.pos.left),
-        Pending::Text(r, _) => (r.bbox.bottom, r.bbox.left),
-    });
-
-    let mut tokens = Vec::with_capacity(pending.len());
-    let mut nodes = Vec::with_capacity(pending.len());
-    for (i, p) in pending.into_iter().enumerate() {
-        match p {
-            Pending::Widget(mut t, n) => {
-                t.id = TokenId(i as u32);
-                tokens.push(t);
-                nodes.push(Some(n));
-            }
-            Pending::Text(r, n) => {
-                tokens.push(Token::text(i as u32, &*r.text, r.bbox));
-                nodes.push(n);
-            }
-        }
-    }
-    Tokenized { tokens, nodes }
+    Tokenized { tokens }
 }
 
 fn is_descendant(doc: &Document, node: NodeId, ancestor: NodeId) -> bool {

@@ -13,7 +13,10 @@
 //! (`ParseSession::parse` on a recycled session, over the same pages'
 //! tokens) has its own bound: its fixed cost is meant to follow the
 //! rules a page can fire, and condition lists are read off the chart
-//! rather than built per instance.
+//! rather than built per instance. The starved ladder (instance cap
+//! 40, one retry at growth 2, the same pages and jobs) has a bound of
+//! its own: most of those pages truncate, and the salvage merge is
+//! meant to build report conditions only for what it can still add.
 //!
 //! This binary holds exactly one test: the allocator counts every
 //! thread of the process, and a second test running beside it would
@@ -60,6 +63,13 @@ const DOM_BUDGET_PER_PAGE: f64 = 4.0;
 
 /// Allocations per page `ParseSession::parse` may spend on the set.
 const PARSE_BUDGET_PER_PAGE: f64 = 35.0;
+
+/// Allocations per page the starved ladder may spend on the set.
+const STARVED_BUDGET_PER_PAGE: f64 = 340.0;
+
+/// Instance cap of the starved pass: with one retry at growth 2 it
+/// leaves pages on all three ladder outcomes.
+const STARVED_CAP: usize = 40;
 
 /// Pages per batch job, as in a crawl's job queue.
 const JOB: usize = 32;
@@ -162,5 +172,30 @@ fn cold_path_stays_within_its_allocation_budget() {
     assert!(
         per_page <= BUDGET_PER_PAGE,
         "{per_page:.1} allocations per page exceeds the budget of {BUDGET_PER_PAGE}"
+    );
+
+    let starved = FormExtractor::new()
+        .worker_threads(1)
+        .max_instances(STARVED_CAP);
+    let opts = AdaptiveOptions {
+        max_retries: 1,
+        budget_growth: 2,
+    };
+    starved.extract_batch_adaptive(&jobs[0], &opts);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut failed = 0;
+    for job in &jobs {
+        failed += starved.extract_batch_adaptive(job, &opts).failures.len();
+    }
+    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(failed > 0, "the starved cap truncates some pages");
+    let starved_per_page = spent as f64 / pages.len() as f64;
+    println!(
+        "{starved_per_page:.1} starved allocations per page ({spent} over {} pages)",
+        pages.len()
+    );
+    assert!(
+        starved_per_page <= STARVED_BUDGET_PER_PAGE,
+        "{starved_per_page:.1} starved allocations per page exceeds the budget of {STARVED_BUDGET_PER_PAGE}"
     );
 }
