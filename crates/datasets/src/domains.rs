@@ -625,7 +625,6 @@ mod tests {
                 cache: None,
                 tokens: 50,
                 created,
-                covered: None,
                 elapsed_us: 0,
             }
         }

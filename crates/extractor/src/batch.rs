@@ -32,6 +32,9 @@
 //!    grammar-path report when it dominates the proximity baseline
 //!    ([`Provenance::PartialSalvage`]), the baseline otherwise.
 //!
+//! The retry decision follows each parse, so only the attempt a page
+//! settles on builds an extraction; a retried one logs its counters.
+//!
 //! A budget failure is a verdict on the *budget*, not the page: the
 //! same page parses fine under a larger instance cap or deadline.
 //! `Panicked` and `EmptyForm` pages are never retried (a bigger budget
@@ -58,12 +61,12 @@
 //! (or `Salvaged`, when their partial dominated the baseline).
 
 use crate::error::ExtractError;
-use crate::pipeline::{token_coverage, Attempt, Extraction, FormExtractor, Provenance};
+use crate::pipeline::{token_coverage, Extraction, FormExtractor, Provenance, Verdict};
 use crate::telemetry::{
     duration_to_ms, AttemptRecord, CacheOutcome, ErrorKind, FailureOutcome, FailureRecord,
 };
 use metaform_core::Token;
-use metaform_parser::{CancelToken, ParseSession};
+use metaform_parser::ParseSession;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -332,7 +335,8 @@ impl FormExtractor {
     /// One page's whole ladder on the worker that claimed it: the
     /// front end once, a first attempt at the configured budgets,
     /// escalating retries while the attempt is budget-limited, retries
-    /// remain and the cancel token has not fired, then settlement.
+    /// remain and the cancel token has not fired, then settlement (a
+    /// completed attempt after a failed one is `Recovered`).
     pub(crate) fn ladder(
         &self,
         session: &mut ParseSession,
@@ -345,54 +349,50 @@ impl FormExtractor {
             Err(err) => return self.settle_unparsed(page_index, html, err),
         };
         let mut budgets = self.budgets();
-        let mut attempt = self.attempt(session, page_index, &tokens, budgets);
         let mut trail = Vec::new();
-        self.log_attempt(&mut trail, 0, budgets, &attempt);
         let growth = opts.budget_growth.max(1);
-        for retry in 1..=opts.max_retries {
-            if !attempt
-                .result
-                .as_ref()
-                .is_err_and(ExtractError::is_budget_limited)
-                || self.cancel().is_some_and(CancelToken::is_cancelled)
-            {
-                break;
+        let mut number = 0;
+        loop {
+            let retries_left = number < opts.max_retries;
+            let verdict = self.attempt(session, page_index, &tokens, budgets, retries_left);
+            self.log_attempt(&mut trail, number, budgets, &verdict);
+            match verdict {
+                Verdict::Retry(..) => {
+                    budgets = (
+                        budgets.0.saturating_mul(growth as usize),
+                        budgets.1.map(|d| d.saturating_mul(growth)),
+                    );
+                    number += 1;
+                }
+                Verdict::Completed(mut extraction) => {
+                    extraction.tokens = tokens;
+                    let record = (!trail.is_empty()).then(|| {
+                        failure_record(page_index, trail, FailureOutcome::Recovered, None)
+                    });
+                    return (extraction, record);
+                }
+                Verdict::Failed(err, partial) => {
+                    return self.settle(page_index, html, err, partial, Some(tokens), trail)
+                }
             }
-            budgets = (
-                budgets.0.saturating_mul(growth as usize),
-                budgets.1.map(|d| d.saturating_mul(growth)),
-            );
-            attempt = self.attempt(session, page_index, &tokens, budgets);
-            self.log_attempt(&mut trail, retry, budgets, &attempt);
         }
-        self.settle(page_index, html, attempt, Some(tokens), trail)
     }
 
-    /// Settles a page on its final attempt. A completed attempt is
-    /// served with the page's tokens (and narrated as `Recovered` when
-    /// an earlier attempt failed); a failed one is served via
+    /// Settles a page on its final, failed attempt via
     /// [`FormExtractor::salvage_or_degrade`] — the salvaged partial
     /// grammar-path report when it dominates the proximity baseline,
-    /// the baseline otherwise — and its record gains the salvage
+    /// the baseline otherwise — and narrates it with the salvage
     /// coverage and the induction evidence.
     fn settle(
         &self,
         page_index: usize,
         html: &str,
-        attempt: Attempt,
+        err: ExtractError,
+        partial: Option<Extraction>,
         tokens: Option<Vec<Token>>,
         trail: Vec<AttemptRecord>,
     ) -> Settled {
-        let err = match attempt.result {
-            Ok(mut extraction) => {
-                extraction.tokens = tokens.unwrap_or_default();
-                let record = (!trail.is_empty())
-                    .then(|| failure_record(page_index, trail, FailureOutcome::Recovered, None));
-                return (extraction, record);
-            }
-            Err(err) => err,
-        };
-        let settled = self.salvage_or_degrade(html, attempt.partial, tokens);
+        let settled = self.salvage_or_degrade(html, partial, tokens);
         let outcome = if settled.via == Provenance::PartialSalvage {
             FailureOutcome::Salvaged
         } else if matches!(err, ExtractError::Cancelled { .. }) {
@@ -428,44 +428,48 @@ impl FormExtractor {
     /// panicked, the batch was cancelled before it started, or its
     /// batch worker died — on its one failed attempt.
     fn settle_unparsed(&self, page_index: usize, html: &str, err: ExtractError) -> Settled {
-        let attempt = Attempt::failed(err);
         let mut trail = Vec::new();
-        self.log_attempt(&mut trail, 0, self.budgets(), &attempt);
-        self.settle(page_index, html, attempt, None, trail)
+        let unparsed = Verdict::Failed(err.clone(), None);
+        self.log_attempt(&mut trail, 0, self.budgets(), &unparsed);
+        self.settle(page_index, html, err, None, None, trail)
     }
 
-    /// Appends one attempt to the page's trail — but only once the
-    /// page has failed: clean pages (the common case) allocate no
-    /// telemetry at all, and a recovered page's final, clean attempt is
-    /// logged because a failed one precedes it.
+    /// Appends one attempt's parse counters to the page's trail — but
+    /// only once the page has failed: clean pages (the common case)
+    /// allocate no telemetry at all, and a recovered page's final,
+    /// clean attempt is logged because a failed one precedes it.
     fn log_attempt(
         &self,
         trail: &mut Vec<AttemptRecord>,
         number: usize,
         budgets: (usize, Option<Duration>),
-        attempt: &Attempt,
+        verdict: &Verdict,
     ) {
-        let error = attempt.result.as_ref().err().map(ErrorKind::of);
+        let (error, stats) = match verdict {
+            Verdict::Completed(ex) => (None, Some(&ex.stats)),
+            Verdict::Failed(err, partial) => (Some(err), partial.as_ref().map(|ex| &ex.stats)),
+            Verdict::Retry(err, stats) => (Some(err), Some(stats)),
+        };
         if error.is_none() && trail.is_empty() {
             return;
         }
-        let built = attempt.built();
         trail.push(AttemptRecord {
             attempt: number,
             max_instances: budgets.0,
             deadline_ms: duration_to_ms(budgets.1),
-            error,
+            error: error.map(ErrorKind::of),
             // None without a cache or on a failed attempt.
-            cache: match (&attempt.result, self.cache()) {
-                (Ok(ex), Some(_)) if ex.via == Provenance::CacheHit => Some(CacheOutcome::Hit),
-                (Ok(_), Some(_)) => Some(CacheOutcome::Miss),
+            cache: match (verdict, self.cache()) {
+                (Verdict::Completed(ex), Some(_)) if ex.via == Provenance::CacheHit => {
+                    Some(CacheOutcome::Hit)
+                }
+                (Verdict::Completed(_), Some(_)) => Some(CacheOutcome::Miss),
                 _ => None,
             },
-            tokens: built.map_or(0, |ex| ex.stats.tokens),
-            created: built.map_or(0, |ex| ex.stats.created),
-            covered: built.map(|ex| token_coverage(&ex.report, ex.stats.tokens)),
-            elapsed_us: built.map_or(0, |ex| {
-                u64::try_from(ex.stats.elapsed.as_micros()).unwrap_or(u64::MAX)
+            tokens: stats.map_or(0, |s| s.tokens),
+            created: stats.map_or(0, |s| s.created),
+            elapsed_us: stats.map_or(0, |s| {
+                u64::try_from(s.elapsed.as_micros()).unwrap_or(u64::MAX)
             }),
         });
     }

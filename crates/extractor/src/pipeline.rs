@@ -248,37 +248,18 @@ pub struct FormExtractor {
     cache: Option<Arc<dyn ParseCache>>,
 }
 
-/// What one parse attempt produces: the page's verdict and — when the
-/// parse was budget-limited or cancelled mid-flight — the partial
-/// grammar-path extraction it still built, carried as the salvage
-/// candidate instead of being thrown away with the error.
-///
-/// Neither extraction holds the page's tokens: they stay a local of the
-/// page's ladder, which moves them into whichever extraction it serves.
-pub(crate) struct Attempt {
-    pub(crate) result: Result<Extraction, ExtractError>,
-    pub(crate) partial: Option<Extraction>,
-}
-
-impl Attempt {
-    /// An attempt that failed before it built any extraction.
-    pub(crate) fn failed(error: ExtractError) -> Self {
-        Attempt {
-            result: Err(error),
-            partial: None,
-        }
-    }
-
-    /// The extraction this attempt built — the full one on success,
-    /// the salvage candidate on a budget failure, nothing when no parse
-    /// ran. Its stats and coverage are the per-attempt telemetry the
-    /// control plane fits budgets from.
-    pub(crate) fn built(&self) -> Option<&Extraction> {
-        match (&self.result, &self.partial) {
-            (Ok(ex), _) | (Err(_), Some(ex)) => Some(ex),
-            (Err(_), None) => None,
-        }
-    }
+/// How one parse attempt ended. No extraction here holds the page's
+/// tokens: they stay a local of the page's ladder, which moves them
+/// into whichever extraction it serves.
+pub(crate) enum Verdict {
+    /// The parse completed or replayed a cached visit.
+    Completed(Extraction),
+    /// The page settles on this failure, with the salvage candidate
+    /// its parse built (`None` when no parse ran).
+    Failed(ExtractError, Option<Extraction>),
+    /// A budget failure the ladder retries: the parse's counters only,
+    /// its chart returned to the session unbuilt.
+    Retry(ExtractError, ParseStats),
 }
 
 impl FormExtractor {
@@ -460,10 +441,13 @@ impl FormExtractor {
     /// [`ExtractError`] (with `page_index` 0) instead of degrading.
     pub fn try_extract(&self, html: &str) -> Result<Extraction, ExtractError> {
         let tokens = self.page_tokens(0, html)?;
-        let attempt = self.attempt(&mut self.session(), 0, &tokens, self.budgets());
-        let mut extraction = attempt.result?;
-        extraction.tokens = tokens;
-        Ok(extraction)
+        match self.attempt(&mut self.session(), 0, &tokens, self.budgets(), false) {
+            Verdict::Completed(extraction) => Ok(Extraction {
+                tokens,
+                ..extraction
+            }),
+            Verdict::Failed(err, _) | Verdict::Retry(err, _) => Err(err),
+        }
     }
 
     /// The fault the attached plan injects at `page_index`, if any.
@@ -500,22 +484,22 @@ impl FormExtractor {
 
     /// One parse attempt over the page's tokens at `budgets`
     /// (`(max_instances, deadline)`), set on the caller's session, with
-    /// the parse and merge behind the page's panic boundary; budget
-    /// blow-outs and cancellation map to typed errors. Planned
-    /// [`Fault::Stall`] and [`Fault::Cancel`] faults fire on every
-    /// attempt. A panic mid-parse may leave the session's recycled
-    /// chart un-recycled — that only costs the next parse a fresh
-    /// allocation, never correctness, because `ParseSession::parse`
-    /// resets the chart for each input.
+    /// the parse and report build behind the page's panic boundary.
+    /// Planned [`Fault::Stall`] and [`Fault::Cancel`] faults fire on
+    /// every attempt. A panic mid-parse may leave the session's
+    /// recycled chart un-recycled — that only costs the next parse a
+    /// fresh allocation, never correctness, because
+    /// `ParseSession::parse` resets the chart for each input.
     pub(crate) fn attempt(
         &self,
         session: &mut ParseSession,
         page_index: usize,
         tokens: &[Token],
         budgets: (usize, Option<Duration>),
-    ) -> Attempt {
+        retries_left: bool,
+    ) -> Verdict {
         if tokens.is_empty() {
-            return Attempt::failed(ExtractError::EmptyForm { page_index });
+            return Verdict::Failed(ExtractError::EmptyForm { page_index }, None);
         }
         let fault = self.fault_at(page_index);
         // A planned Cancel page fires the token right before its own
@@ -531,34 +515,19 @@ impl FormExtractor {
             _ => budgets.1,
         };
         session.set_budgets(budgets.0, deadline);
-        let extraction =
-            match catch_unwind(AssertUnwindSafe(|| self.parse_tokens_in(session, tokens))) {
-                Ok(extraction) => extraction,
-                Err(payload) => {
-                    return Attempt::failed(ExtractError::Panicked {
-                        page_index,
-                        message: panic_message(payload),
-                    })
-                }
-            };
-        // A budget-limited parse still maximized whatever it built
-        // (best-effort end to end) — keep the partial as the salvage
-        // candidate alongside the typed error.
-        let error = match extraction.stats.budget {
-            BudgetOutcome::Completed => {
-                return Attempt {
-                    result: Ok(extraction),
-                    partial: None,
-                }
-            }
-            BudgetOutcome::TruncatedInstances => ExtractError::Truncated { page_index },
-            BudgetOutcome::DeadlineExceeded => ExtractError::Timeout { page_index },
-            BudgetOutcome::Cancelled => ExtractError::Cancelled { page_index },
-        };
-        Attempt {
-            result: Err(error),
-            partial: Some(extraction),
-        }
+        catch_unwind(AssertUnwindSafe(|| {
+            self.parse_tokens_in(session, page_index, tokens, retries_left)
+        }))
+        .unwrap_or_else(|payload| {
+            let message = panic_message(payload);
+            Verdict::Failed(
+                ExtractError::Panicked {
+                    page_index,
+                    message,
+                },
+                None,
+            )
+        })
     }
 
     /// The settlement site of the degradation ladder's last two rungs:
@@ -654,23 +623,45 @@ impl FormExtractor {
         tokenize(&doc, &lay).tokens
     }
 
-    /// The parse + merge core. The returned extraction's `tokens` are
-    /// left empty: the caller owns the page's tokens and moves them in,
-    /// so they are never copied per attempt.
-    fn parse_tokens_in(&self, session: &mut ParseSession, tokens: &[Token]) -> Extraction {
+    /// The parse + merge core; budget blow-outs and cancellation map
+    /// to typed errors. The extraction's `tokens` are left empty: the
+    /// caller owns the page's tokens and moves them in.
+    fn parse_tokens_in(
+        &self,
+        session: &mut ParseSession,
+        page_index: usize,
+        tokens: &[Token],
+        retries_left: bool,
+    ) -> Verdict {
         // One fingerprint serves the exact-hit lookup and the store.
         let fingerprint = self.cache.as_ref().map(|_| TokenFingerprint::of(tokens));
         if let Some(hit) = self.replay_cached(tokens, fingerprint.as_ref()) {
-            return hit;
+            return Verdict::Completed(hit);
         }
         let result = session.parse(tokens);
-        // A budget-limited chart gets the salvage merge — the regular
-        // union over maximal trees plus the sweep that recovers
-        // conditions stranded below the truncation point. Completed
-        // parses keep the plain merge byte-for-byte.
-        let report = match result.stats.budget {
-            BudgetOutcome::Completed => merge(&result.chart, &result.trees),
-            _ => salvage_merge(&result.chart, &result.trees),
+        let error = match result.stats.budget {
+            BudgetOutcome::Completed => None,
+            BudgetOutcome::TruncatedInstances => Some(ExtractError::Truncated { page_index }),
+            BudgetOutcome::DeadlineExceeded => Some(ExtractError::Timeout { page_index }),
+            BudgetOutcome::Cancelled => Some(ExtractError::Cancelled { page_index }),
+        };
+        // A budget failure with retries left and the cancel token not
+        // fired (read once, here) is retried, its chart unbuilt. One the
+        // page settles on gets the salvage merge — the union over the
+        // maximal trees plus the sweep that recovers conditions stranded
+        // below the truncation point — as the salvage candidate.
+        let report = match &error {
+            None => merge(&result.chart, &result.trees),
+            Some(err)
+                if retries_left
+                    && err.is_budget_limited()
+                    && !self.cancel().is_some_and(CancelToken::is_cancelled) =>
+            {
+                let retry = Verdict::Retry(err.clone(), result.stats.clone());
+                session.recycle(result);
+                return retry;
+            }
+            Some(_) => salvage_merge(&result.chart, &result.trees),
         };
         let grammar = self.grammar.grammar();
         let pattern_spans = metaform_parser::pattern_spans(&result.chart, &result.trees, grammar);
@@ -687,7 +678,10 @@ impl FormExtractor {
             self.store_visit(tokens, fingerprint, &extraction, &result);
         }
         session.recycle(result);
-        extraction
+        match error {
+            None => Verdict::Completed(extraction),
+            Some(err) => Verdict::Failed(err, Some(extraction)),
+        }
     }
 
     /// Replays the cached report when the page's tokens match

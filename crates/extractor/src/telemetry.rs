@@ -30,8 +30,8 @@
 //!   "arrangements": ["tb attr"],
 //!   "attempt_log": [{
 //!     "attempt": 0, "max_instances": 2000, "deadline_ms": null,
-//!     "error": "truncated", "tokens": 22, "created": 2000,
-//!     "covered": 4, "elapsed_us": 713
+//!     "error": "truncated", "cache": null, "tokens": 22,
+//!     "created": 2000, "elapsed_us": 713
 //!   }]
 //! }]
 //! ```
@@ -39,7 +39,8 @@
 //! `salvage_covered`/`salvage_tokens` are present (non-null) exactly
 //! when `outcome` is `"salvaged"`: the page was served its partial
 //! grammar-path report (`Provenance::PartialSalvage`), and the pair
-//! gives its condition-coverage ratio over the page's tokens.
+//! gives its token coverage (`crate::token_coverage`: tokens the
+//! report accounts for) over the page's tokens.
 //!
 //! `partial_roots`/`arrangements` are the grammar-induction evidence
 //! of salvaged and degraded pages: the maximal partial trees' root
@@ -198,12 +199,6 @@ pub struct AttemptRecord {
     pub tokens: usize,
     /// Instances the parse created before it ended.
     pub created: usize,
-    /// Condition coverage of the attempt's report
-    /// ([`crate::condition_coverage`]): tokens claimed by extracted
-    /// conditions — of the full report on success, of the salvage
-    /// candidate on a budget failure. `None` when no parse ran. The
-    /// per-attempt coverage trajectory budget refitting reads.
-    pub covered: Option<usize>,
     /// Parse wall-clock time in microseconds (0 when no parse ran).
     /// The one nondeterministic field — comparisons across runs should
     /// mask it (see `FailureRecord::normalized`).
@@ -229,9 +224,10 @@ pub struct FailureRecord {
     pub final_max_instances: usize,
     /// Deadline of the last attempt, in milliseconds.
     pub final_deadline_ms: Option<u64>,
-    /// Condition coverage of the served salvage report — present
-    /// exactly when [`FailureRecord::outcome`] is
-    /// [`FailureOutcome::Salvaged`].
+    /// Token coverage of the served salvage report
+    /// ([`crate::token_coverage`]: tokens claimed by a condition or
+    /// covered by a maximal tree) — present exactly when
+    /// [`FailureRecord::outcome`] is [`FailureOutcome::Salvaged`].
     pub salvage_covered: Option<usize>,
     /// Token count of the salvaged page (the denominator of the
     /// salvage coverage ratio) — present exactly when the outcome is
@@ -349,12 +345,9 @@ pub fn failures_to_json(records: &[FailureRecord]) -> String {
             }
             let _ = write!(
                 out,
-                ", \"tokens\": {}, \"created\": {}, ",
-                a.tokens, a.created
+                ", \"tokens\": {}, \"created\": {}, \"elapsed_us\": {}}}",
+                a.tokens, a.created, a.elapsed_us
             );
-            out.push_str("\"covered\": ");
-            push_opt_u64(&mut out, a.covered.map(|v| v as u64));
-            let _ = write!(out, ", \"elapsed_us\": {}}}", a.elapsed_us);
         }
         if !r.attempt_log.is_empty() {
             out.push_str("\n  ");
@@ -523,7 +516,6 @@ pub fn failures_from_json(src: &str) -> Result<Vec<FailureRecord>, String> {
                             .transpose()?,
                         tokens: a.field("tokens")?.as_num()? as usize,
                         created: a.field("created")?.as_num()? as usize,
-                        covered: opt_num(a.field("covered")?)?.map(|v| v as usize),
                         elapsed_us: a.field("elapsed_us")?.as_num()?,
                     })
                 })
@@ -573,7 +565,6 @@ mod tests {
                         cache: None,
                         tokens: 22,
                         created: 2000,
-                        covered: Some(4),
                         elapsed_us: 713,
                     },
                     AttemptRecord {
@@ -584,7 +575,6 @@ mod tests {
                         cache: Some(CacheOutcome::Miss),
                         tokens: 22,
                         created: 3107,
-                        covered: Some(22),
                         elapsed_us: 1911,
                     },
                 ],
@@ -609,7 +599,6 @@ mod tests {
                     cache: None,
                     tokens: 0,
                     created: 0,
-                    covered: None,
                     elapsed_us: 0,
                 }],
             },
@@ -647,7 +636,6 @@ mod tests {
                     cache: None,
                     tokens: 22,
                     created: 4000,
-                    covered: Some(17),
                     elapsed_us: 902,
                 }],
             },

@@ -752,8 +752,8 @@ fn job_results(state: &ServiceState, id: u64) -> Response {
             out.push_str(&format!(
                 "{{\"page_index\": {index}, \"via\": \"{via}\", \"http_status\": {http_status}, "
             ));
-            // Salvaged pages carry their coverage ratio: conditions'
-            // claimed tokens over the page's token count.
+            // Salvaged pages carry their coverage ratio: the tokens
+            // the report accounts for over the page's token count.
             if let Some(&(covered, tokens)) = salvage_by_page.get(&index) {
                 out.push_str(&format!(
                     "\"salvage_covered\": {covered}, \"salvage_tokens\": {tokens}, "

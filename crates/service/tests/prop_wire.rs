@@ -72,21 +72,10 @@ fn attempt() -> impl Strategy<Value = AttemptRecord> {
         cache_outcome(),
         0usize..10_000,
         0usize..1_000_000,
-        opt_usize(),
         0u64..10_000_000,
     )
         .prop_map(
-            |(
-                attempt,
-                max_instances,
-                deadline_ms,
-                error,
-                cache,
-                tokens,
-                created,
-                covered,
-                elapsed_us,
-            )| {
+            |(attempt, max_instances, deadline_ms, error, cache, tokens, created, elapsed_us)| {
                 AttemptRecord {
                     attempt,
                     max_instances,
@@ -95,7 +84,6 @@ fn attempt() -> impl Strategy<Value = AttemptRecord> {
                     cache,
                     tokens,
                     created,
-                    covered,
                     elapsed_us,
                 }
             },

@@ -52,6 +52,11 @@ echo "==> provenance construction gate (salvage/fallback each built in exactly o
 test "$(grep -c 'via = Provenance::PartialSalvage' crates/extractor/src/pipeline.rs)" = 1
 test "$(grep -c 'via: Provenance::BaselineFallback' crates/extractor/src/pipeline.rs)" = 1
 
+echo "==> salvage report gate (a failed attempt's report is built in one place)"
+# Only the attempt a page settles on builds its salvage candidate; a
+# retried attempt recycles its chart unbuilt.
+test "$(grep -rn 'salvage_merge(' crates/extractor/src | wc -l)" = 1
+
 echo "==> perfbench self-tests and short starved_ladder, revisit_zipf and service_dispatch runs"
 # The benchmark checks every page of every job against single-page
 # extraction under the same escalation and exits nonzero on any

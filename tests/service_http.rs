@@ -11,7 +11,8 @@
 //! 2. a deterministic mid-batch cancellation (a planned cancel page fires the
 //!    job's cancel token between pages, single batch worker);
 //! 3. `DELETE` on a still-queued job, equal to a run under a
-//!    pre-fired token.
+//!    pre-fired token — driven in process through the router, so the
+//!    job is queued by construction.
 
 use metaform_datasets::survey_corpus;
 use metaform_extractor::telemetry::failures_from_json;
@@ -20,7 +21,10 @@ use metaform_extractor::{
     Provenance,
 };
 use metaform_parser::CancelToken;
-use metaform_service::{push_json_str, status_for, JsonValue, Server, ServerHandle, ServiceConfig};
+use metaform_service::{
+    push_json_str, route, status_for, JsonValue, Request, Server, ServerHandle, ServiceConfig,
+    ServiceState,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -318,36 +322,50 @@ fn mid_batch_cancellation_matches_in_process_run() {
 
 #[test]
 fn deleting_a_queued_job_equals_a_pre_cancelled_run() {
-    // One pool worker, kept busy by a heavy front job: a second job
-    // submitted behind it is still queued when we DELETE it, so its
-    // token is fired before any of its pages run — the run then equals
-    // an in-process run under a pre-fired token.
+    // Driven in process — the shared state and its router, with no
+    // pool worker started — so the job is still queued when the DELETE
+    // arrives, by construction. Running it the way a pool worker would
+    // then runs it under the fired token, which must equal an
+    // in-process run under a pre-fired token.
     let corpus: Vec<String> = survey_corpus().into_iter().map(|(_, html)| html).collect();
-    let mut heavy = Vec::new();
-    for _ in 0..6 {
-        heavy.extend(corpus.iter().cloned());
-    }
     let victim: Vec<String> = corpus[..5].to_vec();
 
-    let handle = spawn_server(ServiceConfig {
-        addr: "127.0.0.1:0".to_string(),
-        pool_workers: 1,
+    let state = ServiceState::new(ServiceConfig {
         batch_workers: Some(1),
         ..ServiceConfig::default()
     });
-    let addr = handle.addr;
+    let send = |method: &str, target: &str, body: String| {
+        let response = route(
+            &state,
+            &Request {
+                method: method.to_string(),
+                target: target.to_string(),
+                headers: Vec::new(),
+                body: body.into_bytes(),
+                keep_alive: false,
+            },
+        );
+        let body = String::from_utf8(response.body).expect("UTF-8 body");
+        (response.status, body)
+    };
 
-    let front = submit(addr, &heavy);
-    let job = submit(addr, &victim);
-    let (status, body) = http(addr, "DELETE", &format!("/v1/batches/{job}"), None);
+    let (status, body) = send("POST", "/v1/batches", submission_body(&victim));
     assert_eq!(status, 202, "{body}");
-    assert!(
-        body.contains("\"state\": \"queued\""),
-        "the victim must still be queued when cancelled (front job too fast?): {body}"
-    );
+    let job = JsonValue::parse(body.as_bytes())
+        .expect("submission answer is JSON")
+        .field("job")
+        .and_then(JsonValue::as_num)
+        .expect("has a job id");
+    let (status, body) = send("DELETE", &format!("/v1/batches/{job}"), String::new());
+    assert_eq!(status, 202, "{body}");
+    assert!(body.contains("\"state\": \"queued\""), "{body}");
 
-    assert_eq!(wait_finished(addr, job), "cancelled");
-    let body = fetch_results(addr, job);
+    assert_eq!(state.queue.pop(0), Some(job), "the job is still queued");
+    state.run_job(job);
+    let (_, body) = send("GET", &format!("/v1/batches/{job}"), String::new());
+    assert!(body.contains("\"state\": \"cancelled\""), "{body}");
+    let (status, body) = send("GET", &format!("/v1/batches/{job}/results"), String::new());
+    assert_eq!(status, 200, "{body}");
 
     let refs: Vec<&str> = victim.iter().map(String::as_str).collect();
     let token = CancelToken::new();
@@ -362,8 +380,4 @@ fn deleting_a_queued_job_equals_a_pre_cancelled_run() {
         "every page cancelled"
     );
     assert_differential(&body, &expected);
-
-    // The heavy job still completes normally behind it.
-    assert_eq!(wait_finished(addr, front), "done");
-    handle.shutdown();
 }
