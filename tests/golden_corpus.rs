@@ -12,13 +12,16 @@
 //!
 //! then review the diff of `tests/golden/survey_reports.txt` like any
 //! other code change.
+//!
+//! `survey_ladder.txt` pins the retry ladder itself: the corpus under
+//! two escalating budgets, with each page's failure record.
 
 #[path = "support/golden.rs"]
 mod golden;
 
 use metaform_datasets::survey_corpus;
 use metaform_eval::ablation::{one_pass, render_reports};
-use metaform_extractor::FormExtractor;
+use metaform_extractor::{failures_to_json, AdaptiveOptions, FormExtractor};
 
 /// The instance cap the starved fixture runs under — tight enough to
 /// truncate most survey pages, so the fixture pins which rung of the
@@ -52,6 +55,49 @@ fn render_with(extractor: FormExtractor) -> String {
     )
 }
 
+/// The retrying ladders the ladder fixture runs, as `(first cap,
+/// retries)` at growth 2: one retry from the starved cap, and three
+/// from a cap so tight that pages climb several rungs.
+const LADDERS: [(usize, usize); 2] = [(STARVED_CAP, 1), (10, 3)];
+
+/// The corpus under each retrying ladder: per page the served report
+/// with its provenance, then its failure record (wall clock masked) as
+/// JSON, or `failure: none` for a page clean on its first attempt.
+fn render_ladders() -> String {
+    let corpus = survey_corpus();
+    let pages: Vec<&str> = corpus.iter().map(|(_, html)| html.as_str()).collect();
+    let mut out = String::new();
+    for (cap, max_retries) in LADDERS {
+        out.push_str(&format!(
+            "#### cap {cap}, max_retries {max_retries}, growth 2\n\n"
+        ));
+        let batch = FormExtractor::new()
+            .worker_threads(1)
+            .max_instances(cap)
+            .extract_batch_adaptive(
+                &pages,
+                &AdaptiveOptions {
+                    max_retries,
+                    budget_growth: 2,
+                },
+            );
+        for (i, ((name, _), extraction)) in corpus.iter().zip(&batch.extractions).enumerate() {
+            out.push_str(&render_reports([(name.as_str(), extraction)]));
+            out.push_str(&format!("via: {:?}\n", extraction.via));
+            match batch.failures.iter().find(|r| r.page_index == i) {
+                Some(record) => {
+                    out.push_str("failure: ");
+                    out.push_str(&failures_to_json(&[record.normalized()]));
+                    out.push('\n');
+                }
+                None => out.push_str("failure: none\n"),
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
 #[test]
 fn survey_corpus_reports_match_the_golden_file() {
     golden::check("survey_reports.txt", &render_corpus(), |_, _| None);
@@ -64,6 +110,11 @@ fn budget_starved_corpus_matches_its_golden_file() {
         &render_starved_corpus(),
         |_, _| None,
     );
+}
+
+#[test]
+fn retrying_ladders_match_their_golden_file() {
+    golden::check("survey_ladder.txt", &render_ladders(), |_, _| None);
 }
 
 #[test]
