@@ -68,8 +68,8 @@ impl ExtractError {
     }
 
     /// True for the budget failures (`Truncated`/`Timeout`) a larger
-    /// budget might fix — the only errors the adaptive escalation loop
-    /// ever retries. `Panicked`, `EmptyForm`, and `Cancelled` are not
+    /// budget might fix — the only errors a page's adaptive ladder
+    /// climbs past. `Panicked`, `EmptyForm`, and `Cancelled` are not
     /// budget failures: re-running them with a bigger budget reproduces
     /// the same verdict (or, for `Cancelled`, fights the caller).
     pub fn is_budget_limited(&self) -> bool {

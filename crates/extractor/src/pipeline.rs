@@ -254,12 +254,20 @@ pub struct FormExtractor {
 pub(crate) enum Verdict {
     /// The parse completed or replayed a cached visit.
     Completed(Extraction),
-    /// The page settles on this failure, with the salvage candidate
-    /// its parse built (`None` when no parse ran).
+    /// The parse failed, with the salvage candidate it built (`None`
+    /// when no parse ran).
     Failed(ExtractError, Option<Extraction>),
-    /// A budget failure the ladder retries: the parse's counters only,
-    /// its chart returned to the session unbuilt.
-    Retry(ExtractError, ParseStats),
+}
+
+impl Verdict {
+    /// The counters of the parse behind this verdict (`None` when no
+    /// parse ran).
+    pub(crate) fn stats(&self) -> Option<&ParseStats> {
+        match self {
+            Verdict::Completed(ex) => Some(&ex.stats),
+            Verdict::Failed(_, partial) => partial.as_ref().map(|ex| &ex.stats),
+        }
+    }
 }
 
 impl FormExtractor {
@@ -441,12 +449,12 @@ impl FormExtractor {
     /// [`ExtractError`] (with `page_index` 0) instead of degrading.
     pub fn try_extract(&self, html: &str) -> Result<Extraction, ExtractError> {
         let tokens = self.page_tokens(0, html)?;
-        match self.attempt(&mut self.session(), 0, &tokens, self.budgets(), false) {
+        match self.attempt(&mut self.session(), 0, &tokens, self.budgets()) {
             Verdict::Completed(extraction) => Ok(Extraction {
                 tokens,
                 ..extraction
             }),
-            Verdict::Failed(err, _) | Verdict::Retry(err, _) => Err(err),
+            Verdict::Failed(err, _) => Err(err),
         }
     }
 
@@ -485,8 +493,10 @@ impl FormExtractor {
     /// One parse attempt over the page's tokens at `budgets`
     /// (`(max_instances, deadline)`), set on the caller's session, with
     /// the parse and report build behind the page's panic boundary.
-    /// Planned [`Fault::Stall`] and [`Fault::Cancel`] faults fire on
-    /// every attempt. A panic mid-parse may leave the session's
+    /// The ladder makes one attempt per page, at its last rung's
+    /// budgets, and reads every earlier rung off it. Planned
+    /// [`Fault::Stall`] and [`Fault::Cancel`] faults fire on that
+    /// attempt. A panic mid-parse may leave the session's
     /// recycled chart un-recycled — that only costs the next parse a
     /// fresh allocation, never correctness, because
     /// `ParseSession::parse` resets the chart for each input.
@@ -496,7 +506,6 @@ impl FormExtractor {
         page_index: usize,
         tokens: &[Token],
         budgets: (usize, Option<Duration>),
-        retries_left: bool,
     ) -> Verdict {
         if tokens.is_empty() {
             return Verdict::Failed(ExtractError::EmptyForm { page_index }, None);
@@ -516,7 +525,7 @@ impl FormExtractor {
         };
         session.set_budgets(budgets.0, deadline);
         catch_unwind(AssertUnwindSafe(|| {
-            self.parse_tokens_in(session, page_index, tokens, retries_left)
+            self.parse_tokens_in(session, page_index, tokens)
         }))
         .unwrap_or_else(|payload| {
             let message = panic_message(payload);
@@ -631,7 +640,6 @@ impl FormExtractor {
         session: &mut ParseSession,
         page_index: usize,
         tokens: &[Token],
-        retries_left: bool,
     ) -> Verdict {
         // One fingerprint serves the exact-hit lookup and the store.
         let fingerprint = self.cache.as_ref().map(|_| TokenFingerprint::of(tokens));
@@ -645,22 +653,11 @@ impl FormExtractor {
             BudgetOutcome::DeadlineExceeded => Some(ExtractError::Timeout { page_index }),
             BudgetOutcome::Cancelled => Some(ExtractError::Cancelled { page_index }),
         };
-        // A budget failure with retries left and the cancel token not
-        // fired (read once, here) is retried, its chart unbuilt. One the
-        // page settles on gets the salvage merge — the union over the
+        // A failed parse gets the salvage merge — the union over the
         // maximal trees plus the sweep that recovers conditions stranded
         // below the truncation point — as the salvage candidate.
         let report = match &error {
             None => merge(&result.chart, &result.trees),
-            Some(err)
-                if retries_left
-                    && err.is_budget_limited()
-                    && !self.cancel().is_some_and(CancelToken::is_cancelled) =>
-            {
-                let retry = Verdict::Retry(err.clone(), result.stats.clone());
-                session.recycle(result);
-                return retry;
-            }
             Some(_) => salvage_merge(&result.chart, &result.trees),
         };
         let grammar = self.grammar.grammar();

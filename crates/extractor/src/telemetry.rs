@@ -2,8 +2,10 @@
 //!
 //! [`FailureRecord`] is the whole story of one page that failed at
 //! least once under `FormExtractor::extract_batch_adaptive`: which
-//! page, what went wrong, how many attempts ran, under what final
-//! budgets, and the parse counters of every attempt. The records
+//! page, what went wrong, how many rungs of its ladder it climbed,
+//! under what final budgets, and the parse counters of every rung. A
+//! page runs one parse, at its last rung's budgets; each earlier rung
+//! it outgrew is read off that parse and logs no time of its own. The records
 //! serialize to JSON ([`failures_to_json`]) and CSV
 //! ([`failures_to_csv`]) next to the experiment `--csv` output, and
 //! parse back with [`failures_from_json`] so triage tooling (and the
@@ -31,7 +33,7 @@
 //!   "attempt_log": [{
 //!     "attempt": 0, "max_instances": 2000, "deadline_ms": null,
 //!     "error": "truncated", "cache": null, "tokens": 22,
-//!     "created": 2000, "elapsed_us": 713
+//!     "created": 2000, "elapsed_us": 0
 //!   }]
 //! }]
 //! ```
@@ -181,27 +183,31 @@ impl FailureOutcome {
     }
 }
 
-/// Parse counters of one attempt on one page.
+/// Parse counters of one rung of one page's ladder.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AttemptRecord {
-    /// Attempt number, 0 = the batch's first pass.
+    /// Rung number, 0 = the configured budgets.
     pub attempt: usize,
-    /// Instance cap the attempt ran under.
+    /// Instance cap of the rung.
     pub max_instances: usize,
-    /// Wall-clock deadline the attempt ran under, in milliseconds.
+    /// Wall-clock deadline of the rung, in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// What went wrong, or `None` for the succeeding attempt.
+    /// What went wrong, or `None` for the succeeding rung.
     pub error: Option<ErrorKind>,
-    /// How the attempt interacted with the parse cache (`None` when no
-    /// cache was attached or the attempt failed).
+    /// How the rung interacted with the parse cache (`None` when no
+    /// cache was attached or the rung failed).
     pub cache: Option<CacheOutcome>,
     /// Tokens the page produced (0 when no parse ran).
     pub tokens: usize,
-    /// Instances the parse created before it ended.
+    /// Instances the parse created before it ended. A rung the page's
+    /// one parse outgrew carries what its own parse would have
+    /// created: `max(max_instances, tokens)` when truncated, the
+    /// parse's count (an upper bound) when timed out.
     pub created: usize,
-    /// Parse wall-clock time in microseconds (0 when no parse ran).
-    /// The one nondeterministic field — comparisons across runs should
-    /// mask it (see `FailureRecord::normalized`).
+    /// Parse wall-clock time in microseconds — 0 when no parse ran,
+    /// and on a rung read off the parse of a later rung. The one
+    /// nondeterministic field — comparisons across runs should mask it
+    /// (see `FailureRecord::normalized`).
     pub elapsed_us: u64,
 }
 
@@ -209,20 +215,20 @@ pub struct AttemptRecord {
 /// adaptive batch run (see module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FailureRecord {
-    /// The page's index in the *original* batch — stable across
-    /// retries, which run on subsets.
+    /// The page's index in the batch's input slice.
     pub page_index: usize,
     /// Kind of the last error the page produced.
     pub error: ErrorKind,
     /// Panic payload, when the error was a panic.
     pub message: Option<String>,
-    /// Total attempts run (1 = never retried).
+    /// Rungs climbed, the one the page settled on included (1 = it
+    /// settled on its first).
     pub attempts: usize,
     /// How the story ended.
     pub outcome: FailureOutcome,
-    /// Instance cap of the last attempt.
+    /// Instance cap of the rung the page settled on.
     pub final_max_instances: usize,
-    /// Deadline of the last attempt, in milliseconds.
+    /// Deadline of the rung the page settled on, in milliseconds.
     pub final_deadline_ms: Option<u64>,
     /// Token coverage of the served salvage report
     /// ([`crate::token_coverage`]: tokens claimed by a condition or
@@ -241,7 +247,7 @@ pub struct FailureRecord {
     /// served report's residue (`metaform_grammar::induce`) — the
     /// induction loop's Collect evidence. Empty for recovered pages.
     pub arrangements: Vec<String>,
-    /// Per-attempt parse counters, in attempt order.
+    /// Per-rung parse counters, in rung order.
     pub attempt_log: Vec<AttemptRecord>,
 }
 
