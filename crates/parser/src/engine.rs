@@ -72,7 +72,9 @@ pub struct ParserOptions {
     pub max_instances: usize,
     /// Wall-clock budget for one parse. `None` (the default) means
     /// unbounded; `Some(d)` aborts instantiation once `d` has elapsed,
-    /// ending the parse with [`BudgetOutcome::DeadlineExceeded`].
+    /// ending the parse with [`BudgetOutcome::DeadlineExceeded`]. Any
+    /// `d` is accepted: one too long to add to the parse's start
+    /// (`Duration::MAX`, say) is unbounded too.
     /// Whatever the chart holds at that point is still maximized into
     /// partial trees — the parse stays best-effort, just bounded.
     pub deadline: Option<Duration>,
@@ -223,7 +225,8 @@ pub(crate) fn run_parse(
             tokens: token_count,
             ..Default::default()
         },
-        deadline: opts.deadline.map(|d| started + d),
+        // A deadline past what an `Instant` can hold never expires.
+        deadline: opts.deadline.and_then(|d| started.checked_add(d)),
         deadline_tick: 0,
         scratch,
     };
@@ -1236,6 +1239,20 @@ mod tests {
         );
         assert_eq!(generous.stats.budget, crate::BudgetOutcome::Completed);
         assert_eq!(generous.trees.len(), 1, "generous deadline changes nothing");
+        let endless = parse_with(
+            &g,
+            &tokens,
+            &ParserOptions {
+                deadline: Some(std::time::Duration::MAX),
+                ..Default::default()
+            },
+        );
+        assert_eq!(endless.stats.budget, crate::BudgetOutcome::Completed);
+        assert_eq!(
+            endless.trees.len(),
+            1,
+            "an unrepresentable deadline is none"
+        );
     }
 
     #[test]
