@@ -80,19 +80,65 @@ impl DomainSpec {
 
 impl fmt::Display for DomainSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.values.is_empty() {
-            f.write_str(self.kind.name())
-        } else if self.values.len() <= 4 {
-            write!(f, "{{{}}}", self.values.join(", "))
-        } else {
-            write!(
-                f,
-                "{{{}, … {} values}}",
-                self.values[..3].join(", "),
-                self.values.len()
-            )
-        }
+        write_domain(f, self.kind, &self.values)
     }
+}
+
+/// Writes the displayed form of a domain of `kind` over `values`, as
+/// [`DomainSpec`] displays: its kind when it lists no value, else its
+/// values (the first three and a count past four).
+pub fn write_domain<S: AsRef<str>>(
+    out: &mut impl fmt::Write,
+    kind: DomainKind,
+    values: &[S],
+) -> fmt::Result {
+    if values.is_empty() {
+        out.write_str(kind.name())
+    } else if values.len() <= 4 {
+        out.write_char('{')?;
+        write_joined(out, values)?;
+        out.write_char('}')
+    } else {
+        out.write_char('{')?;
+        write_joined(out, &values[..3])?;
+        write!(out, ", … {} values}}", values.len())
+    }
+}
+
+/// Writes the displayed form of a condition from its parts, as
+/// [`Condition`] displays — for a caller holding the parts borrowed.
+pub fn write_condition<S: AsRef<str>>(
+    out: &mut impl fmt::Write,
+    attribute: &str,
+    operators: &[S],
+    kind: DomainKind,
+    values: &[S],
+) -> fmt::Result {
+    let attr = if attribute.is_empty() {
+        "(keyword)"
+    } else {
+        attribute
+    };
+    write!(out, "[{attr}; {{")?;
+    if operators.is_empty() {
+        out.write_str("contains")?;
+    } else {
+        write_joined(out, operators)?;
+    }
+    out.write_str("}; ")?;
+    write_domain(out, kind, values)?;
+    out.write_char(']')
+}
+
+/// `items` separated by `", "`.
+fn write_joined<S: AsRef<str>>(out: &mut impl fmt::Write, items: &[S]) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        out.write_str(item.as_ref())?;
+    }
+    Ok(())
 }
 
 /// One extracted query condition `[attribute; operators; domain]`.
@@ -146,21 +192,13 @@ impl Condition {
 
 impl fmt::Display for Condition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let attr = if self.attribute.is_empty() {
-            "(keyword)"
-        } else {
-            &self.attribute
-        };
-        if self.operators.is_empty() {
-            write!(f, "[{attr}; {{contains}}; {}]", self.domain)
-        } else {
-            write!(
-                f,
-                "[{attr}; {{{}}}; {}]",
-                self.operators.join(", "),
-                self.domain
-            )
-        }
+        write_condition(
+            f,
+            &self.attribute,
+            &self.operators,
+            self.domain.kind,
+            &self.domain.values,
+        )
     }
 }
 

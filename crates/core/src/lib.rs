@@ -31,10 +31,10 @@ pub mod report;
 pub mod text;
 pub mod token;
 
-pub use condition::{Condition, DomainKind, DomainSpec};
+pub use condition::{write_condition, write_domain, Condition, DomainKind, DomainSpec};
 pub use fingerprint::TokenFingerprint;
 pub use geom::BBox;
 pub use relations::Proximity;
 pub use report::{Conflict, ExtractionReport};
 pub use text::{empty_list, empty_text, share, Text, TextList};
-pub use token::{normalize_label, trim_label, Token, TokenId, TokenKind};
+pub use token::{normalize_label, same_label, trim_label, Token, TokenId, TokenKind};

@@ -232,6 +232,18 @@ pub fn normalize_label(s: &str) -> String {
     trim_label(s).to_lowercase()
 }
 
+/// Whether two labels normalize alike (`normalize_label(a) ==
+/// normalize_label(b)`), building no normalized copy when both are
+/// ASCII.
+pub fn same_label(a: &str, b: &str) -> bool {
+    let (a, b) = (trim_label(a), trim_label(b));
+    if a.is_ascii() && b.is_ascii() {
+        a.eq_ignore_ascii_case(b)
+    } else {
+        a.to_lowercase() == b.to_lowercase()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,6 +290,16 @@ mod tests {
         assert_eq!(normalize_label("  Author:  "), "author");
         assert_eq!(normalize_label("Price Range *"), "price range");
         assert_eq!(normalize_label("TITLE?"), "title");
+        assert!(same_label("  Author: ", "author"));
+        assert!(!same_label("Author", "Authors"));
+        assert!(
+            same_label("\u{212A}ind", "kind"),
+            "the Kelvin sign lowercases to k"
+        );
+        assert!(
+            !same_label("ΟΔΟΣ", "οδοσ"),
+            "a final sigma lowercases by context"
+        );
         assert_eq!(normalize_label(""), "");
     }
 

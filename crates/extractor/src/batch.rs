@@ -76,6 +76,7 @@ use crate::telemetry::{
 };
 use metaform_core::Token;
 use metaform_parser::{BudgetOutcome, ParseSession, ParseStats};
+use metaform_tokenizer::FrontEnd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -262,6 +263,14 @@ pub struct AdaptiveBatch {
 /// page's failure story when it failed at least once.
 type Settled = (Extraction, Option<FailureRecord>);
 
+/// One worker's recycled state, kept from page to page: its parse
+/// session, its front end's working memory and its ladder's rungs.
+pub(crate) struct Worker {
+    session: ParseSession,
+    front: FrontEnd,
+    rungs: Vec<(usize, Option<Duration>)>,
+}
+
 impl FormExtractor {
     /// Extracts every page in one parallel pass, each page through its
     /// own ladder (see the module docs): rungs from the configured
@@ -285,14 +294,14 @@ impl FormExtractor {
         // (or, for the calling thread, its return value).
         let next = AtomicUsize::new(0);
         let work = || {
-            let mut session = self.session();
+            let mut worker = self.worker();
             let mut out = Vec::new();
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&html) = pages.get(i) else {
                     break;
                 };
-                out.push((i, self.ladder(&mut session, i, html, opts)));
+                out.push((i, self.ladder(&mut worker, i, html, opts)));
             }
             out
         };
@@ -351,18 +360,19 @@ impl FormExtractor {
     /// after a budget-limited rung is `Recovered`).
     pub(crate) fn ladder(
         &self,
-        session: &mut ParseSession,
+        worker: &mut Worker,
         page_index: usize,
         html: &str,
         opts: &AdaptiveOptions,
     ) -> Settled {
-        let tokens = match self.page_tokens(page_index, html) {
+        let tokens = match self.page_tokens(&mut worker.front, page_index, html) {
             Ok(tokens) => tokens,
             Err(err) => return self.settle_unparsed(page_index, html, err),
         };
-        let rungs = rungs(self.budgets(), opts);
+        let rungs = &mut worker.rungs;
+        fill_rungs(rungs, self.budgets(), opts);
         let (&last, below) = rungs.split_last().expect("a ladder has rung 0");
-        let verdict = self.attempt(session, page_index, &tokens, last);
+        let verdict = self.attempt(&mut worker.session, page_index, &tokens, last);
         let mut trail = Vec::new();
         // No parse ran (a panic, an empty form): rung 0 it is.
         let number = verdict
@@ -415,7 +425,11 @@ impl FormExtractor {
         }
         // Induction evidence: how far the partial parse got and which
         // token arrangements it left unexplained.
-        record.partial_roots = settled.partial_roots.clone();
+        record.partial_roots = settled
+            .partial_roots
+            .iter()
+            .map(|r| r.to_string())
+            .collect();
         record.arrangements = metaform_grammar::mine_page(
             &settled.tokens,
             &settled.report.missing,
@@ -478,6 +492,16 @@ impl FormExtractor {
         });
     }
 
+    /// A worker's state, fresh: a session over this extractor's grammar
+    /// and options, and empty front-end and rung buffers.
+    pub(crate) fn worker(&self) -> Worker {
+        Worker {
+            session: self.session(),
+            front: FrontEnd::default(),
+            rungs: Vec::new(),
+        }
+    }
+
     /// Worker count for a batch of `pages` pages: the configured
     /// override or the machine's parallelism, capped by the page count.
     fn batch_workers(&self, pages: usize) -> usize {
@@ -491,8 +515,8 @@ impl FormExtractor {
     }
 }
 
-/// A page's budgets per rung, `(max_instances, deadline)`: rung 0 at
-/// `first`, each later rung both multiplied by the growth (saturating),
+/// Fills `rungs` with a page's budgets per rung, `(max_instances,
+/// deadline)`: rung 0 at `first`, each later rung both multiplied by the growth (saturating),
 /// up to `max_retries` rungs above the first. Each step is one
 /// saturating multiplication, and the ladder stops at the first rung
 /// whose budgets no longer grow — a cap of at least 1 saturates within
@@ -500,20 +524,23 @@ impl FormExtractor {
 /// `max_retries` costs nothing. At growth 0 or 1 that is rung 0 alone:
 /// a rung at unchanged budgets would read the same verdict off the
 /// page's one parse.
-fn rungs(
+fn fill_rungs(
+    rungs: &mut Vec<(usize, Option<Duration>)>,
     first: (usize, Option<Duration>),
     opts: &AdaptiveOptions,
-) -> Vec<(usize, Option<Duration>)> {
+) {
     let growth = opts.budget_growth.max(1);
-    std::iter::successors(Some(first), move |&(cap, deadline)| {
-        let next = (
-            cap.saturating_mul(growth as usize),
-            deadline.map(|d| d.saturating_mul(growth)),
-        );
-        (next != (cap, deadline)).then_some(next)
-    })
-    .take(opts.max_retries.saturating_add(1))
-    .collect()
+    rungs.clear();
+    rungs.extend(
+        std::iter::successors(Some(first), move |&(cap, deadline)| {
+            let next = (
+                cap.saturating_mul(growth as usize),
+                deadline.map(|d| d.saturating_mul(growth)),
+            );
+            (next != (cap, deadline)).then_some(next)
+        })
+        .take(opts.max_retries.saturating_add(1)),
+    );
 }
 
 /// Logs each rung of `below` (the rungs under the last) that the
@@ -796,6 +823,11 @@ mod tests {
         let unbounded = |budget_growth| AdaptiveOptions {
             max_retries: usize::MAX,
             budget_growth,
+        };
+        let rungs = |first, opts: &AdaptiveOptions| {
+            let mut rungs = vec![(0, None); 3];
+            fill_rungs(&mut rungs, first, opts);
+            rungs
         };
         let caps = rungs((4, None), &unbounded(2));
         // 4·2ᵏ first overflows at k = usize::BITS − 2.

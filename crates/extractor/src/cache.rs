@@ -17,7 +17,7 @@
 //! differently-configured extractors degrades to misses instead of
 //! wrong answers.
 
-use metaform_core::{ExtractionReport, Token, TokenFingerprint};
+use metaform_core::{ExtractionReport, Text, Token, TokenFingerprint};
 use metaform_grammar::CompiledGrammar;
 use metaform_parser::ChartSnapshot;
 use std::collections::HashMap;
@@ -42,7 +42,7 @@ pub struct CachedVisit {
     /// induction loop's mining evidence like cold ones.
     pub pattern_spans: Vec<metaform_grammar::PatternSpan>,
     /// The maximal trees' root symbols, replayed alongside.
-    pub partial_roots: Vec<String>,
+    pub partial_roots: Vec<Text>,
 }
 
 /// A shareable store of finished visits, keyed by token fingerprint.

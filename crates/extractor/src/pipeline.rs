@@ -8,15 +8,12 @@
 use crate::batch::AdaptiveOptions;
 use crate::cache::{CachedVisit, ParseCache};
 use crate::error::{panic_message, ExtractError};
-use metaform_core::{ExtractionReport, Token, TokenFingerprint};
+use metaform_core::{ExtractionReport, Text, Token, TokenFingerprint};
 use metaform_grammar::{global_compiled, CompiledGrammar, Grammar, GrammarError, PatternSpan};
-use metaform_html::parse as parse_html;
-use metaform_layout::layout;
 use metaform_parser::{
-    merge, salvage_merge, BudgetOutcome, CancelToken, ChartSnapshot, ParseSession, ParseStats,
-    ParserOptions,
+    BudgetOutcome, CancelToken, ChartSnapshot, ParseSession, ParseStats, ParserOptions,
 };
-use metaform_tokenizer::tokenize;
+use metaform_tokenizer::FrontEnd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -230,7 +227,7 @@ pub struct Extraction {
     pub pattern_spans: Vec<PatternSpan>,
     /// The maximal partial trees' root symbols — the coarse
     /// how-far-did-the-parse-get telemetry degraded pages record.
-    pub partial_roots: Vec<String>,
+    pub partial_roots: Vec<Text>,
 }
 
 /// End-to-end form extractor with a configurable grammar and parser.
@@ -441,14 +438,14 @@ impl FormExtractor {
             max_retries: 0,
             ..AdaptiveOptions::default()
         };
-        self.ladder(&mut self.session(), 0, html, &once).0
+        self.ladder(&mut self.worker(), 0, html, &once).0
     }
 
     /// Fallible form of [`FormExtractor::extract`]: the ladder's first
     /// attempt, unsettled. Surfaces the page's failure as a typed
     /// [`ExtractError`] (with `page_index` 0) instead of degrading.
     pub fn try_extract(&self, html: &str) -> Result<Extraction, ExtractError> {
-        let tokens = self.page_tokens(0, html)?;
+        let tokens = self.page_tokens(&mut FrontEnd::default(), 0, html)?;
         match self.attempt(&mut self.session(), 0, &tokens, self.budgets()) {
             Verdict::Completed(extraction) => Ok(Extraction {
                 tokens,
@@ -471,6 +468,7 @@ impl FormExtractor {
     /// real defect would.
     pub(crate) fn page_tokens(
         &self,
+        front: &mut FrontEnd,
         page_index: usize,
         html: &str,
     ) -> Result<Vec<Token>, ExtractError> {
@@ -482,7 +480,7 @@ impl FormExtractor {
             if fault == Some(Fault::Panic) {
                 panic!("injected fault: plan panics page {page_index}");
             }
-            self.front_end(html)
+            front.tokens(html)
         }))
         .map_err(|payload| ExtractError::Panicked {
             page_index,
@@ -607,7 +605,7 @@ impl FormExtractor {
     /// and in the [`crate::BatchStats`] failure counters.
     pub(crate) fn degrade(&self, html: &str, tokens: Option<Vec<Token>>) -> Extraction {
         let tokens = tokens.unwrap_or_else(|| {
-            catch_unwind(AssertUnwindSafe(|| self.front_end(html))).unwrap_or_default()
+            catch_unwind(AssertUnwindSafe(|| FrontEnd::default().tokens(html))).unwrap_or_default()
         });
         let report = crate::baseline::extract_baseline(&tokens);
         Extraction {
@@ -621,15 +619,6 @@ impl FormExtractor {
             pattern_spans: Vec::new(),
             partial_roots: Vec::new(),
         }
-    }
-
-    /// The front end: HTML → DOM → layout → the form's 2-D tokens. A
-    /// pure function of the HTML, so each page runs it once and every
-    /// rung of its ladder shares the result.
-    fn front_end(&self, html: &str) -> Vec<Token> {
-        let doc = parse_html(html);
-        let lay = layout(&doc);
-        tokenize(&doc, &lay).tokens
     }
 
     /// The parse + merge core; budget blow-outs and cancellation map
@@ -657,12 +646,12 @@ impl FormExtractor {
         // maximal trees plus the sweep that recovers conditions stranded
         // below the truncation point — as the salvage candidate.
         let report = match &error {
-            None => merge(&result.chart, &result.trees),
-            Some(_) => salvage_merge(&result.chart, &result.trees),
+            None => session.merge(&result),
+            Some(_) => session.salvage_merge(&result),
         };
-        let grammar = self.grammar.grammar();
-        let pattern_spans = metaform_parser::pattern_spans(&result.chart, &result.trees, grammar);
-        let partial_roots = metaform_parser::tree_symbols(&result.chart, &result.trees, grammar);
+        let pattern_spans = session.pattern_spans(&result);
+        let partial_roots =
+            metaform_parser::tree_symbols(&result.chart, &result.trees, self.grammar.grammar());
         let extraction = Extraction {
             report,
             stats: result.stats.clone(),

@@ -6,8 +6,8 @@
 //! tree over component indexes — so the grammar stays declarative and
 //! the parser generic.
 
-use crate::payload::Payload;
-use metaform_core::{relations, trim_label, BBox, Proximity, Token};
+use crate::payload::{Payload, PayloadTable};
+use metaform_core::{relations, trim_label, BBox, Proximity, Text, Token};
 
 /// A read-only view of a candidate component instance during constraint
 /// evaluation and construction.
@@ -22,6 +22,18 @@ pub struct View<'a> {
     /// The instance's id in its chart: an `inherit` of a collected
     /// list refers to the list by it.
     pub inst: u32,
+    /// The payload table the payload indexes.
+    pub table: &'a PayloadTable,
+}
+
+impl<'a> View<'a> {
+    /// The captions of an `Ops` payload.
+    pub fn ops(&self) -> Option<&'a [Text]> {
+        match self.payload {
+            Payload::Ops(list) => Some(self.table.texts(list)),
+            _ => None,
+        }
+    }
 }
 
 /// Lexical predicates on a single component.
@@ -374,7 +386,6 @@ fn eval_pred(pred: Pred, view: &View<'_>) -> bool {
                 && !is_connector(text)
         }
         Pred::OpsLike => view
-            .payload
             .ops()
             .is_some_and(|ops| !ops.is_empty() && ops.iter().all(|o| looks_op_like(o))),
         Pred::RangeConnector => view.payload.text().is_some_and(is_connector),
@@ -389,17 +400,14 @@ fn eval_pred(pred: Pred, view: &View<'_>) -> bool {
             .payload
             .text()
             .is_some_and(|t| !t.is_empty() && !t.chars().any(|c| c.is_uppercase())),
-        Pred::MinOps(n) => view
-            .payload
-            .ops()
-            .is_some_and(|ops| ops.len() >= n as usize),
+        Pred::MinOps(n) => view.ops().is_some_and(|ops| ops.len() >= n as usize),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payload::Domain;
+    use crate::payload::{Domain, Texts};
     use metaform_core::TextList;
 
     fn view_at<'a>(payloads: &'a [Payload], boxes: &[BBox]) -> Vec<View<'a>> {
@@ -411,6 +419,7 @@ mod tests {
                 payload: p,
                 token: None,
                 inst: 0,
+                table: PayloadTable::empty(),
             })
             .collect()
     }
@@ -509,17 +518,17 @@ mod tests {
     #[test]
     fn ops_like_predicate() {
         let p = Proximity::default();
-        let ops = [Payload::Ops(TextList::from([
+        let ops = [Payload::Ops(Texts::Shared(TextList::from([
             "exact name".into(),
             "start of last name".into(),
-        ]))];
+        ])))];
         let views = view_at(&ops, &[BBox::ZERO]);
         assert!(Constraint::Is(0, Pred::OpsLike).eval(&views, &p));
 
-        let not_ops = [Payload::Ops(TextList::from([
+        let not_ops = [Payload::Ops(Texts::Shared(TextList::from([
             "Round trip".into(),
             "One way".into(),
-        ]))];
+        ])))];
         let views = view_at(&not_ops, &[BBox::ZERO]);
         assert!(!Constraint::Is(0, Pred::OpsLike).eval(&views, &p));
     }
@@ -556,6 +565,7 @@ mod tests {
             payload: &payload,
             token: Some(&tok),
             inst: 0,
+            table: PayloadTable::empty(),
         }];
         assert!(Constraint::Is(0, Pred::OptionsOpsLike).eval(&views, &p));
         assert!(

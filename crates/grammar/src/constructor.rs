@@ -7,9 +7,8 @@
 //! components' boxes; the constructor decides the *semantic* payload.
 
 use crate::constraint::View;
-use crate::payload::{trim_shared, Cond, Domain, Payload};
-use metaform_core::{empty_list, empty_text, trim_label, DomainKind, Text, TextList};
-use std::sync::Arc;
+use crate::payload::{trim_shared, Cond, Domain, Payload, PayloadTable, Texts};
+use metaform_core::{empty_text, trim_label, DomainKind, Text};
 
 /// Declarative constructor actions (indexes refer to components).
 #[derive(Clone, Debug)]
@@ -100,12 +99,14 @@ impl Constructor {
         }
     }
 
-    /// Builds the head payload from component views. Every part of the
-    /// result is shared with the components' payloads — no caption,
-    /// list or condition is copied. Conditions carry no token lists,
-    /// and collected lists are not built; the merger reads both off
-    /// the chart.
-    pub fn eval(&self, views: &[View<'_>]) -> Payload {
+    /// Builds the head payload from component views. Every text of the
+    /// result is shared with the components' payloads — no caption is
+    /// copied. A new condition or caption list goes to `out`, a table
+    /// pending behind the one the views read (see
+    /// [`PayloadTable::pend_after`]); a list the result only refers to
+    /// is not copied. Conditions carry no token lists, and collected
+    /// lists are not built; the merger reads both off the chart.
+    pub fn eval(&self, views: &[View<'_>], out: &mut PayloadTable) -> Payload {
         match self {
             Constructor::Group => Payload::None,
             Constructor::Inherit(i) => match views[*i].payload {
@@ -114,16 +115,16 @@ impl Constructor {
             },
             Constructor::MakeAttr(i) => Payload::Attr(trimmed(&views[*i])),
             Constructor::TextOf(i) => Payload::Text(trimmed(&views[*i])),
-            Constructor::ListStart(i) => Payload::Ops(TextList::from([text_of(&views[*i])])),
+            Constructor::ListStart(i) => Payload::Ops(out.push_texts([text_of(&views[*i])])),
             Constructor::ListAppend { list, unit } => {
-                let head = ops_of(&views[*list]);
+                let head = views[*list].ops().unwrap_or_default();
                 let unit = text_of(&views[*unit]);
-                Payload::Ops(head.iter().cloned().chain([unit]).collect())
+                Payload::Ops(out.push_texts(head.iter().cloned().chain([unit])))
             }
             Constructor::OpsFromOptions(i) => Payload::Ops(
                 views[*i]
                     .token
-                    .map_or_else(empty_list, |t| t.options.clone()),
+                    .map_or(Texts::EMPTY, |t| Texts::Shared(t.options.clone())),
             ),
             Constructor::MakeCond {
                 attr,
@@ -139,53 +140,52 @@ impl Constructor {
                 if let Some(k) = kind {
                     domain.kind = *k;
                 }
-                cond(
-                    attr.map_or_else(empty_text, |i| text_of(&views[i])),
-                    ops.map_or_else(empty_list, |i| ops_of(&views[i])),
+                out.push_cond(Cond {
+                    attribute: attr.map_or_else(empty_text, |i| text_of(&views[i])),
+                    operators: ops.map_or(Texts::EMPTY, |i| ops_of(&views[i])),
                     domain,
-                )
+                })
             }
-            Constructor::MakeEnumCond { attr, list } => cond(
-                attr.map_or_else(empty_text, |i| text_of(&views[i])),
-                empty_list(),
-                Domain {
+            Constructor::MakeEnumCond { attr, list } => out.push_cond(Cond {
+                attribute: attr.map_or_else(empty_text, |i| text_of(&views[i])),
+                operators: Texts::EMPTY,
+                domain: Domain {
                     kind: DomainKind::Enumerated,
                     values: ops_of(&views[*list]),
                 },
-            ),
-            Constructor::MakeBoolCond(i) => cond(
-                text_of(&views[*i]),
-                empty_list(),
-                Domain::of(DomainKind::Boolean),
-            ),
+            }),
+            Constructor::MakeBoolCond(i) => out.push_cond(Cond {
+                attribute: text_of(&views[*i]),
+                operators: Texts::EMPTY,
+                domain: Domain::of(DomainKind::Boolean),
+            }),
             Constructor::MakeRange { attr, lo, hi } => {
                 let [a, b] = [*lo, *hi].map(|i| {
-                    views[i]
-                        .payload
-                        .val()
-                        .map_or_else(empty_list, |d| d.values.clone())
+                    let view = &views[i];
+                    let values = view.payload.val().map_or(&Texts::EMPTY, |d| &d.values);
+                    (values, view.table.texts(values))
                 });
-                let values = if a.is_empty() {
-                    b
-                } else if b.is_empty() {
-                    a
+                let values = if a.1.is_empty() {
+                    b.0.clone()
+                } else if b.1.is_empty() {
+                    a.0.clone()
                 } else {
-                    a.iter().chain(b.iter()).cloned().collect()
+                    out.push_texts(a.1.iter().chain(b.1).cloned())
                 };
-                cond(
-                    text_of(&views[*attr]),
-                    empty_list(),
-                    Domain {
+                out.push_cond(Cond {
+                    attribute: text_of(&views[*attr]),
+                    operators: Texts::EMPTY,
+                    domain: Domain {
                         kind: DomainKind::Range,
                         values,
                     },
-                )
+                })
             }
-            Constructor::MakeDate(attr) => cond(
-                text_of(&views[*attr]),
-                empty_list(),
-                Domain::of(DomainKind::Date),
-            ),
+            Constructor::MakeDate(attr) => out.push_cond(Cond {
+                attribute: text_of(&views[*attr]),
+                operators: Texts::EMPTY,
+                domain: Domain::of(DomainKind::Date),
+            }),
             Constructor::MakeUnlabeledCond(i) => {
                 let view = &views[*i];
                 let domain = view
@@ -196,20 +196,15 @@ impl Constructor {
                 let attribute = view
                     .token
                     .map_or_else(empty_text, |t| unlabeled_attribute(&t.name, &t.options));
-                cond(attribute, empty_list(), domain)
+                out.push_cond(Cond {
+                    attribute,
+                    operators: Texts::EMPTY,
+                    domain,
+                })
             }
             Constructor::CollectConds => Payload::Collected,
         }
     }
-}
-
-/// A new condition payload.
-fn cond(attribute: Text, operators: TextList, domain: Domain) -> Payload {
-    Payload::Cond(Arc::new(Cond {
-        attribute,
-        operators,
-        domain,
-    }))
 }
 
 /// A component's caption, shared (empty when it has none).
@@ -225,11 +220,11 @@ fn trimmed(view: &View<'_>) -> Text {
     trim_shared(&text_of(view))
 }
 
-/// A component's caption list, shared (empty when it has none).
-fn ops_of(view: &View<'_>) -> TextList {
+/// A component's caption list, referred to (empty when it has none).
+fn ops_of(view: &View<'_>) -> Texts {
     match view.payload {
         Payload::Ops(list) => list.clone(),
-        _ => empty_list(),
+        _ => Texts::EMPTY,
     }
 }
 
@@ -277,19 +272,45 @@ fn placeholder_subject(option: &str) -> Option<Text> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaform_core::{BBox, Condition, DomainSpec, Token, TokenKind};
+    use metaform_core::{BBox, Condition, DomainSpec, TextList, Token, TokenKind};
+    use std::sync::Arc;
 
-    fn v(p: &Payload) -> View<'_> {
-        v_at(p, 0)
+    /// Views of `payloads` (instance ids from `inst0`) over `table`.
+    fn views_at<'a>(payloads: &'a [Payload], inst0: u32, table: &'a PayloadTable) -> Vec<View<'a>> {
+        (inst0..)
+            .zip(payloads)
+            .map(|(inst, payload)| View {
+                bbox: BBox::ZERO,
+                payload,
+                token: None,
+                inst,
+                table,
+            })
+            .collect()
     }
 
-    fn v_at(p: &Payload, inst: u32) -> View<'_> {
-        View {
-            bbox: BBox::ZERO,
-            payload: p,
-            token: None,
-            inst,
-        }
+    /// `c` over components carrying `payloads` whose lists are in
+    /// `table`; whatever it builds is committed to `table`.
+    fn run(c: &Constructor, payloads: &[Payload], table: &mut PayloadTable) -> Payload {
+        run_at(c, payloads, 0, table)
+    }
+
+    fn run_at(
+        c: &Constructor,
+        payloads: &[Payload],
+        inst0: u32,
+        table: &mut PayloadTable,
+    ) -> Payload {
+        let mut pending = PayloadTable::default();
+        pending.pend_after(table);
+        let out = c.eval(&views_at(payloads, inst0, table), &mut pending);
+        table.commit(&mut pending);
+        out
+    }
+
+    /// `c` over components whose payloads index no table.
+    fn eval(c: &Constructor, payloads: &[Payload]) -> Payload {
+        run(c, payloads, &mut PayloadTable::default())
     }
 
     fn list(items: &[&str]) -> TextList {
@@ -299,27 +320,34 @@ mod tests {
     fn enumerated(items: &[&str]) -> Payload {
         Payload::Val(Domain {
             kind: DomainKind::Enumerated,
-            values: list(items),
+            values: Texts::Shared(list(items)),
         })
     }
 
     /// The single condition a payload carries, in report form.
-    fn only(p: &Payload) -> Condition {
+    fn only(p: &Payload, table: &PayloadTable) -> Condition {
         let Payload::Cond(c) = p else {
             panic!("one condition expected, got {p:?}")
         };
-        c.to_condition(vec![])
+        table.cond(*c).to_condition(table, vec![])
+    }
+
+    /// The single condition `c` builds over `payloads`.
+    fn cond_of(c: &Constructor, payloads: &[Payload]) -> Condition {
+        let mut table = PayloadTable::default();
+        let out = run(c, payloads, &mut table);
+        only(&out, &table)
     }
 
     #[test]
     fn attr_and_text_constructors_trim() {
         let p = Payload::Text("  Author:  ".into());
         assert_eq!(
-            Constructor::MakeAttr(0).eval(&[v(&p)]),
+            eval(&Constructor::MakeAttr(0), std::slice::from_ref(&p)),
             Payload::Attr("Author:".into())
         );
         assert_eq!(
-            Constructor::TextOf(0).eval(&[v(&p)]),
+            eval(&Constructor::TextOf(0), &[p]),
             Payload::Text("Author:".into())
         );
     }
@@ -327,7 +355,7 @@ mod tests {
     #[test]
     fn trimmed_captions_are_shared_not_copied() {
         let p = Payload::Text("Author".into());
-        let out = Constructor::MakeAttr(0).eval(&[v(&p)]);
+        let out = eval(&Constructor::MakeAttr(0), std::slice::from_ref(&p));
         let (Payload::Text(a), Payload::Attr(b)) = (&p, &out) else {
             unreachable!()
         };
@@ -336,32 +364,42 @@ mod tests {
 
     #[test]
     fn list_building() {
+        let mut table = PayloadTable::default();
         let first = Payload::Text("exact name".into());
-        let started = Constructor::ListStart(0).eval(&[v(&first)]);
-        assert_eq!(started.ops().unwrap(), &*list(&["exact name"]));
+        let started = run(&Constructor::ListStart(0), &[first], &mut table);
+        let ops = |p: &Payload, table: &PayloadTable| -> Vec<String> {
+            views_at(std::slice::from_ref(p), 0, table)[0]
+                .ops()
+                .unwrap()
+                .iter()
+                .map(|t| t.to_string())
+                .collect()
+        };
+        assert_eq!(ops(&started, &table), ["exact name"]);
 
         let second = Payload::Text("start of name".into());
-        let extended =
-            Constructor::ListAppend { list: 0, unit: 1 }.eval(&[v(&started), v(&second)]);
+        let append = Constructor::ListAppend { list: 0, unit: 1 };
+        let extended = run(&append, &[started.clone(), second], &mut table);
+        assert_eq!(ops(&extended, &table), ["exact name", "start of name"]);
         assert_eq!(
-            extended.ops().unwrap(),
-            &*list(&["exact name", "start of name"])
+            ops(&started, &table),
+            ["exact name"],
+            "the head is unchanged"
         );
     }
 
     #[test]
     fn make_cond_assembles_tuple() {
         let attr = Payload::Attr("Author".into());
-        let ops = Payload::Ops(list(&["exact name"]));
+        let ops = Payload::Ops(Texts::Shared(list(&["exact name"])));
         let val = Payload::Val(Domain::of(DomainKind::Text));
-        let out = Constructor::MakeCond {
+        let make = Constructor::MakeCond {
             attr: Some(0),
             ops: Some(1),
             val: 2,
             kind: None,
-        }
-        .eval(&[v(&attr), v(&ops), v(&val)]);
-        let c = only(&out);
+        };
+        let c = cond_of(&make, &[attr, ops, val]);
         assert_eq!(c.attribute, "Author");
         assert_eq!(c.operators, vec!["exact name"]);
         assert_eq!(c.domain.kind, DomainKind::Text);
@@ -369,15 +407,13 @@ mod tests {
 
     #[test]
     fn make_cond_kind_override_and_defaults() {
-        let val = enumerated(&["1", "2"]);
-        let out = Constructor::MakeCond {
+        let make = Constructor::MakeCond {
             attr: None,
             ops: None,
             val: 0,
             kind: Some(DomainKind::Numeric),
-        }
-        .eval(&[v(&val)]);
-        let c = only(&out);
+        };
+        let c = cond_of(&make, &[enumerated(&["1", "2"])]);
         assert_eq!(c.attribute, "");
         assert_eq!(c.domain.kind, DomainKind::Numeric);
         assert_eq!(c.domain.values, vec!["1", "2"]);
@@ -385,19 +421,21 @@ mod tests {
 
     #[test]
     fn enum_and_bool_conditions() {
+        let mut table = PayloadTable::default();
+        let captions =
+            Payload::Ops(table.push_texts(list(&["Hardcover", "Paperback"]).iter().cloned()));
         let attr = Payload::Attr("Format".into());
-        let captions = Payload::Ops(list(&["Hardcover", "Paperback"]));
-        let out = Constructor::MakeEnumCond {
+        let make = Constructor::MakeEnumCond {
             attr: Some(0),
             list: 1,
-        }
-        .eval(&[v(&attr), v(&captions)]);
-        let c = only(&out);
+        };
+        let out = run(&make, &[attr, captions], &mut table);
+        let c = only(&out, &table);
         assert_eq!(c.domain.kind, DomainKind::Enumerated);
         assert_eq!(c.domain.values, vec!["Hardcover", "Paperback"]);
 
         let caption = Payload::Text("Hardcover only".into());
-        let b = only(&Constructor::MakeBoolCond(0).eval(&[v(&caption)]));
+        let b = cond_of(&Constructor::MakeBoolCond(0), &[caption]);
         assert_eq!(b.domain.kind, DomainKind::Boolean);
         assert_eq!(b.attribute, "Hardcover only");
     }
@@ -407,13 +445,12 @@ mod tests {
         let attr = Payload::Attr("Price".into());
         let lo = enumerated(&["5"]);
         let hi = enumerated(&["50"]);
-        let out = Constructor::MakeRange {
+        let make = Constructor::MakeRange {
             attr: 0,
             lo: 1,
             hi: 2,
-        }
-        .eval(&[v(&attr), v(&lo), v(&hi)]);
-        let c = only(&out);
+        };
+        let c = cond_of(&make, &[attr, lo, hi]);
         assert_eq!(c.domain.kind, DomainKind::Range);
         assert_eq!(c.domain.values, vec!["5", "50"]);
     }
@@ -423,14 +460,16 @@ mod tests {
         let tok = Token::widget(0, TokenKind::SelectionList, "pub_year", BBox::ZERO)
             .with_options(vec!["Select a State".into(), "IL".into()]);
         let p = Payload::for_token(&tok);
+        let mut table = PayloadTable::default();
         let view = View {
             bbox: BBox::ZERO,
             payload: &p,
             token: Some(&tok),
             inst: 0,
+            table: PayloadTable::empty(),
         };
-        let out = Constructor::MakeUnlabeledCond(0).eval(&[view]);
-        assert_eq!(only(&out).attribute, "state", "placeholder wins");
+        let out = Constructor::MakeUnlabeledCond(0).eval(&[view], &mut table);
+        assert_eq!(only(&out, &table).attribute, "state", "placeholder wins");
 
         let tok2 = Token::widget(0, TokenKind::Textbox, "pub_year", BBox::ZERO);
         let p2 = Payload::Val(Domain::of(DomainKind::Text));
@@ -439,10 +478,11 @@ mod tests {
             payload: &p2,
             token: Some(&tok2),
             inst: 0,
+            table: PayloadTable::empty(),
         };
-        let out2 = Constructor::MakeUnlabeledCond(0).eval(&[view2]);
-        assert_eq!(only(&out2).attribute, "pub year");
-        assert_eq!(only(&out2).domain, DomainSpec::text());
+        let out2 = Constructor::MakeUnlabeledCond(0).eval(&[view2], &mut table);
+        assert_eq!(only(&out2, &table).attribute, "pub year");
+        assert_eq!(only(&out2, &table).domain, DomainSpec::text());
     }
 
     #[test]
@@ -470,23 +510,38 @@ mod tests {
 
     #[test]
     fn collect_stores_no_list_and_inherit_refers_to_it() {
-        let cond = Constructor::MakeDate(0).eval(&[v(&Payload::Attr("a".into()))]);
-        let row = Constructor::CollectConds.eval(&[v_at(&cond, 1), v_at(&cond, 2)]);
+        let mut table = PayloadTable::default();
+        let cond = run(
+            &Constructor::MakeDate(0),
+            &[Payload::Attr("a".into())],
+            &mut table,
+        );
+        let row = run_at(
+            &Constructor::CollectConds,
+            &[cond.clone(), cond],
+            1,
+            &mut table,
+        );
         assert_eq!(row, Payload::Collected);
         assert!(row.has_conditions());
         assert_eq!(
-            Constructor::Inherit(0).eval(&[v_at(&row, 5)]),
+            run_at(&Constructor::Inherit(0), &[row], 5, &mut table),
             Payload::CollectedAt(5),
             "an inherited list names the instance that collected it"
         );
-        let up = Constructor::Inherit(0).eval(&[v_at(&Payload::CollectedAt(5), 6)]);
+        let up = run_at(
+            &Constructor::Inherit(0),
+            &[Payload::CollectedAt(5)],
+            6,
+            &mut table,
+        );
         assert_eq!(up, Payload::CollectedAt(5));
     }
 
     #[test]
     fn group_and_inherit() {
-        let p = Payload::Ops(list(&["x"]));
-        assert_eq!(Constructor::Group.eval(&[v(&p)]), Payload::None);
-        assert_eq!(Constructor::Inherit(0).eval(&[v(&p)]), p);
+        let p = Payload::Ops(Texts::Shared(list(&["x"])));
+        assert_eq!(eval(&Constructor::Group, std::slice::from_ref(&p)), Payload::None);
+        assert_eq!(eval(&Constructor::Inherit(0), std::slice::from_ref(&p)), p);
     }
 }

@@ -33,9 +33,9 @@
 use crate::constraint::{self, Pred, View};
 use crate::dsl::{from_dsl, to_dsl};
 use crate::grammar::Grammar;
-use crate::payload::Payload;
+use crate::payload::{Payload, PayloadTable};
 use metaform_core::relations::same_row;
-use metaform_core::{Proximity, Token, TokenId, TokenKind};
+use metaform_core::{Proximity, Text, Token, TokenId, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Pattern symbols whose claims are last-resort guesses, not evidence
@@ -49,8 +49,9 @@ pub const FALLBACK_SYMBOLS: [&str; 3] = ["KwVal", "SelfSel", "TextValB"];
 /// fallback claims.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PatternSpan {
-    /// Pattern symbol name (`"TextVal"`, `"KwVal"`, …).
-    pub symbol: String,
+    /// Pattern symbol name (`"TextVal"`, `"KwVal"`, …), shared with
+    /// the grammar's symbol table.
+    pub symbol: Text,
     /// Token ids the instance's span covers, ascending.
     pub tokens: Vec<TokenId>,
 }
@@ -117,6 +118,7 @@ fn attr_like(t: &Token) -> bool {
         payload: &payload,
         token: Some(t),
         inst: 0,
+        table: PayloadTable::empty(),
     })
 }
 
@@ -145,7 +147,7 @@ pub fn mine_page(
     let mut trusted: BTreeSet<usize> = BTreeSet::new();
     let mut fallback: BTreeSet<usize> = BTreeSet::new();
     for span in spans {
-        let bucket = if FALLBACK_SYMBOLS.contains(&span.symbol.as_str()) {
+        let bucket = if FALLBACK_SYMBOLS.contains(&&*span.symbol) {
             &mut fallback
         } else {
             &mut trusted

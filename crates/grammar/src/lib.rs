@@ -45,7 +45,7 @@ pub use induce::{
     mine_page, synthesize, synthesize_all, Arrangement, ArrangementBook, Candidate, Cluster,
     PatternSpan,
 };
-pub use payload::{Cond, Domain, Payload};
+pub use payload::{Cond, Domain, Payload, PayloadTable, Texts};
 pub use preference::{ConflictCond, PrefId, Preference, WinCriteria};
 pub use production::{ProdId, Production};
 pub use schedule::{build_schedule, schedule_build_count, Schedule};

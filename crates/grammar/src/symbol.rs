@@ -1,6 +1,6 @@
 //! The grammar alphabet: terminals and nonterminals.
 
-use metaform_core::TokenKind;
+use metaform_core::{Text, TokenKind};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -31,10 +31,11 @@ pub enum SymbolKind {
 }
 
 /// Interned symbol names and kinds. The 16 terminals are pre-registered
-/// at ids `0..16` in [`TokenKind::ALL`] order.
+/// at ids `0..16` in [`TokenKind::ALL`] order. Names are shared, so
+/// evidence that names a symbol copies no string.
 #[derive(Clone, Debug)]
 pub struct SymbolTable {
-    names: Vec<String>,
+    names: Vec<Text>,
     kinds: Vec<SymbolKind>,
     by_name: HashMap<String, SymbolId>,
 }
@@ -49,7 +50,7 @@ impl SymbolTable {
         };
         for kind in TokenKind::ALL {
             let id = SymbolId(t.names.len() as u32);
-            t.names.push(kind.name().to_string());
+            t.names.push(kind.name().into());
             t.kinds.push(SymbolKind::Terminal(kind));
             t.by_name.insert(kind.name().to_string(), id);
         }
@@ -72,7 +73,7 @@ impl SymbolTable {
             return id;
         }
         let id = SymbolId(self.names.len() as u32);
-        self.names.push(name.to_string());
+        self.names.push(name.into());
         self.kinds.push(SymbolKind::NonTerminal);
         self.by_name.insert(name.to_string(), id);
         id
@@ -85,6 +86,11 @@ impl SymbolTable {
 
     /// Symbol name.
     pub fn name(&self, id: SymbolId) -> &str {
+        &self.names[id.index()]
+    }
+
+    /// Symbol name, shared.
+    pub fn shared_name(&self, id: SymbolId) -> &Text {
         &self.names[id.index()]
     }
 

@@ -3,10 +3,11 @@
 use crate::font::{text_width, words, LINE_H, SPACE_W};
 use crate::output::{Fragment, Layout};
 use crate::style::{block_margin, display_of, is_line_break, Display, LIST_INDENT};
-use crate::table;
+use crate::table::{self, TableBufs};
 use crate::widget::intrinsic_size;
 use metaform_core::BBox;
 use metaform_html::{Document, NodeData, NodeId};
+use std::borrow::Cow;
 
 /// Tunables for a layout run.
 #[derive(Clone, Copy, Debug)]
@@ -36,22 +37,47 @@ impl Default for LayoutOptions {
 /// let bbox = layout.bbox(input).unwrap();
 /// assert!(bbox.width() > 0 && bbox.height() > 0);
 /// ```
-pub fn layout(doc: &Document) -> Layout {
+pub fn layout<'d>(doc: &'d Document) -> Layout<'d> {
     layout_with(doc, &LayoutOptions::default())
 }
 
 /// Lays out a document with explicit options.
-pub fn layout_with(doc: &Document, opts: &LayoutOptions) -> Layout {
+pub fn layout_with<'d>(doc: &'d Document, opts: &LayoutOptions) -> Layout<'d> {
+    layout_in(doc, opts, &mut LayoutScratch::default())
+}
+
+/// Working memory of [`layout_in`], kept from page to page by a caller
+/// that lays out many: the inline items of the open flow and one set
+/// of table buffers per table nesting level. A warm scratch leaves a
+/// page's layout allocating little beyond the [`Layout`] it returns.
+#[derive(Debug, Default)]
+pub struct LayoutScratch {
+    /// Inline items awaiting line placement.
+    items: Vec<Item>,
+    /// Table buffers not in use, one taken per table being laid out or
+    /// measured, so nested tables each get their own.
+    tables: Vec<TableBufs>,
+}
+
+/// [`layout_with`] on the caller's recycled working memory.
+pub fn layout_in<'d>(
+    doc: &'d Document,
+    opts: &LayoutOptions,
+    scratch: &mut LayoutScratch,
+) -> Layout<'d> {
     let mut flow = Flow {
         doc,
         line_ctr: 0,
-        items: Vec::new(),
+        scratch: std::mem::take(scratch),
     };
-    let mut buf = Layout::sized(doc.len());
+    // Most nodes are elements; a text node wraps into a few fragments
+    // at most, so this rarely grows.
+    let mut buf = Layout::sized(doc.len(), doc.len() / 4 + 8);
     let x = opts.margin;
     let width = (opts.viewport - 2 * opts.margin).max(40);
     flow.layout_children(&mut buf, doc.children(doc.root()), x, opts.margin, width);
     buf.finalize(doc);
+    *scratch = flow.scratch;
     buf
 }
 
@@ -60,24 +86,35 @@ pub fn layout_with(doc: &Document, opts: &LayoutOptions) -> Layout {
 pub(crate) const PROBE_W: i32 = 1_000_000;
 
 /// Shared flow state: the document, a monotone line-box counter, and
-/// the inline items gathered since the last block boundary.
+/// the working memory. The inline items gathered since the last block
+/// boundary live in the scratch: a block flushes them before it lays
+/// out its own content, so one buffer serves every nesting level.
 pub(crate) struct Flow<'a> {
     pub(crate) doc: &'a Document<'a>,
     line_ctr: u32,
-    /// Inline items awaiting line placement. A block flushes them
-    /// before it lays out its own content, so one buffer serves every
-    /// nesting level and keeps its capacity across the page.
-    items: Vec<Item<'a>>,
+    scratch: LayoutScratch,
 }
 
-/// One atomic participant in inline flow.
-enum Item<'a> {
-    Word { node: NodeId, text: &'a str, w: i32 },
-    Widget { node: NodeId, w: i32, h: i32 },
+/// One atomic participant in inline flow. A word is the byte range
+/// `at..end` of its text node, so the buffer borrows nothing and
+/// outlives the page.
+#[derive(Debug)]
+enum Item {
+    Word {
+        node: NodeId,
+        at: u32,
+        end: u32,
+        w: i32,
+    },
+    Widget {
+        node: NodeId,
+        w: i32,
+        h: i32,
+    },
     Break,
 }
 
-impl Item<'_> {
+impl Item {
     fn size(&self) -> (i32, i32) {
         match self {
             Item::Word { w, .. } => (*w, LINE_H),
@@ -126,12 +163,24 @@ impl PrefLine {
 }
 
 impl<'a> Flow<'a> {
+    /// A table's buffers, empty: spare ones when there are, new ones
+    /// otherwise. Hand them back with [`Flow::put_table`].
+    pub(crate) fn take_table(&mut self) -> TableBufs {
+        self.scratch.tables.pop().unwrap_or_default()
+    }
+
+    /// Returns a table's buffers to the spares, emptied.
+    pub(crate) fn put_table(&mut self, mut bufs: TableBufs) {
+        bufs.clear();
+        self.scratch.tables.push(bufs);
+    }
+
     /// Lays out a sequence of sibling nodes in normal flow starting at
     /// `(x, y)` within `width`. Returns the y coordinate below the
     /// content.
     pub(crate) fn layout_children(
         &mut self,
-        buf: &mut Layout,
+        buf: &mut Layout<'a>,
         children: &[NodeId],
         x: i32,
         y: i32,
@@ -166,23 +215,25 @@ impl<'a> Flow<'a> {
         match &doc.node(node).data {
             NodeData::Text(text) => {
                 for word in words(text) {
-                    self.items.push(Item::Word {
+                    let at = offset_in(text, word);
+                    self.scratch.items.push(Item::Word {
                         node,
-                        text: word,
+                        at: at as u32,
+                        end: (at + word.len()) as u32,
                         w: text_width(word),
                     });
                 }
             }
             NodeData::Element { tag, .. } => {
                 if is_line_break(tag) {
-                    self.items.push(Item::Break);
+                    self.scratch.items.push(Item::Break);
                     return;
                 }
                 match display_of(tag) {
                     Display::Hidden => {}
                     Display::InlineWidget => {
                         if let Some((w, h)) = intrinsic_size(doc, node) {
-                            self.items.push(Item::Widget { node, w, h });
+                            self.scratch.items.push(Item::Widget { node, w, h });
                         }
                     }
                     _ => {
@@ -202,11 +253,11 @@ impl<'a> Flow<'a> {
     /// Places the accumulated inline items into line boxes; returns the
     /// new flow y. Items are separated by single spaces and
     /// bottom-aligned within each line, wrapping at `x + width`.
-    fn flush_lines(&mut self, buf: &mut Layout, x: i32, y: i32, width: i32) -> i32 {
-        if self.items.is_empty() {
+    fn flush_lines(&mut self, buf: &mut Layout<'a>, x: i32, y: i32, width: i32) -> i32 {
+        if self.scratch.items.is_empty() {
             return y;
         }
-        let mut items = std::mem::take(&mut self.items);
+        let mut items = std::mem::take(&mut self.scratch.items);
         let right_edge = x + width;
         let mut cur_y = y;
         // The open line is `items[start..idx]`; `cur_x` is its right end.
@@ -237,13 +288,13 @@ impl<'a> Flow<'a> {
             cur_y = self.place_line(buf, &items[start..], x, cur_y);
         }
         items.clear();
-        self.items = items;
+        self.scratch.items = items;
         cur_y
     }
 
     /// Places one line box of items from `x` at `y`; returns the y
     /// below it.
-    fn place_line(&mut self, buf: &mut Layout, line: &[Item<'_>], x: i32, y: i32) -> i32 {
+    fn place_line(&mut self, buf: &mut Layout<'a>, line: &[Item], x: i32, y: i32) -> i32 {
         let line_h = line
             .iter()
             .map(|item| item.size().1)
@@ -258,8 +309,16 @@ impl<'a> Flow<'a> {
             let (w, h) = item.size();
             let bbox = BBox::at(left, y + line_h - h, w, h);
             match item {
-                Item::Word { node, text, .. } => {
-                    push_fragment(buf, self.doc, *node, text, bbox, self.line_ctr);
+                &Item::Word { node, at, end, .. } => {
+                    let text = self.doc.text(node).unwrap_or_default();
+                    push_word(
+                        buf,
+                        node,
+                        text,
+                        at as usize..end as usize,
+                        bbox,
+                        self.line_ctr,
+                    );
                 }
                 Item::Widget { node, .. } => buf.set_bbox(*node, bbox),
                 Item::Break => {}
@@ -273,7 +332,7 @@ impl<'a> Flow<'a> {
     /// Lays out one block-level element; returns the flow y below it.
     pub(crate) fn layout_block(
         &mut self,
-        buf: &mut Layout,
+        buf: &mut Layout<'a>,
         node: NodeId,
         x: i32,
         y: i32,
@@ -306,7 +365,7 @@ impl<'a> Flow<'a> {
     /// never its own box, which would take whatever width it is given
     /// (an `<hr>` has no content and asks for no width). A nested table
     /// counts its own width.
-    pub(crate) fn pref_right(&self, children: &[NodeId], x: i32, width: i32) -> i32 {
+    pub(crate) fn pref_right(&mut self, children: &[NodeId], x: i32, width: i32) -> i32 {
         let mut line = PrefLine::new(x, width);
         let mut right = 0;
         for &child in children {
@@ -321,8 +380,9 @@ impl<'a> Flow<'a> {
     }
 
     /// [`Flow::collect_inline`], measuring instead of collecting.
-    fn pref_inline(&self, node: NodeId, line: &mut PrefLine) {
-        match &self.doc.node(node).data {
+    fn pref_inline(&mut self, node: NodeId, line: &mut PrefLine) {
+        let doc = self.doc;
+        match &doc.node(node).data {
             NodeData::Text(text) => words(text).for_each(|word| line.push(text_width(word))),
             NodeData::Element { tag, .. } => {
                 if is_line_break(tag) {
@@ -332,12 +392,12 @@ impl<'a> Flow<'a> {
                 match display_of(tag) {
                     Display::Hidden => {}
                     Display::InlineWidget => {
-                        if let Some((w, _)) = intrinsic_size(self.doc, node) {
+                        if let Some((w, _)) = intrinsic_size(doc, node) {
                             line.push(w);
                         }
                     }
                     _ => {
-                        for &c in self.doc.children(node) {
+                        for &c in doc.children(node) {
                             self.pref_inline(c, line);
                         }
                     }
@@ -348,8 +408,9 @@ impl<'a> Flow<'a> {
     }
 
     /// [`Flow::layout_block`], measuring instead of placing.
-    fn pref_block(&self, node: NodeId, x: i32, width: i32) -> i32 {
-        let Some(tag) = self.doc.tag(node) else {
+    fn pref_block(&mut self, node: NodeId, x: i32, width: i32) -> i32 {
+        let doc = self.doc;
+        let Some(tag) = doc.tag(node) else {
             return 0;
         };
         if display_of(tag) == Display::Table {
@@ -359,7 +420,7 @@ impl<'a> Flow<'a> {
             return 0;
         }
         let (cx, cw) = list_content(tag, x, width);
-        self.pref_right(self.doc.children(node), cx, cw)
+        self.pref_right(doc.children(node), cx, cw)
     }
 }
 
@@ -372,34 +433,59 @@ fn list_content(tag: &str, x: i32, width: i32) -> (i32, i32) {
     }
 }
 
-/// Appends a word to a node's fragment list, merging with the previous
-/// fragment when contiguous on the same line. A new fragment reserves
-/// the node's whole text, so merging the rest of the line never
-/// reallocates.
-fn push_fragment(
-    buf: &mut Layout,
-    doc: &Document,
+/// Byte offset of `part`, a subslice of `whole`, within it.
+fn offset_in(whole: &str, part: &str) -> usize {
+    part.as_ptr() as usize - whole.as_ptr() as usize
+}
+
+/// Places the word `text[word]` of `node`: it extends the node's open
+/// fragment when contiguous with it on the same line, and starts a
+/// new fragment otherwise. A fragment keeps borrowing `text` while
+/// each word it joins follows the previous one after exactly one
+/// space; any other whitespace between them makes it an owned copy
+/// with the whitespace collapsed, sized to the rest of the node's
+/// text so later words never grow it.
+fn push_word<'a>(
+    buf: &mut Layout<'a>,
     node: NodeId,
-    text: &str,
+    text: &'a str,
+    word: std::ops::Range<usize>,
     bbox: BBox,
     line: u32,
 ) {
-    let frags = &mut buf.fragments[node.index()];
-    if let Some(last) = frags.last_mut() {
+    if let Some(last) = buf.open_fragment(node) {
         if last.line == line && bbox.left == last.bbox.right + SPACE_W {
-            last.text.push(' ');
-            last.text.push_str(text);
             last.bbox = last.bbox.union(&bbox);
+            match &mut last.text {
+                Cow::Borrowed(run) => {
+                    let start = offset_in(text, run);
+                    let end = start + run.len();
+                    if word.start == end + 1 && text.as_bytes()[end] == b' ' {
+                        *run = &text[start..word.end];
+                    } else {
+                        let mut owned = String::with_capacity(text.len() - start);
+                        owned.push_str(run);
+                        owned.push(' ');
+                        owned.push_str(&text[word]);
+                        last.text = Cow::Owned(owned);
+                    }
+                }
+                Cow::Owned(owned) => {
+                    owned.push(' ');
+                    owned.push_str(&text[word]);
+                }
+            }
             return;
         }
     }
-    let mut owned = String::with_capacity(doc.text(node).map_or(0, str::len));
-    owned.push_str(text);
-    frags.push(Fragment {
-        text: owned,
-        bbox,
-        line,
-    });
+    buf.push_fragment(
+        node,
+        Fragment {
+            text: Cow::Borrowed(&text[word]),
+            bbox,
+            line,
+        },
+    );
 }
 
 #[cfg(test)]
@@ -408,7 +494,7 @@ mod tests {
     use crate::font::CHAR_W;
     use metaform_html::parse;
 
-    fn frag_of<'l>(doc: &Document, lay: &'l Layout, nth_text: usize) -> &'l Fragment {
+    fn frag_of<'l, 'd>(doc: &Document, lay: &'l Layout<'d>, nth_text: usize) -> &'l Fragment<'d> {
         let mut seen = 0;
         for n in doc.descendants(doc.root()) {
             if doc.text(n).is_some() && !lay.fragments(n).is_empty() {
@@ -578,6 +664,27 @@ mod tests {
         let x = frag_of(&doc, &lay, 0);
         assert_eq!(sel.bottom, x.bbox.bottom, "bottom aligned");
         assert_eq!(sel.height(), 20);
+    }
+
+    #[test]
+    fn fragments_borrow_their_text_unless_whitespace_collapses() {
+        let doc = parse("Author name<br>Author\n  name<br>Books &amp; Music");
+        let lay = layout(&doc);
+        let texts: Vec<(&str, bool)> = (0..3)
+            .map(|i| {
+                let f = frag_of(&doc, &lay, i);
+                (&*f.text, matches!(f.text, Cow::Borrowed(_)))
+            })
+            .collect();
+        assert_eq!(
+            texts,
+            [
+                ("Author name", true),
+                ("Author name", false),
+                ("Books & Music", true)
+            ],
+            "a decoded entity is borrowed from the DOM's own copy"
+        );
     }
 
     #[test]

@@ -29,5 +29,5 @@ mod table;
 pub mod widget;
 
 pub use ascii::render as ascii_render;
-pub use engine::{layout, layout_with, LayoutOptions};
+pub use engine::{layout, layout_in, layout_with, LayoutOptions, LayoutScratch};
 pub use output::{Fragment, Layout};

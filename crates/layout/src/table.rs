@@ -9,12 +9,43 @@ use metaform_core::BBox;
 use metaform_html::{Document, NodeId};
 
 /// A placed cell in the table grid.
+#[derive(Clone, Copy, Debug)]
 struct Cell {
     node: NodeId,
     row: usize,
     col: usize,
     colspan: usize,
     rowspan: usize,
+    /// Content height, once the cell is laid out.
+    h: i32,
+}
+
+/// One table's working vectors. [`Flow::take_table`] hands out a spare
+/// set, so a nested table gets its own and every set keeps its
+/// capacity from table to table and page to page.
+#[derive(Debug, Default)]
+pub(crate) struct TableBufs {
+    rows: Vec<NodeId>,
+    cells: Vec<Cell>,
+    /// `busy_until[c]`: first row not covered by a cell already placed
+    /// in column `c` (see [`build_grid`]).
+    busy_until: Vec<usize>,
+    col_w: Vec<i32>,
+    col_x: Vec<i32>,
+    row_h: Vec<i32>,
+    row_y: Vec<i32>,
+}
+
+impl TableBufs {
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        self.cells.clear();
+        self.busy_until.clear();
+        self.col_w.clear();
+        self.col_x.clear();
+        self.row_h.clear();
+        self.row_y.clear();
+    }
 }
 
 /// Lays out `<table>`; returns the flow y below it.
@@ -22,9 +53,9 @@ struct Cell {
 /// Each cell is laid out exactly once: at its final column width and
 /// from y = 0, which yields its content height; once every row height
 /// is known, the cell's content moves into its row.
-pub(crate) fn layout_table(
-    flow: &mut Flow<'_>,
-    buf: &mut Layout,
+pub(crate) fn layout_table<'a>(
+    flow: &mut Flow<'a>,
+    buf: &mut Layout<'a>,
     table: NodeId,
     x: i32,
     y: i32,
@@ -41,56 +72,56 @@ pub(crate) fn layout_table(
         }
     }
 
-    let rows = collect_rows(doc, table);
-    let cells = build_grid(doc, &rows);
-    if cells.is_empty() {
+    let mut t = flow.take_table();
+    collect_rows(doc, table, &mut t.rows);
+    build_grid(doc, &t.rows, &mut t.busy_until, &mut t.cells);
+    if t.cells.is_empty() {
+        flow.put_table(t);
         buf.set_bbox(table, BBox::new(x, cur_y, x, cur_y));
         return cur_y + m;
     }
-    let nrows = rows.len();
-    let col_w = column_widths(flow, &cells);
-    let col_x = prefix_origins(x, &col_w);
+    let nrows = t.rows.len();
+    column_widths(flow, &t.cells, &mut t.col_w);
+    prefix_origins(x, &t.col_w, &mut t.col_x);
 
     // Lay each cell out at its column width; its height sets its rows.
-    let mut row_h = vec![0i32; nrows];
-    let mut content_h = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let inner_w = (span_width(&col_w, cell) - 2 * CELL_PADDING).max(1);
+    t.row_h.resize(nrows, 0);
+    for cell in &mut t.cells {
+        let inner_w = (span_width(&t.col_w, cell) - 2 * CELL_PADDING).max(1);
         let children = doc.children(cell.node);
-        let end = flow.layout_children(buf, children, col_x[cell.col] + CELL_PADDING, 0, inner_w);
-        let h = children
+        let end = flow.layout_children(buf, children, t.col_x[cell.col] + CELL_PADDING, 0, inner_w);
+        cell.h = children
             .iter()
             .fold(end, |h, &c| h.max(buf.subtree_bottom(doc, c)));
-        content_h.push(h);
         if cell.rowspan == 1 {
-            row_h[cell.row] = row_h[cell.row].max(h + 2 * CELL_PADDING);
+            t.row_h[cell.row] = t.row_h[cell.row].max(cell.h + 2 * CELL_PADDING);
         }
     }
-    for (cell, &h) in cells.iter().zip(&content_h) {
+    for cell in &t.cells {
         if cell.rowspan > 1 {
             let covered = cell.row..(cell.row + cell.rowspan).min(nrows);
-            let have: i32 = row_h[covered.clone()].iter().sum::<i32>()
+            let have: i32 = t.row_h[covered.clone()].iter().sum::<i32>()
                 + (cell.rowspan as i32 - 1) * CELL_SPACING;
-            let need = h + 2 * CELL_PADDING;
+            let need = cell.h + 2 * CELL_PADDING;
             if need > have {
                 // Give the deficit to the last covered row.
                 let last = covered.end - 1;
-                row_h[last] += need - have;
+                t.row_h[last] += need - have;
             }
         }
     }
-    let row_y = prefix_origins(cur_y, &row_h);
+    prefix_origins(cur_y, &t.row_h, &mut t.row_y);
 
     // Move each cell's content into its row.
-    for (cell, &h) in cells.iter().zip(&content_h) {
-        let cx = col_x[cell.col];
-        let cy = row_y[cell.row];
-        let rect_w = span_width(&col_w, cell);
-        let rect_h = span_height(&row_h, cell);
+    for cell in &t.cells {
+        let cx = t.col_x[cell.col];
+        let cy = t.row_y[cell.row];
+        let rect_w = span_width(&t.col_w, cell);
+        let rect_h = span_height(&t.row_h, cell);
         // Vertical alignment: HTML defaults to middle; `valign` on the
         // cell (or its row) overrides, as era markup commonly did for
         // label columns.
-        let free = rect_h - 2 * CELL_PADDING - h;
+        let free = rect_h - 2 * CELL_PADDING - cell.h;
         let dy = if free > 1 {
             let valign = doc
                 .attr(cell.node, "valign")
@@ -110,48 +141,53 @@ pub(crate) fn layout_table(
     }
 
     // Row, section, and table boxes.
-    let table_w = table_width(&col_w);
-    for (r, &row) in rows.iter().enumerate() {
+    let table_w = table_width(&t.col_w);
+    for (r, &row) in t.rows.iter().enumerate() {
         buf.set_bbox(
             row,
-            BBox::new(x, row_y[r], x + table_w, row_y[r] + row_h[r]),
+            BBox::new(x, t.row_y[r], x + table_w, t.row_y[r] + t.row_h[r]),
         );
     }
-    let bottom = row_y[nrows - 1] + row_h[nrows - 1] + CELL_SPACING;
+    let bottom = t.row_y[nrows - 1] + t.row_h[nrows - 1] + CELL_SPACING;
     buf.set_bbox(table, BBox::new(x, cur_y, x + table_w, bottom));
+    flow.put_table(t);
     bottom + m
 }
 
 /// Preferred right edge of `<table>` placed at `x` within `width`: its
 /// own width (tables size to their columns, not to the space given),
 /// or a caption's content when that reaches further.
-pub(crate) fn pref_table(flow: &Flow<'_>, table: NodeId, x: i32, width: i32) -> i32 {
+pub(crate) fn pref_table(flow: &mut Flow<'_>, table: NodeId, x: i32, width: i32) -> i32 {
     let doc = flow.doc;
-    let captions = doc
-        .children(table)
-        .iter()
-        .filter(|&&c| doc.tag(c) == Some("caption"))
-        .map(|&cap| flow.pref_right(doc.children(cap), x, width))
-        .max()
-        .unwrap_or(0);
-    let cells = build_grid(doc, &collect_rows(doc, table));
-    let table_w = if cells.is_empty() {
+    let mut captions = 0;
+    for &cap in doc.children(table) {
+        if doc.tag(cap) == Some("caption") {
+            captions = captions.max(flow.pref_right(doc.children(cap), x, width));
+        }
+    }
+    let mut t = flow.take_table();
+    collect_rows(doc, table, &mut t.rows);
+    build_grid(doc, &t.rows, &mut t.busy_until, &mut t.cells);
+    let table_w = if t.cells.is_empty() {
         0
     } else {
-        table_width(&column_widths(flow, &cells))
+        column_widths(flow, &t.cells, &mut t.col_w);
+        table_width(&t.col_w)
     };
+    flow.put_table(t);
     captions.max(x + table_w)
 }
 
-/// Auto column widths: each column takes its widest single-column
-/// cell's preferred width; a spanning cell spreads any deficit across
-/// the columns it covers.
-fn column_widths(flow: &Flow<'_>, cells: &[Cell]) -> Vec<i32> {
+/// Auto column widths into `col_w`: each column takes its widest
+/// single-column cell's preferred width; a spanning cell spreads any
+/// deficit across the columns it covers.
+fn column_widths(flow: &mut Flow<'_>, cells: &[Cell], col_w: &mut Vec<i32>) {
     let doc = flow.doc;
     let ncols = cells.iter().map(|c| c.col + c.colspan).max().unwrap_or(1);
-    let pref =
+    let mut pref =
         |cell: &Cell| flow.pref_right(doc.children(cell.node), 0, PROBE_W) + 2 * CELL_PADDING;
-    let mut col_w = vec![0i32; ncols];
+    col_w.clear();
+    col_w.resize(ncols, 0);
     for cell in cells.iter().filter(|c| c.colspan == 1) {
         col_w[cell.col] = col_w[cell.col].max(pref(cell));
     }
@@ -168,7 +204,6 @@ fn column_widths(flow: &Flow<'_>, cells: &[Cell]) -> Vec<i32> {
             }
         }
     }
-    col_w
 }
 
 /// Full table width: the columns plus the spacing around them.
@@ -177,8 +212,7 @@ fn table_width(col_w: &[i32]) -> i32 {
 }
 
 /// Rows of a table in document order, looking through sections.
-fn collect_rows(doc: &Document, table: NodeId) -> Vec<NodeId> {
-    let mut rows = Vec::new();
+fn collect_rows(doc: &Document, table: NodeId, rows: &mut Vec<NodeId>) {
     for &child in doc.children(table) {
         match doc.tag(child) {
             Some("tr") => rows.push(child),
@@ -193,16 +227,13 @@ fn collect_rows(doc: &Document, table: NodeId) -> Vec<NodeId> {
             _ => {}
         }
     }
-    rows
 }
 
 /// Assigns grid coordinates honoring colspan/rowspan occupancy.
-fn build_grid(doc: &Document, rows: &[NodeId]) -> Vec<Cell> {
-    let mut cells = Vec::new();
+fn build_grid(doc: &Document, rows: &[NodeId], busy_until: &mut Vec<usize>, cells: &mut Vec<Cell>) {
     // `busy_until[c]`: first row not covered by a cell already placed
     // in column `c`. Cells arrive row by row, so a slot is free exactly
     // when every earlier cover of its column has ended.
-    let mut busy_until: Vec<usize> = Vec::new();
     for (r, &row) in rows.iter().enumerate() {
         let mut c = 0usize;
         for &child in doc.children(row) {
@@ -224,11 +255,11 @@ fn build_grid(doc: &Document, rows: &[NodeId]) -> Vec<Cell> {
                 col: c,
                 colspan,
                 rowspan,
+                h: 0,
             });
             c += colspan;
         }
     }
-    cells
 }
 
 fn attr_usize(doc: &Document, node: NodeId, name: &str) -> usize {
@@ -247,15 +278,15 @@ fn span_height(row_h: &[i32], cell: &Cell) -> i32 {
     row_h[cell.row..end].iter().sum::<i32>() + (end - cell.row - 1) as i32 * CELL_SPACING
 }
 
-/// Origins: `origin + spacing`, then `+ extent + spacing` per slot.
-fn prefix_origins(origin: i32, extents: &[i32]) -> Vec<i32> {
-    let mut out = Vec::with_capacity(extents.len());
+/// Origins into `out`: `origin + spacing`, then `+ extent + spacing`
+/// per slot.
+fn prefix_origins(origin: i32, extents: &[i32], out: &mut Vec<i32>) {
+    out.clear();
     let mut cur = origin + CELL_SPACING;
     for &e in extents {
         out.push(cur);
         cur += e + CELL_SPACING;
     }
-    out
 }
 
 #[cfg(test)]
@@ -264,18 +295,13 @@ mod tests {
     use metaform_core::BBox;
     use metaform_html::parse;
 
-    fn cell_boxes(html: &str) -> (metaform_html::Document<'_>, crate::output::Layout) {
-        let doc = parse(html);
-        let lay = layout(&doc);
-        (doc, lay)
-    }
-
     #[test]
     fn two_by_two_grid_alignment() {
-        let (doc, lay) = cell_boxes(
+        let doc = parse(
             "<table><tr><td>Author</td><td><input type=text size=30></td></tr>\
              <tr><td>Title</td><td><input type=text size=30></td></tr></table>",
         );
+        let lay = layout(&doc);
         let tds = doc.elements_by_tag(doc.root(), "td");
         let b: Vec<BBox> = tds.iter().map(|&t| lay.bbox(t).unwrap()).collect();
         // Same column → same left edge; same row → same top edge.
@@ -289,10 +315,11 @@ mod tests {
 
     #[test]
     fn column_width_tracks_widest_cell() {
-        let (doc, lay) = cell_boxes(
+        let doc = parse(
             "<table><tr><td>x</td><td>y</td></tr>\
              <tr><td>a much longer label here</td><td>z</td></tr></table>",
         );
+        let lay = layout(&doc);
         let tds = doc.elements_by_tag(doc.root(), "td");
         let first_col_w = lay.bbox(tds[0]).unwrap().width();
         let long = lay.bbox(tds[2]).unwrap().width();
@@ -302,8 +329,8 @@ mod tests {
 
     #[test]
     fn label_and_field_in_adjacent_cells_share_row() {
-        let (doc, lay) =
-            cell_boxes("<table><tr><td>From</td><td><input type=text name=f></td></tr></table>");
+        let doc = parse("<table><tr><td>From</td><td><input type=text name=f></td></tr></table>");
+        let lay = layout(&doc);
         let td_label = doc.elements_by_tag(doc.root(), "td")[0];
         let label_text = doc.children(td_label)[0];
         let frag = lay.fragments(label_text)[0].bbox;
@@ -316,10 +343,11 @@ mod tests {
 
     #[test]
     fn colspan_spans_columns() {
-        let (doc, lay) = cell_boxes(
+        let doc = parse(
             "<table><tr><td colspan=2>Departure date</td></tr>\
              <tr><td>aaaaaaaaaa</td><td>bbbbbbbbbb</td></tr></table>",
         );
+        let lay = layout(&doc);
         let tds = doc.elements_by_tag(doc.root(), "td");
         let span = lay.bbox(tds[0]).unwrap();
         let a = lay.bbox(tds[1]).unwrap();
@@ -336,17 +364,18 @@ mod tests {
                     <tr><td>Title</td><td><input type=text name=t></td></tr>";
         let plain = format!("<table>{rows}</table>");
         let ruled = format!("<table>{rows}<tr><td colspan=2><hr></td></tr></table>");
-        fn widths(html: &str) -> (metaform_html::Document<'_>, crate::output::Layout, Vec<i32>) {
-            let (doc, lay) = cell_boxes(html);
+        fn widths(doc: &metaform_html::Document, lay: &crate::output::Layout) -> Vec<i32> {
             let tds = doc.elements_by_tag(doc.root(), "td");
-            let w: Vec<i32> = tds[..4]
+            tds[..4]
                 .iter()
                 .map(|&t| lay.bbox(t).unwrap().width())
-                .collect();
-            (doc, lay, w)
+                .collect()
         }
-        let (_, _, plain_w) = widths(&plain);
-        let (doc, lay, ruled_w) = widths(&ruled);
+        let plain_doc = parse(&plain);
+        let plain_w = widths(&plain_doc, &layout(&plain_doc));
+        let doc = parse(&ruled);
+        let lay = layout(&doc);
+        let ruled_w = widths(&doc, &lay);
         assert_eq!(ruled_w, plain_w, "column widths unchanged by the rule");
         let label = doc.children(doc.elements_by_tag(doc.root(), "td")[0])[0];
         let label = lay.fragments(label)[0].bbox;
@@ -366,10 +395,11 @@ mod tests {
 
     #[test]
     fn rowspan_occupies_grid_slot() {
-        let (doc, lay) = cell_boxes(
+        let doc = parse(
             "<table><tr><td rowspan=2>Price</td><td>min</td></tr>\
              <tr><td>max</td></tr></table>",
         );
+        let lay = layout(&doc);
         let tds = doc.elements_by_tag(doc.root(), "td");
         let price = lay.bbox(tds[0]).unwrap();
         let min = lay.bbox(tds[1]).unwrap();
@@ -381,10 +411,11 @@ mod tests {
 
     #[test]
     fn nested_table_stays_inside_cell() {
-        let (doc, lay) = cell_boxes(
+        let doc = parse(
             "<table><tr><td><table><tr><td>inner</td></tr></table></td>\
              <td>outer</td></tr></table>",
         );
+        let lay = layout(&doc);
         let tables = doc.elements_by_tag(doc.root(), "table");
         let outer_cell = doc.elements_by_tag(tables[0], "td")[0];
         let inner = lay.bbox(tables[1]).unwrap();
@@ -394,10 +425,11 @@ mod tests {
 
     #[test]
     fn sections_are_transparent() {
-        let (doc, lay) = cell_boxes(
+        let doc = parse(
             "<table><thead><tr><td>h</td></tr></thead>\
              <tbody><tr><td>b</td></tr></tbody></table>",
         );
+        let lay = layout(&doc);
         let trs = doc.elements_by_tag(doc.root(), "tr");
         let h = lay.bbox(trs[0]).unwrap();
         let b = lay.bbox(trs[1]).unwrap();
@@ -407,7 +439,8 @@ mod tests {
 
     #[test]
     fn empty_table_is_harmless() {
-        let (doc, lay) = cell_boxes("before<table></table>after");
+        let doc = parse("before<table></table>after");
+        let lay = layout(&doc);
         let t = doc.elements_by_tag(doc.root(), "table")[0];
         let b = lay.bbox(t).unwrap();
         assert_eq!(b.width(), 0);
@@ -415,8 +448,8 @@ mod tests {
 
     #[test]
     fn caption_sits_above_grid() {
-        let (doc, lay) =
-            cell_boxes("<table><caption>Search</caption><tr><td>body</td></tr></table>");
+        let doc = parse("<table><caption>Search</caption><tr><td>body</td></tr></table>");
+        let lay = layout(&doc);
         let cap = doc.elements_by_tag(doc.root(), "caption")[0];
         let td = doc.elements_by_tag(doc.root(), "td")[0];
         assert!(lay.bbox(cap).unwrap().bottom <= lay.bbox(td).unwrap().top);
@@ -432,7 +465,8 @@ mod tests {
         };
         let frag_top = |v: &str| {
             let src = html(v);
-            let (doc, lay) = cell_boxes(&src);
+            let doc = parse(&src);
+            let lay = layout(&doc);
             let td = doc.elements_by_tag(doc.root(), "td")[0];
             let text = doc.children(td)[0];
             let row = lay.bbox(doc.elements_by_tag(doc.root(), "tr")[0]).unwrap();
@@ -452,10 +486,11 @@ mod tests {
 
     #[test]
     fn valign_inherits_from_row() {
-        let (doc, lay) = cell_boxes(
+        let doc = parse(
             "<table><tr valign=top><td>Label</td>\
              <td><textarea rows=4 cols=10></textarea></td></tr></table>",
         );
+        let lay = layout(&doc);
         let td = doc.elements_by_tag(doc.root(), "td")[0];
         let text = doc.children(td)[0];
         let frag = lay.fragments(text)[0].bbox;
@@ -467,9 +502,10 @@ mod tests {
     fn vertical_centering_in_tall_row() {
         // Second cell is tall (textarea); first cell's single text line
         // should center against it.
-        let (doc, lay) = cell_boxes(
+        let doc = parse(
             "<table><tr><td>Comments</td><td><textarea rows=5 cols=20></textarea></td></tr></table>",
         );
+        let lay = layout(&doc);
         let label_td = doc.elements_by_tag(doc.root(), "td")[0];
         let text = doc.children(label_td)[0];
         let frag = lay.fragments(text)[0].bbox;

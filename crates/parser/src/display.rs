@@ -67,11 +67,15 @@ fn node_label(chart: &Chart, grammar: &Grammar, node: InstId) -> String {
             _ => format!("{name} {tid:?}"),
         };
     }
+    let table = chart.table();
     match chart.payload(node) {
-        Payload::Cond(c) => format!("{name}  ⇒ {c}"),
+        Payload::Cond(c) => format!(
+            "{name}  ⇒ {}",
+            table.cond(*c).to_condition(table, Vec::new())
+        ),
         Payload::Attr(a) => format!("{name} {a:?}"),
         Payload::Text(t) => format!("{name} {t:?}"),
-        Payload::Ops(ops) => format!("{name} [{}]", ops.join(", ")),
+        Payload::Ops(ops) => format!("{name} [{}]", table.texts(ops).join(", ")),
         _ => name.to_string(),
     }
 }

@@ -17,8 +17,8 @@ use crate::maximize::{maximize_with, MaxScratch};
 use crate::stats::{BudgetOutcome, ParseStats};
 use metaform_core::{BBox, Token};
 use metaform_grammar::{
-    CompiledGrammar, ConflictCond, DepthTerms, Grammar, Hoisted, Payload, PrefId, ProdId,
-    Production, Schedule, SlotTable, SymbolId, SymbolKind, WinCriteria,
+    CompiledGrammar, ConflictCond, DepthTerms, Grammar, Hoisted, Payload, PayloadTable, PrefId,
+    ProdId, Production, Schedule, SlotTable, SymbolId, SymbolKind, WinCriteria,
 };
 use std::time::{Duration, Instant};
 
@@ -334,6 +334,9 @@ pub(crate) struct Scratch {
     /// `arity` ids per accepted combo, parallel to `pending_payloads`.
     pending_children: Vec<InstId>,
     pending_payloads: Vec<Payload>,
+    /// The conditions and caption lists the pending payloads index,
+    /// pending behind the chart's table until the flush commits them.
+    pending_table: PayloadTable,
     /// Per-production per-slot high-water marks: how many valid
     /// candidates the production saw at its previous application.
     /// Pinned at zero under [`FixpointMode::Naive`].
@@ -672,6 +675,7 @@ impl Parser<'_> {
 
         let runnable = !candidates.iter().any(|c| c.is_empty());
         if runnable && (!delta || scratch.suffix_new[0]) {
+            scratch.pending_table.pend_after(self.chart.table());
             scratch.combo.clear();
             scratch.combo.resize(arity, InstId(0));
             let mut pass = EnumPass {
@@ -688,6 +692,7 @@ impl Parser<'_> {
                 boxes: [BBox::new(0, 0, 0, 0); MAX_ARITY],
                 pending_children: &mut scratch.pending_children,
                 pending_payloads: &mut scratch.pending_payloads,
+                pending_table: &mut scratch.pending_table,
                 // In a delta pass every enumerated combination
                 // contains at least one instance created after the
                 // previous application (the all-old ones are skipped
@@ -711,6 +716,9 @@ impl Parser<'_> {
         // children `Vec` is materialized only here — i.e. only for
         // combinations that passed dedup and constraints.
         let added = !scratch.pending_payloads.is_empty();
+        if added {
+            self.chart.commit_payloads(&mut scratch.pending_table);
+        }
         for (children, payload) in scratch
             .pending_children
             .chunks_exact(arity)
@@ -878,6 +886,8 @@ struct EnumPass<'a> {
     /// Deferred creations, flat (`arity` ids per accepted combo).
     pending_children: &'a mut Vec<InstId>,
     pending_payloads: &'a mut Vec<Payload>,
+    /// Where the constructors put the conditions and lists they build.
+    pending_table: &'a mut PayloadTable,
     /// Whether completed combinations must be probed with
     /// [`Chart::seen`]. False only for delta passes, where every
     /// enumerated combination contains a fresh instance.
@@ -1031,8 +1041,11 @@ impl<'a> EnumPass<'a> {
         for (k, &c) in self.combo[1..].iter().enumerate() {
             views[k + 1] = self.chart.view(c);
         }
-        self.pending_payloads
-            .push(self.prod.constructor.eval(&views[..arity]));
+        self.pending_payloads.push(
+            self.prod
+                .constructor
+                .eval(&views[..arity], self.pending_table),
+        );
         self.pending_children.extend_from_slice(self.combo);
     }
 }

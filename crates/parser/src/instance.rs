@@ -21,13 +21,13 @@
 //! intrusive linked list over one arena — creating an instance
 //! allocates nothing once the columns have warmed up, and
 //! [`Chart::reset_for`] bulk-resets every column while keeping the
-//! capacity.
+//! capacity. The conditions and caption lists the payloads index live
+//! in the chart's [`PayloadTable`], reset with the columns.
 
 use crate::tokenset::TokenSet;
-use metaform_core::{BBox, Condition, Token, TokenId};
-use metaform_grammar::{Cond, Payload, ProdId, SymbolId, View};
+use metaform_core::{BBox, Condition, Text, Token, TokenId};
+use metaform_grammar::{Payload, PayloadTable, ProdId, SymbolId, View};
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of an instance within one chart.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,9 +64,12 @@ pub struct Chart {
     token_of: Vec<u32>,
     spans: Vec<TokenSet>,
     bboxes: Vec<BBox>,
-    /// Semantic payloads. Their data is shared, so a wrapper's copy of
-    /// its child's payload costs a reference count, not a deep clone.
+    /// Semantic payloads. Their data is shared or indexes `table`, so
+    /// a wrapper's copy of its child's payload costs a reference count
+    /// at most, never a deep clone.
     payloads: Vec<Payload>,
+    /// The conditions and caption lists `payloads` index.
+    table: PayloadTable,
     valid: Vec<bool>,
     /// Offsets into `children`: instance `i`'s children are
     /// `children[child_off[i]..child_off[i + 1]]`. Always one longer
@@ -102,6 +105,7 @@ impl Chart {
             spans: Vec::new(),
             bboxes: Vec::new(),
             payloads: Vec::new(),
+            table: PayloadTable::default(),
             valid: Vec::new(),
             child_off: vec![0],
             children: Vec::new(),
@@ -126,6 +130,7 @@ impl Chart {
         self.spans.clear();
         self.bboxes.clear();
         self.payloads.clear();
+        self.table.clear();
         self.valid.clear();
         self.child_off.clear();
         self.child_off.push(0);
@@ -194,6 +199,28 @@ impl Chart {
         &self.payloads[id.index()]
     }
 
+    /// The conditions and caption lists the payloads index.
+    pub fn table(&self) -> &PayloadTable {
+        &self.table
+    }
+
+    /// The table, to add conditions and lists to by hand — for
+    /// building instances outside a parse.
+    pub fn table_mut(&mut self) -> &mut PayloadTable {
+        &mut self.table
+    }
+
+    /// Appends the conditions and lists an enumeration pass built
+    /// pending behind the table (see [`PayloadTable::pend_after`]).
+    pub(crate) fn commit_payloads(&mut self, pending: &mut PayloadTable) {
+        self.table.commit(pending);
+    }
+
+    /// The operator captions of an instance with an `Ops` payload.
+    pub fn ops(&self, id: InstId) -> Option<&[Text]> {
+        self.view(id).ops()
+    }
+
     /// The conditions an instance carries, each in report form with
     /// its tokens read off the span of the instance that holds it. A
     /// `collect` instance stores no list: its conditions are its
@@ -205,19 +232,20 @@ impl Chart {
     }
 
     /// [`Chart::conditions`] before the report form: appends to `held`
-    /// each condition `id` carries with the instance holding it, in
-    /// component order. `stack` is a caller-recycled walk stack.
-    pub(crate) fn conditions_at<'a>(
-        &'a self,
+    /// each condition `id` carries (its index in the table) with the
+    /// instance holding it, in component order. `stack` is a
+    /// caller-recycled walk stack.
+    pub(crate) fn conditions_at(
+        &self,
         id: InstId,
         stack: &mut Vec<InstId>,
-        held: &mut Vec<(&'a Arc<Cond>, InstId)>,
+        held: &mut Vec<(u32, InstId)>,
     ) {
         stack.clear();
         stack.push(id);
         while let Some(id) = stack.pop() {
             match self.payload(id) {
-                Payload::Cond(cond) => held.push((cond, id)),
+                Payload::Cond(cond) => held.push((*cond, id)),
                 Payload::Collected => stack.extend(self.children(id).iter().rev()),
                 Payload::CollectedAt(at) => stack.push(InstId(*at)),
                 _ => {}
@@ -225,13 +253,13 @@ impl Chart {
         }
     }
 
-    /// The report form of `cond`, held at `at`: its tokens are the
-    /// span of `at`.
-    pub(crate) fn condition(&self, cond: &Cond, at: InstId) -> Condition {
+    /// The report form of condition `cond` of the table, held at `at`:
+    /// its tokens are the span of `at`.
+    pub(crate) fn condition(&self, cond: u32, at: InstId) -> Condition {
         let span = self.span(at);
         let mut tokens = Vec::with_capacity(span.count());
         tokens.extend(span.iter());
-        cond.to_condition(tokens)
+        self.table.cond(cond).to_condition(&self.table, tokens)
     }
 
     /// False once invalidated by a preference (or rollback).
@@ -422,6 +450,7 @@ impl Chart {
             payload: &self.payloads[id.index()],
             token: self.token(id).map(|t| &self.tokens[t.index()]),
             inst: id.0,
+            table: &self.table,
         }
     }
 
@@ -567,10 +596,10 @@ mod tests {
         let b = chart.add_terminal(tb_sym, &t1);
         let cond = metaform_grammar::Cond {
             attribute: "Author".into(),
-            operators: metaform_core::empty_list(),
+            operators: metaform_grammar::Texts::EMPTY,
             domain: metaform_grammar::Domain::of(metaform_core::DomainKind::Text),
         };
-        let payload = Payload::Cond(std::sync::Arc::new(cond));
+        let payload = chart.table_mut().push_cond(cond);
         let id = chart.add_nonterminal(nt, ProdId(0), &[a, b], payload);
         assert_eq!(chart.span(id).count(), 2);
         assert_eq!(chart.bbox(id), BBox::new(0, 0, 190, 20));
@@ -657,10 +686,16 @@ mod tests {
             .collect();
         let conds = [0, 1, 2].map(|i| {
             let attr = Payload::Attr(chart.tokens()[i].sval.clone());
-            let payload = Constructor::MakeDate(0).eval(&[View {
-                payload: &attr,
-                ..chart.view(terms[i])
-            }]);
+            let mut pending = PayloadTable::default();
+            pending.pend_after(chart.table());
+            let payload = Constructor::MakeDate(0).eval(
+                &[View {
+                    payload: &attr,
+                    ..chart.view(terms[i])
+                }],
+                &mut pending,
+            );
+            chart.commit_payloads(&mut pending);
             chart.add_nonterminal(cp, ProdId(0), &[terms[i]], payload)
         });
         (chart, text_sym, row, conds)
@@ -669,7 +704,7 @@ mod tests {
     /// Adds a `collect` instance over `children`.
     fn collect(chart: &mut Chart, head: SymbolId, children: &[InstId]) -> InstId {
         let views: Vec<View<'_>> = children.iter().map(|&c| chart.view(c)).collect();
-        let payload = Constructor::CollectConds.eval(&views);
+        let payload = Constructor::CollectConds.eval(&views, &mut PayloadTable::default());
         chart.add_nonterminal(head, ProdId(1), children, payload)
     }
 
@@ -715,7 +750,8 @@ mod tests {
         let list = collect(&mut chart, row, &[a, b]);
         let qi = collect(&mut chart, row, &[list]);
         assert_eq!(listed(&chart, qi), listed(&chart, list));
-        let payload = Constructor::Inherit(0).eval(&[chart.view(list)]);
+        let payload =
+            Constructor::Inherit(0).eval(&[chart.view(list)], &mut PayloadTable::default());
         assert_eq!(payload, Payload::CollectedAt(list.0));
         let held = chart.add_nonterminal(row, ProdId(2), &[list], payload);
         assert_eq!(listed(&chart, held), listed(&chart, list));

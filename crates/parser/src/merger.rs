@@ -6,18 +6,48 @@
 //! conditions. … It reports two types of errors: a *conflict* occurs if
 //! the same token is used by different conditions … a *missing element*
 //! is a token not covered by any parse tree."
+//!
+//! The merger decides on the chart's conditions before it builds any
+//! report form, and builds every vector of the report at its final
+//! size, so on recycled working memory ([`MergeScratch`], held by a
+//! [`crate::ParseSession`]) a merge allocates exactly the heap blocks
+//! the returned report owns.
 
 use crate::instance::{Chart, InstId};
 use crate::tokenset::TokenSet;
-use metaform_core::{normalize_label, Condition, Conflict, DomainKind, ExtractionReport};
+use metaform_core::{same_label, write_condition, Conflict, ExtractionReport};
+use std::cmp::Ordering;
 
-/// The key under which two conditions are
-/// [equivalent](Condition::equivalent): the normalized attribute and
-/// the domain shape.
-type EquivalenceKey = (String, DomainKind);
+/// Sentinel for "no owner yet" in [`MergeScratch::owners`].
+const NO_OWNER: u32 = u32::MAX;
 
-fn equivalence_key(cond: &Condition) -> EquivalenceKey {
-    (normalize_label(&cond.attribute), cond.domain.kind)
+/// Recycled working memory of the merger and of
+/// [`crate::pattern_spans`]: walk stacks, the visit order, the kept
+/// conditions and the token owner and visited marks.
+#[derive(Debug, Default)]
+pub(crate) struct MergeScratch {
+    pub(crate) stack: Vec<InstId>,
+    /// The conditions one instance holds: (table index, holder).
+    held: Vec<(u32, InstId)>,
+    /// A second holder list, for the tie-break's other side.
+    other: Vec<(u32, InstId)>,
+    /// Instances to visit, in the merger's content order, each with
+    /// its position among the candidates.
+    visits: Vec<(InstId, u32)>,
+    /// The conditions the report keeps, in report order.
+    kept: Vec<(u32, InstId)>,
+    /// The kept condition that first claimed each token.
+    owners: Vec<u32>,
+    conflicts: Vec<Conflict>,
+    /// Renderings of the two conditions a tie-break compares.
+    rendered: [String; 2],
+    /// Per instance, 1 + the index of the last tree whose walk reached
+    /// it ([`crate::pattern_spans`]).
+    pub(crate) visited: Vec<u32>,
+    /// Per instance, whether it was exported as a pattern already.
+    pub(crate) exported: Vec<bool>,
+    /// The pattern instances to export, in export order.
+    pub(crate) patterns: Vec<InstId>,
 }
 
 /// Merges maximal partial trees into an [`ExtractionReport`].
@@ -33,101 +63,18 @@ fn equivalence_key(cond: &Condition) -> EquivalenceKey {
 /// records the claim pair with the earlier (larger-context) condition
 /// as primary.
 ///
-/// This is where conditions take their report form: each is built
-/// once per tree, its token list read off the chart span of the
-/// instance it was assembled at.
+/// This is where conditions take their report form: each kept one is
+/// built once, its token list read off the chart span of the instance
+/// it was assembled at. [`crate::ParseSession::merge`] runs the same
+/// merge on the session's recycled working memory.
 pub fn merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
-    merge_keyed(chart, trees).0
+    merge_in(chart, trees, &mut MergeScratch::default())
 }
 
-/// [`merge`], also returning the equivalence keys of the report's
-/// conditions, parallel to them.
-fn merge_keyed(chart: &Chart, trees: &[InstId]) -> (ExtractionReport, Vec<EquivalenceKey>) {
-    let mut conditions: Vec<Condition> = Vec::new();
-    let mut kept: Vec<EquivalenceKey> = Vec::new();
-    // The condition that first claimed each token, by token index.
-    let mut owners: Vec<Option<usize>> = vec![None; chart.tokens().len()];
-    let mut conflicts: Vec<Conflict> = Vec::new();
-
-    for tree_conds in in_visit_order(chart, trees.iter().copied(), |_| true) {
-        for cond in tree_conds {
-            let key = equivalence_key(&cond);
-            if kept.contains(&key) {
-                // Same condition extracted from an overlapping tree —
-                // not a conflict, just overlap in coverage.
-                continue;
-            }
-            let idx = conditions.len();
-            let mut conflicting_with: Vec<usize> = Vec::new();
-            for &t in &cond.tokens {
-                if let Some(owner) = owners[t.index()] {
-                    if !conflicting_with.contains(&owner) {
-                        conflicting_with.push(owner);
-                        conflicts.push(Conflict {
-                            token: t,
-                            kept: owner,
-                            dropped: idx,
-                        });
-                    }
-                }
-            }
-            for &t in &cond.tokens {
-                owners[t.index()].get_or_insert(idx);
-            }
-            kept.push(key);
-            conditions.push(cond);
-        }
-    }
-
-    let missing = chart.uncovered_tokens(trees);
-    let report = ExtractionReport {
-        conditions,
-        conflicts,
-        missing,
-    };
-    (report, kept)
-}
-
-/// The report-form conditions of each instance that holds a condition
-/// `serves` accepts (it is given the holding instance), instances
-/// ordered by the merger's content key: span size (largest first),
-/// span, then the conditions' token lists and rendering — rendered
-/// once per instance, and only for instances whose span ties with
-/// another's. An instance left out has no condition to add, and
-/// leaving it out keeps the others in the same relative order.
-fn in_visit_order(
-    chart: &Chart,
-    insts: impl Iterator<Item = InstId>,
-    mut serves: impl FnMut(InstId) -> bool,
-) -> Vec<Vec<Condition>> {
-    let mut stack = Vec::new();
-    let mut held = Vec::new();
-    let mut visits: Vec<(InstId, Vec<Condition>)> = Vec::new();
-    for inst in insts {
-        held.clear();
-        chart.conditions_at(inst, &mut stack, &mut held);
-        if held.iter().any(|&(_, at)| serves(at)) {
-            let conds = held.iter().map(|&(c, at)| chart.condition(c, at)).collect();
-            visits.push((inst, conds));
-        }
-    }
-    visits.sort_by(|(a, _), (b, _)| {
-        let (a, b) = (chart.span(*a), chart.span(*b));
-        b.count()
-            .cmp(&a.count())
-            .then_with(|| a.iter().cmp(b.iter()))
-    });
-    for tied in visits.chunk_by_mut(|(a, _), (b, _)| chart.span(*a) == chart.span(*b)) {
-        if tied.len() > 1 {
-            tied.sort_by_cached_key(|(_, conds)| {
-                conds
-                    .iter()
-                    .map(|c| (c.tokens.clone(), c.to_string()))
-                    .collect::<Vec<_>>()
-            });
-        }
-    }
-    visits.into_iter().map(|(_, conds)| conds).collect()
+/// [`merge`] on the caller's recycled working memory.
+pub(crate) fn merge_in(chart: &Chart, trees: &[InstId], s: &mut MergeScratch) -> ExtractionReport {
+    keep_tree_conditions(chart, trees, s);
+    report(chart, trees, s, 0)
 }
 
 /// Salvage-tier merge for budget-limited parses: the regular
@@ -149,10 +96,20 @@ fn in_visit_order(
 /// because the claimed set only grows during the sweep, so every
 /// condition of such an instance would be skipped anyway.
 pub fn salvage_merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
-    let (mut report, mut kept) = merge_keyed(chart, trees);
+    salvage_merge_in(chart, trees, &mut MergeScratch::default())
+}
+
+/// [`salvage_merge`] on the caller's recycled working memory.
+pub(crate) fn salvage_merge_in(
+    chart: &Chart,
+    trees: &[InstId],
+    s: &mut MergeScratch,
+) -> ExtractionReport {
+    keep_tree_conditions(chart, trees, s);
+    let from_trees = s.kept.len();
     let mut claimed = TokenSet::new(chart.tokens().len());
-    for &t in report.conditions.iter().flat_map(|c| &c.tokens) {
-        claimed.insert(t);
+    for &(_, at) in &s.kept {
+        claimed.union_with(chart.span(at));
     }
     let extras = chart.ids().filter(|&i| {
         chart.is_valid(i)
@@ -164,22 +121,199 @@ pub fn salvage_merge(chart: &Chart, trees: &[InstId]) -> ExtractionReport {
         let span = chart.span(at);
         !span.is_empty() && !span.intersects(&claimed)
     };
-    for cond in in_visit_order(chart, extras, open).into_iter().flatten() {
-        if cond.tokens.is_empty() || cond.tokens.iter().any(|&t| claimed.contains(t)) {
-            continue;
+    visit_order(chart, extras, open, s);
+    for v in 0..s.visits.len() {
+        s.held.clear();
+        chart.conditions_at(s.visits[v].0, &mut s.stack, &mut s.held);
+        for &(cond, at) in &s.held {
+            let span = chart.span(at);
+            if span.is_empty() || span.intersects(&claimed) || is_kept(chart, &s.kept, cond) {
+                continue;
+            }
+            claimed.union_with(span);
+            s.kept.push((cond, at));
         }
-        let key = equivalence_key(&cond);
-        if kept.contains(&key) {
-            continue;
-        }
-        for &t in &cond.tokens {
-            claimed.insert(t);
-        }
-        report.missing.retain(|t| !cond.tokens.contains(t));
-        kept.push(key);
-        report.conditions.push(cond);
     }
-    report
+    report(chart, trees, s, from_trees)
+}
+
+/// Decides which conditions of the maximal trees the report keeps,
+/// into `s.kept`, and the conflicts among them, into `s.conflicts`.
+fn keep_tree_conditions(chart: &Chart, trees: &[InstId], s: &mut MergeScratch) {
+    s.kept.clear();
+    s.conflicts.clear();
+    s.owners.clear();
+    s.owners.resize(chart.tokens().len(), NO_OWNER);
+    visit_order(chart, trees.iter().copied(), |_| true, s);
+    for v in 0..s.visits.len() {
+        s.held.clear();
+        chart.conditions_at(s.visits[v].0, &mut s.stack, &mut s.held);
+        for &(cond, at) in &s.held {
+            if is_kept(chart, &s.kept, cond) {
+                // Same condition extracted from an overlapping tree —
+                // not a conflict, just overlap in coverage.
+                continue;
+            }
+            let idx = s.kept.len() as u32;
+            let first = s.conflicts.len();
+            for t in chart.span(at).iter() {
+                let owner = s.owners[t.index()];
+                if owner == NO_OWNER {
+                    s.owners[t.index()] = idx;
+                } else if !s.conflicts[first..]
+                    .iter()
+                    .any(|c| c.kept == owner as usize)
+                {
+                    s.conflicts.push(Conflict {
+                        token: t,
+                        kept: owner as usize,
+                        dropped: idx as usize,
+                    });
+                }
+            }
+            s.kept.push((cond, at));
+        }
+    }
+}
+
+/// Whether a kept condition is equivalent to condition `cond` of the
+/// table: the same normalized attribute and domain shape.
+fn is_kept(chart: &Chart, kept: &[(u32, InstId)], cond: u32) -> bool {
+    let table = chart.table();
+    let c = table.cond(cond);
+    kept.iter().any(|&(k, _)| {
+        let k = table.cond(k);
+        k.domain.kind == c.domain.kind && same_label(&k.attribute, &c.attribute)
+    })
+}
+
+/// The report of the kept conditions, every vector built at its final
+/// size. A token is missing when no tree covers it and no condition
+/// kept past the first `from_trees` (the salvage sweep's) claims it.
+fn report(
+    chart: &Chart,
+    trees: &[InstId],
+    s: &MergeScratch,
+    from_trees: usize,
+) -> ExtractionReport {
+    let mut covered = TokenSet::new(chart.tokens().len());
+    for &r in trees {
+        covered.union_with(chart.span(r));
+    }
+    for &(_, at) in &s.kept[from_trees..] {
+        covered.union_with(chart.span(at));
+    }
+    let uncovered = || {
+        chart
+            .tokens()
+            .iter()
+            .map(|t| t.id)
+            .filter(|&t| !covered.contains(t))
+    };
+    let mut missing = Vec::with_capacity(uncovered().count());
+    missing.extend(uncovered());
+    ExtractionReport {
+        conditions: s
+            .kept
+            .iter()
+            .map(|&(cond, at)| chart.condition(cond, at))
+            .collect(),
+        conflicts: s.conflicts.clone(),
+        missing,
+    }
+}
+
+/// Fills `s.visits` with each instance of `insts` that holds a
+/// condition `serves` accepts (it is given the holding instance),
+/// ordered by the merger's content key: span size (largest first),
+/// span, then the conditions' token lists and rendering — rendered
+/// only for instances whose spans tie, into recycled buffers — then
+/// the order of `insts`. An instance left out has no condition to
+/// add, and leaving it out keeps the others in the same relative
+/// order.
+fn visit_order(
+    chart: &Chart,
+    insts: impl Iterator<Item = InstId>,
+    mut serves: impl FnMut(InstId) -> bool,
+    s: &mut MergeScratch,
+) {
+    s.visits.clear();
+    for (inst, position) in insts.zip(0..) {
+        s.held.clear();
+        chart.conditions_at(inst, &mut s.stack, &mut s.held);
+        if s.held.iter().any(|&(_, at)| serves(at)) {
+            s.visits.push((inst, position));
+        }
+    }
+    let MergeScratch {
+        stack,
+        held,
+        other,
+        visits,
+        rendered,
+        ..
+    } = s;
+    // The positions make the order total, so the in-place unstable
+    // sort orders as a stable one would.
+    visits.sort_unstable_by(|&(a, pa), &(b, pb)| {
+        visit_cmp(chart, a, b, stack, held, other, rendered).then(pa.cmp(&pb))
+    });
+}
+
+/// The merger's content order on two instances: larger span first,
+/// then span, then the conditions they hold — token lists, then
+/// renderings.
+fn visit_cmp(
+    chart: &Chart,
+    a: InstId,
+    b: InstId,
+    stack: &mut Vec<InstId>,
+    held: &mut Vec<(u32, InstId)>,
+    other: &mut Vec<(u32, InstId)>,
+    rendered: &mut [String; 2],
+) -> Ordering {
+    let (sa, sb) = (chart.span(a), chart.span(b));
+    let by_span = sb
+        .count()
+        .cmp(&sa.count())
+        .then_with(|| sa.iter().cmp(sb.iter()));
+    if by_span != Ordering::Equal {
+        return by_span;
+    }
+    held.clear();
+    chart.conditions_at(a, stack, held);
+    other.clear();
+    chart.conditions_at(b, stack, other);
+    for (&(ca, at_a), &(cb, at_b)) in held.iter().zip(other.iter()) {
+        let by_tokens = chart.span(at_a).iter().cmp(chart.span(at_b).iter());
+        if by_tokens != Ordering::Equal {
+            return by_tokens;
+        }
+        let [ra, rb] = rendered;
+        render(chart, ca, ra);
+        render(chart, cb, rb);
+        match ra.cmp(&rb) {
+            Ordering::Equal => {}
+            other => return other,
+        }
+    }
+    held.len().cmp(&other.len())
+}
+
+/// Writes condition `cond` of the chart's table as its report form
+/// displays, into `out`.
+fn render(chart: &Chart, cond: u32, out: &mut String) {
+    let table = chart.table();
+    let c = table.cond(cond);
+    out.clear();
+    write_condition(
+        out,
+        &c.attribute,
+        table.texts(&c.operators),
+        c.domain.kind,
+        table.texts(&c.domain.values),
+    )
+    .expect("writing to a String cannot fail");
 }
 
 #[cfg(test)]
@@ -188,9 +322,8 @@ mod tests {
     use crate::engine::parse;
     use metaform_core::{BBox, DomainKind, Token, TokenId, TokenKind};
     use metaform_grammar::{
-        paper_example_grammar, Cond, Domain, Payload, ProdId, SymbolId, SymbolTable,
+        paper_example_grammar, Cond, Domain, ProdId, SymbolId, SymbolTable, Texts,
     };
-    use std::sync::Arc;
 
     fn label_box_pair(id0: u32, label: &str, x: i32, y: i32) -> Vec<Token> {
         let w = label.len() as i32 * 7;
@@ -298,11 +431,11 @@ mod tests {
 
     /// Adds an instance over `children` carrying one text condition.
     fn add_cond(chart: &mut Chart, nt: SymbolId, children: &[InstId], attr: &str) -> InstId {
-        let payload = Payload::Cond(Arc::new(Cond {
+        let payload = chart.table_mut().push_cond(Cond {
             attribute: attr.into(),
-            operators: metaform_core::empty_list(),
+            operators: Texts::EMPTY,
             domain: Domain::of(DomainKind::Text),
-        }));
+        });
         chart.add_nonterminal(nt, ProdId(0), children, payload)
     }
 
@@ -339,11 +472,10 @@ mod tests {
         // The touching instance is dropped before it is built.
         let mut claimed = TokenSet::new(5);
         claimed.union_with(chart.span(tree));
-        let built = in_visit_order(&chart, [touching, disjoint].into_iter(), |at| {
-            !chart.span(at).intersects(&claimed)
-        });
-        assert_eq!(built.len(), 1);
-        assert_eq!(built[0][0].attribute, "Disjoint");
+        let mut scratch = MergeScratch::default();
+        let open = |at: InstId| !chart.span(at).intersects(&claimed);
+        visit_order(&chart, [touching, disjoint].into_iter(), open, &mut scratch);
+        assert_eq!(scratch.visits, [(disjoint, 1)]);
     }
 
     #[test]

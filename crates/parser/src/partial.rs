@@ -11,6 +11,8 @@
 //! the form `metaform_grammar::induce::mine_page` consumes.
 
 use crate::instance::{Chart, InstId};
+use crate::merger::MergeScratch;
+use metaform_core::Text;
 use metaform_grammar::induce::PatternSpan;
 use metaform_grammar::Grammar;
 
@@ -19,53 +21,73 @@ use metaform_grammar::Grammar;
 /// (`TextVal`, `KwVal`, …); its symbol name and covered token ids are
 /// the mining evidence. Deterministic: trees are walked in maximal
 /// order, nodes in DFS order, and shared instances export once.
+/// [`crate::ParseSession::pattern_spans`] runs the same walk on the
+/// session's recycled working memory.
 pub fn pattern_spans(chart: &Chart, trees: &[InstId], grammar: &Grammar) -> Vec<PatternSpan> {
+    pattern_spans_in(chart, trees, grammar, &mut MergeScratch::default())
+}
+
+/// [`pattern_spans`] on the caller's recycled working memory: the walk
+/// decides what to export before it builds anything, so the result
+/// and each token list are allocated once, at their final size, and
+/// each symbol name is the grammar's own.
+pub(crate) fn pattern_spans_in(
+    chart: &Chart,
+    trees: &[InstId],
+    grammar: &Grammar,
+    s: &mut MergeScratch,
+) -> Vec<PatternSpan> {
     let Some(cp) = grammar.symbols.lookup("CP") else {
         return Vec::new();
     };
     // `visited[i]` holds 1 + the index of the last tree whose walk
     // reached instance `i`; `exported[i]` marks pattern instances
     // already exported by an earlier node.
-    let mut visited = vec![0u32; chart.len()];
-    let mut exported = vec![false; chart.len()];
-    let mut stack = Vec::new();
-    let mut out = Vec::new();
+    s.visited.clear();
+    s.visited.resize(chart.len(), 0);
+    s.exported.clear();
+    s.exported.resize(chart.len(), false);
+    s.patterns.clear();
     for (tree, &root) in (1u32..).zip(trees) {
-        stack.clear();
-        stack.push(root);
-        while let Some(node) = stack.pop() {
-            if std::mem::replace(&mut visited[node.index()], tree) == tree {
+        s.stack.clear();
+        s.stack.push(root);
+        while let Some(node) = s.stack.pop() {
+            if std::mem::replace(&mut s.visited[node.index()], tree) == tree {
                 continue;
             }
-            stack.extend_from_slice(chart.children(node));
+            s.stack.extend_from_slice(chart.children(node));
             if chart.symbol(node) != cp {
                 continue;
             }
             let Some(&child) = chart.children(node).first() else {
                 continue;
             };
-            if std::mem::replace(&mut exported[child.index()], true) {
-                continue;
+            if !std::mem::replace(&mut s.exported[child.index()], true) {
+                s.patterns.push(child);
             }
+        }
+    }
+    s.patterns
+        .iter()
+        .map(|&child| {
             let span = chart.span(child);
             let mut tokens = Vec::with_capacity(span.count());
             tokens.extend(span.iter());
-            out.push(PatternSpan {
-                symbol: grammar.symbols.name(chart.symbol(child)).to_string(),
+            PatternSpan {
+                symbol: grammar.symbols.shared_name(chart.symbol(child)).clone(),
                 tokens,
-            });
-        }
-    }
-    out
+            }
+        })
+        .collect()
 }
 
 /// The maximal partial trees' root symbols, in maximal order — the
 /// coarse "how far did the parse get" telemetry degraded pages record
-/// alongside the mined arrangements.
-pub fn tree_symbols(chart: &Chart, trees: &[InstId], grammar: &Grammar) -> Vec<String> {
+/// alongside the mined arrangements. The names are the grammar's own.
+pub fn tree_symbols(chart: &Chart, trees: &[InstId], grammar: &Grammar) -> Vec<Text> {
     trees
         .iter()
-        .map(|&root| grammar.symbols.name(chart.symbol(root)).to_string())
+        .map(|&root| grammar.symbols.shared_name(chart.symbol(root)).clone())
         .collect()
 }
 
@@ -89,7 +111,7 @@ mod tests {
         assert!(
             spans
                 .iter()
-                .any(|s| s.symbol == "TextVal" && s.tokens == vec![TokenId(0), TokenId(1)]),
+                .any(|s| &*s.symbol == "TextVal" && s.tokens == vec![TokenId(0), TokenId(1)]),
             "{spans:?}"
         );
         let roots = tree_symbols(&result.chart, &result.trees, compiled.grammar());

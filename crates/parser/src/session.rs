@@ -34,8 +34,11 @@
 
 use crate::engine::{run_parse, ParseResult, ParserOptions, Scratch};
 use crate::instance::Chart;
+use crate::merger::{merge_in, salvage_merge_in, MergeScratch};
+use crate::partial::pattern_spans_in;
 use crate::stats::BudgetOutcome;
-use metaform_core::Token;
+use metaform_core::{ExtractionReport, Token};
+use metaform_grammar::induce::PatternSpan;
 use metaform_grammar::CompiledGrammar;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,6 +51,8 @@ pub struct ParseSession {
     /// parse.
     spare: Option<Chart>,
     scratch: Scratch,
+    /// The merger's and the evidence export's working memory.
+    merge: MergeScratch,
 }
 
 impl ParseSession {
@@ -63,6 +68,7 @@ impl ParseSession {
             opts,
             spare: None,
             scratch: Scratch::default(),
+            merge: MergeScratch::default(),
         }
     }
 
@@ -110,6 +116,30 @@ impl ParseSession {
     /// perfbench's mirror; goes with the ROADMAP "One clock" item.
     pub fn parse_seeded(&mut self, tokens: &[Token], _: &ChartSnapshot) -> ParseResult {
         self.parse(tokens)
+    }
+
+    /// [`crate::merge`] of a parse's maximal trees, on the session's
+    /// recycled working memory: it allocates exactly the heap blocks
+    /// the report owns.
+    pub fn merge(&mut self, result: &ParseResult) -> ExtractionReport {
+        merge_in(&result.chart, &result.trees, &mut self.merge)
+    }
+
+    /// [`crate::salvage_merge`] of a budget-limited parse, on the
+    /// session's recycled working memory.
+    pub fn salvage_merge(&mut self, result: &ParseResult) -> ExtractionReport {
+        salvage_merge_in(&result.chart, &result.trees, &mut self.merge)
+    }
+
+    /// [`crate::pattern_spans`] of a parse, on the session's recycled
+    /// working memory.
+    pub fn pattern_spans(&mut self, result: &ParseResult) -> Vec<PatternSpan> {
+        pattern_spans_in(
+            &result.chart,
+            &result.trees,
+            self.grammar.grammar(),
+            &mut self.merge,
+        )
     }
 
     /// Returns a finished parse's chart to the session's allocation

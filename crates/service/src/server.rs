@@ -62,8 +62,9 @@ pub struct ServiceConfig {
     pub batch_workers: Option<usize>,
     /// Jobs the queue holds before submissions answer 503.
     pub queue_capacity: usize,
-    /// Default adaptive retry rounds (a submission's `max_retries`
-    /// field overrides per job).
+    /// Adaptive retry rounds per job, and the most a submission may
+    /// ask for: its `max_retries` field can lower them, never raise
+    /// them.
     pub max_retries: usize,
     /// Budget multiplier per retry round.
     pub budget_growth: u32,
@@ -381,8 +382,14 @@ impl ServiceState {
             extractor = extractor.page_deadline(Duration::from_millis(ms));
         }
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
+        // A submission may ask for fewer retries than the service runs,
+        // never more: each retry multiplies the page's instance cap and
+        // deadline, and past 63 doublings the last rung has neither.
+        let max_retries = max_retries.map_or(self.config.max_retries, |asked| {
+            asked.min(self.config.max_retries)
+        });
         let opts = AdaptiveOptions {
-            max_retries: max_retries.unwrap_or(self.config.max_retries),
+            max_retries,
             budget_growth: growth,
         };
         let batch = extractor.extract_batch_adaptive(&refs, &opts);
@@ -970,6 +977,44 @@ mod tests {
             queue_capacity: 2,
             ..ServiceConfig::default()
         })
+    }
+
+    #[test]
+    fn a_submission_cannot_raise_the_retries_over_either_transport() {
+        // Cap 4, one retry at growth 2: the three-row form truncates at
+        // both rungs, so it fails over exactly the configured ladder.
+        let state = ServiceState::new(ServiceConfig {
+            batch_workers: Some(1),
+            max_instances: Some(4),
+            max_retries: 1,
+            budget_growth: 2,
+            ..ServiceConfig::default()
+        });
+        let page = "<form>Author <input type=text name=a><br>Title <input type=text name=t><br>\
+                    Keyword <input type=text name=k></form>";
+        let submit = format!(r#"{{"pages": ["{page}"], "max_retries": 64}}"#);
+        let http = format!(
+            "POST /v1/batches HTTP/1.1\r\nContent-Length: {}\r\n\r\n{submit}",
+            submit.len()
+        );
+        let (status, body) = send(&state, http.as_bytes());
+        assert_eq!(status, 202, "{body}");
+        let line = format!(r#"{{"op": "submit", "pages": ["{page}"], "max_retries": 64}}"#);
+        assert!(crate::daemon::handle_line(&state, &line).contains("\"status\": 202"));
+        for job in [1, 2] {
+            let id = state.queue.pop(0).expect("queued");
+            state.run_job(id);
+            let raw = format!("GET /v1/batches/{job}/results HTTP/1.1\r\n\r\n");
+            let (status, body) = send(&state, raw.as_bytes());
+            assert_eq!(status, 200, "{body}");
+            let results = crate::json::JsonValue::parse(body.as_bytes()).expect("results are JSON");
+            let failures = results.field("failures").unwrap().as_arr().unwrap();
+            assert_eq!(failures.len(), 1, "{body}");
+            let record = &failures[0];
+            let num = |name| record.field(name).unwrap().as_num().unwrap();
+            assert!(num("attempts") <= 2, "job {job}: {body}");
+            assert_eq!(num("final_max_instances"), 8, "job {job}: 4·2¹, {body}");
+        }
     }
 
     #[test]

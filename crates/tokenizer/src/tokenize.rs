@@ -1,10 +1,10 @@
 //! The tokenizer proper: laid-out DOM → token set.
 
 use crate::classify::classify_select;
-use crate::textrun::{merge_runs, RawRun};
+use crate::textrun::{merge_runs, Join, RawRun};
 use metaform_core::{share, BBox, Text, TextList, Token, TokenFingerprint, TokenId, TokenKind};
 use metaform_html::{Document, NodeId};
-use metaform_layout::Layout;
+use metaform_layout::{layout_in, Layout, LayoutOptions, LayoutScratch};
 
 /// A tokenized query interface.
 #[derive(Clone, Debug)]
@@ -27,6 +27,43 @@ impl Tokenized {
     }
 }
 
+/// Working memory of [`tokenize_in`], kept from page to page by a
+/// caller that tokenizes many: with it warm, a page allocates only
+/// its token list and the texts its tokens carry.
+#[derive(Debug, Default)]
+pub struct TokenizeScratch {
+    widgets: Vec<Token>,
+    runs: Vec<RawRun>,
+    obstacles: Vec<BBox>,
+    /// The open `<select>`, `<textarea>` and `<button>` elements,
+    /// whose text renders inside the widget.
+    select_stack: Vec<NodeId>,
+    /// A `<select>`'s labels, gathered before they are shared as the
+    /// token's option list.
+    labels: Vec<Text>,
+    /// A merged text run's caption, joined before it is shared.
+    joined: String,
+}
+
+/// The whole front end's working memory, held by a worker next to
+/// its parse session: HTML → DOM → layout → tokens, page after page,
+/// on recycled buffers.
+#[derive(Debug, Default)]
+pub struct FrontEnd {
+    layout: LayoutScratch,
+    tokens: TokenizeScratch,
+}
+
+impl FrontEnd {
+    /// The 2-D tokens of the form in `html`: [`metaform_html::parse`],
+    /// layout at the default viewport, then [`tokenize_in`].
+    pub fn tokens(&mut self, html: &str) -> Vec<Token> {
+        let doc = metaform_html::parse(html);
+        let lay = layout_in(&doc, &LayoutOptions::default(), &mut self.layout);
+        tokenize_in(&doc, &lay, &mut self.tokens).tokens
+    }
+}
+
 /// Tokenizes the first `<form>` in the document (or the whole document
 /// when no form element exists — some sources inline their widgets).
 ///
@@ -42,23 +79,26 @@ impl Tokenized {
 /// assert_eq!(tokenized.tokens[1].kind, TokenKind::Textbox);
 /// ```
 pub fn tokenize(doc: &Document, layout: &Layout) -> Tokenized {
+    tokenize_in(doc, layout, &mut TokenizeScratch::default())
+}
+
+/// [`tokenize`] on the caller's recycled working memory.
+pub fn tokenize_in(doc: &Document, layout: &Layout, scratch: &mut TokenizeScratch) -> Tokenized {
     let scope = doc
         .descendants(doc.root())
         .find(|&n| doc.tag(n) == Some("form"))
         .unwrap_or_else(|| doc.root());
-    tokenize_scope(doc, layout, scope)
-}
-
-/// Tokenizes an explicit subtree.
-pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokenized {
-    let mut widgets: Vec<Token> = Vec::new();
-    let mut runs: Vec<RawRun> = Vec::new();
-    // One buffer gathers every `<select>`'s labels before they are
-    // shared as the token's option list.
-    let mut labels: Vec<Text> = Vec::new();
-
-    let mut in_select_depth = 0usize;
-    let mut select_stack: Vec<NodeId> = Vec::new();
+    let TokenizeScratch {
+        widgets,
+        runs,
+        obstacles,
+        select_stack,
+        labels,
+        joined,
+    } = scratch;
+    widgets.clear();
+    runs.clear();
+    select_stack.clear();
     for node in doc.descendants(scope) {
         // Skip text inside <select>/<option>: it renders inside the
         // widget, not as free-standing text.
@@ -67,16 +107,14 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
                 break;
             }
             select_stack.pop();
-            in_select_depth -= 1;
         }
         if let Some(tag) = doc.tag(node) {
             match tag {
                 "select" => {
-                    if let Some(t) = select_token(doc, layout, node, &mut labels) {
+                    if let Some(t) = select_token(doc, layout, node, labels) {
                         widgets.push(t);
                     }
                     select_stack.push(node);
-                    in_select_depth += 1;
                 }
                 "input" => {
                     if let Some(t) = input_token(doc, layout, node) {
@@ -94,7 +132,6 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
                     }
                     // Its default text renders inside the widget.
                     select_stack.push(node);
-                    in_select_depth += 1;
                 }
                 "button" => {
                     if let Some(b) = layout.bbox(node) {
@@ -105,43 +142,73 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
                         );
                     }
                     select_stack.push(node);
-                    in_select_depth += 1;
                 }
                 _ => {}
             }
             continue;
         }
-        if in_select_depth > 0 {
+        if !select_stack.is_empty() {
             continue;
         }
-        if doc.text(node).is_some() {
-            for f in layout.fragments(node) {
-                let trimmed = f.text.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                runs.push(RawRun {
-                    text: trimmed.into(),
-                    bbox: f.bbox,
-                    line: f.line,
-                });
+        for (k, f) in layout.fragments(node).iter().enumerate() {
+            if f.text.trim().is_empty() {
+                continue;
             }
+            runs.push(RawRun {
+                node,
+                frag: k as u32,
+                bbox: f.bbox,
+                line: f.line,
+                seq: runs.len() as u32,
+                join: Join::Starts,
+            });
         }
     }
 
-    let obstacle_boxes: Vec<BBox> = widgets.iter().map(|t| t.pos).collect();
-    let merged = merge_runs(runs, &obstacle_boxes);
+    obstacles.clear();
+    obstacles.extend(widgets.iter().map(|t| t.pos));
+    merge_runs(runs, obstacles);
 
     // Interleave text runs and widgets into reading order. Line boxes
     // bottom-align their items, so (bottom, left) is reading order even
-    // when a tall widget shares a line with short text.
-    let mut tokens = widgets;
-    tokens.extend(merged.into_iter().map(|r| Token::text(0, &*r.text, r.bbox)));
-    tokens.sort_by_key(|t| (t.pos.bottom, t.pos.left));
+    // when a tall widget shares a line with short text; ties keep
+    // widgets first, then text in run order.
+    let texts = runs.iter().filter(|r| r.join == Join::Starts).count();
+    let mut tokens = Vec::with_capacity(widgets.len() + texts);
+    tokens.append(widgets);
+    let mut rest = &runs[..];
+    while let Some((first, tail)) = rest.split_first() {
+        let len = 1 + tail.iter().take_while(|r| r.join != Join::Starts).count();
+        let (group, after) = rest.split_at(len);
+        rest = after;
+        let bbox = group[1..].iter().fold(first.bbox, |b, r| b.union(&r.bbox));
+        let sval = if len == 1 {
+            share(run_text(layout, first))
+        } else {
+            joined.clear();
+            for r in group {
+                if r.join == Join::Spaced {
+                    joined.push(' ');
+                }
+                joined.push_str(run_text(layout, r));
+            }
+            share(joined)
+        };
+        tokens.push(Token::text(0, sval, bbox));
+    }
+    for (i, t) in tokens.iter_mut().enumerate() {
+        t.id = TokenId(i as u32);
+    }
+    tokens.sort_unstable_by_key(|t| (t.pos.bottom, t.pos.left, t.id));
     for (i, t) in tokens.iter_mut().enumerate() {
         t.id = TokenId(i as u32);
     }
     Tokenized { tokens }
+}
+
+/// A run's text: its fragment's, trimmed.
+fn run_text<'l>(layout: &'l Layout, run: &RawRun) -> &'l str {
+    layout.fragments(run.node)[run.frag as usize].text.trim()
 }
 
 fn is_descendant(doc: &Document, node: NodeId, ancestor: NodeId) -> bool {

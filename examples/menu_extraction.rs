@@ -94,7 +94,7 @@ fn main() {
     );
     let mut services = Vec::new();
     for &tree in &result.trees {
-        if let Some(items) = result.chart.payload(tree).ops() {
+        if let Some(items) = result.chart.ops(tree) {
             if items.len() >= 3 {
                 services = items.iter().map(|s| s.to_string()).collect();
                 println!(

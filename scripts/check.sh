@@ -16,18 +16,23 @@ test -z "${METAFORM_BLESS:-}"
 cargo test -q --workspace
 git diff --quiet -- tests/golden
 
-echo "==> cargo test -q --test alloc_budget (cold-path allocations per page)"
+echo "==> cargo test -q --test alloc_budget (cold-path allocations per page, per layer)"
 # A counting global allocator over a fixed generated page set: the
-# figure is exact and host-independent, so copying creeping back into
-# the cold path fails here rather than as benchmark noise.
-cargo test -q --test alloc_budget -- --nocapture | grep 'allocations per page'
+# figures are exact and host-independent, so copying creeping back into
+# the cold path fails here rather than as benchmark noise. Every row
+# (DOM, layout, tokenizer, parse, merge, induction evidence, whole cold
+# path, starved ladder) is printed, and a row that no longer prints — a
+# renamed or dropped one — fails the step.
+alloc_rows="$(cargo test -q --test alloc_budget -- --nocapture | grep 'allocations per page')"
+echo "$alloc_rows"
+test "$(echo "$alloc_rows" | wc -l)" = 8
 
-echo "==> layout scratch gate (a whole-document Layout only in layout_with)"
+echo "==> layout scratch gate (a whole-document Layout only in layout_in)"
 # Table measurement walks the cell's subtree; no measurement may
 # allocate a scratch layout of the whole document again.
 test "$(grep -rn 'Layout::sized(' crates src | wc -l)" = 1
 test "$(awk '/fn [a-z_]+[(<]/ { f = $0 } /Layout::sized\(/ { print f }' crates/layout/src/engine.rs)" = \
-    "pub fn layout_with(doc: &Document, opts: &LayoutOptions) -> Layout {"
+    "pub fn layout_in<'d>("
 
 echo "==> metaform --adaptive --failures-json (CLI telemetry sanity)"
 tmp="$(mktemp -d)"
