@@ -541,7 +541,10 @@ mod tests {
     #[test]
     fn group_and_inherit() {
         let p = Payload::Ops(Texts::Shared(list(&["x"])));
-        assert_eq!(eval(&Constructor::Group, std::slice::from_ref(&p)), Payload::None);
+        assert_eq!(
+            eval(&Constructor::Group, std::slice::from_ref(&p)),
+            Payload::None
+        );
         assert_eq!(eval(&Constructor::Inherit(0), std::slice::from_ref(&p)), p);
     }
 }

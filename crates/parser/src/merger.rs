@@ -9,7 +9,7 @@
 //!
 //! The merger decides on the chart's conditions before it builds any
 //! report form, and builds every vector of the report at its final
-//! size, so on recycled working memory ([`MergeScratch`], held by a
+//! size, so on recycled working memory (a `MergeScratch` held by a
 //! [`crate::ParseSession`]) a merge allocates exactly the heap blocks
 //! the returned report owns.
 

@@ -48,7 +48,7 @@ const MERGE_GAP: i32 = 14;
 
 /// Sorts raw fragments into reading order and marks which of them
 /// merge into one visual text run: a run joins the one before it when
-/// it sits on the same line box, at most [`MERGE_GAP`] to the right of
+/// it sits on the same line box, at most two space widths to the right of
 /// the run so far.
 ///
 /// `obstacles` are widget boxes; a merge never bridges across one
